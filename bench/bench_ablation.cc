@@ -9,6 +9,8 @@
 //      full shuffle of the (replicated) singular instances.
 //  (3) §2.2  reduceByKey (map-side combine) vs groupByKey.mapValues — the
 //      paper's own example of operator choice; both compute hourly counts.
+//  (4) §3.1  cold selection through the mmap'd `.stix` sidecar index vs a
+//      full parse + kernel filter of every metadata-surviving file.
 //
 // Each row reports wall time and, where the difference is structural, the
 // engine's shuffled-record counters — the distributed cost the design
@@ -171,41 +173,53 @@ void AblateOperatorChoice(const BenchEnv& env) {
   table.Print();
 }
 
-void AblateInMemoryIndex(const BenchEnv& env) {
-  std::printf("\n--- (4) per-partition R-tree filtering vs linear scan (§3.1) ---\n");
-  std::printf("the Selector's `index` toggle, selective queries\n");
-  TablePrinter table({"filtering", "events", "trajectories"});
-  auto run = [&](bool use_rtree) {
-    double total_e = 0, total_t = 0;
-    for (const STBox& q : MakeShapedQueries(env.nyc_extent, env.nyc_range,
-                                            0.25, 7 * 86400, 4, 21)) {
-      SelectorOptions options;
-      options.partition_after_select = false;
-      options.use_rtree = use_rtree;
-      Selector<EventRecord> selector(env.ctx, SelectQuery::FromBox(q), options);
-      total_e += TimeIt([&] {
-        auto r = selector.Select(env.nyc[2].plain_dir);
-        ST4ML_CHECK(r.ok());
-      });
-    }
-    for (const STBox& q : MakeShapedQueries(env.porto_extent, env.porto_range,
-                                            0.25, 7 * 86400, 4, 22)) {
-      SelectorOptions options;
-      options.partition_after_select = false;
-      options.use_rtree = use_rtree;
-      Selector<TrajRecord> selector(env.ctx, SelectQuery::FromBox(q), options);
-      total_t += TimeIt([&] {
-        auto r = selector.Select(env.porto[2].plain_dir);
-        ST4ML_CHECK(r.ok());
-      });
-    }
-    return std::pair<double, double>(total_e, total_t);
-  };
-  auto [rtree_e, rtree_t] = run(true);
-  auto [linear_e, linear_t] = run(false);
-  table.AddRow({"3-d R-tree (ST4ML)", FmtSeconds(rtree_e), FmtSeconds(rtree_t)});
-  table.AddRow({"linear scan", FmtSeconds(linear_e), FmtSeconds(linear_t)});
+/// One file plan per run over the T-STR layout (cache off, so the planner
+/// picks between the mmap'd `.stix` sidecar and a full parse + kernel filter
+/// per file); returns seconds, bytes read and records selected.
+template <typename RecordT>
+void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
+                   const std::vector<STBox>& queries, bool disk_index,
+                   double* seconds, uint64_t* bytes_read, uint64_t* records) {
+  for (const STBox& q : queries) {
+    SelectorOptions options;
+    options.partition_after_select = false;
+    options.use_cache = false;
+    options.use_disk_index = disk_index;
+    Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q), options);
+    *seconds += TimeIt([&] {
+      auto r = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
+      ST4ML_CHECK(r.ok()) << r.status().ToString();
+      *records += r->Count();
+    });
+    *bytes_read += selector.stats().bytes_loaded;
+  }
+}
+
+void AblateDiskIndex(const BenchEnv& env) {
+  std::printf("\n--- (4) mmap'd .stix index vs linear scan (§3.1) ---\n");
+  std::printf("cold selective queries over the metadata-pruned T-STR layout\n");
+  TablePrinter table({"plan", "events", "events read", "trajectories",
+                      "trajectories read"});
+  const auto event_queries = MakeShapedQueries(
+      env.nyc_extent, env.nyc_range, 0.25, 7 * 86400, 4, 21);
+  const auto traj_queries = MakeShapedQueries(
+      env.porto_extent, env.porto_range, 0.25, 7 * 86400, 4, 22);
+  uint64_t selected[2][2] = {};
+  for (bool disk_index : {true, false}) {
+    double t_e = 0, t_t = 0;
+    uint64_t read_e = 0, read_t = 0;
+    RunSelectPlan<EventRecord>(env, env.nyc[2], event_queries, disk_index,
+                               &t_e, &read_e, &selected[disk_index][0]);
+    RunSelectPlan<TrajRecord>(env, env.porto[2], traj_queries, disk_index,
+                              &t_t, &read_t, &selected[disk_index][1]);
+    table.AddRow({disk_index ? "mmap .stix index" : "linear scan",
+                  FmtSeconds(t_e), FmtMb(read_e), FmtSeconds(t_t),
+                  FmtMb(read_t)});
+  }
   table.Print();
+  ST4ML_CHECK(selected[0][0] == selected[1][0] &&
+              selected[0][1] == selected[1][1])
+      << "plans disagree on selected records";
 }
 
 }  // namespace
@@ -219,6 +233,6 @@ int main() {
   AblateSelectionOrder(env);
   AblateConversionDesign(env);
   AblateOperatorChoice(env);
-  AblateInMemoryIndex(env);
+  AblateDiskIndex(env);
   return 0;
 }

@@ -6,7 +6,10 @@
 // leave a machine-readable trajectory (bench/run_bench.sh writes it to
 // BENCH_cache.json), and exits non-zero if any pass's selected output
 // diverges from the budget-0 reference — the bench doubles as a
-// correctness gate, like bench_shuffle.
+// correctness gate, like bench_shuffle. Every row also carries
+// resident_bytes_per_cached_file: the mean memory one selector cache entry
+// holds (records + envelope columns) over the staged files, on top of the
+// serialized bytes the budget accounts.
 //
 // Usage: bench_cache [--records N] [--reps R]
 
@@ -64,6 +67,37 @@ uint64_t Checksum(const std::vector<EventRecord>& records) {
   return hash;
 }
 
+/// Heap and inline bytes of one cached selector entry: the record vector,
+/// attr strings too long for the small-string buffer, and the six 8-byte
+/// SoA envelope columns.
+uint64_t ResidentBytes(
+    const selection_internal::IndexedStpqFile<EventRecord>& file) {
+  uint64_t bytes = file.records.capacity() * sizeof(EventRecord) +
+                   file.cols.size() * 6 * sizeof(double);
+  for (const EventRecord& r : file.records) {
+    if (r.attr.capacity() > std::string().capacity()) {
+      bytes += r.attr.capacity() + 1;
+    }
+  }
+  return bytes;
+}
+
+uint64_t MeanResidentBytesPerFile(const std::string& dir) {
+  const std::vector<std::string> paths = ListStpqFiles(dir);
+  uint64_t total = 0;
+  for (const std::string& path : paths) {
+    uint64_t io_bytes = 0;
+    auto records = ReadStpqFile<EventRecord>(path, &io_bytes);
+    if (!records.ok()) {
+      std::cerr << "bench_cache: " << records.status().ToString() << "\n";
+      std::exit(1);
+    }
+    total += ResidentBytes(*selection_internal::MakeIndexedFile<EventRecord>(
+        std::move(*records)));
+  }
+  return paths.empty() ? 0 : total / paths.size();
+}
+
 struct PassResult {
   double first_seconds = 0;
   double second_seconds = 0;
@@ -118,7 +152,8 @@ PassResult RunBudget(const std::string& dir, const std::string& meta,
 }
 
 void EmitRow(const char* label, uint64_t budget, size_t records,
-             const PassResult& r, bool output_identical) {
+             uint64_t resident_per_file, const PassResult& r,
+             bool output_identical) {
   double speedup =
       r.second_seconds > 0 ? r.first_seconds / r.second_seconds : 0;
   std::cout << "{\"budget\":\"" << label << "\""
@@ -134,6 +169,7 @@ void EmitRow(const char* label, uint64_t budget, size_t records,
             << r.metrics[Counter::kCacheSpillBytes]
             << ",\"cache_reload_bytes\":"
             << r.metrics[Counter::kCacheReloadBytes]
+            << ",\"resident_bytes_per_cached_file\":" << resident_per_file
             << ",\"output_identical\":"
             << (output_identical ? "true" : "false") << "}" << std::endl;
   if (!output_identical) {
@@ -194,11 +230,12 @@ int Run(int argc, char** argv) {
       {"tiny", std::max<uint64_t>(1, staged_bytes / 8)},
       {"unbounded", DatasetCache::kUnbounded},
   };
+  const uint64_t resident_per_file = MeanResidentBytesPerFile(dir);
   uint64_t reference = 0;
   for (const Level& level : levels) {
     PassResult result = RunBudget(dir, meta, query, level.budget, reps);
     if (level.budget == 0) reference = result.checksum;
-    EmitRow(level.label, level.budget, records, result,
+    EmitRow(level.label, level.budget, records, resident_per_file, result,
             result.checksum == reference);
   }
   fs::remove_all(dir);

@@ -3,8 +3,10 @@
 // the daemon's reason to exist — the FIRST select on a cold session pays
 // the disk (cache misses, STPQ bytes), every repeat is served from the warm
 // DatasetCache. Reports cold vs warm request latency (the server's own
-// elapsed_us, so connection setup is excluded from the comparison) and a
-// warm 8-client concurrency phase over the real wire protocol.
+// elapsed_us, so connection setup is excluded from the comparison) beside
+// the client-observed round-trip p50 (rtt_p50_us: elapsed_us plus the wire
+// and the JSON), and a warm 8-client concurrency phase over the real wire
+// protocol.
 //
 // Like bench_shuffle/bench_cache this doubles as a gate: it exits non-zero
 // if any response fails, if warm counts diverge from the cold count, if the
@@ -21,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +56,13 @@ std::vector<EventRecord> MakeEvents(size_t n, uint64_t seed) {
   return events;
 }
 
+uint64_t MedianUs(std::vector<uint64_t> samples) {
+  if (samples.empty()) return 0;
+  auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
 [[noreturn]] void Die(const std::string& what) {
   std::cerr << "bench_serve: " << what << "\n";
   std::exit(1);
@@ -69,19 +79,24 @@ std::string SelectRequest(const std::string& dir) {
 struct Response {
   int64_t count = -1;
   uint64_t elapsed_us = 0;
+  uint64_t rtt_us = 0;  // client-observed: write request .. read reply
   int64_t cache_hits = -1;
   int64_t cache_misses = -1;
   int64_t stpq_bytes_read = -1;
 };
 
 Response CallSelect(server::Client& client, const std::string& request) {
+  auto start = std::chrono::steady_clock::now();
   auto raw = client.Call(request);
+  auto rtt = std::chrono::steady_clock::now() - start;
   if (!raw.ok()) Die("call failed: " + raw.status().ToString());
   auto parsed = server::ParseJson(*raw);
   if (!parsed.ok()) Die("unparseable response: " + *raw);
   const server::JsonValue* ok = parsed->Find("ok");
   if (ok == nullptr || !ok->bool_value) Die("server error: " + *raw);
   Response r;
+  r.rtt_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(rtt).count());
   r.count = parsed->GetInt("count", -1);
   r.elapsed_us = static_cast<uint64_t>(parsed->GetInt("elapsed_us", 0));
   const server::JsonValue* metrics = parsed->Find("metrics");
@@ -133,6 +148,7 @@ int Run(int argc, char** argv) {
   // still re-read and re-parse every STPQ byte even if the OS page cache is
   // warm — the same comparison bench_cache publishes.
   uint64_t best_cold_us = 0, best_warm_us = 0;
+  std::vector<uint64_t> cold_rtt_us, warm_rtt_us;
   Response cold_ref, warm_ref;
   for (int rep = 0; rep < reps; ++rep) {
     ToolOptions options;
@@ -152,6 +168,7 @@ int Run(int argc, char** argv) {
     }
     if (rep == 0) cold_ref = cold;
     if (cold.count != cold_ref.count) Die("cold count varies across reps");
+    cold_rtt_us.push_back(cold.rtt_us);
     if (rep == 0 || cold.elapsed_us < best_cold_us) {
       best_cold_us = cold.elapsed_us;
     }
@@ -163,6 +180,7 @@ int Run(int argc, char** argv) {
       }
       if (warm.cache_hits <= 0) Die("warm pass missed the cache");
       if (warm.stpq_bytes_read != 0) Die("warm pass still read STPQ bytes");
+      warm_rtt_us.push_back(warm.rtt_us);
       if (best_warm_us == 0 || warm.elapsed_us < best_warm_us) {
         best_warm_us = warm.elapsed_us;
         warm_ref = warm;
@@ -178,6 +196,7 @@ int Run(int argc, char** argv) {
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 4;
   uint64_t concurrent_wall_us = 0;
+  std::vector<uint64_t> concurrent_rtt_us;
   {
     ToolOptions options;
     options.has_cache_budget = true;
@@ -193,6 +212,7 @@ int Run(int argc, char** argv) {
       CallSelect(*warmup, request);  // prime the cache
     }
     std::atomic<int> failures{0};
+    std::mutex rtt_mu;
     auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     threads.reserve(kClients);
@@ -206,6 +226,8 @@ int Run(int argc, char** argv) {
         for (int i = 0; i < kRequestsPerClient; ++i) {
           Response r = CallSelect(*client, request);
           if (r.count != cold_ref.count || r.cache_hits <= 0) ++failures;
+          std::lock_guard<std::mutex> lock(rtt_mu);
+          concurrent_rtt_us.push_back(r.rtt_us);
         }
       });
     }
@@ -230,12 +252,14 @@ int Run(int argc, char** argv) {
   std::cout << "{\"phase\":\"cold\",\"records\":" << records
             << ",\"count\":" << cold_ref.count
             << ",\"elapsed_us\":" << best_cold_us
+            << ",\"rtt_p50_us\":" << MedianUs(cold_rtt_us)
             << ",\"cache_misses\":" << cold_ref.cache_misses
             << ",\"stpq_bytes_read\":" << cold_ref.stpq_bytes_read << "}"
             << std::endl;
   std::cout << "{\"phase\":\"warm\",\"records\":" << records
             << ",\"count\":" << warm_ref.count
             << ",\"elapsed_us\":" << best_warm_us
+            << ",\"rtt_p50_us\":" << MedianUs(warm_rtt_us)
             << ",\"cache_hits\":" << warm_ref.cache_hits
             << ",\"stpq_bytes_read\":" << warm_ref.stpq_bytes_read
             << ",\"speedup_vs_cold\":" << speedup
@@ -245,7 +269,9 @@ int Run(int argc, char** argv) {
   std::cout << "{\"phase\":\"warm_concurrent\",\"clients\":" << kClients
             << ",\"requests\":" << kClients * kRequestsPerClient
             << ",\"wall_us\":" << concurrent_wall_us
-            << ",\"per_request_us\":" << per_request_us << ",\"all_ok\":true}"
+            << ",\"per_request_us\":" << per_request_us
+            << ",\"rtt_p50_us\":" << MedianUs(concurrent_rtt_us)
+            << ",\"all_ok\":true}"
             << std::endl;
 
   if (!gate_ok) {

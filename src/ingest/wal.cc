@@ -260,6 +260,18 @@ StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
   return result;
 }
 
+StatusOr<WalReadResult> ReadListedWalSegment(const std::string& path) {
+  auto result = ReadWalSegment(path, /*strict=*/false);
+  const size_t suffix = std::strlen(kWalOpenSuffix);
+  if (result.ok() || result.status().code() != Status::Code::kNotFound ||
+      path.size() <= suffix ||
+      path.compare(path.size() - suffix, suffix, kWalOpenSuffix) != 0) {
+    return result;
+  }
+  return ReadWalSegment(path.substr(0, path.size() - suffix),
+                        /*strict=*/false);
+}
+
 std::vector<std::string> ListWalSegments(const std::string& wal_dir) {
   std::vector<std::string> sealed;
   std::vector<std::string> active;

@@ -127,6 +127,13 @@ struct WalReadResult {
 /// instead of refusing to open the directory.
 StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict);
 
+/// Tolerant read of a segment path a reader LISTED earlier. A Seal may
+/// rename a listed active segment between the listing and the read: on
+/// NotFound for a `.open` path, the sealed name — which holds the same
+/// fully-framed bytes — is read once instead. Every other outcome is
+/// ReadWalSegment's own.
+StatusOr<WalReadResult> ReadListedWalSegment(const std::string& path);
+
 /// Paths of every WAL segment directly inside `wal_dir` — sealed `.stwal`
 /// first, then active `.stwal.open`, each group sorted by name (names embed
 /// a zero-padded sequence number, so name order IS append order).

@@ -17,7 +17,6 @@
 #include "engine/cached_dataset.h"
 #include "engine/dataset.h"
 #include "engine/mp/distributed.h"
-#include "index/rtree.h"
 #include "index/stix.h"
 #include "ingest/wal.h"
 #include "partition/partitioner.h"
@@ -32,63 +31,49 @@ namespace st4ml {
 
 namespace selection_internal {
 
-/// What the selector caches per STPQ file: the raw records PLUS the
-/// per-record envelopes in TWO forms, so a warm hit skips the file read,
-/// the parse AND every per-record ComputeSTBox — only the columnar filter
-/// and the copy of matching records remain:
-///   - `cols`: SoA envelope columns, the warm refinement path — one
-///     vectorized FilterBoxes kernel pass per query (DESIGN.md §11);
-///   - `tree`: the per-record R-tree (when the admitting selector refines
-///     through trees), kept alongside the columns for the cold
-///     `use_rtree` path and entries reloaded after eviction.
-/// `envelope` is the union of all non-degenerate record envelopes: a warm
-/// query that misses it skips the per-record pass entirely. The cache
-/// budget accounts the serialized record bytes; columns and tree are index
-/// overhead on top, as for the on-disk index itself.
+/// What the selector caches per STPQ file: the raw records PLUS their
+/// per-record envelopes as SoA columns, so a warm hit skips the file read,
+/// the parse AND every per-record ComputeSTBox — only one vectorized
+/// FilterBoxes kernel pass and the copy of matching records remain
+/// (DESIGN.md §11). `envelope` is the union of all non-degenerate record
+/// envelopes: a warm query that misses it skips the kernel pass entirely.
+/// The cache budget accounts the serialized record bytes; the columns are
+/// index overhead on top, as for the on-disk index itself.
 template <typename RecordT>
 struct IndexedStpqFile {
   std::vector<RecordT> records;
   accel::EnvelopeColumns cols;  // per-record envelopes, SoA
   STBox envelope;               // union of valid record envelopes
-  RTree<STBox> tree;  // over per-record envelopes; empty when !has_tree
-  bool has_tree = false;
 };
 
 template <typename RecordT>
 std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
-    std::vector<RecordT> records, bool build_tree) {
+    std::vector<RecordT> records) {
   auto file = std::make_shared<IndexedStpqFile<RecordT>>();
   file->records = std::move(records);
-  std::vector<STBox> boxes;
-  boxes.reserve(file->records.size());
   file->cols.Reserve(file->records.size());
   for (const RecordT& r : file->records) {
-    boxes.push_back(r.ComputeSTBox());
-    file->cols.Append(boxes.back());
+    const STBox box = r.ComputeSTBox();
+    file->cols.Append(box);
     // The file envelope skips degenerate boxes (inverted — e.g. an empty
     // trajectory — or NaN coordinates): they can never match a query, and
     // a NaN must not poison the union into rejecting the whole file.
-    const Mbr& m = boxes.back().mbr;
-    if (m.x_min <= m.x_max && m.y_min <= m.y_max) {
-      file->envelope.Extend(boxes.back());
+    if (box.mbr.x_min <= box.mbr.x_max && box.mbr.y_min <= box.mbr.y_max) {
+      file->envelope.Extend(box);
     }
-  }
-  if (build_tree) {
-    file->tree.Build(boxes);
-    file->has_tree = true;
   }
   return file;
 }
 
-/// Cache reload fn: re-reads the origin file and rebuilds the tree, so an
-/// entry that was evicted under memory pressure comes back fully indexed.
+/// Cache reload fn: re-reads the origin file and recomputes its columns, so
+/// an entry that was evicted under memory pressure comes back fully indexed.
 template <typename RecordT>
 StatusOr<std::shared_ptr<const void>> ReloadIndexedFile(
     const std::string& path, uint64_t* io_bytes) {
   auto loaded = ReadStpqFile<RecordT>(path, io_bytes);
   if (!loaded.ok()) return loaded.status();
   return std::shared_ptr<const void>(
-      MakeIndexedFile<RecordT>(std::move(*loaded), /*build_tree=*/true));
+      MakeIndexedFile<RecordT>(std::move(*loaded)));
 }
 
 /// One file's complete Select outcome: the selected records plus every
@@ -150,19 +135,16 @@ struct SelectorOptions {
   /// small result, not the other way around (the paper's ordering).
   std::shared_ptr<STPartitioner> partitioner;
   bool partition_after_select = true;
-  /// Refine loaded files through a per-file R-tree instead of a linear scan.
-  /// Same records either way; this is the in-memory half of the index.
-  bool use_rtree = true;
   /// Per-file load retry: transient IOErrors (a flaky filesystem, an
   /// injected fault) are re-attempted with backoff before failing the
   /// Select; deterministic errors (NotFound, Corruption) fail immediately.
   RetryPolicy retry;
   /// Serve repeated loads of the same file from the context's DatasetCache
   /// (when its budget enables it): the pre-filter records are cached per
-  /// file together with their built R-tree, so later selections with
-  /// overlapping ST ranges query the in-memory index instead of re-reading
-  /// and re-indexing the file. Off, or with the cache disabled, every
-  /// Select reads its files — the seed behavior.
+  /// file together with their envelope columns, so later selections with
+  /// overlapping ST ranges filter the in-memory columns instead of
+  /// re-reading and re-parsing the file. Off, or with the cache disabled,
+  /// every Select reads its files — the seed behavior.
   bool use_cache = true;
   /// Let the QueryPlanner serve COLD files (no enabled cache) from their
   /// mmap'd `.stix` sidecar when one is present and valid: index pages are
@@ -262,9 +244,16 @@ class Selector {
       // A consumed segment's records already live in a listed partition;
       // its not-yet-deleted file must not be double counted. An active
       // `.open` segment is consulted under its sealed name too, in case a
-      // rename committed between the listing and this check.
+      // rename committed between the listing and this check. A listing
+      // that caught a seal mid-rename may hold both names: the sealed one
+      // is read, the `.open` one skipped.
       if (name.size() > 5 && name.compare(name.size() - 5, 5, ".open") == 0) {
         name.resize(name.size() - 5);
+        const std::string sealed = segment.substr(0, segment.size() - 5);
+        if (std::find(segments.begin(), segments.end(), sealed) !=
+            segments.end()) {
+          continue;
+        }
       }
       if (!std::binary_search(consumed.begin(), consumed.end(), name)) {
         paths.push_back(segment);
@@ -338,7 +327,7 @@ class Selector {
           // Tolerant read: a merged Select may race the live appender, and
           // the only incomplete frame a segment can legally carry is the
           // in-flight tail — unacked by definition, so correct to exclude.
-          auto result = ReadWalSegment(paths[i], /*strict=*/false);
+          auto result = ReadListedWalSegment(paths[i]);
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
           out.file_read = 1;
@@ -359,31 +348,20 @@ class Selector {
         auto got = cache->Get(key, 0);
         if (!got.ok()) return got.status();
         if (*got != nullptr) {
-          // Hit: query the cached pre-built index and copy only the
-          // matching records; no file I/O, no parse, no tree build.
+          // Hit: filter the cached columns and copy only the matching
+          // records; no file I/O, no parse, no envelope recomputation.
           auto file = std::static_pointer_cast<
               const selection_internal::IndexedStpqFile<RecordT>>(*got);
           out.records = FilterIndexed(*file, &out.selected_bytes);
           return out;
         }
-        uint64_t attempts = 0;
-        auto records = options_.retry.Run(
-            [&]() -> StatusOr<std::vector<RecordT>> {
-              uint64_t bytes = 0;
-              auto loaded = ReadStpqFile<RecordT>(paths[i], &bytes);
-              if (loaded.ok()) out.read_bytes = bytes;
-              return loaded;
-            },
-            &counters, &attempts);
-        io.AddArg("bytes", out.read_bytes);
-        if (attempts > 1) io.AddArg("attempts", attempts);
+        auto records = ReadWhole(paths[i], &out, &io, counters);
         if (!records.ok()) return records.status();
-        out.file_read = 1;
-        // Miss: admit the records (indexed, when this selector refines
-        // through the tree), with the source file as the reload path —
-        // eviction drops memory without writing anything.
+        // Miss: admit the records with their columns, with the source file
+        // as the reload path — eviction drops memory without writing
+        // anything.
         auto file = selection_internal::MakeIndexedFile<RecordT>(
-            std::move(records).value(), options_.use_rtree);
+            std::move(records).value());
         cache->PutWithOrigin(key, 0, file, out.read_bytes, paths[i],
                              &selection_internal::ReloadIndexedFile<RecordT>);
         out.records = FilterIndexed(*file, &out.selected_bytes);
@@ -405,19 +383,8 @@ class Selector {
       }
       out.plan_run = static_cast<uint8_t>(FilePlan::kLinearScan);
       io.AddArg("plan_scan", 1);
-      uint64_t attempts = 0;
-      auto records = options_.retry.Run(
-          [&]() -> StatusOr<std::vector<RecordT>> {
-            uint64_t bytes = 0;
-            auto loaded = ReadStpqFile<RecordT>(paths[i], &bytes);
-            if (loaded.ok()) out.read_bytes = bytes;
-            return loaded;
-          },
-          &counters, &attempts);
-      io.AddArg("bytes", out.read_bytes);
-      if (attempts > 1) io.AddArg("attempts", attempts);
+      auto records = ReadWhole(paths[i], &out, &io, counters);
       if (!records.ok()) return records.status();
-      out.file_read = 1;
       out.records =
           FilterRecords(std::move(records).value(), &out.selected_bytes);
       return out;
@@ -489,6 +456,27 @@ class Selector {
       selected = std::move(partitioned).value();
     }
     return selected;
+  }
+
+  /// Reads all of one STPQ file under the retry policy (the cached-miss and
+  /// linear-scan plans): transient IOErrors are re-attempted, and on success
+  /// `out` records the bytes of the attempt that succeeded.
+  StatusOr<std::vector<RecordT>> ReadWhole(
+      const std::string& path, selection_internal::FileLoadResult<RecordT>* out,
+      ScopedSpan* io, CounterRegistry& counters) {
+    uint64_t attempts = 0;
+    auto records = options_.retry.Run(
+        [&]() -> StatusOr<std::vector<RecordT>> {
+          uint64_t bytes = 0;
+          auto loaded = ReadStpqFile<RecordT>(path, &bytes);
+          if (loaded.ok()) out->read_bytes = bytes;
+          return loaded;
+        },
+        &counters, &attempts);
+    io->AddArg("bytes", out->read_bytes);
+    if (attempts > 1) io->AddArg("attempts", attempts);
+    if (records.ok()) out->file_read = 1;
+    return records;
   }
 
   /// The kMmapIndex plan for one file. Returns false (not an error) when
@@ -573,111 +561,62 @@ class Selector {
            std::to_string(stamp);
   }
 
-  /// Drops hits whose record id is outside the query's id set. A no-op
-  /// without an id predicate; hit order is preserved.
-  void FilterHitsById(const std::vector<RecordT>& records,
-                      std::vector<size_t>* hits) {
-    if (!query_.has_ids) return;
-    size_t kept = 0;
-    for (size_t i : *hits) {
-      if (query_.MatchesId(records[i].id)) (*hits)[kept++] = i;
-    }
-    hits->resize(kept);
-  }
-
-  /// Indices of the records matching the query, in record order (the tree
-  /// reports leaf order; sorting restores it so every refine path returns
-  /// identical datasets). The linear path computes each record's envelope
-  /// once into columns and runs the vectorized FilterBoxes kernel over
-  /// them — the same closed-interval predicate STBox::Intersects applies,
-  /// so tree and linear refinement stay byte-identical. The id predicate
-  /// composes afterwards (AND), identically on every path.
-  std::vector<size_t> MatchIndices(const std::vector<RecordT>& records) {
+  /// The one refinement every in-memory plan shares: indices of the
+  /// records matching the query, in record order, from one vectorized pass
+  /// of the active backend's FilterBoxes kernel over the records' envelope
+  /// columns — the same closed-interval predicate STBox::Intersects applies.
+  /// The kernel folds in record-side degeneracy but leaves the query-side
+  /// emptiness test to the host: an inverted query matches nothing, exactly
+  /// as Intersects would report. The id predicate composes afterwards (AND).
+  std::vector<size_t> MatchIndices(const accel::EnvelopeColumns& cols,
+                                   const std::vector<RecordT>& records) {
     std::vector<size_t> hits;
-    if (options_.use_rtree) {
-      // Per-record tree refinement — not a batch kernel pass, so these
-      // records count as fallback work in the backend registry.
-      accel::BackendRegistry::Instance().CountFallback(records.size());
-      std::vector<STBox> boxes;
-      boxes.reserve(records.size());
-      for (const RecordT& r : records) boxes.push_back(r.ComputeSTBox());
-      RTree<STBox> tree;
-      tree.Build(boxes);
-      hits = tree.Query(query_.box);
-      std::sort(hits.begin(), hits.end());
-    } else {
-      // The kernel predicate folds in record-side degeneracy but leaves
-      // the query-side emptiness test to the host — an inverted query
-      // matches nothing, exactly as Intersects would report.
-      if (query_.box.mbr.IsEmpty() || records.empty()) return hits;
-      accel::EnvelopeColumns cols;
-      cols.Reserve(records.size());
-      for (const RecordT& r : records) cols.Append(r.ComputeSTBox());
-      hits = KernelMatch(cols);
-    }
-    FilterHitsById(records, &hits);
-    return hits;
-  }
-
-  /// One vectorized pass of the active backend's FilterBoxes kernel over
-  /// envelope columns; returns matching indices in record order.
-  std::vector<size_t> KernelMatch(const accel::EnvelopeColumns& cols) {
+    if (query_.box.mbr.IsEmpty() || cols.empty()) return hits;
     const accel::EnvelopeView view = cols.View();
     std::vector<uint8_t> bitmap(view.size);
     accel::Active().FilterBoxes(accel::BoxFilterQuery::FromBox(query_.box),
                                 view, bitmap.data());
     accel::BackendRegistry::Instance().CountBatch(view.size);
-    std::vector<size_t> hits;
     for (size_t i = 0; i < view.size; ++i) {
-      if (bitmap[i] != 0) hits.push_back(i);
+      if (bitmap[i] != 0 && query_.MatchesId(records[i].id)) hits.push_back(i);
     }
     return hits;
   }
 
   /// Filter over a cached indexed file (borrowed, shared with the cache):
-  /// the warm columnar fast path. A query outside the file's envelope
-  /// union returns without touching a record; otherwise one FilterBoxes
-  /// kernel pass over the cached SoA columns produces the hit bitmap and
-  /// only MATCHING records are copied out — a warm hit never pays for the
-  /// records the query rejects, and never recomputes an envelope. The
-  /// columns hold exactly the envelopes the cached tree was built over and
-  /// the kernel applies exactly the STBox::Intersects predicate, so the
-  /// output is byte-identical to the tree and uncached paths (the
-  /// differential property harness pins this across backends). Entries
-  /// without columns fall back to the tree / per-record refinement.
+  /// the warm path. A query outside the file's envelope union returns
+  /// without touching a record; otherwise the cached columns feed
+  /// MatchIndices and only MATCHING records are copied out — a warm hit
+  /// never pays for the records the query rejects, and never recomputes an
+  /// envelope.
   std::vector<RecordT> FilterIndexed(
       const selection_internal::IndexedStpqFile<RecordT>& file,
       uint64_t* bytes_selected) {
     if (!query_.box.Intersects(file.envelope)) return {};
-    std::vector<size_t> hits;
-    if (file.cols.size() == file.records.size() && !file.cols.empty()) {
-      hits = KernelMatch(file.cols);
-      FilterHitsById(file.records, &hits);
-    } else if (options_.use_rtree && file.has_tree) {
-      accel::BackendRegistry::Instance().CountFallback(file.records.size());
-      hits = file.tree.Query(query_.box);
-      std::sort(hits.begin(), hits.end());
-      FilterHitsById(file.records, &hits);
-    } else {
-      // MatchIndices counts its records as batch or fallback itself, and
-      // applies the id predicate itself.
-      hits = MatchIndices(file.records);
-    }
+    const std::vector<size_t> hits = MatchIndices(file.cols, file.records);
     std::vector<RecordT> kept;
     kept.reserve(hits.size());
-    for (size_t i : hits) kept.push_back(file.records[i]);
-    for (const RecordT& r : kept) *bytes_selected += StpqRecordBytes(r);
+    for (size_t i : hits) {
+      kept.push_back(file.records[i]);
+      *bytes_selected += StpqRecordBytes(kept.back());
+    }
     return kept;
   }
 
-  /// Filter over owned records (the uncached load path): matches are moved.
+  /// Filter over owned records (the linear-scan and WAL plans): computes
+  /// each envelope once into columns, then matches are moved out.
   std::vector<RecordT> FilterRecords(std::vector<RecordT>&& records,
                                      uint64_t* bytes_selected) {
-    std::vector<size_t> hits = MatchIndices(records);
+    accel::EnvelopeColumns cols;
+    cols.Reserve(records.size());
+    for (const RecordT& r : records) cols.Append(r.ComputeSTBox());
+    const std::vector<size_t> hits = MatchIndices(cols, records);
     std::vector<RecordT> kept;
     kept.reserve(hits.size());
-    for (size_t i : hits) kept.push_back(std::move(records[i]));
-    for (const RecordT& r : kept) *bytes_selected += StpqRecordBytes(r);
+    for (size_t i : hits) {
+      kept.push_back(std::move(records[i]));
+      *bytes_selected += StpqRecordBytes(kept.back());
+    }
     return kept;
   }
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +30,9 @@ StatusOr<Client> Client::Connect(int port) {
     ::close(fd);
     return status;
   }
+  // Requests are small frames sent back to back: never hold one for Nagle.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   Client client;
   client.fd_ = fd;
   return client;

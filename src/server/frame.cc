@@ -1,6 +1,7 @@
 #include "server/frame.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,18 +13,30 @@ namespace server {
 
 namespace {
 
-/// MSG_NOSIGNAL: a peer that hung up before its response must surface as an
-/// EPIPE IOError on this one connection, not raise SIGPIPE and kill the
-/// whole daemon.
-Status WriteAll(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+/// Sends every byte of `iov` (advanced in place) with sendmsg, looping on
+/// partial writes and EINTR. MSG_NOSIGNAL: a peer that hung up before its
+/// response must surface as an EPIPE IOError on this one connection, not
+/// raise SIGPIPE and kill the whole daemon.
+Status SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("send: ") + std::strerror(errno));
     }
-    written += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::Ok();
 }
@@ -59,8 +72,11 @@ Status WriteFrame(int fd, const std::string& payload) {
                     static_cast<char>((len >> 16) & 0xFF),
                     static_cast<char>((len >> 8) & 0xFF),
                     static_cast<char>(len & 0xFF)};
-  ST4ML_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix)));
-  return WriteAll(fd, payload.data(), payload.size());
+  // Prefix and payload leave in ONE send: two sends of one small frame
+  // would park the second behind Nagle until the peer's delayed ACK.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return SendAll(fd, iov, 2);
 }
 
 StatusOr<std::string> ReadFrame(int fd, size_t max_bytes) {

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -205,6 +206,10 @@ void Server::AcceptLoop() {
       }
       return;
     }
+    // Request/response on one connection: without TCP_NODELAY a reply that
+    // follows a not-yet-ACKed one waits on the peer's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     // Each accept doubles as the reap point for handler threads that
     // finished since the last one — a churny daemon stays at O(live
     // connections) threads instead of one per connection ever served.
@@ -579,12 +584,13 @@ std::string Server::HandleSelect(const JsonValue& request, bool lookup_by_id) {
     count = static_cast<uint64_t>(selected->Count());
   } else {
     std::vector<EventRecord> records = selected->Collect();
-    std::sort(records.begin(), records.end(),
-              [](const EventRecord& a, const EventRecord& b) {
-                return a.id < b.id;
-              });
     count = static_cast<uint64_t>(records.size());
+    // Only the `limit` lowest ids are shown, so only they are ordered.
     size_t shown = std::min(records.size(), static_cast<size_t>(limit));
+    std::partial_sort(records.begin(), records.begin() + shown, records.end(),
+                      [](const EventRecord& a, const EventRecord& b) {
+                        return a.id < b.id;
+                      });
     for (size_t i = 0; i < shown; ++i) {
       const EventRecord& r = records[i];
       JsonObject row;

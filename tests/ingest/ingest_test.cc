@@ -133,6 +133,50 @@ TEST_F(IngestTest, WalTornTailTolerantVsStrict) {
   EXPECT_EQ(strict.status().code(), Status::Code::kCorruption);
 }
 
+// A merged Select lists `.open` segments, then reads them; a Seal in between
+// renames the file away. The read falls back to the sealed name once.
+TEST_F(IngestTest, ListedOpenSegmentSealedBeforeReadIsReadUnderSealedName) {
+  std::string path = dir_ + "/s00000000-b0.stwal";
+  auto writer = WalWriter::Create(path);
+  ASSERT_TRUE(writer.ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  const std::string listed = writer->open_path();
+  ASSERT_TRUE(writer->Seal().ok());
+  ASSERT_FALSE(fs::exists(listed));
+
+  auto plain_miss = ReadWalSegment(listed, /*strict=*/false);
+  ASSERT_FALSE(plain_miss.ok());
+  EXPECT_EQ(plain_miss.status().code(), Status::Code::kNotFound);
+
+  auto read = ReadListedWalSegment(listed);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_FALSE(read->torn_tail);
+  EXPECT_EQ(read->good_bytes, fs::file_size(path));
+  ASSERT_EQ(read->records.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(read->records[i].id, i);
+
+  // Only a vanished `.open` name falls back; a missing sealed name is
+  // still NotFound.
+  fs::remove(path);
+  auto gone = ReadListedWalSegment(path);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), Status::Code::kNotFound);
+}
+
+// A directory listing that caught a seal mid-rename may report one segment
+// under both names; its records are selected once, not twice.
+TEST_F(IngestTest, SegmentListedUnderBothNamesIsSelectedOnce) {
+  fs::create_directories(dir_ + "/wal");
+  std::string path = dir_ + "/wal/s00000000-b0.stwal";
+  auto writer = WalWriter::Create(path);
+  ASSERT_TRUE(writer.ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  writer->Abandon();
+  fs::copy_file(path + ".open", path);
+  ASSERT_EQ(ListWalSegments(dir_ + "/wal").size(), 2u);
+  EXPECT_EQ(Ids(SelectAll(dir_)), (std::multiset<int64_t>{0, 1, 2, 3}));
+}
+
 TEST_F(IngestTest, WalCrcFlipIsCorruptionWhenSealed) {
   std::string path = dir_ + "/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);

@@ -197,19 +197,83 @@ TEST_F(SelectorTest, DeprecatedBoxConstructorStillSelects) {
   EXPECT_EQ(SortedIds(*selected), ReferenceIds(events_, query));
 }
 
-TEST_F(SelectorTest, RtreeRefineMatchesLinearRefine) {
+// A cached entry is records + envelope columns, refined by the same kernel
+// pass as the linear scan. Under a budget that holds one file, select through
+// a miss, a resident hit, a miss that evicts the first file, and that file's
+// reload: each must select exactly what an uncached linear scan of the same
+// file selects, with the same record-flow counters.
+TEST_F(SelectorTest, CachedMissHitAndReloadMatchLinearScan) {
   STBox query(Mbr(20, 20, 60, 60), Duration(10000, 80000));
-  SelectorOptions with_tree;
-  with_tree.use_rtree = true;
-  SelectorOptions linear;
-  linear.use_rtree = false;
-  Selector<EventRecord> a(ctx_, SelectQuery::FromBox(query), with_tree);
-  Selector<EventRecord> b(ctx_, SelectQuery::FromBox(query), linear);
-  auto ra = a.Select(dir_, meta_);
-  auto rb = b.Select(dir_, meta_);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(SortedIds(*ra), SortedIds(*rb));
+  const std::string dir_a = TempDir("cache_a");
+  const std::string dir_b = TempDir("cache_b");
+  const std::vector<EventRecord> half_a(events_.begin(),
+                                        events_.begin() + 1500);
+  const std::vector<EventRecord> half_b(events_.begin() + 1500, events_.end());
+  ASSERT_TRUE(PersistDataset(
+                  Dataset<EventRecord>::Parallelize(ctx_, half_a, 1), dir_a)
+                  .ok());
+  ASSERT_TRUE(PersistDataset(
+                  Dataset<EventRecord>::Parallelize(ctx_, half_b, 1), dir_b)
+                  .ok());
+  uint64_t budget = 0;
+  for (const std::string& dir : {dir_a, dir_b}) {
+    ASSERT_EQ(ListStpqFiles(dir).size(), 1u);
+    budget = std::max(budget, FileSizeBytes(ListStpqFiles(dir)[0]));
+  }
+
+  auto cached_ctx = ExecutionContext::Create(2);
+  DatasetCache::Options cache_options;
+  cache_options.budget_bytes = budget;
+  cached_ctx->ConfigureCache(cache_options);
+  auto scan_ctx = ExecutionContext::Create(2);
+  SelectorOptions scan_options;
+  scan_options.use_cache = false;
+  scan_options.use_disk_index = false;
+
+  struct Step {
+    const std::string* dir;
+    Counter expect;  // the cache counter this step must move
+  };
+  const Step steps[] = {{&dir_a, Counter::kCacheMisses},
+                        {&dir_a, Counter::kCacheHits},
+                        {&dir_b, Counter::kCacheMisses},
+                        {&dir_a, Counter::kCacheReloadBytes}};
+  for (size_t s = 0; s < 4; ++s) {
+    const MetricsSnapshot cached_before = cached_ctx->MetricsSnapshot();
+    const MetricsSnapshot scan_before = scan_ctx->MetricsSnapshot();
+    Selector<EventRecord> cached(cached_ctx, SelectQuery::FromBox(query));
+    Selector<EventRecord> scan(scan_ctx, SelectQuery::FromBox(query),
+                               scan_options);
+    auto got = cached.Select(*steps[s].dir);
+    auto want = scan.Select(*steps[s].dir);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    std::vector<int64_t> got_ids;
+    std::vector<int64_t> want_ids;
+    for (const EventRecord& r : got->Collect()) got_ids.push_back(r.id);
+    for (const EventRecord& r : want->Collect()) want_ids.push_back(r.id);
+    EXPECT_FALSE(want_ids.empty()) << "step " << s;
+    EXPECT_EQ(got_ids, want_ids) << "step " << s;
+    EXPECT_EQ(cached.stats().bytes_selected, scan.stats().bytes_selected)
+        << "step " << s;
+
+    const MetricsSnapshot cached_after = cached_ctx->MetricsSnapshot();
+    const MetricsSnapshot scan_after = scan_ctx->MetricsSnapshot();
+    for (Counter c : {Counter::kSelectionRecordsOut,
+                      Counter::kSelectionBytesSelected,
+                      Counter::kPartitionsScanned}) {
+      EXPECT_EQ(cached_after[c] - cached_before[c],
+                scan_after[c] - scan_before[c])
+          << "step " << s << " counter " << static_cast<int>(c);
+    }
+    EXPECT_GT(cached_after[steps[s].expect], cached_before[steps[s].expect])
+        << "step " << s;
+  }
+  // The resident hit re-read nothing; the second miss evicted the first file.
+  const MetricsSnapshot m = cached_ctx->MetricsSnapshot();
+  EXPECT_EQ(m[Counter::kCacheMisses], 2u);
+  EXPECT_EQ(m[Counter::kCacheHits], 2u);
+  EXPECT_GE(m[Counter::kCacheEvictions], 1u);
 }
 
 TEST_F(SelectorTest, PartitionAfterSelectRedistributes) {

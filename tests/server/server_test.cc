@@ -160,6 +160,25 @@ TEST(ServerTest, PingStatsAndValidation) {
   EXPECT_GE(stats.GetInt("backend_fallback_records", -1), 0);
 }
 
+// Sequential request/response on one connection must not stall on Nagle
+// plus delayed ACK: a frame written as two small sends parks its second half
+// until the peer ACKs the first, ~40 ms per direction per round trip on
+// loopback. 50 pings then take seconds; written whole, with TCP_NODELAY on
+// both ends, they take milliseconds.
+TEST(ServerTest, SequentialRoundTripsAreNotAckDelayed) {
+  Daemon daemon;
+  Client client = daemon.Connect();
+  ASSERT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(Ok(Call(client, R"({"verb":"ping"})"))) << "ping " << i;
+  }
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 50 sequential pings";
+}
+
 TEST(ServerTest, ProtocolErrorsKeepTheConnectionUsable) {
   Daemon daemon;
   Client client = daemon.Connect();
