@@ -31,6 +31,14 @@ namespace st4ml {
 namespace bench {
 namespace {
 
+uint64_t ShuffledRecords(const BenchEnv& env) {
+  return env.ctx->MetricsSnapshot()[Counter::kShuffleRecords];
+}
+
+uint64_t Broadcasts(const BenchEnv& env) {
+  return env.ctx->MetricsSnapshot()[Counter::kBroadcasts];
+}
+
 void AblateSelectionOrder(const BenchEnv& env) {
   std::printf("\n--- (1) select-first vs partition-first (§3.1) ---\n");
   TablePrinter table(
@@ -49,8 +57,9 @@ void AblateSelectionOrder(const BenchEnv& env) {
       ST4ML_CHECK(result.ok());
     }
   });
-  uint64_t sf_records = env.ctx->MetricsSnapshot().shuffle_records();
-  uint64_t sf_bytes = env.ctx->MetricsSnapshot().shuffle_bytes();
+  const MetricsSnapshot sf = env.ctx->MetricsSnapshot();
+  uint64_t sf_records = sf[Counter::kShuffleRecords];
+  uint64_t sf_bytes = sf[Counter::kShuffleBytes];
   table.AddRow({"select-first (ST4ML)", FmtSeconds(t_select_first),
                 FmtCount(sf_records), FmtMb(sf_bytes)});
 
@@ -77,8 +86,9 @@ void AblateSelectionOrder(const BenchEnv& env) {
           .Count();
     }
   });
-  uint64_t pf_records = env.ctx->MetricsSnapshot().shuffle_records();
-  uint64_t pf_bytes = env.ctx->MetricsSnapshot().shuffle_bytes();
+  const MetricsSnapshot pf = env.ctx->MetricsSnapshot();
+  uint64_t pf_records = pf[Counter::kShuffleRecords];
+  uint64_t pf_bytes = pf[Counter::kShuffleBytes];
   table.AddRow({"partition-first (conventional)",
                 FmtSeconds(t_partition_first), FmtCount(pf_records),
                 FmtMb(pf_bytes)});
@@ -112,21 +122,20 @@ void AblateConversionDesign(const BenchEnv& env) {
     for (size_t i = 0; i < merged.size(); ++i) total_broadcast += merged.value(i);
   });
   table.AddRow({"broadcast structure (ST4ML)", FmtSeconds(t_broadcast),
-                FmtCount(env.ctx->MetricsSnapshot().shuffle_records()),
-                FmtCount(env.ctx->MetricsSnapshot().broadcasts())});
+                FmtCount(ShuffledRecords(env)), FmtCount(Broadcasts(env))});
 
   env.ctx->ResetMetrics();
   int64_t total_shuffle = 0;
   double t_shuffle = TimeIt([&] {
-    SpatialMap<int64_t> merged = ConvertToSpatialMapByShuffle(
+    auto merged = TryConvertToSpatialMapByShuffle(
         events, structure, [](const std::vector<STEvent>& arr) {
           return static_cast<int64_t>(arr.size());
         });
-    for (size_t i = 0; i < merged.size(); ++i) total_shuffle += merged.value(i);
+    ST4ML_CHECK(merged.ok()) << merged.status().ToString();
+    for (size_t i = 0; i < merged->size(); ++i) total_shuffle += merged->value(i);
   });
   table.AddRow({"shuffle by cell (rejected)", FmtSeconds(t_shuffle),
-                FmtCount(env.ctx->MetricsSnapshot().shuffle_records()),
-                FmtCount(env.ctx->MetricsSnapshot().broadcasts())});
+                FmtCount(ShuffledRecords(env)), FmtCount(Broadcasts(env))});
   table.Print();
   ST4ML_CHECK(total_broadcast == total_shuffle)
       << "designs disagree: " << total_broadcast << " vs " << total_shuffle;
@@ -154,7 +163,7 @@ void AblateOperatorChoice(const BenchEnv& env) {
     reduced->Count();
   });
   table.AddRow({"reduceByKey(_+_)", FmtSeconds(t_reduce),
-                FmtCount(env.ctx->MetricsSnapshot().shuffle_records())});
+                FmtCount(ShuffledRecords(env))});
 
   env.ctx->ResetMetrics();
   double t_group = TimeIt([&] {
@@ -169,7 +178,7 @@ void AblateOperatorChoice(const BenchEnv& env) {
         .Count();
   });
   table.AddRow({"groupByKey.mapValues(_.sum)", FmtSeconds(t_group),
-                FmtCount(env.ctx->MetricsSnapshot().shuffle_records())});
+                FmtCount(ShuffledRecords(env))});
   table.Print();
 }
 

@@ -160,8 +160,8 @@ Measurement Measure(const std::shared_ptr<ExecutionContext>& ctx, int reps,
     op();
     double secs = watch.ElapsedSeconds();
     if (r == 0 || secs < m.seconds) m.seconds = secs;
-    m.shuffle_records = ctx->MetricsSnapshot().shuffle_records();
-    m.shuffle_bytes = ctx->MetricsSnapshot().shuffle_bytes();
+    m.shuffle_records = ctx->MetricsSnapshot()[Counter::kShuffleRecords];
+    m.shuffle_bytes = ctx->MetricsSnapshot()[Counter::kShuffleBytes];
   }
   return m;
 }

@@ -46,7 +46,6 @@ if [ $# -eq 0 ]; then
   run_one "$repo_root/build/bench/bench_simd"
   run_one "$repo_root/build/bench/bench_coldstart"
   run_one "$repo_root/build/bench/bench_ingest"
-  run_one "$repo_root/build/bench/bench_scaleout"
 else
   run_one "$@"
 fi

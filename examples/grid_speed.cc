@@ -40,7 +40,8 @@ int main() {
     }
     std::printf("\n");
   }
+  const uint64_t broadcasts = ctx->MetricsSnapshot()[Counter::kBroadcasts];
   std::printf("cells: %zu, broadcasts: %llu\n", speed.size(),
-              static_cast<unsigned long long>(ctx->MetricsSnapshot().broadcasts()));
+              static_cast<unsigned long long>(broadcasts));
   return 0;
 }

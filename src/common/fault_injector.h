@@ -33,12 +33,6 @@ inline constexpr const char* kWalSeal = "wal/seal";
 /// Checked at the start of a compaction cycle: a fired fault leaves every
 /// sealed segment in place for the next cycle to retry.
 inline constexpr const char* kIngestCompact = "ingest/compact";
-/// Checked by a multiprocess-executor WORKER on each task grant it
-/// receives — a fired fault raises SIGKILL on the worker process (the
-/// driver sees EOF and reclaims the grant, DESIGN.md §14). Note the armed
-/// state is inherited across fork: a scripted FailNext arms EVERY worker
-/// of the next job; the deterministic per-slot scripts live in MpOptions.
-inline constexpr const char* kMpWorkerKill = "mp/worker_kill";
 }  // namespace fault_site
 
 /// Deterministic fault injection for robustness tests and chaos runs

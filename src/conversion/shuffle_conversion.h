@@ -27,8 +27,7 @@ namespace st4ml {
 /// the difference is purely that this one moves records instead of the
 /// structure.
 ///
-/// The Try* spelling surfaces a failed shuffle task as a Status; the legacy
-/// spelling throws the equivalent StatusError.
+/// A failed shuffle task surfaces as the returned Status.
 template <typename T, typename AggFn>
 auto TryConvertToSpatialMapByShuffle(
     const Dataset<T>& data,
@@ -87,18 +86,6 @@ auto TryConvertToSpatialMapByShuffle(
   }
   op.AddArg("cells_out", values.size());
   return SpatialMap<R>(structure, std::move(values));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename T, typename AggFn>
-auto ConvertToSpatialMapByShuffle(
-    const Dataset<T>& data,
-    const std::shared_ptr<const SpatialStructure>& structure, AggFn agg)
-    -> SpatialMap<
-        std::decay_t<std::invoke_result_t<AggFn, const std::vector<T>&>>> {
-  auto result = TryConvertToSpatialMapByShuffle(data, structure, agg);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 }  // namespace st4ml

@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "engine/execution_context.h"
-#include "engine/mp/distributed.h"
 
 namespace st4ml {
 
@@ -256,7 +255,7 @@ class Dataset {
     const size_t total = starts.back();
     Partitions out(num_partitions);
     ScopedSpan op(ctx_->tracer(), span_category::kOperation, "repartition");
-    if (ctx_->num_workers() == 1 && !ctx_->distributed()) {
+    if (ctx_->num_workers() == 1) {
       // Sequential deal: with no parallelism to win, the streaming pass
       // beats the strided per-target pulls below on cache behavior.
       for (size_t t = 0; t < num_partitions; ++t) {
@@ -281,43 +280,29 @@ class Dataset {
       op.AddArg("bytes", seq_bytes);
       return FromPartitions(ctx_, std::move(out));
     }
-    // Per-target strided pulls; a distributed executor ships each target's
-    // records (plus its byte tally) back over the socket, a local one
-    // stores them directly. Round-robin by global index either way, so
-    // every executor deals record g to partition g % num_partitions.
-    using ScatterResult = std::pair<std::vector<T>, uint64_t>;
+    // Per-target strided pulls: round-robin by global index, so record g
+    // lands in partition g % num_partitions exactly as the sequential deal.
     std::vector<uint64_t> partial_bytes(num_partitions, 0);
-    auto scatter_task = [&](size_t target) -> StatusOr<ScatterResult> {
-      ScatterResult result{{}, 0};
+    ctx_->RunParallel("repartition/scatter", num_partitions, [&](size_t target) {
       size_t count =
           total > target ? (total - target - 1) / num_partitions + 1 : 0;
-      result.first.reserve(count);
+      out[target].reserve(count);
+      uint64_t bytes = 0;
       size_t p = 0;
       for (size_t g = target; g < total; g += num_partitions) {
         while (g >= starts[p + 1]) ++p;
         const T& value = in[p][g - starts[p]];
-        result.second += ApproxShuffleBytes(value);
+        bytes += ApproxShuffleBytes(value);
         if (may_move) {
           // Sole ownership of an expiring Dataset: no other handle can
-          // observe the source partitions, so cannibalizing them is safe
-          // (a distributed task cannibalizes its fork's copy-on-write
-          // copy; the driver's source stays whole either way).
-          result.first.push_back(std::move(const_cast<T&>(value)));
+          // observe the source partitions, so cannibalizing them is safe.
+          out[target].push_back(std::move(const_cast<T&>(value)));
         } else {
-          result.first.push_back(value);
+          out[target].push_back(value);
         }
       }
-      return result;
-    };
-    auto scatter_store = [&](size_t target, ScatterResult&& result) -> Status {
-      partial_bytes[target] = result.second;
-      out[target] = std::move(result.first);
-      return Status::Ok();
-    };
-    Status scattered = mp::RunDistributed<ScatterResult>(
-        *ctx_, "repartition/scatter", num_partitions, scatter_task,
-        scatter_store);
-    if (!scattered.ok()) throw StatusError(std::move(scattered));
+      partial_bytes[target] = bytes;
+    });
     uint64_t bytes = 0;
     for (uint64_t partial : partial_bytes) bytes += partial;
     internal::Counters(*ctx_).AddShuffle(ShuffleOp::kRepartition, total,

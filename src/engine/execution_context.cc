@@ -4,7 +4,6 @@
 
 #include "common/env.h"
 #include "common/fault_injector.h"
-#include "engine/mp/mp_backend.h"
 
 namespace st4ml {
 
@@ -14,32 +13,15 @@ std::shared_ptr<ExecutionContext> ExecutionContext::Create() {
 }
 
 std::shared_ptr<ExecutionContext> ExecutionContext::Create(int num_workers) {
-  return std::shared_ptr<ExecutionContext>(new ExecutionContext(
-      std::max(1, num_workers), MakeLocalExecutorBackend()));
+  return std::shared_ptr<ExecutionContext>(
+      new ExecutionContext(std::max(1, num_workers)));
 }
 
-std::shared_ptr<ExecutionContext> ExecutionContext::Create(
-    const ExecutorSpec& spec) {
-  if (spec.kind == ExecutorSpec::Kind::kLocal) {
-    return spec.workers == 0 ? Create() : Create(spec.workers);
-  }
-  // Multiprocess: the DRIVER pool is one thread (the caller), because
-  // RunSerialized forks and fork duplicates only the calling thread — any
-  // pool thread would be silently absent in every worker. Parallelism
-  // comes from the worker processes instead.
-  MpOptions mp = spec.mp;
-  mp.num_workers = std::max(1, spec.workers);
-  return std::shared_ptr<ExecutionContext>(new ExecutionContext(
-      1, mp::MakeMultiProcessExecutorBackend(std::move(mp))));
-}
-
-ExecutionContext::ExecutionContext(int num_workers,
-                                   std::unique_ptr<ExecutorBackend> backend)
-    : num_workers_(num_workers), backend_(std::move(backend)) {
+ExecutionContext::ExecutionContext(int num_workers)
+    : num_workers_(num_workers) {
   // A one-worker pool never uses pool threads (RunParallelImpl runs count
   // == 1 jobs inline and a one-worker claim loop IS the caller), so spawn
-  // none: the context stays genuinely single-threaded, which is what lets
-  // the multiprocess backend fork safely mid-session.
+  // none rather than park an idle thread for the context's lifetime.
   if (num_workers_ == 1) return;
   workers_.reserve(num_workers_);
   for (int i = 0; i < num_workers_; ++i) {

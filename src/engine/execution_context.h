@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "engine/dataset_cache.h"
-#include "engine/executor_backend.h"
 #include "observability/counters.h"
 #include "observability/tracer.h"
 
@@ -66,16 +65,9 @@ CounterRegistry& Counters(ExecutionContext& ctx);
 /// engine re-installs it on whichever thread runs that job's chunks.
 class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
  public:
-  /// `Create()` sizes the pool to the hardware; `Create(n)` forces n
-  /// workers. Both run on the `local` executor backend.
+  /// `Create()` sizes the pool to the hardware; `Create(n)` forces n workers.
   static std::shared_ptr<ExecutionContext> Create();
   static std::shared_ptr<ExecutionContext> Create(int num_workers);
-
-  /// Creates a context on the executor `spec` names (DESIGN.md §14): local
-  /// specs behave exactly like Create(n); an mp spec pairs a multiprocess
-  /// backend with a single-threaded driver pool, so forking a job's worker
-  /// processes duplicates exactly one thread.
-  static std::shared_ptr<ExecutionContext> Create(const ExecutorSpec& spec);
 
   ~ExecutionContext();
 
@@ -140,28 +132,6 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
     return RunParallelImpl(name, count, fn, nullptr);
   }
 
-  /// The context's executor backend (local thread pool by default).
-  ExecutorBackend& executor() const { return *backend_; }
-
-  /// True when serialized tasks run in other PROCESSES: operators must
-  /// route work whose results they need through TryRunSerialized (or stay
-  /// on TryRunParallel, which always runs in-process on the pool), and must
-  /// not expect produce-side writes to driver memory to be visible.
-  bool distributed() const { return backend_->distributed(); }
-
-  /// The serialized task path (DESIGN.md §14): produce(i) yields bytes on
-  /// the backend's executors, consume(i, bytes) integrates them on the
-  /// driver, exactly once per index. On the local backend this is
-  /// TryRunParallel plus an in-order consume pass; on the multiprocess
-  /// backend produce runs in forked workers and the bytes cross sockets.
-  /// `count == 0` is a no-op, like the parallel-for paths.
-  Status TryRunSerialized(const char* name, size_t count,
-                          const ExecutorBackend::ProduceFn& produce,
-                          const ExecutorBackend::ConsumeFn& consume) {
-    if (count == 0) return Status::Ok();
-    return backend_->RunSerialized(*this, name, count, produce, consume);
-  }
-
  private:
   /// One published parallel-for. Heap-allocated per RunParallel call and
   /// kept alive by the shared_ptr each participating thread copies, so a
@@ -191,7 +161,7 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
     std::exception_ptr exception;  // set when the failure was a throw
   };
 
-  ExecutionContext(int num_workers, std::unique_ptr<ExecutorBackend> backend);
+  explicit ExecutionContext(int num_workers);
 
   /// Shared engine of both public paths. Returns the job's first error (OK
   /// when every index ran); when `exception_out` is non-null it receives
@@ -214,7 +184,6 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
   friend CounterRegistry& internal::Counters(ExecutionContext& ctx);
 
   int num_workers_;
-  std::unique_ptr<ExecutorBackend> backend_;
   CounterRegistry counters_;
   std::shared_ptr<Tracer> tracer_owned_;
   std::atomic<Tracer*> tracer_{nullptr};

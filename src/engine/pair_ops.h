@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "engine/append_only_map.h"
 #include "engine/dataset.h"
-#include "engine/mp/distributed.h"
 
 namespace st4ml {
 
@@ -145,69 +144,7 @@ BucketedPartition<K, V> BucketByTarget(In&& input, size_t num_targets) {
   return out;
 }
 
-/// What one map-side shuffle task hands back: the bucketed partition plus
-/// its record/byte accounting, all of it in one value so a distributed run
-/// can ship the whole thing through the serialized seam and fold the
-/// counters driver-side exactly like the in-process run does.
-template <typename K, typename V>
-struct MapShuffleResult {
-  BucketedPartition<K, V> bucketed;
-  uint64_t records = 0;
-  uint64_t bytes = 0;
-};
-
 }  // namespace internal
-
-namespace mp {
-
-/// Shuffle bucket wire format (DESIGN.md §14): the per-target buckets a map
-/// task produced, exactly as BucketByTarget laid them out — records then
-/// offsets. Decode re-validates the layout invariants (monotone offsets
-/// ending at the record count) so corrupt bytes can never drive bucket()
-/// out of bounds.
-template <typename K, typename V>
-struct WireCodec<st4ml::internal::BucketedPartition<K, V>,
-                 std::enable_if_t<kHasWireCodec<std::pair<K, V>>>> {
-  static void Encode(const st4ml::internal::BucketedPartition<K, V>& v,
-                     std::string* out) {
-    WireCodec<std::vector<std::pair<K, V>>>::Encode(v.records, out);
-    WireCodec<std::vector<size_t>>::Encode(v.offsets, out);
-  }
-  static Status Decode(WireCursor* cur,
-                       st4ml::internal::BucketedPartition<K, V>* out) {
-    using RecordVec = std::vector<std::pair<K, V>>;
-    ST4ML_RETURN_IF_ERROR(WireCodec<RecordVec>::Decode(cur, &out->records));
-    ST4ML_RETURN_IF_ERROR(
-        WireCodec<std::vector<size_t>>::Decode(cur, &out->offsets));
-    if (out->offsets.empty() || out->offsets.front() != 0 ||
-        out->offsets.back() != out->records.size() ||
-        !std::is_sorted(out->offsets.begin(), out->offsets.end())) {
-      return Status::Corruption("mp shuffle bucket offsets malformed");
-    }
-    return Status::Ok();
-  }
-};
-
-template <typename K, typename V>
-struct WireCodec<st4ml::internal::MapShuffleResult<K, V>,
-                 std::enable_if_t<kHasWireCodec<std::pair<K, V>>>> {
-  static void Encode(const st4ml::internal::MapShuffleResult<K, V>& v,
-                     std::string* out) {
-    AppendRaw(out, v.records);
-    AppendRaw(out, v.bytes);
-    WireCodec<st4ml::internal::BucketedPartition<K, V>>::Encode(v.bucketed,
-                                                                out);
-  }
-  static Status Decode(WireCursor* cur,
-                       st4ml::internal::MapShuffleResult<K, V>* out) {
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->records));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->bytes));
-    return WireCodec<st4ml::internal::BucketedPartition<K, V>>::Decode(
-        cur, &out->bucketed);
-  }
-};
-
-}  // namespace mp
 
 /// Spark's reduceByKey: map-side combine inside each partition, then a hash
 /// shuffle of the combined pairs, then a target-side reduce. Only the
@@ -227,9 +164,8 @@ struct WireCodec<st4ml::internal::MapShuffleResult<K, V>,
 /// sorted; unordered keys take a std::unordered_map path whose insertion
 /// sequence replicates the rescan's exactly.
 ///
-/// Failure contract: the Try* spelling surfaces a failing task (a throwing
-/// reducer, an injected engine fault) as a Status; the legacy spelling
-/// wraps it and throws the equivalent StatusError on the driver.
+/// Failure contract: a failing task (a throwing reducer, an injected engine
+/// fault) surfaces as the returned Status; nothing throws.
 template <typename K, typename V, typename Reduce,
           typename Hash = std::hash<K>>
 StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
@@ -239,14 +175,11 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
   const auto& ctx = ds.context();
   ScopedSpan op(ctx->tracer(), span_category::kOperation, "reduce_by_key");
 
-  // Map side: combine, bucket by target, and account shuffle volume. Under
-  // a distributed executor the whole MapShuffleResult (per-target buckets +
-  // accounting) crosses the socket; the local backend stores it directly.
-  using MapResult = internal::MapShuffleResult<K, V>;
+  // Map side: combine, bucket by target, and account shuffle volume.
   std::vector<internal::BucketedPartition<K, V>> bucketed(n);
   std::vector<uint64_t> partial_records(n, 0);
   std::vector<uint64_t> partial_bytes(n, 0);
-  auto map_task = [&](size_t p) -> StatusOr<MapResult> {
+  auto map_task = [&](size_t p) -> Status {
     const auto& part = ds.partition(p);
     std::vector<std::pair<K, V>> combined;
     if constexpr (internal::kOrderedKey<K>) {
@@ -267,24 +200,14 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
       }
       combined.assign(acc.begin(), acc.end());
     }
-    MapResult result;
-    for (const auto& kv : combined) result.bytes += ApproxShuffleBytes(kv);
-    result.records = combined.size();
-    result.bucketed =
-        internal::BucketByTarget<K, V, Hash>(std::move(combined), n);
-    return result;
-  };
-  auto map_store = [&](size_t p, MapResult&& result) -> Status {
-    if (result.bucketed.offsets.size() != n + 1) {
-      return Status::Corruption("mp shuffle bucket count disagrees with job");
-    }
-    partial_records[p] = result.records;
-    partial_bytes[p] = result.bytes;
-    bucketed[p] = std::move(result.bucketed);
+    uint64_t bytes = 0;
+    for (const auto& kv : combined) bytes += ApproxShuffleBytes(kv);
+    partial_records[p] = combined.size();
+    partial_bytes[p] = bytes;
+    bucketed[p] = internal::BucketByTarget<K, V, Hash>(std::move(combined), n);
     return Status::Ok();
   };
-  ST4ML_RETURN_IF_ERROR(mp::RunDistributed<MapResult>(
-      *ctx, "reduce_by_key/map", n, map_task, map_store));
+  ST4ML_RETURN_IF_ERROR(ctx->TryRunParallel("reduce_by_key/map", n, map_task));
 
   uint64_t records = 0;
   uint64_t bytes = 0;
@@ -301,10 +224,9 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
   // per source (the map side combined them), so each key's values combine
   // in source partition order — the same reduce sequence the rescan shuffle
   // produced — and the final key sort (unique keys) pins the output.
-  using MergeResult = std::vector<std::pair<K, V>>;
   typename Dataset<std::pair<K, V>>::Partitions out(n);
-  auto merge_task = [&](size_t target) -> StatusOr<MergeResult> {
-    MergeResult merged;
+  auto merge_task = [&](size_t target) -> Status {
+    auto& merged = out[target];
     if constexpr (internal::kOrderedKey<K>) {
       size_t bound = 0;
       for (const auto& b : bucketed) bound += b.bucket_size(target);
@@ -332,26 +254,11 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
       }
       merged.assign(acc.begin(), acc.end());
     }
-    return merged;
-  };
-  auto merge_store = [&](size_t target, MergeResult&& merged) -> Status {
-    out[target] = std::move(merged);
     return Status::Ok();
   };
-  ST4ML_RETURN_IF_ERROR(mp::RunDistributed<MergeResult>(
-      *ctx, "reduce_by_key/merge", n, merge_task, merge_store));
+  ST4ML_RETURN_IF_ERROR(
+      ctx->TryRunParallel("reduce_by_key/merge", n, merge_task));
   return Dataset<std::pair<K, V>>::FromPartitions(ctx, std::move(out));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename K, typename V, typename Reduce,
-          typename Hash = std::hash<K>>
-[[deprecated("use TryReduceByKey: Status-returning, never throws")]]
-Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
-                                     Reduce reduce) {
-  auto result = TryReduceByKey<K, V, Reduce, Hash>(ds, reduce);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 /// Spark's groupByKey: EVERY record crosses the shuffle — the expensive
@@ -373,29 +280,20 @@ StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
   if (n == 0) return Dataset<std::pair<K, std::vector<V>>>();
   ScopedSpan op(ctx->tracer(), span_category::kOperation, "group_by_key");
 
-  using MapResult = internal::MapShuffleResult<K, V>;
   std::vector<internal::BucketedPartition<K, V>> bucketed(n);
   std::vector<uint64_t> partial_records(n, 0);
   std::vector<uint64_t> partial_bytes(n, 0);
-  auto bucket_task = [&](size_t p) -> StatusOr<MapResult> {
+  auto bucket_task = [&](size_t p) -> Status {
     const auto& part = ds.partition(p);
-    MapResult result;
-    for (const auto& kv : part) result.bytes += ApproxShuffleBytes(kv);
-    result.records = part.size();
-    result.bucketed = internal::BucketByTarget<K, V, Hash>(part, n);
-    return result;
-  };
-  auto bucket_store = [&](size_t p, MapResult&& result) -> Status {
-    if (result.bucketed.offsets.size() != n + 1) {
-      return Status::Corruption("mp shuffle bucket count disagrees with job");
-    }
-    partial_records[p] = result.records;
-    partial_bytes[p] = result.bytes;
-    bucketed[p] = std::move(result.bucketed);
+    uint64_t bytes = 0;
+    for (const auto& kv : part) bytes += ApproxShuffleBytes(kv);
+    partial_records[p] = part.size();
+    partial_bytes[p] = bytes;
+    bucketed[p] = internal::BucketByTarget<K, V, Hash>(part, n);
     return Status::Ok();
   };
-  ST4ML_RETURN_IF_ERROR(mp::RunDistributed<MapResult>(
-      *ctx, "group_by_key/bucket", n, bucket_task, bucket_store));
+  ST4ML_RETURN_IF_ERROR(
+      ctx->TryRunParallel("group_by_key/bucket", n, bucket_task));
 
   uint64_t records = 0;
   uint64_t bytes = 0;
@@ -407,10 +305,9 @@ StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
   op.AddArg("records", records);
   op.AddArg("bytes", bytes);
 
-  using MergeResult = std::vector<std::pair<K, std::vector<V>>>;
   typename Dataset<std::pair<K, std::vector<V>>>::Partitions out(n);
-  auto merge_task = [&](size_t target) -> StatusOr<MergeResult> {
-    MergeResult merged;
+  auto merge_task = [&](size_t target) -> Status {
+    auto& merged = out[target];
     if constexpr (internal::kOrderedKey<K>) {
       // Two passes so every group vector is allocated exactly once at its
       // final size: the first sweep maps keys to dense indices (insertion
@@ -457,26 +354,12 @@ StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
       }
       merged.assign(groups.begin(), groups.end());
     }
-    return merged;
-  };
-  auto merge_store = [&](size_t target, MergeResult&& merged) -> Status {
-    out[target] = std::move(merged);
     return Status::Ok();
   };
-  ST4ML_RETURN_IF_ERROR(mp::RunDistributed<MergeResult>(
-      *ctx, "group_by_key/merge", n, merge_task, merge_store));
+  ST4ML_RETURN_IF_ERROR(
+      ctx->TryRunParallel("group_by_key/merge", n, merge_task));
   return Dataset<std::pair<K, std::vector<V>>>::FromPartitions(ctx,
                                                                std::move(out));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename K, typename V, typename Hash = std::hash<K>>
-[[deprecated("use TryGroupByKey: Status-returning, never throws")]]
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& ds) {
-  auto result = TryGroupByKey<K, V, Hash>(ds);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 }  // namespace st4ml

@@ -13,10 +13,10 @@ namespace st4ml {
 /// and a snapshot is a plain loop — no maps, no strings, no locks.
 ///
 /// Semantics:
-///  - The kShuffle* totals are the legacy EngineMetrics accounting: records
-///    and ApproxShuffleBytes that crossed a partition boundary, summed over
-///    every operator. The per-operator kShuffle*<Op> slots partition those
-///    totals exactly (totals == sum over operators, by construction).
+///  - The kShuffle* totals count records and ApproxShuffleBytes that
+///    crossed a partition boundary, summed over every operator. The
+///    per-operator kShuffle*<Op> slots partition those totals exactly
+///    (totals == sum over operators, by construction).
 ///  - kStpqBytes{Read,Written} count the on-disk STPQ bytes actually
 ///    consumed/produced, headers included.
 ///  - kPartitions{Pruned,Scanned} count whole files the on-disk index
@@ -48,13 +48,6 @@ namespace st4ml {
 ///    records recovered from WAL segments when an Ingestor reopens a
 ///    directory after a crash; kCompactionsRun counts background compaction
 ///    cycles that published at least one partition (DESIGN.md §13).
-///  - kWorkersSpawned / kWorkersLost count multiprocess-executor worker
-///    forks (including respawns) and workers that died before finishing;
-///    kChunksReclaimed counts task grants a dead worker left unfinished
-///    that the driver re-granted to survivors; kShuffleNetBytes counts
-///    frame bytes (headers + payloads) that actually crossed the driver ↔
-///    worker sockets (DESIGN.md §14). The local executor touches none of
-///    these.
 enum class Counter : uint32_t {
   kShuffleRecords = 0,
   kShuffleBytes,
@@ -98,10 +91,6 @@ enum class Counter : uint32_t {
   kWalSegmentsScanned,
   kWalReplayedRecords,
   kCompactionsRun,
-  kWorkersSpawned,
-  kWorkersLost,
-  kChunksReclaimed,
-  kShuffleNetBytes,
   kNumCounters,
 };
 
@@ -153,10 +142,6 @@ inline const char* CounterName(Counter c) {
       "wal_segments_scanned",
       "wal_replayed_records",
       "compactions_run",
-      "workers_spawned",
-      "workers_lost",
-      "chunks_reclaimed",
-      "shuffle_net_bytes",
   };
   return kNames[static_cast<size_t>(c)];
 }
@@ -179,13 +164,6 @@ struct MetricsSnapshot {
   uint64_t operator[](Counter c) const {
     return values[static_cast<size_t>(c)];
   }
-
-  // Named spellings of the legacy EngineMetrics trio, so migrated callers
-  // read `snapshot.shuffle_records()` where they read
-  // `metrics().shuffle_records()` before.
-  uint64_t shuffle_records() const { return (*this)[Counter::kShuffleRecords]; }
-  uint64_t shuffle_bytes() const { return (*this)[Counter::kShuffleBytes]; }
-  uint64_t broadcasts() const { return (*this)[Counter::kBroadcasts]; }
 
   bool operator==(const MetricsSnapshot& other) const {
     return values == other.values;

@@ -104,8 +104,9 @@ void PrintStageSummary(const Tracer& tracer, const MetricsSnapshot& snapshot,
                " bytes, %" PRIu64 " broadcasts, stpq %" PRIu64
                " bytes read (%" PRIu64 " pruned / %" PRIu64
                " scanned parts)\n",
-               snapshot.shuffle_records(), snapshot.shuffle_bytes(),
-               snapshot.broadcasts(), snapshot[Counter::kStpqBytesRead],
+               snapshot[Counter::kShuffleRecords],
+               snapshot[Counter::kShuffleBytes], snapshot[Counter::kBroadcasts],
+               snapshot[Counter::kStpqBytesRead],
                snapshot[Counter::kPartitionsPruned],
                snapshot[Counter::kPartitionsScanned]);
   // Kernel dispatch line: which backend ran, and how much of the work hit

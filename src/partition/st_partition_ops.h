@@ -24,9 +24,8 @@ struct STPartitionOptions {
 /// engine metrics, which is exactly the cost the T-STR experiments weigh
 /// against the locality it buys.
 ///
-/// The Try* spelling reports a bad partitioner (null, trained to nothing,
-/// out-of-range assignment) as a Status; the legacy spelling throws the
-/// equivalent StatusError.
+/// A bad partitioner (null, trained to nothing, out-of-range assignment)
+/// surfaces as the returned Status.
 template <typename T, typename BoxFn, typename IdFn>
 StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
                                     STPartitioner* partitioner, BoxFn box_of,
@@ -64,17 +63,6 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
   op.AddArg("records", moved);
   op.AddArg("bytes", bytes);
   return Dataset<T>::FromPartitions(data.context(), std::move(parts));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename T, typename BoxFn, typename IdFn>
-[[deprecated("use TrySTPartition: Status-returning, never throws")]]
-Dataset<T> STPartition(const Dataset<T>& data, STPartitioner* partitioner,
-                       BoxFn box_of, IdFn id_of,
-                       STPartitionOptions options = {}) {
-  auto result = TrySTPartition(data, partitioner, box_of, id_of, options);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 }  // namespace st4ml

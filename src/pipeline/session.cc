@@ -1,7 +1,6 @@
 #include "pipeline/session.h"
 
 #include "accel/kernels.h"
-#include "common/env.h"
 #include "engine/dataset_cache.h"
 #include "observability/trace_export.h"
 
@@ -9,38 +8,14 @@ namespace st4ml {
 
 namespace {
 
-/// The executor spec an options set asks for: the explicit option wins,
-/// then the ST4ML_EXECUTOR env knob; `*explicit_spec` records whether
-/// either was present (absent means "whatever the session already runs").
-StatusOr<ExecutorSpec> ResolveExecutorSpec(const ToolOptions& options,
-                                           bool* explicit_spec) {
-  std::string text = options.executor.empty()
-                         ? GetEnvString("ST4ML_EXECUTOR", "")
-                         : options.executor;
-  *explicit_spec = !text.empty();
-  auto spec = ExecutorSpec::Parse(text);
-  if (!spec.ok()) return spec;
-  // A bare "local" defers to --workers, same sizing the default path uses.
-  if (spec->kind == ExecutorSpec::Kind::kLocal && spec->workers == 0) {
-    spec->workers = options.num_workers;
-  }
-  return spec;
+std::shared_ptr<ExecutionContext> MakeContext(const ToolOptions& options) {
+  return options.num_workers > 0 ? ExecutionContext::Create(options.num_workers)
+                                 : ExecutionContext::Create();
 }
 
 }  // namespace
 
-Session::Session(const ToolOptions& options) {
-  bool explicit_spec = false;
-  auto spec = ResolveExecutorSpec(options, &explicit_spec);
-  if (spec.ok()) {
-    executor_spec_ = spec->ToString();
-    ctx_ = ExecutionContext::Create(*spec);
-  } else {
-    // Configure below re-resolves and surfaces the parse error on
-    // configure_status(); until then run local so the Session is usable.
-    executor_spec_ = ExecutorSpec().ToString();
-    ctx_ = ExecutionContext::Create();
-  }
+Session::Session(const ToolOptions& options) : ctx_(MakeContext(options)) {
   Configure(options);
 }
 
@@ -53,20 +28,6 @@ void Session::Configure(const ToolOptions& options) {
   // the override returns to env/CPUID selection.
   configure_status_ =
       accel::BackendRegistry::Instance().ForceBackend(options.backend);
-  bool explicit_spec = false;
-  auto spec = ResolveExecutorSpec(options, &explicit_spec);
-  if (configure_status_.ok() && explicit_spec) {
-    if (!spec.ok()) {
-      configure_status_ = spec.status();
-    } else if (!executor_spec_.empty() &&
-               spec->ToString() != executor_spec_) {
-      // The context (pool or worker fleet) was built at construction; an
-      // executor swap needs a new Session, not a reconfigure.
-      configure_status_ = Status::InvalidArgument(
-          "executor cannot change on a live session (running " +
-          executor_spec_ + ", asked for " + spec->ToString() + ")");
-    }
-  }
   if (options.has_cache_budget) {
     DatasetCache::Options cache;
     cache.budget_bytes =

@@ -37,12 +37,6 @@ struct ToolOptions {
   /// name surfaces on Session::configure_status() so tools can refuse to
   /// start instead of silently computing on the wrong backend.
   std::string backend;
-  /// Non-empty: the executor backend spec ("local", "local:<N>",
-  /// "mp:<N>" — DESIGN.md §14) instead of the automatic choice (the
-  /// ST4ML_EXECUTOR env knob, else a local pool of `num_workers` threads).
-  /// A malformed spec — or an executor change on a live session — surfaces
-  /// on Session::configure_status(), same contract as `backend`.
-  std::string executor;
 };
 
 class Job;
@@ -106,11 +100,6 @@ class Session {
   std::shared_ptr<ExecutionContext> ctx_;
   ToolOptions options_;
   Status configure_status_;
-  /// The resolved executor spec this session's context was built on (empty
-  /// for a Session adopting a pre-built context, which manages its own
-  /// executor). The context cannot be rebuilt mid-flight, so a later
-  /// Configure naming a DIFFERENT spec is a configure_status_ error.
-  std::string executor_spec_;
   std::atomic<uint64_t> next_job_id_{1};
 };
 

@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "engine/cached_dataset.h"
 #include "engine/dataset.h"
-#include "engine/mp/distributed.h"
 #include "index/stix.h"
 #include "ingest/wal.h"
 #include "partition/partitioner.h"
@@ -76,11 +75,9 @@ StatusOr<std::shared_ptr<const void>> ReloadIndexedFile(
       MakeIndexedFile<RecordT>(std::move(*loaded)));
 }
 
-/// One file's complete Select outcome: the selected records plus every
-/// per-file accounting slot LoadAndFilter folds after the join. Returning
-/// it by value (instead of writing slot arrays from the task) is what lets
-/// the load run in a forked worker — the whole outcome crosses the wire in
-/// one result frame and the driver does the folding, same as in-process.
+/// One file's Select outcome: the selected records plus the per-file
+/// accounting LoadAndFilter folds after the join. Each load task fills its
+/// own slot, so the fold reads every file's stats in index order.
 template <typename RecordT>
 struct FileLoadResult {
   std::vector<RecordT> records;
@@ -88,46 +85,12 @@ struct FileLoadResult {
   uint64_t selected_bytes = 0;
   uint64_t pages_read = 0;
   uint64_t postings_hits = 0;
-  uint8_t file_read = 0;
-  uint8_t plan_run = 0;  // FilePlan actually executed (kLinearScan default)
-  uint8_t mmapped = 0;
+  bool file_read = false;
+  bool mmapped = false;
+  FilePlan plan_run = FilePlan::kLinearScan;  // the plan actually executed
 };
 
 }  // namespace selection_internal
-
-namespace mp {
-
-/// Fixed-width stats first (cheap to reject on a torn payload), the record
-/// vector last. plan_run is range-checked by the store, not here: the codec
-/// proves the bytes well-formed, the job proves them consistent.
-template <typename RecordT>
-struct WireCodec<selection_internal::FileLoadResult<RecordT>,
-                 std::enable_if_t<kHasWireCodec<RecordT>>> {
-  static void Encode(const selection_internal::FileLoadResult<RecordT>& v,
-                     std::string* out) {
-    AppendRaw(out, v.read_bytes);
-    AppendRaw(out, v.selected_bytes);
-    AppendRaw(out, v.pages_read);
-    AppendRaw(out, v.postings_hits);
-    AppendRaw(out, v.file_read);
-    AppendRaw(out, v.plan_run);
-    AppendRaw(out, v.mmapped);
-    WireCodec<std::vector<RecordT>>::Encode(v.records, out);
-  }
-  static Status Decode(WireCursor* cur,
-                       selection_internal::FileLoadResult<RecordT>* out) {
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->read_bytes));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->selected_bytes));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->pages_read));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->postings_hits));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->file_read));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->plan_run));
-    ST4ML_RETURN_IF_ERROR(ReadRaw(cur, &out->mmapped));
-    return WireCodec<std::vector<RecordT>>::Decode(cur, &out->records);
-  }
-};
-
-}  // namespace mp
 
 struct SelectorOptions {
   /// When set (and partition_after_select is true), the selected records are
@@ -178,13 +141,6 @@ class Selector {
       : ctx_(std::move(ctx)),
         query_(std::move(query)),
         options_(std::move(options)) {}
-
-  /// Legacy spelling, predating SelectQuery: a bare ST box.
-  [[deprecated("construct with a SelectQuery (SelectQuery::FromBox)")]]
-  Selector(std::shared_ptr<ExecutionContext> ctx, const STBox& query,
-           SelectorOptions options = {})
-      : Selector(std::move(ctx), SelectQuery::FromBox(query),
-                 std::move(options)) {}
 
   /// Full scan of every STPQ file in `dir`.
   StatusOr<Dataset<RecordT>> Select(const std::string& dir) {
@@ -293,35 +249,20 @@ class Selector {
     CounterRegistry& counters = internal::Counters(*ctx_);
     Tracer* tracer = ctx_->tracer();
     const uint64_t op_span = op.id();
-    // The DatasetCache lives in driver memory: a forked worker's Put is
-    // invisible and a Get would serve a stale copy-on-write snapshot, so a
-    // distributed executor plans as if the cache were disabled (workers
-    // serve files from the sidecar index or a linear scan instead).
-    DatasetCache* cache =
-        options_.use_cache && !ctx_->distributed() && ctx_->cache().enabled()
-            ? &ctx_->cache()
-            : nullptr;
+    DatasetCache* cache = options_.use_cache && ctx_->cache().enabled()
+                              ? &ctx_->cache()
+                              : nullptr;
     QueryPlanner planner(cache, options_.use_disk_index);
-    typename Dataset<RecordT>::Partitions parts(paths.size());
-    // Per-file accounting slots, folded into stats_/counters on the driver
-    // after the join. Tasks return everything through a FileLoadResult —
-    // the slots are filled only by the index-addressed store, which runs
-    // in-process whichever executor produced the result.
+    // One slot per file, filled only by that file's task and folded into
+    // stats_/counters on the driver after the join.
     using FileLoad = selection_internal::FileLoadResult<RecordT>;
-    std::vector<uint64_t> read_bytes(paths.size(), 0);
-    std::vector<uint64_t> selected_bytes(paths.size(), 0);
-    std::vector<uint8_t> file_read(paths.size(), 0);
-    std::vector<uint8_t> plan_run(paths.size(),
-                                  static_cast<uint8_t>(FilePlan::kLinearScan));
-    std::vector<uint8_t> mmapped(paths.size(), 0);
-    std::vector<uint64_t> pages_read(paths.size(), 0);
-    std::vector<uint64_t> postings_hits(paths.size(), 0);
-    auto load_task = [&](size_t i) -> StatusOr<FileLoad> {
-      FileLoad out;
+    std::vector<FileLoad> loads(paths.size());
+    auto load_task = [&](size_t i) -> Status {
+      FileLoad& out = loads[i];
       ScopedSpan io(tracer, span_category::kIo, "stpq_read", op_span);
       const FilePlan plan = planner.Plan(paths[i]);
       if (plan == FilePlan::kWalScan) {
-        out.plan_run = static_cast<uint8_t>(FilePlan::kWalScan);
+        out.plan_run = FilePlan::kWalScan;
         io.AddArg("plan_wal", 1);
         if constexpr (std::is_same_v<RecordT, EventRecord>) {
           // Tolerant read: a merged Select may race the live appender, and
@@ -330,19 +271,18 @@ class Selector {
           auto result = ReadListedWalSegment(paths[i]);
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
-          out.file_read = 1;
+          out.file_read = true;
           out.records =
               FilterRecords(std::move(result->records), &out.selected_bytes);
-          return out;
+          return Status::Ok();
         } else {
           return Status::InvalidArgument("WAL staging holds event records: " +
                                          paths[i]);
         }
       }
       if (plan == FilePlan::kCachedIndex) {
-        // Only planned when `cache` is non-null, which implies a
-        // non-distributed executor: this branch always runs in-process.
-        out.plan_run = static_cast<uint8_t>(FilePlan::kCachedIndex);
+        // Only planned when `cache` is non-null.
+        out.plan_run = FilePlan::kCachedIndex;
         io.AddArg("plan_cached", 1);
         uint64_t key = cache->InternDatasetId(FileCacheName(paths[i]));
         auto got = cache->Get(key, 0);
@@ -353,7 +293,7 @@ class Selector {
           auto file = std::static_pointer_cast<
               const selection_internal::IndexedStpqFile<RecordT>>(*got);
           out.records = FilterIndexed(*file, &out.selected_bytes);
-          return out;
+          return Status::Ok();
         }
         auto records = ReadWhole(paths[i], &out, &io, counters);
         if (!records.ok()) return records.status();
@@ -365,46 +305,30 @@ class Selector {
         cache->PutWithOrigin(key, 0, file, out.read_bytes, paths[i],
                              &selection_internal::ReloadIndexedFile<RecordT>);
         out.records = FilterIndexed(*file, &out.selected_bytes);
-        return out;
+        return Status::Ok();
       }
       if (plan == FilePlan::kMmapIndex) {
-        auto served = ServeViaStix(paths[i], &out.records, &out.read_bytes,
-                                   &out.selected_bytes, &out.file_read,
-                                   &out.pages_read, &out.postings_hits,
-                                   &out.mmapped, counters);
+        auto served = ServeViaStix(paths[i], &out, counters);
         if (!served.ok()) return served.status();  // hard I/O or corruption
         if (*served) {
-          out.plan_run = static_cast<uint8_t>(FilePlan::kMmapIndex);
+          out.plan_run = FilePlan::kMmapIndex;
           io.AddArg("plan_mmap", 1);
           io.AddArg("bytes", out.read_bytes);
-          return out;
+          return Status::Ok();
         }
         // Invalid / stale sidecar: fall through to the linear scan.
       }
-      out.plan_run = static_cast<uint8_t>(FilePlan::kLinearScan);
+      out.plan_run = FilePlan::kLinearScan;
       io.AddArg("plan_scan", 1);
       auto records = ReadWhole(paths[i], &out, &io, counters);
       if (!records.ok()) return records.status();
       out.records =
           FilterRecords(std::move(records).value(), &out.selected_bytes);
-      return out;
-    };
-    auto load_store = [&](size_t i, FileLoad&& result) -> Status {
-      if (result.plan_run >= kNumFilePlans) {
-        return Status::Corruption("selection plan id out of range");
-      }
-      read_bytes[i] = result.read_bytes;
-      selected_bytes[i] = result.selected_bytes;
-      file_read[i] = result.file_read;
-      plan_run[i] = result.plan_run;
-      mmapped[i] = result.mmapped;
-      pages_read[i] = result.pages_read;
-      postings_hits[i] = result.postings_hits;
-      parts[i] = std::move(result.records);
       return Status::Ok();
     };
-    ST4ML_RETURN_IF_ERROR(mp::RunDistributed<FileLoad>(
-        *ctx_, "selection/load_filter", paths.size(), load_task, load_store));
+    ST4ML_RETURN_IF_ERROR(
+        ctx_->TryRunParallel("selection/load_filter", paths.size(), load_task));
+    typename Dataset<RecordT>::Partitions parts(paths.size());
     uint64_t records_out = 0;
     uint64_t loaded_bytes = 0;
     uint64_t kept_bytes = 0;
@@ -414,14 +338,16 @@ class Selector {
     uint64_t pages_total = 0;
     uint64_t postings_total = 0;
     for (size_t i = 0; i < paths.size(); ++i) {
-      records_out += parts[i].size();
-      loaded_bytes += read_bytes[i];
-      kept_bytes += selected_bytes[i];
-      files_read += file_read[i];
-      plan_counts[plan_run[i]] += 1;
-      files_mmapped += mmapped[i];
-      pages_total += pages_read[i];
-      postings_total += postings_hits[i];
+      FileLoad& load = loads[i];
+      records_out += load.records.size();
+      loaded_bytes += load.read_bytes;
+      kept_bytes += load.selected_bytes;
+      files_read += load.file_read;
+      plan_counts[static_cast<size_t>(load.plan_run)] += 1;
+      files_mmapped += load.mmapped;
+      pages_total += load.pages_read;
+      postings_total += load.postings_hits;
+      parts[i] = std::move(load.records);
     }
     stats_.bytes_loaded += loaded_bytes;
     stats_.bytes_selected += kept_bytes;
@@ -475,7 +401,7 @@ class Selector {
         &counters, &attempts);
     io->AddArg("bytes", out->read_bytes);
     if (attempts > 1) io->AddArg("attempts", attempts);
-    if (records.ok()) out->file_read = 1;
+    if (records.ok()) out->file_read = true;
     return records;
   }
 
@@ -487,13 +413,11 @@ class Selector {
   /// read that misses its promised byte run (Corruption) or an I/O error
   /// the retry policy could not absorb.
   StatusOr<bool> ServeViaStix(const std::string& path,
-                              std::vector<RecordT>* out, uint64_t* read_bytes,
-                              uint64_t* selected_bytes, uint8_t* file_read,
-                              uint64_t* pages, uint64_t* postings,
-                              uint8_t* mmapped, CounterRegistry& counters) {
+                              selection_internal::FileLoadResult<RecordT>* load,
+                              CounterRegistry& counters) {
     auto opened = StixIndex::Open(StixPathFor(path), path);
     if (!opened.ok()) return false;
-    *mmapped = 1;
+    load->mmapped = true;
     StixIndex index = std::move(*opened);
     StixQueryStats qstats;
     std::vector<uint32_t> hits;
@@ -507,8 +431,9 @@ class Selector {
         index.QueryBox(q, &hits, &qstats);
       }
     }
-    *pages = qstats.pages_read;
-    *postings = qstats.postings_hits;
+    load->pages_read = qstats.pages_read;
+    load->postings_hits = qstats.postings_hits;
+    std::vector<RecordT>* out = &load->records;
     out->clear();
     if (hits.empty()) return true;  // no match: the .stpq is never opened
     constexpr uint8_t kind = std::is_same_v<RecordT, EventRecord>
@@ -537,13 +462,13 @@ class Selector {
                 b - a, out));
             a = b;
           }
-          *read_bytes = reader->bytes_read();
+          load->read_bytes = reader->bytes_read();
           return Status::Ok();
         },
         &counters, &attempts);
     if (!read.ok()) return read;
-    *file_read = 1;
-    for (const RecordT& r : *out) *selected_bytes += StpqRecordBytes(r);
+    load->file_read = true;
+    for (const RecordT& r : *out) load->selected_bytes += StpqRecordBytes(r);
     return true;
   }
 

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -170,23 +171,12 @@ struct PipelineRun {
 /// `output` in order, so two runs agree iff their outputs match bytewise.
 /// `disk_index` toggles the mmap'd `.stix` plan for cache-less runs (with a
 /// cache enabled the planner always prefers it, so the knob is inert there).
-/// A non-empty `executor` spec ("mp:2", say) overrides the plain
-/// `workers`-thread local pool — the knob the scale-out differential
-/// (ExpectScaleoutIdentical) sweeps.
 inline PipelineRun RunCachePipeline(const CacheWorkload& w,
                                     const StagedWorkload& staged,
                                     uint64_t budget, int workers,
-                                    bool disk_index = true,
-                                    const std::string& executor = "") {
+                                    bool disk_index = true) {
   PipelineRun run;
-  std::shared_ptr<ExecutionContext> ctx;
-  if (executor.empty()) {
-    ctx = ExecutionContext::Create(workers);
-  } else {
-    auto spec = ExecutorSpec::Parse(executor);
-    ST4ML_CHECK(spec.ok()) << spec.status().ToString();
-    ctx = ExecutionContext::Create(*spec);
-  }
+  std::shared_ptr<ExecutionContext> ctx = ExecutionContext::Create(workers);
   DatasetCache::Options cache_options;
   cache_options.budget_bytes = budget;
   // Fault runs re-attempt aggressively (and without backoff, for speed):
@@ -308,6 +298,21 @@ inline const std::vector<Counter>& CacheInvariantCounters() {
   return kCounters;
 }
 
+/// The counters a correct EXECUTOR must not change: record flow, shuffle
+/// volume, selection and pruning decisions, task failures. This is
+/// CacheInvariantCounters minus the two executor-shape counters:
+/// kChunkClaims (the pool sizes chunks from its worker count, so the
+/// number of claims tracks the pool, not the data) and kParallelJobs (a
+/// one-worker Repartition deals sequentially without opening a job at
+/// all — a scheduling choice, not a record-flow difference).
+inline std::vector<Counter> ExecutorInvariantCounters() {
+  std::vector<Counter> counters = CacheInvariantCounters();
+  for (Counter shape : {Counter::kChunkClaims, Counter::kParallelJobs}) {
+    counters.erase(std::find(counters.begin(), counters.end(), shape));
+  }
+  return counters;
+}
+
 /// Forces a kernel backend for a scope; restores the automatic choice (env
 /// override, else widest ISA) on exit — including early GTest ASSERT
 /// returns, so one failing seed can't leak a forced backend into the next.
@@ -331,7 +336,9 @@ class ScopedBackend {
 ///    scalar-vs-SIMD differential the accel contract promises), and
 ///  - each cached run's invariant counters equal the uncached run's at the
 ///    SAME worker count and backend (executor-shape counters legitimately
-///    vary with workers... but not with caching or with the backend).
+///    vary with workers... but not with caching or with the backend), and
+///  - the 8-worker uncached run agrees with the 1-worker one on every
+///    ExecutorInvariantCounters() slot (the executor differential).
 inline void ExpectIdentical(const CacheWorkload& w) {
   StagedWorkload staged(w);
   const uint64_t budgets[] = {0, w.tiny_budget, DatasetCache::kUnbounded};
@@ -345,6 +352,7 @@ inline void ExpectIdentical(const CacheWorkload& w) {
   bool have_reference = false;
   for (const std::string& backend : backends) {
     ScopedBackend forced(backend);
+    MetricsSnapshot one_worker;
     for (int workers : {1, 8}) {
       // The reference run is linear-scan (disk index off): the seed path
       // every other plan must reproduce byte for byte.
@@ -360,6 +368,16 @@ inline void ExpectIdentical(const CacheWorkload& w) {
       EXPECT_EQ(uncached.output, reference)
           << "seed " << w.seed << ": uncached output varies with workers="
           << workers << " backend=" << backend;
+      if (workers == 1) {
+        one_worker = uncached.metrics;
+      } else {
+        for (Counter c : ExecutorInvariantCounters()) {
+          EXPECT_EQ(uncached.metrics[c], one_worker[c])
+              << "seed " << w.seed << ": counter " << CounterName(c)
+              << " varies with workers=" << workers << " backend "
+              << backend;
+        }
+      }
       // Disk-index differential: the same cache-less run served through the
       // mmap'd .stix sidecars must agree bytewise AND keep every record-flow
       // counter (only the I/O-shape counters may change — exactly the
@@ -394,63 +412,6 @@ inline void ExpectIdentical(const CacheWorkload& w) {
               << " backend " << backend;
         }
       }
-    }
-  }
-}
-
-/// The counters a correct EXECUTOR must not change: record flow, shuffle
-/// volume, selection and pruning decisions, task failures. This is
-/// CacheInvariantCounters minus the two executor-shape counters:
-/// kChunkClaims (a claim is a pool artifact locally and a task GRANT under
-/// mp, so its count tracks worker count and grant sizing) and
-/// kParallelJobs (a one-worker non-distributed Repartition deals
-/// sequentially without opening a job at all — a scheduling choice, not a
-/// record-flow difference).
-inline std::vector<Counter> ExecutorInvariantCounters() {
-  std::vector<Counter> counters = CacheInvariantCounters();
-  for (Counter shape : {Counter::kChunkClaims, Counter::kParallelJobs}) {
-    counters.erase(std::find(counters.begin(), counters.end(), shape));
-  }
-  return counters;
-}
-
-/// The scale-out differential (DESIGN.md §14): replays one seeded workload
-/// through the full pipeline under the local executor (worker counts 1 and
-/// 8) and the multiprocess executor (1, 2 and 4 forked workers), asserting
-/// every run Collects byte-identical output and agrees on every
-/// executor-invariant counter with the single-threaded local reference.
-/// All runs are cache-off and disk-index-on: the mp planner bypasses the
-/// driver-resident DatasetCache by design, so parity against a cached local
-/// run is not a contract — plan parity is.
-inline void ExpectScaleoutIdentical(const CacheWorkload& w) {
-  StagedWorkload staged(w);
-  PipelineRun reference = RunCachePipeline(w, staged, 0, 1);
-  ASSERT_TRUE(reference.status.ok())
-      << "seed " << w.seed << " local:1: " << reference.status.ToString();
-  struct Run {
-    const char* label;
-    int workers;          // local pool size (executor empty)
-    const char* executor; // "" = local
-  };
-  const Run runs[] = {
-      {"local:8", 8, ""},
-      {"mp:1", 1, "mp:1"},
-      {"mp:2", 1, "mp:2"},
-      {"mp:4", 1, "mp:4"},
-  };
-  for (const Run& r : runs) {
-    PipelineRun got =
-        RunCachePipeline(w, staged, 0, r.workers, /*disk_index=*/true,
-                         r.executor);
-    ASSERT_TRUE(got.status.ok())
-        << "seed " << w.seed << " " << r.label << ": "
-        << got.status.ToString();
-    EXPECT_EQ(got.output, reference.output)
-        << "seed " << w.seed << ": output diverged under " << r.label;
-    for (Counter c : ExecutorInvariantCounters()) {
-      EXPECT_EQ(got.metrics[c], reference.metrics[c])
-          << "seed " << w.seed << ": counter " << CounterName(c)
-          << " diverged under " << r.label;
     }
   }
 }

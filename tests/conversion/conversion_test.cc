@@ -230,15 +230,17 @@ TEST_F(ConversionTest, BroadcastAndShuffleDesignsAgree) {
       broadcast_counts[i] += piece.value(i);
     }
   }
-  uint64_t broadcasts = ctx_->MetricsSnapshot().broadcasts();
-  uint64_t shuffled_before = ctx_->MetricsSnapshot().shuffle_records();
+  const MetricsSnapshot before = ctx_->MetricsSnapshot();
+  uint64_t broadcasts = before[Counter::kBroadcasts];
+  uint64_t shuffled_before = before[Counter::kShuffleRecords];
 
-  auto shuffled = ConvertToSpatialMapByShuffle(event_data_, grid, count);
-  EXPECT_EQ(shuffled.values(), broadcast_counts);
+  auto shuffled = TryConvertToSpatialMapByShuffle(event_data_, grid, count);
+  ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+  EXPECT_EQ(shuffled->values(), broadcast_counts);
   // The broadcast design ships the structure, not the records.
   EXPECT_GE(broadcasts, 1u);
   EXPECT_EQ(shuffled_before, 0u);
-  EXPECT_GT(ctx_->MetricsSnapshot().shuffle_records(), 0u);
+  EXPECT_GT(ctx_->MetricsSnapshot()[Counter::kShuffleRecords], 0u);
 }
 
 }  // namespace

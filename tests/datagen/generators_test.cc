@@ -121,7 +121,9 @@ TEST(GeneratorsTest, CameraTrajectoriesStayWithinDayAndNetwork) {
       EXPECT_TRUE(options.day.Contains(t.points[i].time))
           << "sample outside the day";
       EXPECT_TRUE(roamable.ContainsPoint(Point(t.points[i].x, t.points[i].y)));
-      if (i > 0) EXPECT_GT(t.points[i].time, t.points[i - 1].time);
+      if (i > 0) {
+        EXPECT_GT(t.points[i].time, t.points[i - 1].time);
+      }
     }
   }
   // Deterministic for a fixed seed.

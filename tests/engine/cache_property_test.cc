@@ -8,12 +8,17 @@
 // ExpectIdentical replays the whole grid under scalar AND that backend
 // (same effect as randomizing ST4ML_BACKEND, but deterministic per seed),
 // so the sweep doubles as the scalar-vs-SIMD differential on the real
-// cold and warm selection paths.
+// cold and warm selection paths. The 8-worker runs must also agree with
+// the 1-worker runs on every executor-invariant counter (record flow,
+// shuffle volume, pruning, failures), which makes it the executor
+// differential too.
 //
 // The sweep is sharded into ranges of 10 so a regression names a small
 // seed set instead of one 50-seed monolith.
 
 #include "common/property.h"
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +61,27 @@ TEST(CachePropertyTest, GeneratorCoversTheInterestingRegimes) {
   // sweep must actually run SIMD backends, not just draw scalar 50 times.
   if (accel::BackendRegistry::Instance().Available().size() > 1) {
     EXPECT_GE(non_scalar_backends, 10);
+  }
+}
+
+// The invariant list must be CacheInvariantCounters minus exactly the two
+// executor-shape counters — if someone adds a counter to one list and
+// forgets the other, the executor differential silently weakens.
+TEST(CachePropertyTest, InvariantCountersTrackCacheList) {
+  std::vector<Counter> expected = CacheInvariantCounters();
+  for (Counter shape : {Counter::kChunkClaims, Counter::kParallelJobs}) {
+    expected.erase(std::find(expected.begin(), expected.end(), shape));
+  }
+  EXPECT_EQ(ExecutorInvariantCounters(), expected);
+  EXPECT_EQ(ExecutorInvariantCounters().size(),
+            CacheInvariantCounters().size() - 2);
+  // The list still polices the counters that would catch a lost or
+  // double-counted partition.
+  const std::vector<Counter> inv = ExecutorInvariantCounters();
+  for (Counter c : {Counter::kSelectionRecordsOut, Counter::kShuffleRecords,
+                    Counter::kTasksFailed}) {
+    EXPECT_NE(std::find(inv.begin(), inv.end(), c), inv.end())
+        << CounterName(c);
   }
 }
 

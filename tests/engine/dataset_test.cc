@@ -82,8 +82,8 @@ TEST(DatasetTest, RepartitionCountsShuffleMetrics) {
   ctx->ResetMetrics();
   auto data = Dataset<int>::Parallelize(ctx, Iota(64), 2);
   data.Repartition(4).Count();
-  EXPECT_GT(ctx->MetricsSnapshot().shuffle_records(), 0u);
-  EXPECT_GT(ctx->MetricsSnapshot().shuffle_bytes(), 0u);
+  EXPECT_GT(ctx->MetricsSnapshot()[Counter::kShuffleRecords], 0u);
+  EXPECT_GT(ctx->MetricsSnapshot()[Counter::kShuffleBytes], 0u);
 }
 
 TEST(BroadcastTest, SharedValueAndCounter) {
@@ -92,7 +92,7 @@ TEST(BroadcastTest, SharedValueAndCounter) {
   Broadcast<std::string> b = MakeBroadcast(ctx, std::string("shared"));
   ASSERT_TRUE(static_cast<bool>(b));
   EXPECT_EQ(b.value(), "shared");
-  EXPECT_EQ(ctx->MetricsSnapshot().broadcasts(), 1u);
+  EXPECT_EQ(ctx->MetricsSnapshot()[Counter::kBroadcasts], 1u);
 
   auto data = Dataset<int>::Parallelize(ctx, Iota(10), 2);
   auto tagged = data.Map([b](int v) {

@@ -45,7 +45,8 @@ ShuffleRun Metered(int workers, Op op) {
   auto ctx = ExecutionContext::Create(workers);
   ctx->ResetMetrics();
   op(ctx);
-  return {ctx->MetricsSnapshot().shuffle_records(), ctx->MetricsSnapshot().shuffle_bytes()};
+  const MetricsSnapshot snap = ctx->MetricsSnapshot();
+  return {snap[Counter::kShuffleRecords], snap[Counter::kShuffleBytes]};
 }
 
 TEST(ShuffleInvarianceTest, ReduceByKeyIdenticalAcrossWorkersAndPartitions) {

@@ -339,9 +339,9 @@ TEST(CounterRegistryTest, PerOperatorShuffleSlotsPartitionTheTotals) {
                               snap[Counter::kShuffleBytesGroupByKey] +
                               snap[Counter::kShuffleBytesRepartition] +
                               snap[Counter::kShuffleBytesStPartition];
-      EXPECT_EQ(snap.shuffle_records(), per_op_records)
+      EXPECT_EQ(snap[Counter::kShuffleRecords], per_op_records)
           << "workers=" << workers << " parts=" << parts;
-      EXPECT_EQ(snap.shuffle_bytes(), per_op_bytes);
+      EXPECT_EQ(snap[Counter::kShuffleBytes], per_op_bytes);
       // GroupByKey and Repartition each move every record.
       EXPECT_EQ(snap[Counter::kShuffleRecordsGroupByKey], pairs.size());
       EXPECT_EQ(snap[Counter::kShuffleRecordsRepartition], pairs.size());
@@ -393,7 +393,7 @@ TEST(TraceExportTest, MetricsJsonMatchesSnapshotExactly) {
 TEST(TracerTest, ResetMetricsZeroesEverySlot) {
   auto ctx = ExecutionContext::Create(2);
   RunStagedWorkload(ctx);
-  ASSERT_GT(ctx->MetricsSnapshot().shuffle_records(), 0u);
+  ASSERT_GT(ctx->MetricsSnapshot()[Counter::kShuffleRecords], 0u);
   ctx->ResetMetrics();
   MetricsSnapshot zero;
   EXPECT_TRUE(ctx->MetricsSnapshot() == zero);

@@ -137,7 +137,9 @@ TEST(PartitionerTest, TstrSlicesTimeFirst) {
     }
   }
   for (size_t q = 0; q < spans.size(); ++q) {
-    if (seen[q]) EXPECT_LT(spans[q].Seconds(), 500000) << "partition " << q;
+    if (seen[q]) {
+      EXPECT_LT(spans[q].Seconds(), 500000) << "partition " << q;
+    }
   }
 }
 

@@ -131,6 +131,17 @@ TEST(SelectQueryFromFlagsTest, FractionalTimeEndpointRejected) {
   EXPECT_FALSE(SelectQueryFromFlags(args.get(), "test_tool", &query));
 }
 
+TEST(SelectQueryFromFlagsTest, MalformedOrNonFiniteMbrRejected) {
+  // strtod stops at the 'x' and would read 10; a NaN or infinite corner
+  // builds a box no comparison can reason about. All are usage errors.
+  for (const char* mbr :
+       {"--mbr=0,0,10x,10", "--mbr=nan,0,10,10", "--mbr=0,0,inf,10"}) {
+    ArgvFlags args({mbr, "--time=0,100"});
+    SelectQuery query;
+    EXPECT_FALSE(SelectQueryFromFlags(args.get(), "test_tool", &query)) << mbr;
+  }
+}
+
 TEST(SelectQueryFromFlagsTest, IdsAloneAreAValidPredicate) {
   ArgvFlags args({"--ids=1,2,3"});
   SelectQuery query;

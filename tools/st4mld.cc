@@ -18,7 +18,6 @@
 #include <fstream>
 #include <string>
 
-#include "common/env.h"
 #include "pipeline/session.h"
 #include "server/server.h"
 #include "tool_flags.h"
@@ -39,21 +38,6 @@ int Run(int argc, char** argv) {
   if (!options.has_cache_budget) {
     options.has_cache_budget = true;
     options.cache_budget_bytes = -1;
-  }
-  // The daemon serves concurrent jobs from connection threads; the mp
-  // executor forks per job and assumes a single-threaded driver, so it is
-  // a batch-tool feature. Refuse it up front rather than fork a
-  // multithreaded server.
-  {
-    auto spec = st4ml::ExecutorSpec::Parse(flags.GetString(
-        "executor", st4ml::GetEnvString("ST4ML_EXECUTOR", "")));
-    if (spec.ok() && spec->kind == st4ml::ExecutorSpec::Kind::kMultiProcess) {
-      std::fprintf(stderr,
-                   "st4mld: the mp executor is not supported by the daemon "
-                   "(concurrent jobs need the in-process pool)\n");
-      return 2;
-    }
-    options.executor = "local";
   }
   st4ml::Session session(options);
   if (!st4ml::tools::CheckSessionConfig(session, "st4mld")) return 2;

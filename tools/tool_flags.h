@@ -61,8 +61,9 @@ class Flags {
            std::find(args_.begin(), args_.end(), "--" + name) != args_.end();
   }
 
-  /// Splits a `a,b,c,...` flag value into doubles; returns false on count or
-  /// parse mismatch.
+  /// Splits a `a,b,c,...` flag value into doubles; returns false on a count
+  /// mismatch or when any piece fails to parse completely or is not finite
+  /// (the server's JSON number rule), so `10x` or `nan` is never a value.
   bool GetDoubleList(const std::string& name, size_t expected,
                      std::vector<double>* out) const {
     std::string value = GetString(name, "");
@@ -73,7 +74,9 @@ class Flags {
     while (std::getline(stream, piece, ',')) {
       char* end = nullptr;
       double parsed = std::strtod(piece.c_str(), &end);
-      if (end == piece.c_str()) return false;
+      if (end == piece.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+        return false;
+      }
       out->push_back(parsed);
     }
     return out->size() == expected;
@@ -126,11 +129,6 @@ inline bool CheckIntFlags(const Flags& flags, const char* tool) {
 ///                          choice: ST4ML_BACKEND env, else widest ISA the
 ///                          CPU supports) — an invalid name surfaces on
 ///                          Session::configure_status()
-///   --executor=SPEC        executor backend: local, local:N, or mp:N
-///                          (N forked worker processes, DESIGN.md §14);
-///                          absent keeps the automatic choice
-///                          (ST4ML_EXECUTOR env, else local) — a malformed
-///                          spec surfaces on Session::configure_status()
 /// The batch CLIs and st4mld all feed the result to Session::Configure —
 /// one spelling of the plumbing instead of five.
 inline ToolOptions ToolOptionsFromFlags(const Flags& flags) {
@@ -143,7 +141,6 @@ inline ToolOptions ToolOptionsFromFlags(const Flags& flags) {
   options.metrics_json_path = flags.GetString("metrics-json", "");
   options.num_workers = static_cast<int>(flags.GetInt("workers", 0));
   options.backend = flags.GetString("backend", "");
-  options.executor = flags.GetString("executor", "");
   return options;
 }
 
@@ -169,7 +166,7 @@ inline bool SelectQueryFromFlags(const Flags& flags, const char* tool,
         !flags.GetDoubleList("time", 2, &time)) {
       std::fprintf(stderr,
                    "%s: --mbr=x1,y1,x2,y2 and --time=start,end must be "
-                   "given together\n",
+                   "given together, as finite numbers\n",
                    tool);
       return false;
     }
