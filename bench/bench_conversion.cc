@@ -1,8 +1,8 @@
 // Figure 6: processing time of the six singular-to-collective instance
-// conversions — ST4ML's optimized allocation (regular-structure index
-// derivation / broadcast R-tree over cells) versus the default Spark
-// solution (a Cartesian product of instances and cells), across structure
-// granularities.
+// conversions — ST4ML's optimized allocation (a closed-form bin or
+// grid-cell window checked exactly / a broadcast R-tree over irregular
+// cells) versus the default Spark solution (a Cartesian product of
+// instances and cells), across structure granularities.
 //
 // Expected shape (paper): speedups grow with the structure's dimensionality
 // (raster > spatial map > time series) and granularity, and are larger for
@@ -103,8 +103,9 @@ int main() {
   using namespace st4ml::bench;
   const BenchEnv& env = GetBenchEnv();
   std::printf("== Fig. 6: instance-conversion optimization ==\n");
-  std::printf("naive = Cartesian instance x cell scan; optimized = regular\n");
-  std::printf("index derivation (grids) / broadcast R-tree (irregular)\n");
+  std::printf("naive = Cartesian instance x cell scan; optimized = closed-\n");
+  std::printf("form bin / grid-cell window + exact check (regular) /\n");
+  std::printf("broadcast R-tree (irregular)\n");
 
   auto events = ParseEvents(LoadAll<EventRecord>(env, env.nyc[1],
                                                  env.nyc_extent, env.nyc_range));

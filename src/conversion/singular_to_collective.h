@@ -23,8 +23,11 @@ namespace st4ml {
 /// produce identical results, and what keeps ST4ML's answers equal to the
 /// baselines' hand-rolled scans.
 enum class ConversionStrategy {
-  /// Regular structures use arithmetic lookup; irregular spatial structures
-  /// use a broadcast R-tree over cell envelopes (the paper's design).
+  /// Regular structures locate candidates in closed form — an arithmetic
+  /// bin or grid-cell window, then the exact predicate on those candidates
+  /// only (TemporalStructure::FindBin, SpatialStructure::FindCell and
+  /// friends); irregular spatial structures of more than 8 cells use a
+  /// broadcast R-tree over cell envelopes (the paper's design).
   kAuto,
   /// Front-to-back scan over every cell/bin per instance — what the
   /// baselines do, kept as the reference implementation.
@@ -249,7 +252,8 @@ class TimeSeriesConverter {
 
 /// Converts singular instances into one SpatialMap per engine partition.
 /// Irregular structures (postal areas, road cells) are matched through a
-/// broadcast R-tree over cell envelopes; grids use arithmetic lookup.
+/// broadcast R-tree over cell envelopes; grids compute each instance's
+/// candidate cell window in closed form.
 template <typename T>
 class SpatialMapConverter {
  public:

@@ -24,19 +24,6 @@ int Orientation(const Point& p, const Point& q, const Point& r) {
   return 0;
 }
 
-bool SegmentIntersectsMbr(const Point& a, const Point& b, const Mbr& mbr) {
-  if (mbr.ContainsPoint(a) || mbr.ContainsPoint(b)) return true;
-  // Segment bounding-box reject.
-  if (std::max(a.x, b.x) < mbr.x_min || std::min(a.x, b.x) > mbr.x_max ||
-      std::max(a.y, b.y) < mbr.y_min || std::min(a.y, b.y) > mbr.y_max) {
-    return false;
-  }
-  Point c1(mbr.x_min, mbr.y_min), c2(mbr.x_max, mbr.y_min);
-  Point c3(mbr.x_max, mbr.y_max), c4(mbr.x_min, mbr.y_max);
-  return SegmentsIntersect(a, b, c1, c2) || SegmentsIntersect(a, b, c2, c3) ||
-         SegmentsIntersect(a, b, c3, c4) || SegmentsIntersect(a, b, c4, c1);
-}
-
 }  // namespace
 
 bool SegmentsIntersect(const Point& a1, const Point& a2, const Point& b1,
@@ -51,6 +38,19 @@ bool SegmentsIntersect(const Point& a1, const Point& a2, const Point& b1,
   if (o3 == 0 && OnSegment(b1, a1, b2)) return true;
   if (o4 == 0 && OnSegment(b1, a2, b2)) return true;
   return false;
+}
+
+bool SegmentIntersectsMbr(const Point& a, const Point& b, const Mbr& mbr) {
+  if (mbr.ContainsPoint(a) || mbr.ContainsPoint(b)) return true;
+  // Segment bounding-box reject.
+  if (std::max(a.x, b.x) < mbr.x_min || std::min(a.x, b.x) > mbr.x_max ||
+      std::max(a.y, b.y) < mbr.y_min || std::min(a.y, b.y) > mbr.y_max) {
+    return false;
+  }
+  Point c1(mbr.x_min, mbr.y_min), c2(mbr.x_max, mbr.y_min);
+  Point c3(mbr.x_max, mbr.y_max), c4(mbr.x_min, mbr.y_max);
+  return SegmentsIntersect(a, b, c1, c2) || SegmentsIntersect(a, b, c2, c3) ||
+         SegmentsIntersect(a, b, c3, c4) || SegmentsIntersect(a, b, c4, c1);
 }
 
 double PointToSegmentDistanceSq(const Point& p, const Point& a, const Point& b,

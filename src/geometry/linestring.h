@@ -52,6 +52,12 @@ class LineString {
   std::vector<Point> points_;
 };
 
+/// Exact segment-vs-rectangle intersection: an endpoint inside, or the
+/// segment crossing an edge. The per-segment test behind
+/// LineString::IntersectsMbr; true only if the segment's bounding box meets
+/// `mbr`.
+bool SegmentIntersectsMbr(const Point& a, const Point& b, const Mbr& mbr);
+
 /// Squared distance from `p` to segment [a, b], and the closest point.
 double PointToSegmentDistanceSq(const Point& p, const Point& a, const Point& b,
                                 Point* closest);

@@ -85,12 +85,31 @@ class SpatialStructure {
   std::vector<size_t> ContainingCells(const Point& p) const;
 
  private:
+  /// Inclusive column and row ranges of grid cells; empty when a first
+  /// index exceeds its last.
+  struct Window {
+    int x_first, x_last, y_first, y_last;
+  };
+
+  /// Whether grid lookups may compute their candidate cells in closed form:
+  /// a grid with positive, finite cell steps. Degenerate grids scan.
+  bool Windowed() const { return step_x_ > 0 && step_y_ > 0; }
+
+  /// The grid cells whose closed bounds meet the finite rectangle `query`:
+  /// an arithmetic guess from the cell steps, walked to the exact range on
+  /// the stored cell bounds (the same guess-then-check as FindBin), so the
+  /// exact predicates run on a superset of the cells a full scan accepts.
+  Window CellWindow(const Mbr& query) const;
+
   std::vector<Polygon> cells_;
   std::vector<Mbr> mbrs_;
   Mbr extent_;
   bool grid_ = false;
   int nx_ = 0;
   int ny_ = 0;
+  // Cell width and height of a windowed grid; 0 otherwise.
+  double step_x_ = 0.0;
+  double step_y_ = 0.0;
 };
 
 /// The skeleton of a Raster: the cross product of spatial cells and temporal

@@ -22,6 +22,12 @@ namespace st4ml {
 /// Out-of-extent records are clamped into the nearest partition rather than
 /// dropped: partitioning must be total or selection would silently lose
 /// records that arrive after training.
+///
+/// Threading and determinism: `Assign` must be thread-safe on a trained
+/// partitioner, because TrySTPartition calls it from the worker pool; and
+/// `Train` must be a deterministic function of the envelopes in the order
+/// given (TrySTPartition passes them in global scan order). T-STR breaks
+/// ties between equal time centers by that input order.
 class STPartitioner {
  public:
   virtual ~STPartitioner() = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/logging.h"
@@ -18,18 +19,54 @@ int64_t CenterT(const STBox& b) {
   return b.time.start() / 2 + b.time.end() / 2;
 }
 
-/// `count - 1` equal-count cuts of a sorted value list.
-template <typename V>
-std::vector<V> QuantileCuts(std::vector<V> sorted, int count) {
-  std::vector<V> cuts;
-  if (sorted.empty() || count <= 1) return cuts;
+/// Rank selection for equal-count cuts: places at every cut position
+/// n * k / count (k = 1 .. count - 1) of [begin, end) the element a full sort
+/// under the strict total order `less` puts there. Each selection runs on the
+/// suffix one past the previous cut, leaving the element already placed at
+/// that cut where it is, so every run between consecutive cuts ends up
+/// holding exactly the elements a full sort would give it.
+template <typename It, typename Less>
+void SelectCuts(It begin, It end, int count, Less less) {
+  size_t n = static_cast<size_t>(end - begin);
+  size_t start = 0;
+  for (int k = 1; k < count; ++k) {
+    size_t idx = n * static_cast<size_t>(k) / count;
+    if (idx >= n) break;
+    if (idx < start) continue;  // same position as the previous cut
+    std::nth_element(begin + start, begin + idx, end, less);
+    start = idx + 1;
+  }
+}
+
+/// `count - 1` equal-count cuts, `key` of each cut position SelectCuts
+/// placed in `selected`.
+template <typename V, typename Key>
+auto QuantileCuts(const std::vector<V>& selected, int count, Key key) {
+  std::vector<decltype(key(selected.front()))> cuts;
+  if (selected.empty() || count <= 1) return cuts;
   cuts.reserve(count - 1);
   for (int k = 1; k < count; ++k) {
-    size_t idx = sorted.size() * static_cast<size_t>(k) / count;
-    cuts.push_back(sorted[idx]);
+    cuts.push_back(key(selected[selected.size() * static_cast<size_t>(k) /
+                                count]));
   }
   return cuts;
 }
+
+bool ByXThenY(const Center& a, const Center& b) {
+  return a.x < b.x || (a.x == b.x && a.y < b.y);
+}
+
+/// A time-slice key: ties on the time center break by input order.
+struct TimeKey {
+  int64_t t;
+  size_t index;
+};
+
+bool ByTimeThenIndex(const TimeKey& a, const TimeKey& b) {
+  return a.t < b.t || (a.t == b.t && a.index < b.index);
+}
+
+Center CenterOf(const STBox& b) { return Center{CenterX(b), CenterY(b)}; }
 
 }  // namespace
 
@@ -45,49 +82,45 @@ int StrTiling::TileOf(double x, double y) const {
 
 void StrTiling::IntersectingTiles(const Mbr& mbr, int base,
                                   std::vector<int>* out) const {
+  // Bounds come from the trained cuts, not gx/gy: a tiling trained on fewer
+  // centers than slabs or tiles has fewer cuts, and TileOf never leaves them.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (int slab = 0; slab < gx; ++slab) {
+  int slabs = static_cast<int>(x_splits.size()) + 1;
+  for (int slab = 0; slab < slabs; ++slab) {
     double x_lo = slab == 0 ? -kInf : x_splits[slab - 1];
-    double x_hi = slab == gx - 1 ? kInf : x_splits[slab];
+    double x_hi = slab == slabs - 1 ? kInf : x_splits[slab];
     if (mbr.x_min > x_hi || mbr.x_max < x_lo) continue;
     const std::vector<double>& cuts = y_splits[slab];
-    for (int tile = 0; tile < gy; ++tile) {
+    int tiles = static_cast<int>(cuts.size()) + 1;
+    for (int tile = 0; tile < tiles; ++tile) {
       double y_lo = tile == 0 ? -kInf : cuts[tile - 1];
-      double y_hi = tile == gy - 1 ? kInf : cuts[tile];
+      double y_hi = tile == tiles - 1 ? kInf : cuts[tile];
       if (mbr.y_min > y_hi || mbr.y_max < y_lo) continue;
       out->push_back(base + slab * gy + tile);
     }
   }
 }
 
-StrTiling BuildStrTiling(const std::vector<const STBox*>& boxes, int gx,
-                         int gy) {
+StrTiling BuildStrTiling(std::vector<Center>* centers, int gx, int gy) {
   StrTiling tiling;
   tiling.gx = gx;
   tiling.gy = gy;
 
-  std::vector<double> xs;
-  xs.reserve(boxes.size());
-  for (const STBox* b : boxes) xs.push_back(CenterX(*b));
-  std::sort(xs.begin(), xs.end());
-  tiling.x_splits = QuantileCuts(xs, gx);
-
-  // Slab membership by sort rank (not by re-applying the cuts): ties on the
-  // cut value do not matter for split QUALITY, only for balance, and ranks
-  // keep the per-slab counts exactly even.
-  std::vector<const STBox*> by_x = boxes;
-  std::sort(by_x.begin(), by_x.end(), [](const STBox* a, const STBox* b) {
-    return CenterX(*a) < CenterX(*b);
-  });
+  // Slab membership by rank (not by re-applying the cuts): ties on the cut
+  // value do not matter for split QUALITY, only for balance, and ranks keep
+  // the per-slab counts exactly even.
+  SelectCuts(centers->begin(), centers->end(), gx, ByXThenY);
+  tiling.x_splits =
+      QuantileCuts(*centers, gx, [](const Center& c) { return c.x; });
   tiling.y_splits.resize(gx);
+  std::vector<double> ys;
   for (int slab = 0; slab < gx; ++slab) {
-    size_t lo = by_x.size() * static_cast<size_t>(slab) / gx;
-    size_t hi = by_x.size() * static_cast<size_t>(slab + 1) / gx;
-    std::vector<double> ys;
-    ys.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) ys.push_back(CenterY(*by_x[i]));
-    std::sort(ys.begin(), ys.end());
-    tiling.y_splits[slab] = QuantileCuts(ys, gy);
+    size_t lo = centers->size() * static_cast<size_t>(slab) / gx;
+    size_t hi = centers->size() * static_cast<size_t>(slab + 1) / gx;
+    ys.clear();
+    for (size_t i = lo; i < hi; ++i) ys.push_back((*centers)[i].y);
+    SelectCuts(ys.begin(), ys.end(), gy, std::less<double>());
+    tiling.y_splits[slab] = QuantileCuts(ys, gy, [](double y) { return y; });
   }
   return tiling;
 }
@@ -113,12 +146,14 @@ STRPartitioner::STRPartitioner(int num_partitions) {
 }
 
 void STRPartitioner::Train(const std::vector<STBox>& boxes) {
-  std::vector<const STBox*> ptrs;
-  ptrs.reserve(boxes.size());
-  for (const STBox& b : boxes) ptrs.push_back(&b);
+  std::vector<partition_internal::Center> centers;
+  centers.reserve(boxes.size());
+  for (const STBox& b : boxes) {
+    centers.push_back(partition_internal::CenterOf(b));
+  }
   int gx = tiling_.gx;
   int gy = tiling_.gy;
-  tiling_ = partition_internal::BuildStrTiling(ptrs, gx, gy);
+  tiling_ = partition_internal::BuildStrTiling(&centers, gx, gy);
 }
 
 std::vector<int> STRPartitioner::Assign(const STBox& box, bool duplicate,
@@ -148,32 +183,30 @@ TSTRPartitioner::TSTRPartitioner(int temporal_slices, int spatial_tiles)
 }
 
 void TSTRPartitioner::Train(const std::vector<STBox>& boxes) {
-  std::vector<int64_t> ts;
-  ts.reserve(boxes.size());
-  for (const STBox& b : boxes) ts.push_back(partition_internal::CenterT(b));
-  std::sort(ts.begin(), ts.end());
-  t_splits_.clear();
-  for (int k = 1; k < temporal_slices_; ++k) {
-    if (ts.empty()) break;
-    t_splits_.push_back(ts[ts.size() * static_cast<size_t>(k) /
-                           temporal_slices_]);
+  namespace pi = partition_internal;
+  std::vector<pi::TimeKey> keys;
+  keys.reserve(boxes.size());
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    keys.push_back(pi::TimeKey{pi::CenterT(boxes[i]), i});
   }
+  pi::SelectCuts(keys.begin(), keys.end(), temporal_slices_,
+                 pi::ByTimeThenIndex);
+  t_splits_ = pi::QuantileCuts(keys, temporal_slices_,
+                               [](const pi::TimeKey& k) { return k.t; });
 
   // Slice membership by time-center rank, then an independent 2-d STR
   // tiling per slice — this is what lets spatial boundaries adapt to where
   // the data actually was during each time slice.
-  std::vector<const STBox*> by_t;
-  by_t.reserve(boxes.size());
-  for (const STBox& b : boxes) by_t.push_back(&b);
-  std::sort(by_t.begin(), by_t.end(), [](const STBox* a, const STBox* b) {
-    return partition_internal::CenterT(*a) < partition_internal::CenterT(*b);
-  });
-  tilings_.assign(temporal_slices_, partition_internal::StrTiling{});
+  tilings_.assign(temporal_slices_, pi::StrTiling{});
+  std::vector<pi::Center> centers;
   for (int s = 0; s < temporal_slices_; ++s) {
-    size_t lo = by_t.size() * static_cast<size_t>(s) / temporal_slices_;
-    size_t hi = by_t.size() * static_cast<size_t>(s + 1) / temporal_slices_;
-    std::vector<const STBox*> slice(by_t.begin() + lo, by_t.begin() + hi);
-    tilings_[s] = partition_internal::BuildStrTiling(slice, gsx_, gsy_);
+    size_t lo = keys.size() * static_cast<size_t>(s) / temporal_slices_;
+    size_t hi = keys.size() * static_cast<size_t>(s + 1) / temporal_slices_;
+    centers.clear();
+    for (size_t i = lo; i < hi; ++i) {
+      centers.push_back(pi::CenterOf(boxes[keys[i].index]));
+    }
+    tilings_[s] = pi::BuildStrTiling(&centers, gsx_, gsy_);
   }
 }
 
@@ -191,10 +224,13 @@ std::vector<int> TSTRPartitioner::Assign(const STBox& box, bool duplicate,
   }
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Slices by the trained cuts, like the primary lookup above (an untrained
+  // or empty-trained partitioner has none and one slice).
+  int slices = static_cast<int>(t_splits_.size()) + 1;
   std::vector<int> out;
-  for (int s = 0; s < temporal_slices_; ++s) {
+  for (int s = 0; s < slices; ++s) {
     int64_t t_lo = s == 0 ? kMin : t_splits_[s - 1];
-    int64_t t_hi = s == temporal_slices_ - 1 ? kMax : t_splits_[s];
+    int64_t t_hi = s == slices - 1 ? kMax : t_splits_[s];
     if (box.time.start() > t_hi || box.time.end() < t_lo) continue;
     tilings_[s].IntersectingTiles(box.mbr, s * tiles_per_slice_, &out);
   }

@@ -30,9 +30,17 @@ struct StrTiling {
   void IntersectingTiles(const Mbr& mbr, int base, std::vector<int>* out) const;
 };
 
-/// Builds the tiling from envelope centers by equal-count quantiles.
-StrTiling BuildStrTiling(const std::vector<const STBox*>& boxes, int gx,
-                         int gy);
+/// An envelope's spatial center, the key an STR tiling is built from.
+struct Center {
+  double x;
+  double y;
+};
+
+/// Builds the tiling from envelope centers by equal-count quantiles: slab
+/// membership by rank under (x, y) order, tile cuts by y rank inside each
+/// slab — the cuts and memberships a full sort would give, found by rank
+/// selection. Reorders `centers`.
+StrTiling BuildStrTiling(std::vector<Center>* centers, int gx, int gy);
 
 }  // namespace partition_internal
 
@@ -46,6 +54,9 @@ class STRPartitioner : public STPartitioner {
   int num_partitions() const override { return tiling_.num_tiles(); }
   std::vector<int> Assign(const STBox& box, bool duplicate,
                           uint64_t record_id) const override;
+
+  /// The trained layout.
+  const partition_internal::StrTiling& tiling() const { return tiling_; }
 
  private:
   partition_internal::StrTiling tiling_;
@@ -67,6 +78,12 @@ class TSTRPartitioner : public STPartitioner {
   }
   std::vector<int> Assign(const STBox& box, bool duplicate,
                           uint64_t record_id) const override;
+
+  /// The trained layout: time cuts, then one spatial tiling per slice.
+  const std::vector<int64_t>& t_splits() const { return t_splits_; }
+  const std::vector<partition_internal::StrTiling>& tilings() const {
+    return tilings_;
+  }
 
  private:
   int temporal_slices_;
