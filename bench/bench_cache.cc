@@ -1,12 +1,16 @@
 // Dataset-cache benchmark: stages one on-disk STPQ index, then runs the
 // same metadata-pruned Selection twice per budget level — budget 0 (the
 // seed behavior: every pass reads files), a thrash-sized budget (every
-// insert evicts, spill files under the scratch dir), and unbounded (the
-// warm pass is pure memory). Emits one JSON object per budget so perf PRs
+// insert evicts, spill files under the scratch dir), the same thrash budget
+// with 4 threads each running the Selection at once on one shared context
+// (their Gets race evictions and reloads of the same files; a pass's time is
+// the wall time until all 4 finish), and unbounded (the warm pass is pure
+// memory). Emits one JSON object per budget level so perf PRs
 // leave a machine-readable trajectory (bench/run_bench.sh writes it to
 // BENCH_cache.json), and exits non-zero if any pass's selected output
-// diverges from the budget-0 reference — the bench doubles as a
-// correctness gate, like bench_shuffle. Every row also carries
+// (every thread's, for the concurrent level) diverges from the budget-0
+// reference — the bench doubles as a correctness gate, like bench_shuffle.
+// Every row also carries
 // resident_bytes_per_cached_file: the mean memory one selector cache entry
 // holds (records + envelope columns) over the staged files, on top of the
 // serialized bytes the budget accounts.
@@ -19,6 +23,7 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -105,8 +110,51 @@ struct PassResult {
   MetricsSnapshot metrics;
 };
 
+/// One pass: `threads` Selections of `query` started together on `ctx`.
+/// *seconds gets the wall time until the last one finished. The selected
+/// datasets are returned rather than checksummed here, so they stay alive
+/// through the next pass like a caller's results would.
+std::vector<Dataset<EventRecord>> RunPass(
+    const std::shared_ptr<ExecutionContext>& ctx, const std::string& dir,
+    const std::string& meta, const STBox& query, int threads,
+    double* seconds) {
+  std::vector<Dataset<EventRecord>> selected(static_cast<size_t>(threads));
+  auto select = [&](int t) {
+    Selector<EventRecord> selector(ctx, SelectQuery::FromBox(query));
+    auto result = selector.Select(dir, meta);
+    if (!result.ok()) {
+      std::cerr << "bench_cache: " << result.status().ToString() << "\n";
+      std::exit(1);
+    }
+    selected[static_cast<size_t>(t)] = std::move(result).value();
+  };
+  Stopwatch watch;
+  if (threads == 1) {
+    select(0);
+  } else {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) workers.emplace_back(select, t);
+    for (std::thread& worker : workers) worker.join();
+  }
+  *seconds = watch.ElapsedSeconds();
+  return selected;
+}
+
+/// The checksum every pass result agrees on; exits if any two differ.
+uint64_t AgreedChecksum(std::vector<Dataset<EventRecord>> results) {
+  const uint64_t sum = Checksum(std::move(results[0]).Collect());
+  for (size_t t = 1; t < results.size(); ++t) {
+    if (Checksum(std::move(results[t]).Collect()) != sum) {
+      std::cerr << "bench_cache: concurrent selections disagree\n";
+      std::exit(1);
+    }
+  }
+  return sum;
+}
+
 PassResult RunBudget(const std::string& dir, const std::string& meta,
-                     const STBox& query, uint64_t budget, int reps) {
+                     const STBox& query, uint64_t budget, int threads,
+                     int reps) {
   PassResult best;
   for (int rep = 0; rep < reps; ++rep) {
     auto ctx = ExecutionContext::Create();
@@ -114,26 +162,12 @@ PassResult RunBudget(const std::string& dir, const std::string& meta,
     options.budget_bytes = budget;
     ctx->ConfigureCache(std::move(options));
 
-    Selector<EventRecord> cold_selector(ctx, SelectQuery::FromBox(query));
-    Stopwatch cold_watch;
-    auto first = cold_selector.Select(dir, meta);
-    double first_seconds = cold_watch.ElapsedSeconds();
-    if (!first.ok()) {
-      std::cerr << "bench_cache: " << first.status().ToString() << "\n";
-      std::exit(1);
-    }
-
-    Selector<EventRecord> warm_selector(ctx, SelectQuery::FromBox(query));
-    Stopwatch warm_watch;
-    auto second = warm_selector.Select(dir, meta);
-    double second_seconds = warm_watch.ElapsedSeconds();
-    if (!second.ok()) {
-      std::cerr << "bench_cache: " << second.status().ToString() << "\n";
-      std::exit(1);
-    }
-
-    uint64_t first_sum = Checksum(std::move(*first).Collect());
-    uint64_t second_sum = Checksum(std::move(*second).Collect());
+    double first_seconds = 0;
+    double second_seconds = 0;
+    auto first = RunPass(ctx, dir, meta, query, threads, &first_seconds);
+    auto second = RunPass(ctx, dir, meta, query, threads, &second_seconds);
+    uint64_t first_sum = AgreedChecksum(std::move(first));
+    uint64_t second_sum = AgreedChecksum(std::move(second));
     if (first_sum != second_sum) {
       std::cerr << "bench_cache: warm pass changed the output (budget "
                 << budget << ")\n";
@@ -151,13 +185,14 @@ PassResult RunBudget(const std::string& dir, const std::string& meta,
   return best;
 }
 
-void EmitRow(const char* label, uint64_t budget, size_t records,
+void EmitRow(const char* label, uint64_t budget, int threads, size_t records,
              uint64_t resident_per_file, const PassResult& r,
              bool output_identical) {
   double speedup =
       r.second_seconds > 0 ? r.first_seconds / r.second_seconds : 0;
   std::cout << "{\"budget\":\"" << label << "\""
-            << ",\"budget_bytes\":" << budget << ",\"records\":" << records
+            << ",\"budget_bytes\":" << budget << ",\"threads\":" << threads
+            << ",\"records\":" << records
             << ",\"first_pass_seconds\":" << r.first_seconds
             << ",\"second_pass_seconds\":" << r.second_seconds
             << ",\"second_pass_speedup\":" << speedup
@@ -224,19 +259,23 @@ int Run(int argc, char** argv) {
   struct Level {
     const char* label;
     uint64_t budget;
+    int threads;
   };
+  const uint64_t thrash_budget = std::max<uint64_t>(1, staged_bytes / 8);
   const Level levels[] = {
-      {"zero", 0},
-      {"tiny", std::max<uint64_t>(1, staged_bytes / 8)},
-      {"unbounded", DatasetCache::kUnbounded},
+      {"zero", 0, 1},
+      {"tiny", thrash_budget, 1},
+      {"tiny_concurrent", thrash_budget, 4},
+      {"unbounded", DatasetCache::kUnbounded, 1},
   };
   const uint64_t resident_per_file = MeanResidentBytesPerFile(dir);
   uint64_t reference = 0;
   for (const Level& level : levels) {
-    PassResult result = RunBudget(dir, meta, query, level.budget, reps);
+    PassResult result =
+        RunBudget(dir, meta, query, level.budget, level.threads, reps);
     if (level.budget == 0) reference = result.checksum;
-    EmitRow(level.label, level.budget, records, resident_per_file, result,
-            result.checksum == reference);
+    EmitRow(level.label, level.budget, level.threads, records,
+            resident_per_file, result, result.checksum == reference);
   }
   fs::remove_all(dir);
   return 0;

@@ -55,12 +55,7 @@ void DatasetCache::Put(uint64_t dataset_id, uint64_t partition,
   if (!enabled()) return;
   Key key{dataset_id, partition};
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[key];
-  if (entry.resident) {
-    lru_.erase(entry.lru_it);
-    resident_bytes_ -= entry.bytes;
-    entry.resident = false;
-  }
+  Entry& entry = ReplaceEntryLocked(key);
   entry.bytes = bytes;
   entry.spill = std::move(spill);
   entry.reload = std::move(reload);
@@ -82,12 +77,7 @@ void DatasetCache::PutWithOrigin(uint64_t dataset_id, uint64_t partition,
   if (!enabled()) return;
   Key key{dataset_id, partition};
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[key];
-  if (entry.resident) {
-    lru_.erase(entry.lru_it);
-    resident_bytes_ -= entry.bytes;
-    entry.resident = false;
-  }
+  Entry& entry = ReplaceEntryLocked(key);
   entry.bytes = bytes;
   entry.spill = nullptr;
   entry.reload = std::move(reload);
@@ -102,53 +92,89 @@ StatusOr<std::shared_ptr<const void>> DatasetCache::Get(uint64_t dataset_id,
                                                         uint64_t partition) {
   if (!enabled()) return std::shared_ptr<const void>();
   Key key{dataset_id, partition};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    counters_->Add(Counter::kCacheMisses, 1);
-    return std::shared_ptr<const void>();
-  }
-  Entry& entry = it->second;
-  if (entry.resident) {
-    // Pure hit: splice to the MRU end.
-    lru_.splice(lru_.end(), lru_, entry.lru_it);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      counters_->Add(Counter::kCacheMisses, 1);
+      return std::shared_ptr<const void>();
+    }
+    Entry& entry = it->second;
+    if (entry.resident) {
+      // Pure hit: splice to the MRU end.
+      lru_.splice(lru_.end(), lru_, entry.lru_it);
+      ++stats_.hits;
+      counters_->Add(Counter::kCacheHits, 1);
+      return entry.data;
+    }
+    if (entry.loading) {
+      // Another Get is reloading this key: wait for it rather than read the
+      // same file twice, then look again (normally a resident hit).
+      reload_done_.wait(lock);
+      continue;
+    }
+    if (entry.reload == nullptr || !entry.on_disk) {
+      // Defensive: a non-resident entry is only kept when it is reloadable.
+      entries_.erase(it);
+      ++stats_.misses;
+      counters_->Add(Counter::kCacheMisses, 1);
+      return std::shared_ptr<const void>();
+    }
+    // Spilled (or origin-backed): claim the reload and run it, retries and
+    // backoff included, with the lock released. The STPQ readers inside the
+    // reload fn hit the stpq/read fault-injection site exactly like a
+    // selection load.
+    entry.loading = true;
+    const uint64_t generation = entry.generation;
+    const ReloadFn reload = entry.reload;
+    const std::string path = entry.disk_path;
+    lock.unlock();
+    uint64_t read_bytes = 0;
+    StatusOr<std::shared_ptr<const void>> reloaded = [&] {
+      ScopedSpan io(tracer(), span_category::kIo, "cache/reload");
+      auto result = options_.retry.Run(
+          [&]() -> StatusOr<std::shared_ptr<const void>> {
+            uint64_t attempt_bytes = 0;
+            auto attempt = reload(path, &attempt_bytes);
+            if (attempt.ok()) read_bytes = attempt_bytes;
+            return attempt;
+          },
+          counters_);
+      if (result.ok()) io.AddArg("bytes", read_bytes);
+      return result;
+    }();
+    lock.lock();
+
+    // A Put bumps the generation and a DropDataset erases the entry; either
+    // one hands the key to its new state, so only an unchanged entry is
+    // re-admitted or has its claim released here.
+    auto now = entries_.find(key);
+    const bool unchanged =
+        now != entries_.end() && now->second.generation == generation;
+    if (unchanged) {
+      now->second.loading = false;
+      reload_done_.notify_all();
+    }
+    if (!reloaded.ok()) {
+      // The entry stays reloadable; a failure on a replaced or dropped
+      // entry is answered from the key's new state instead.
+      if (unchanged) return reloaded.status();
+      continue;
+    }
+    stats_.reload_bytes += read_bytes;
     ++stats_.hits;
     counters_->Add(Counter::kCacheHits, 1);
-    return entry.data;
+    counters_->Add(Counter::kCacheReloadBytes, read_bytes);
+    // Re-admit the reloaded partition; an entry larger than the whole
+    // budget is evicted again right away (its disk copy persists), but the
+    // caller keeps the shared_ptr either way.
+    if (unchanged) {
+      MakeResidentLocked(key, &now->second, *reloaded);
+      EvictUntilWithinBudgetLocked();
+    }
+    return std::move(reloaded).value();
   }
-  if (entry.reload == nullptr || !entry.on_disk) {
-    // Defensive: a non-resident entry is only kept when it is reloadable.
-    entries_.erase(it);
-    ++stats_.misses;
-    counters_->Add(Counter::kCacheMisses, 1);
-    return std::shared_ptr<const void>();
-  }
-  // Spilled (or origin-backed): transparently reload through the retry
-  // policy; the STPQ readers inside the reload fn hit the stpq/read
-  // fault-injection site exactly like a selection load.
-  ScopedSpan io(tracer(), span_category::kIo, "cache/reload");
-  uint64_t read_bytes = 0;
-  auto reloaded = options_.retry.Run(
-      [&]() -> StatusOr<std::shared_ptr<const void>> {
-        uint64_t attempt_bytes = 0;
-        auto result = entry.reload(entry.disk_path, &attempt_bytes);
-        if (result.ok()) read_bytes = attempt_bytes;
-        return result;
-      },
-      counters_);
-  if (!reloaded.ok()) return reloaded.status();
-  io.AddArg("bytes", read_bytes);
-  stats_.reload_bytes += read_bytes;
-  ++stats_.hits;
-  counters_->Add(Counter::kCacheHits, 1);
-  counters_->Add(Counter::kCacheReloadBytes, read_bytes);
-  // Re-admit the reloaded partition; an entry larger than the whole budget
-  // is evicted again right away (its disk copy persists), but the caller
-  // keeps the shared_ptr either way.
-  MakeResidentLocked(key, &entry, *reloaded);
-  EvictUntilWithinBudgetLocked();
-  return std::move(reloaded).value();
 }
 
 void DatasetCache::DropDataset(uint64_t dataset_id) {
@@ -169,6 +195,8 @@ void DatasetCache::DropDataset(uint64_t dataset_id) {
     }
     it = entries_.erase(it);
   }
+  // Gets waiting on a reload of a dropped entry wake to a miss.
+  reload_done_.notify_all();
 }
 
 DatasetCache::Stats DatasetCache::stats() const {
@@ -178,6 +206,23 @@ DatasetCache::Stats DatasetCache::stats() const {
   out.resident_entries = lru_.size();
   out.spilled_entries = entries_.size() - lru_.size();
   return out;
+}
+
+DatasetCache::Entry& DatasetCache::ReplaceEntryLocked(const Key& key) {
+  Entry& entry = entries_[key];
+  if (entry.resident) {
+    lru_.erase(entry.lru_it);
+    resident_bytes_ -= entry.bytes;
+    entry.resident = false;
+  }
+  if (entry.loading) {
+    // The in-flight reload will see the new generation and re-admit
+    // nothing; its waiters wake to the data this Put installs.
+    entry.loading = false;
+    reload_done_.notify_all();
+  }
+  entry.generation = next_generation_++;
+  return entry;
 }
 
 void DatasetCache::MakeResidentLocked(const Key& key, Entry* entry,

@@ -2,6 +2,7 @@
 #define ST4ML_ENGINE_DATASET_CACHE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -48,11 +49,17 @@ namespace st4ml {
 /// io-category span ("cache/spill" / "cache/reload") when a tracer is
 /// attached, and feeds the kCache* counters.
 ///
-/// Thread-safe: one mutex guards the whole cache. Get and Put are called
-/// from RunParallel worker tasks (the Selector's per-file loads), so spill
-/// and reload I/O holding the lock serializes concurrent cache access — an
-/// accepted cost; cache I/O is the slow path by definition and the fast
-/// path (a resident hit) is a map lookup and a list splice.
+/// Thread-safe: one mutex guards the cache's bookkeeping. Get and Put are
+/// called from RunParallel worker tasks (the Selector's per-file loads).
+/// A reload runs with the mutex released, so resident hits and reloads of
+/// other keys proceed while it reads and decodes. Reloads are single-flight
+/// per key: the first Get of an evicted entry claims it and later Gets of
+/// the same key wait for that reload, then count as hits on the re-admitted
+/// data. A reload re-admits its result only if no Put or DropDataset
+/// replaced the entry meanwhile (each Put stamps a fresh generation); the
+/// caller gets the reloaded data either way. Spill writes still run under
+/// the mutex, so an eviction that spills serializes concurrent access —
+/// only CachedDataset entries spill.
 class DatasetCache {
  public:
   /// `budget_bytes == 0` disables caching; kUnbounded never evicts.
@@ -122,7 +129,8 @@ class DatasetCache {
   /// Looks a partition up. Returns (in order of preference):
   ///  - the resident data — a pure hit;
   ///  - data reloaded from the entry's spill/origin file — a hit plus
-  ///    kCacheReloadBytes, re-resident when it fits the budget;
+  ///    kCacheReloadBytes, re-resident when it fits the budget (a Get that
+  ///    finds the same key's reload in flight waits for it instead);
   ///  - nullptr when the key was never inserted or its entry was dropped —
   ///    a miss, the caller recomputes;
   ///  - a non-OK Status when a reload failed after retries.
@@ -174,6 +182,8 @@ class DatasetCache {
     bool owns_disk_file = false;  // the cache wrote disk_path (scratch spill)
     std::list<Key>::iterator lru_it;  // valid only while resident
     bool resident = false;
+    bool loading = false;     // a Get is reloading it outside the lock
+    uint64_t generation = 0;  // stamped by every Put from next_generation_
   };
 
   Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
@@ -185,6 +195,9 @@ class DatasetCache {
   /// Evicts the LRU entry; false when its spill failed and it was kept.
   bool EvictOneLocked();
   std::string SpillPathLocked(const Key& key);
+  /// The entry Put is about to overwrite: unlinked from the LRU, its
+  /// reload claim (if any) released, and stamped with a fresh generation.
+  Entry& ReplaceEntryLocked(const Key& key);
   void MakeResidentLocked(const Key& key, Entry* entry,
                           std::shared_ptr<const void> data);
 
@@ -193,10 +206,12 @@ class DatasetCache {
   std::atomic<Tracer*> tracer_{nullptr};
 
   mutable std::mutex mu_;
+  std::condition_variable reload_done_;  // a reload claim ended, or a drop
   std::list<Key> lru_;  // front = least recently used
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::unordered_map<std::string, uint64_t> interned_;
   uint64_t next_dataset_id_ = 1;
+  uint64_t next_generation_ = 1;
   uint64_t resident_bytes_ = 0;
   Stats stats_;  // resident_* fields are filled at stats() time
   bool scratch_created_ = false;

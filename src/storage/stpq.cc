@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/fault_injector.h"
 #include "storage/atomic_publish.h"
@@ -28,10 +31,42 @@ void WriteRaw(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-template <typename T>
-bool ReadRaw(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(*value));
+// Bounds-checked decoding over bytes already in memory: every read checks
+// the bytes left first, so a short buffer fails a record and never reads
+// past its end.
+class Cursor {
+ public:
+  Cursor(const char* data, size_t size) : pos_(data), end_(data + size) {}
+
+  template <typename T>
+  bool Read(T* value) {
+    return Take(sizeof(*value), value);
+  }
+  bool Take(size_t n, void* out) {
+    const char* bytes = nullptr;
+    if (!Skip(n, &bytes)) return false;
+    std::memcpy(out, bytes, n);
+    return true;
+  }
+  /// Points *bytes at the next `n` bytes and steps past them.
+  bool Skip(size_t n, const char** bytes) {
+    if (remaining() < n) return false;
+    *bytes = pos_;
+    pos_ += n;
+    return true;
+  }
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+
+ private:
+  const char* pos_;
+  const char* end_;
+};
+
+// Reads up to `len` bytes from `in`'s position into `buf` with one read
+// call; returns the bytes read, short only at end of file.
+size_t ReadBlock(std::ifstream& in, char* buf, uint64_t len) {
+  in.read(buf, static_cast<std::streamsize>(len));
+  return static_cast<size_t>(in.gcount());
 }
 
 // Writers stage under `<path>.tmp` and only FinishWrite publishes the
@@ -83,22 +118,21 @@ Status FinishWrite(std::ofstream& out, const std::string& path,
   return Status::Ok();
 }
 
-Status CheckHeader(std::ifstream& in, const std::string& path,
+Status CheckHeader(Cursor& in, const std::string& path,
                    uint8_t expected_kind, uint64_t* count) {
   char magic[sizeof(kStpqMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
+  if (!in.Take(sizeof(magic), magic) ||
       std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
     return Status::Corruption("bad STPQ magic in " + path);
   }
   uint8_t kind = 0;
-  if (!ReadRaw(in, &kind)) {
+  if (!in.Read(&kind)) {
     return Status::Corruption("truncated STPQ header in " + path);
   }
   if (kind != expected_kind) {
     return Status::Corruption("STPQ record kind mismatch in " + path);
   }
-  if (!ReadRaw(in, count)) {
+  if (!in.Read(count)) {
     return Status::Corruption("truncated STPQ header in " + path);
   }
   return Status::Ok();
@@ -107,28 +141,36 @@ Status CheckHeader(std::ifstream& in, const std::string& path,
 // Per-record parsers shared by the full readers and StpqReader's ranged
 // reads, so both paths apply identical bounds checks. `file_bytes` caps the
 // untrusted length fields (overflow-safe: compared, never multiplied).
-Status ReadOneEvent(std::ifstream& in, uint64_t file_bytes,
-                    const std::string& path, EventRecord* r) {
+Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
+                     EventRecord* r) {
   uint32_t len = 0;
-  if (!ReadRaw(in, &r->id) || !ReadRaw(in, &r->x) || !ReadRaw(in, &r->y) ||
-      !ReadRaw(in, &r->time) || !ReadRaw(in, &len)) {
+  if (!in.Read(&r->id) || !in.Read(&r->x) || !in.Read(&r->y) ||
+      !in.Read(&r->time) || !in.Read(&len)) {
     return Status::Corruption("truncated STPQ record in " + path);
   }
   if (static_cast<uint64_t>(len) > file_bytes) {
     return Status::Corruption("implausible attr length in " + path);
   }
-  r->attr.resize(len);
-  in.read(r->attr.data(), len);
-  if (in.gcount() != static_cast<std::streamsize>(len)) {
+  const char* attr = nullptr;
+  if (!in.Skip(len, &attr)) {
     return Status::Corruption("truncated STPQ record in " + path);
   }
+  r->attr.assign(attr, len);
   return Status::Ok();
 }
 
-Status ReadOneTraj(std::ifstream& in, uint64_t file_bytes,
-                   const std::string& path, TrajRecord* r) {
+// A trajectory's points are decoded with one copy: the in-memory point is
+// exactly the on-disk x, y, time triple.
+static_assert(sizeof(TrajPointRecord) == kTrajPointBytes &&
+              offsetof(TrajPointRecord, x) == 0 &&
+              offsetof(TrajPointRecord, y) == 8 &&
+              offsetof(TrajPointRecord, time) == 16 &&
+              std::is_trivially_copyable_v<TrajPointRecord>);
+
+Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
+                     TrajRecord* r) {
   uint64_t n = 0;
-  if (!ReadRaw(in, &r->id) || !ReadRaw(in, &n)) {
+  if (!in.Read(&r->id) || !in.Read(&n)) {
     return Status::Corruption("truncated STPQ record in " + path);
   }
   // `n * 24 > file_bytes` wraps for n near 2^64 and the following
@@ -136,13 +178,45 @@ Status ReadOneTraj(std::ifstream& in, uint64_t file_bytes,
   if (n > file_bytes / kTrajPointBytes) {
     return Status::Corruption("implausible point count in " + path);
   }
-  r->points.resize(static_cast<size_t>(n));
-  for (TrajPointRecord& p : r->points) {
-    if (!ReadRaw(in, &p.x) || !ReadRaw(in, &p.y) || !ReadRaw(in, &p.time)) {
-      return Status::Corruption("truncated STPQ record in " + path);
-    }
+  const size_t point_bytes = static_cast<size_t>(n) * kTrajPointBytes;
+  const char* points = nullptr;
+  if (!in.Skip(point_bytes, &points)) {
+    return Status::Corruption("truncated STPQ record in " + path);
   }
+  r->points.resize(static_cast<size_t>(n));
+  if (n > 0) std::memcpy(r->points.data(), points, point_bytes);
   return Status::Ok();
+}
+
+// The whole-file reader behind ReadStpqEvents / ReadStpqTrajs: one read of
+// the file into memory, then header and records decode from the buffer.
+template <typename RecordT>
+StatusOr<std::vector<RecordT>> ReadWholeFile(const std::string& path,
+                                             uint8_t kind,
+                                             uint64_t min_record_bytes,
+                                             uint64_t* io_bytes) {
+  ST4ML_RETURN_IF_ERROR(
+      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
+  std::ifstream file(path, std::ios::binary);
+  if (!file.is_open()) return Status::NotFound("no such STPQ file: " + path);
+  const uint64_t file_bytes = FileSizeBytes(path);
+  std::unique_ptr<char[]> buf(new char[file_bytes]);
+  Cursor in(buf.get(), ReadBlock(file, buf.get(), file_bytes));
+  uint64_t count = 0;
+  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kind, &count));
+  if (io_bytes != nullptr) *io_bytes += file_bytes;
+  std::vector<RecordT> records;
+  // The header count is untrusted until every record deserializes; clamp
+  // the reserve to what the file could possibly hold so a corrupt count
+  // cannot trigger a giant allocation. The record loop still walks the full
+  // claimed count and reports the truncation.
+  records.reserve(
+      static_cast<size_t>(std::min(count, file_bytes / min_record_bytes)));
+  for (uint64_t i = 0; i < count; ++i) {
+    ST4ML_RETURN_IF_ERROR(
+        ReadOneRecord(in, file_bytes, path, &records.emplace_back()));
+  }
+  return records;
 }
 
 }  // namespace
@@ -185,62 +259,28 @@ Status WriteStpqFile(const std::string& path,
 
 StatusOr<std::vector<EventRecord>> ReadStpqEvents(const std::string& path,
                                                   uint64_t* io_bytes) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  uint64_t count = 0;
-  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kStpqKindEvent, &count));
-  uint64_t file_bytes = FileSizeBytes(path);
-  if (io_bytes != nullptr) *io_bytes += file_bytes;
-  std::vector<EventRecord> records;
-  // The header count is untrusted until every record deserializes; clamp
-  // the reserve to what the file could possibly hold so a corrupt count
-  // cannot trigger a giant allocation. The record loop still walks the full
-  // claimed count and reports the truncation.
-  records.reserve(static_cast<size_t>(
-      std::min(count, file_bytes / kMinEventRecordBytes)));
-  for (uint64_t i = 0; i < count; ++i) {
-    EventRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneEvent(in, file_bytes, path, &r));
-    records.push_back(std::move(r));
-  }
-  return records;
+  return ReadWholeFile<EventRecord>(path, kStpqKindEvent, kMinEventRecordBytes,
+                                    io_bytes);
 }
 
 StatusOr<std::vector<TrajRecord>> ReadStpqTrajs(const std::string& path,
                                                 uint64_t* io_bytes) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  uint64_t count = 0;
-  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kStpqKindTraj, &count));
-  uint64_t file_bytes = FileSizeBytes(path);
-  if (io_bytes != nullptr) *io_bytes += file_bytes;
-  std::vector<TrajRecord> records;
-  // Same untrusted-header clamp as the event reader.
-  records.reserve(static_cast<size_t>(
-      std::min(count, file_bytes / kMinTrajRecordBytes)));
-  for (uint64_t i = 0; i < count; ++i) {
-    TrajRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneTraj(in, file_bytes, path, &r));
-    records.push_back(std::move(r));
-  }
-  return records;
+  return ReadWholeFile<TrajRecord>(path, kStpqKindTraj, kMinTrajRecordBytes,
+                                   io_bytes);
 }
 
 StatusOr<uint8_t> ReadStpqKind(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
+  std::ifstream file(path, std::ios::binary);
+  if (!file.is_open()) return Status::NotFound("no such STPQ file: " + path);
+  char header[sizeof(kStpqMagic) + 1];
+  Cursor in(header, ReadBlock(file, header, sizeof(header)));
   char magic[sizeof(kStpqMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
+  if (!in.Take(sizeof(magic), magic) ||
       std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
     return Status::Corruption("bad STPQ magic in " + path);
   }
   uint8_t kind = 0;
-  if (!ReadRaw(in, &kind)) {
+  if (!in.Read(&kind)) {
     return Status::Corruption("truncated STPQ header in " + path);
   }
   if (kind != kStpqKindEvent && kind != kStpqKindTraj) {
@@ -259,8 +299,10 @@ StatusOr<StpqReader> StpqReader::Open(const std::string& path,
   if (!reader.in_.is_open()) {
     return Status::NotFound("no such STPQ file: " + path);
   }
+  char header[kStpqHeaderBytes];
+  Cursor in(header, ReadBlock(reader.in_, header, sizeof(header)));
   ST4ML_RETURN_IF_ERROR(
-      CheckHeader(reader.in_, path, expected_kind, &reader.record_count_));
+      CheckHeader(in, path, expected_kind, &reader.record_count_));
   reader.file_bytes_ = FileSizeBytes(path);
   reader.bytes_read_ = kStpqHeaderBytes;
   return reader;
@@ -274,45 +316,40 @@ Status StpqReader::CheckRange(uint64_t offset, uint64_t end_offset) const {
   return Status::Ok();
 }
 
-Status StpqReader::ReadEventsAt(uint64_t offset, uint64_t end_offset,
-                                uint64_t count,
-                                std::vector<EventRecord>* out) {
+template <typename RecordT>
+Status StpqReader::ReadRunAt(uint64_t offset, uint64_t end_offset,
+                             uint64_t count, std::vector<RecordT>* out) {
   ST4ML_RETURN_IF_ERROR(CheckRange(offset, end_offset));
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(offset));
   if (!in_.good()) return Status::IOError("seek failed in " + path_);
+  // CheckRange bounds the run by the file size, so the buffer is too.
+  const uint64_t len = end_offset - offset;
+  std::unique_ptr<char[]> buf(new char[len]);
+  const size_t got = ReadBlock(in_, buf.get(), len);
+  Cursor in(buf.get(), got);
   for (uint64_t i = 0; i < count; ++i) {
-    EventRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneEvent(in_, file_bytes_, path_, &r));
-    out->push_back(std::move(r));
+    ST4ML_RETURN_IF_ERROR(
+        ReadOneRecord(in, file_bytes_, path_, &out->emplace_back()));
   }
   // The records must consume EXACTLY the promised run: a sidecar whose
   // offsets disagree with the file is corruption, not silently wrong data.
-  std::streamoff pos = static_cast<std::streamoff>(in_.tellg());
-  if (pos < 0 || static_cast<uint64_t>(pos) != end_offset) {
+  if (got != len || in.remaining() != 0) {
     return Status::Corruption("record range mismatch in " + path_);
   }
-  bytes_read_ += end_offset - offset;
+  bytes_read_ += len;
   return Status::Ok();
+}
+
+Status StpqReader::ReadEventsAt(uint64_t offset, uint64_t end_offset,
+                                uint64_t count,
+                                std::vector<EventRecord>* out) {
+  return ReadRunAt(offset, end_offset, count, out);
 }
 
 Status StpqReader::ReadTrajsAt(uint64_t offset, uint64_t end_offset,
                                uint64_t count, std::vector<TrajRecord>* out) {
-  ST4ML_RETURN_IF_ERROR(CheckRange(offset, end_offset));
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  if (!in_.good()) return Status::IOError("seek failed in " + path_);
-  for (uint64_t i = 0; i < count; ++i) {
-    TrajRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneTraj(in_, file_bytes_, path_, &r));
-    out->push_back(std::move(r));
-  }
-  std::streamoff pos = static_cast<std::streamoff>(in_.tellg());
-  if (pos < 0 || static_cast<uint64_t>(pos) != end_offset) {
-    return Status::Corruption("record range mismatch in " + path_);
-  }
-  bytes_read_ += end_offset - offset;
-  return Status::Ok();
+  return ReadRunAt(offset, end_offset, count, out);
 }
 
 std::vector<std::string> ListStpqFiles(const std::string& dir) {

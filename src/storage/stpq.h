@@ -51,6 +51,11 @@ inline uint64_t StpqRecordBytes(const TrajRecord& r) {
 /// non-null, the file size written (or read) is ADDED to it, so callers
 /// that own an ExecutionContext can feed the engine's STPQ I/O counters
 /// while the storage layer stays engine-agnostic.
+///
+/// Readers make one read call per file (the whole-file readers) or per
+/// ranged run (StpqReader), into a buffer bounded by the file size, and
+/// decode the records from memory with every length checked against the
+/// bytes actually read.
 Status WriteStpqFile(const std::string& path,
                      const std::vector<EventRecord>& records,
                      uint64_t* io_bytes = nullptr);
@@ -121,6 +126,9 @@ class StpqReader {
 
  private:
   Status CheckRange(uint64_t offset, uint64_t end_offset) const;
+  template <typename RecordT>
+  Status ReadRunAt(uint64_t offset, uint64_t end_offset, uint64_t count,
+                   std::vector<RecordT>* out);
 
   std::ifstream in_;
   std::string path_;

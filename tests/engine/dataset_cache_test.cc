@@ -1,19 +1,27 @@
 // DatasetCache unit tests: LRU eviction order, the zero-budget pass-through,
 // immediate spill of partitions larger than the budget, spill → reload
-// byte equality, origin-backed entries, and concurrent access from
-// RunParallel workers (exercised under TSan in CI).
+// byte equality, origin-backed entries, concurrent access from RunParallel
+// workers, and reloads racing Gets, Puts and drops of the same cache
+// (exercised under TSan in CI).
 
 #include "engine/dataset_cache.h"
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "common/property.h"
 #include "engine/cached_dataset.h"
 #include "engine/execution_context.h"
@@ -284,6 +292,213 @@ TEST_F(DatasetCacheTest, CachedDatasetPassThroughWhenDisabled) {
   EXPECT_EQ(metrics[Counter::kCacheHits], 0u);
   EXPECT_EQ(metrics[Counter::kCacheMisses], 0u);
   EXPECT_EQ(metrics[Counter::kCacheEvictions], 0u);
+}
+
+// ---- reloads run outside the cache lock: a reload fn that counts its calls
+// and blocks on a gate holds one reload in flight while the test races
+// other cache calls against it.
+
+class GatedReload {
+ public:
+  DatasetCache::ReloadFn Fn() {
+    return [this](const std::string& path, uint64_t* io_bytes) {
+      calls_.fetch_add(1);
+      gate_.wait();
+      return cache_internal::ReloadPartition<EventRecord>(path, io_bytes);
+    };
+  }
+  int calls() const { return calls_.load(); }
+  /// Spins until `n` reloads have entered the fn (a 10 s cap keeps a broken
+  /// cache from hanging the suite; the callers' assertions then fail).
+  void AwaitCalls(int n) const {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (calls_.load() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  void Open() { gate_.count_down(); }
+
+ private:
+  std::atomic<int> calls_{0};
+  std::latch gate_{1};
+};
+
+// Runs `fn` while `gated` holds a reload in flight and reports whether it
+// finished without the reload being released; the gate opens either way so
+// a cache that blocks fn cannot hang the test.
+bool CompletesDuringReload(GatedReload* gated, std::function<void()> fn) {
+  auto done = std::async(std::launch::async, std::move(fn));
+  bool completed =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gated->Open();
+  done.wait();
+  return completed;
+}
+
+class CacheReloadRaceTest : public DatasetCacheTest {
+ protected:
+  // Two origin-backed partitions under a budget that holds only one, so
+  // partition 0 is evicted (reloadable) and partition 1 resident; partition
+  // 0 reloads through `gated_`.
+  std::unique_ptr<DatasetCache> MakeCacheWithEvictedKey() {
+    part_ = MakePartition(24, 21);
+    bytes_ = cache_internal::StpqPartitionBytes(*part_);
+    fs::create_directories(scratch_);
+    origin_ = scratch_ + "/origin.stpq";
+    EXPECT_TRUE(WriteStpqFile(origin_, *part_, nullptr).ok());
+    DatasetCache::Options options = OptionsWithBudget(bytes_ + bytes_ / 2);
+    options.retry.initial_backoff = std::chrono::milliseconds(0);
+    auto cache = std::make_unique<DatasetCache>(options, &counters_);
+    ds_ = cache->NewDatasetId();
+    cache->PutWithOrigin(ds_, 0, part_, bytes_, origin_, gated_.Fn());
+    cache->PutWithOrigin(ds_, 1, part_, bytes_, origin_,
+                         &cache_internal::ReloadPartition<EventRecord>);
+    DatasetCache::Stats stats = cache->stats();
+    EXPECT_EQ(stats.resident_entries, 1u);
+    EXPECT_EQ(stats.spilled_entries, 1u);
+    return cache;
+  }
+
+  GatedReload gated_;
+  std::shared_ptr<const std::vector<EventRecord>> part_;
+  uint64_t bytes_ = 0;
+  std::string origin_;
+  uint64_t ds_ = 0;
+};
+
+// Eight concurrent Gets of one evicted key share a single reload: the
+// others wait for it and count as hits on the re-admitted data.
+TEST_F(CacheReloadRaceTest, ConcurrentGetsOfOneKeyReloadOnce) {
+  auto cache = MakeCacheWithEvictedKey();
+  const uint64_t hits_before = cache->stats().hits;
+  const uint64_t counter_hits_before = counters_.Snapshot()[Counter::kCacheHits];
+
+  constexpr int kWorkers = 8;
+  std::vector<StatusOr<std::shared_ptr<const void>>> got(
+      kWorkers, std::shared_ptr<const void>());
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] { got[w] = cache->Get(ds_, 0); });
+  }
+  gated_.AwaitCalls(1);
+  // Give the other workers time to queue behind the in-flight reload.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gated_.Open();
+  for (std::thread& t : workers) t.join();
+
+  EXPECT_EQ(gated_.calls(), 1) << "one reload per key";
+  for (int w = 0; w < kWorkers; ++w) {
+    ASSERT_TRUE(got[w].ok()) << got[w].status().ToString();
+    ASSERT_NE(*got[w], nullptr) << "worker " << w;
+    EXPECT_EQ(*got[w], *got[0]) << "worker " << w << " got another copy";
+  }
+  EXPECT_TRUE(SameRecords(AsRecords(*got[0]), *part_));
+  DatasetCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.hits - hits_before, uint64_t{kWorkers});
+  EXPECT_EQ(counters_.Snapshot()[Counter::kCacheHits] - counter_hits_before,
+            uint64_t{kWorkers});
+  EXPECT_EQ(stats.reload_bytes, FileSizeBytes(origin_));
+}
+
+TEST_F(CacheReloadRaceTest, ResidentGetDoesNotWaitForAnotherKeysReload) {
+  auto cache = MakeCacheWithEvictedKey();
+  StatusOr<std::shared_ptr<const void>> reloaded = std::shared_ptr<const void>();
+  std::thread loader([&] { reloaded = cache->Get(ds_, 0); });
+  gated_.AwaitCalls(1);
+
+  StatusOr<std::shared_ptr<const void>> resident = std::shared_ptr<const void>();
+  EXPECT_TRUE(CompletesDuringReload(
+      &gated_, [&] { resident = cache->Get(ds_, 1); }))
+      << "a resident hit waited behind another key's reload";
+  loader.join();
+  ASSERT_TRUE(resident.ok());
+  ASSERT_NE(*resident, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*resident), *part_));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_NE(*reloaded, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
+}
+
+// A Put that lands while the key's reload is in flight wins: the reload's
+// caller still gets the reloaded bytes, but the Put's data stays resident.
+TEST_F(CacheReloadRaceTest, PutDuringReloadWins) {
+  auto cache = MakeCacheWithEvictedKey();
+  StatusOr<std::shared_ptr<const void>> reloaded = std::shared_ptr<const void>();
+  std::thread loader([&] { reloaded = cache->Get(ds_, 0); });
+  gated_.AwaitCalls(1);
+
+  auto replacement = MakePartition(10, 22);
+  EXPECT_TRUE(CompletesDuringReload(&gated_, [&] {
+    cache->Put(ds_, 0, replacement,
+               cache_internal::StpqPartitionBytes(*replacement), nullptr,
+               nullptr);
+  }));
+  loader.join();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_NE(*reloaded, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
+
+  auto after = cache->Get(ds_, 0);
+  ASSERT_TRUE(after.ok());
+  ASSERT_NE(*after, nullptr);
+  EXPECT_EQ(*after, std::shared_ptr<const void>(replacement));
+  EXPECT_EQ(gated_.calls(), 1);
+}
+
+// A DropDataset that lands while a reload is in flight leaves nothing
+// behind; the reload's caller keeps the data it read.
+TEST_F(CacheReloadRaceTest, DropDuringReloadLeavesNoEntry) {
+  auto cache = MakeCacheWithEvictedKey();
+  StatusOr<std::shared_ptr<const void>> reloaded = std::shared_ptr<const void>();
+  std::thread loader([&] { reloaded = cache->Get(ds_, 0); });
+  gated_.AwaitCalls(1);
+
+  EXPECT_TRUE(CompletesDuringReload(&gated_, [&] { cache->DropDataset(ds_); }));
+  loader.join();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_NE(*reloaded, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
+
+  DatasetCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.resident_entries, 0u);
+  EXPECT_EQ(stats.spilled_entries, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  auto after = cache->Get(ds_, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, nullptr);
+}
+
+// A reload that exhausts its retries returns the error to its own caller
+// only: a Get waiting on it wakes and reloads for itself, and the entry
+// stays reloadable.
+TEST_F(CacheReloadRaceTest, FailedReloadWakesWaitersAndStaysReloadable) {
+  auto cache = MakeCacheWithEvictedKey();
+  const int attempts = cache->options().retry.max_attempts;
+  GlobalFaultInjector().Reset();
+  GlobalFaultInjector().FailNext(fault_site::kStpqRead, attempts);
+
+  StatusOr<std::shared_ptr<const void>> failed = std::shared_ptr<const void>();
+  std::thread loader([&] { failed = cache->Get(ds_, 0); });
+  gated_.AwaitCalls(1);
+  StatusOr<std::shared_ptr<const void>> waited = std::shared_ptr<const void>();
+  std::thread waiter([&] { waited = cache->Get(ds_, 0); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gated_.Open();
+  loader.join();
+  waiter.join();
+  GlobalFaultInjector().Reset();
+
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), Status::Code::kIOError);
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  ASSERT_NE(*waited, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*waited), *part_));
+  EXPECT_EQ(gated_.calls(), attempts + 1);
+
+  auto again = cache->Get(ds_, 0);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_NE(*again, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*again), *part_));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Corrupt-input matrix for the STPQ readers: every malformed file must come
 // back as a Corruption/NotFound Status — never a throw, a crash, or a
-// header-driven giant allocation.
+// header-driven giant allocation — from both decode paths: the whole-file
+// readers and StpqReader's ranged reads.
 
 #include "storage/stpq.h"
 
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,11 +65,86 @@ void Append(std::string* bytes, const T& value) {
 // field starts at byte 6.
 constexpr size_t kCountOffset = sizeof(kStpqMagic) + 1;
 
+template <typename RecordT>
+constexpr uint8_t KindOf() {
+  return std::is_same_v<RecordT, EventRecord> ? kStpqKindEvent : kStpqKindTraj;
+}
+
+// The ranged decode path over a whole file: open (header check), then one
+// run spanning every record byte the header's count promises.
+template <typename RecordT>
+Status ReadAllRanged(const std::string& path, std::vector<RecordT>* out) {
+  auto reader = StpqReader::Open(path, KindOf<RecordT>());
+  if (!reader.ok()) return reader.status();
+  return reader->ReadRecordsAt(kStpqHeaderBytes, reader->file_bytes(),
+                               reader->record_count(), out);
+}
+
+// Both decode paths must reject `path` with `code` (and, when given, a
+// message naming `what`).
+template <typename RecordT>
+void ExpectBothPathsFail(const std::string& path, Status::Code code,
+                         const std::string& what = "") {
+  auto whole = ReadStpqFile<RecordT>(path);
+  ASSERT_FALSE(whole.ok()) << "whole-file reader accepted " << path;
+  EXPECT_EQ(whole.status().code(), code) << whole.status().ToString();
+  std::vector<RecordT> out;
+  Status ranged = ReadAllRanged(path, &out);
+  ASSERT_FALSE(ranged.ok()) << "ranged reader accepted " << path;
+  EXPECT_EQ(ranged.code(), code) << ranged.ToString();
+  if (!what.empty()) {
+    EXPECT_NE(whole.status().message().find(what), std::string::npos)
+        << whole.status().ToString();
+    EXPECT_NE(ranged.message().find(what), std::string::npos)
+        << ranged.ToString();
+  }
+}
+
+bool SameEvents(const std::vector<EventRecord>& a,
+                const std::vector<EventRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].x != b[i].x || a[i].y != b[i].y ||
+        a[i].time != b[i].time || a[i].attr != b[i].attr) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameTrajs(const std::vector<TrajRecord>& a,
+               const std::vector<TrajRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].points.size() != b[i].points.size()) {
+      return false;
+    }
+    for (size_t j = 0; j < a[i].points.size(); ++j) {
+      const TrajPointRecord& p = a[i].points[j];
+      const TrajPointRecord& q = b[i].points[j];
+      if (p.x != q.x || p.y != q.y || p.time != q.time) return false;
+    }
+  }
+  return true;
+}
+
+TrajRecord SomeTraj(int64_t id, int npoints) {
+  TrajRecord t;
+  t.id = id;
+  for (int i = 0; i < npoints; ++i) {
+    TrajPointRecord p;
+    p.x = i + 0.5 * static_cast<double>(id);
+    p.y = -i;
+    p.time = 100 * i;
+    t.points.push_back(p);
+  }
+  return t;
+}
+
 TEST(StpqCorruptionTest, MissingFileIsNotFound) {
   std::string dir = TempDir("missing");
-  auto loaded = ReadStpqEvents(dir + "/nope.stpq");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kNotFound);
+  ExpectBothPathsFail<EventRecord>(dir + "/nope.stpq",
+                                   Status::Code::kNotFound);
 }
 
 TEST(StpqCorruptionTest, BadMagicIsCorruption) {
@@ -77,18 +154,14 @@ TEST(StpqCorruptionTest, BadMagicIsCorruption) {
   std::string bytes = Slurp(path);
   bytes[0] = 'X';
   Dump(path, bytes);
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, EmptyFileIsCorruption) {
   std::string dir = TempDir("empty");
   std::string path = dir + "/empty.stpq";
   Dump(path, "");
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, TruncatedHeaderIsCorruption) {
@@ -97,9 +170,7 @@ TEST(StpqCorruptionTest, TruncatedHeaderIsCorruption) {
   std::string bytes(kStpqMagic, sizeof(kStpqMagic));
   bytes.push_back(static_cast<char>(kStpqKindEvent));
   Dump(path, bytes);  // magic + kind, no count
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, WrongRecordKindIsCorruption) {
@@ -107,9 +178,8 @@ TEST(StpqCorruptionTest, WrongRecordKindIsCorruption) {
   std::string path = dir + "/traj.stpq";
   ASSERT_TRUE(
       WriteStpqFile(path, std::vector<TrajRecord>(2)).ok());
-  auto loaded = ReadStpqEvents(path);  // events reader on a traj file
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  // Events readers on a traj file.
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, OversizedCountDoesNotOverAllocate) {
@@ -124,9 +194,7 @@ TEST(StpqCorruptionTest, OversizedCountDoesNotOverAllocate) {
   uint64_t huge = uint64_t{1} << 60;
   std::memcpy(&bytes[kCountOffset], &huge, sizeof(huge));
   Dump(path, bytes);
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, OversizedTrajCountDoesNotOverAllocate) {
@@ -137,9 +205,7 @@ TEST(StpqCorruptionTest, OversizedTrajCountDoesNotOverAllocate) {
   uint64_t huge = uint64_t{1} << 61;
   std::memcpy(&bytes[kCountOffset], &huge, sizeof(huge));
   Dump(path, bytes);
-  auto loaded = ReadStpqTrajs(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<TrajRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, OverflowingPointCountIsCorruption) {
@@ -155,10 +221,8 @@ TEST(StpqCorruptionTest, OverflowingPointCountIsCorruption) {
   uint64_t wrapping = (uint64_t{1} << 63) + 2;     // * 24 wraps to 48
   Append(&bytes, wrapping);                        // npoints
   Dump(path, bytes);
-  auto loaded = ReadStpqTrajs(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(loaded.status().message().find("point count"), std::string::npos);
+  ExpectBothPathsFail<TrajRecord>(path, Status::Code::kCorruption,
+                                  "point count");
 }
 
 TEST(StpqCorruptionTest, ImplausibleAttrLengthIsCorruption) {
@@ -175,10 +239,8 @@ TEST(StpqCorruptionTest, ImplausibleAttrLengthIsCorruption) {
   Append(&bytes, int64_t{3});    // time
   Append(&bytes, uint32_t{0xFFFFFFFF});  // attr_len
   Dump(path, bytes);
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(loaded.status().message().find("attr length"), std::string::npos);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption,
+                                   "attr length");
 }
 
 TEST(StpqCorruptionTest, TruncatedEventTailIsCorruption) {
@@ -187,9 +249,7 @@ TEST(StpqCorruptionTest, TruncatedEventTailIsCorruption) {
   ASSERT_TRUE(WriteStpqFile(path, SomeEvents(10)).ok());
   std::string bytes = Slurp(path);
   Dump(path, bytes.substr(0, bytes.size() - 7));
-  auto loaded = ReadStpqEvents(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, TruncatedTrajTailIsCorruption) {
@@ -207,9 +267,7 @@ TEST(StpqCorruptionTest, TruncatedTrajTailIsCorruption) {
   ASSERT_TRUE(WriteStpqFile(path, std::vector<TrajRecord>{t}).ok());
   std::string bytes = Slurp(path);
   Dump(path, bytes.substr(0, bytes.size() - 3));
-  auto loaded = ReadStpqTrajs(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectBothPathsFail<TrajRecord>(path, Status::Code::kCorruption);
 }
 
 TEST(StpqCorruptionTest, BadMetaHeaderIsCorruption) {
@@ -313,6 +371,109 @@ TEST(StpqCorruptionTest, RangedReadRejectsRunPastEof) {
   Status past = reader->ReadRecordsAt(eof - 4, eof + 64, 1, &out);
   ASSERT_FALSE(past.ok());
   EXPECT_EQ(past.code(), Status::Code::kCorruption);
+}
+
+TEST(StpqCorruptionTest, RangedRunEndingMidRecordIsCorruption) {
+  std::string dir = TempDir("rangemid");
+  std::string events_path = dir + "/events.stpq";
+  auto events = SomeEvents(5);
+  ASSERT_TRUE(WriteStpqFile(events_path, events).ok());
+  auto events_reader = StpqReader::Open(events_path, kStpqKindEvent);
+  ASSERT_TRUE(events_reader.ok());
+  // Two records promised, but the run stops halfway through the second.
+  uint64_t mid = kStpqHeaderBytes + StpqRecordBytes(events[0]) +
+                 StpqRecordBytes(events[1]) / 2;
+  std::vector<EventRecord> event_out;
+  Status short_events =
+      events_reader->ReadRecordsAt(kStpqHeaderBytes, mid, 2, &event_out);
+  ASSERT_FALSE(short_events.ok());
+  EXPECT_EQ(short_events.code(), Status::Code::kCorruption);
+
+  std::string trajs_path = dir + "/trajs.stpq";
+  std::vector<TrajRecord> trajs = {SomeTraj(1, 4), SomeTraj(2, 6)};
+  ASSERT_TRUE(WriteStpqFile(trajs_path, trajs).ok());
+  auto trajs_reader = StpqReader::Open(trajs_path, kStpqKindTraj);
+  ASSERT_TRUE(trajs_reader.ok());
+  mid = kStpqHeaderBytes + StpqRecordBytes(trajs[0]) + 8 + 8 + 24 + 5;
+  std::vector<TrajRecord> traj_out;
+  Status short_trajs =
+      trajs_reader->ReadRecordsAt(kStpqHeaderBytes, mid, 2, &traj_out);
+  ASSERT_FALSE(short_trajs.ok());
+  EXPECT_EQ(short_trajs.code(), Status::Code::kCorruption);
+}
+
+TEST(StpqCorruptionTest, RangedRunWithTrailingBytesIsCorruption) {
+  // Bytes after the header's last record: the whole-body run promises
+  // record_count records but holds more bytes than they consume.
+  std::string dir = TempDir("rangetrail");
+  std::string events_path = dir + "/events.stpq";
+  ASSERT_TRUE(WriteStpqFile(events_path, SomeEvents(4)).ok());
+  Dump(events_path, Slurp(events_path) + "junk");
+  std::vector<EventRecord> event_out;
+  Status events = ReadAllRanged(events_path, &event_out);
+  ASSERT_FALSE(events.ok());
+  EXPECT_EQ(events.code(), Status::Code::kCorruption);
+
+  std::string trajs_path = dir + "/trajs.stpq";
+  ASSERT_TRUE(
+      WriteStpqFile(trajs_path, std::vector<TrajRecord>{SomeTraj(1, 3)}).ok());
+  Dump(trajs_path, Slurp(trajs_path) + std::string(24, '\0'));
+  std::vector<TrajRecord> traj_out;
+  Status trajs = ReadAllRanged(trajs_path, &traj_out);
+  ASSERT_FALSE(trajs.ok());
+  EXPECT_EQ(trajs.code(), Status::Code::kCorruption);
+}
+
+// Zero-length payloads are the decoder's edge: empty attrs and zero-point
+// trajectories must round-trip through the whole-file reader, one ranged
+// run per record, and one run over the whole body.
+TEST(StpqCorruptionTest, EmptyPayloadsRoundTripThroughBothPaths) {
+  std::string dir = TempDir("emptypayload");
+  std::string events_path = dir + "/events.stpq";
+  auto events = SomeEvents(6);
+  for (size_t i = 0; i < events.size(); i += 2) events[i].attr.clear();
+  ASSERT_TRUE(WriteStpqFile(events_path, events).ok());
+  auto whole_events = ReadStpqEvents(events_path);
+  ASSERT_TRUE(whole_events.ok()) << whole_events.status().ToString();
+  EXPECT_TRUE(SameEvents(*whole_events, events));
+  std::vector<EventRecord> ranged_events;
+  ASSERT_TRUE(ReadAllRanged(events_path, &ranged_events).ok());
+  EXPECT_TRUE(SameEvents(ranged_events, events));
+  auto events_reader = StpqReader::Open(events_path, kStpqKindEvent);
+  ASSERT_TRUE(events_reader.ok());
+  std::vector<EventRecord> one_by_one;
+  uint64_t offset = kStpqHeaderBytes;
+  for (const EventRecord& r : events) {
+    uint64_t end = offset + StpqRecordBytes(r);
+    ASSERT_TRUE(events_reader->ReadRecordsAt(offset, end, 1, &one_by_one).ok());
+    offset = end;
+  }
+  EXPECT_TRUE(SameEvents(one_by_one, events));
+  EXPECT_EQ(events_reader->bytes_read(), events_reader->file_bytes());
+
+  std::string trajs_path = dir + "/trajs.stpq";
+  std::vector<TrajRecord> trajs = {SomeTraj(1, 0), SomeTraj(2, 3),
+                                   SomeTraj(3, 0), SomeTraj(4, 0),
+                                   SomeTraj(5, 1)};
+  ASSERT_TRUE(WriteStpqFile(trajs_path, trajs).ok());
+  auto whole_trajs = ReadStpqTrajs(trajs_path);
+  ASSERT_TRUE(whole_trajs.ok()) << whole_trajs.status().ToString();
+  EXPECT_TRUE(SameTrajs(*whole_trajs, trajs));
+  std::vector<TrajRecord> ranged_trajs;
+  ASSERT_TRUE(ReadAllRanged(trajs_path, &ranged_trajs).ok());
+  EXPECT_TRUE(SameTrajs(ranged_trajs, trajs));
+  auto trajs_reader = StpqReader::Open(trajs_path, kStpqKindTraj);
+  ASSERT_TRUE(trajs_reader.ok());
+  std::vector<TrajRecord> trajs_one_by_one;
+  offset = kStpqHeaderBytes;
+  for (const TrajRecord& r : trajs) {
+    uint64_t end = offset + StpqRecordBytes(r);
+    ASSERT_TRUE(
+        trajs_reader->ReadRecordsAt(offset, end, 1, &trajs_one_by_one).ok());
+    offset = end;
+  }
+  EXPECT_TRUE(SameTrajs(trajs_one_by_one, trajs));
+  EXPECT_EQ(trajs_reader->bytes_read(), trajs_reader->file_bytes());
 }
 
 // ---- `.stix` sidecar: a damaged index must be rejected by Open's
