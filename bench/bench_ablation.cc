@@ -182,9 +182,10 @@ void AblateOperatorChoice(const BenchEnv& env) {
   table.Print();
 }
 
-/// One file plan per run over the T-STR layout (cache off, so the planner
-/// picks between the mmap'd `.stix` sidecar and a full parse + kernel filter
-/// per file); returns seconds, bytes read and records selected.
+/// One file plan per run over the T-STR layout (the caller turns the cache
+/// off, so the planner picks between the mmap'd `.stix` sidecar and a full
+/// parse + kernel filter per file); returns seconds, bytes read and records
+/// selected.
 template <typename RecordT>
 void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
                    const std::vector<STBox>& queries, bool disk_index,
@@ -192,7 +193,6 @@ void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
   for (const STBox& q : queries) {
     SelectorOptions options;
     options.partition_after_select = false;
-    options.use_cache = false;
     options.use_disk_index = disk_index;
     Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q), options);
     *seconds += TimeIt([&] {
@@ -207,6 +207,7 @@ void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
 void AblateDiskIndex(const BenchEnv& env) {
   std::printf("\n--- (4) mmap'd .stix index vs linear scan (§3.1) ---\n");
   std::printf("cold selective queries over the metadata-pruned T-STR layout\n");
+  env.ctx->ConfigureCache({});  // budget 0: every query is a cold load
   TablePrinter table({"plan", "events", "events read", "trajectories",
                       "trajectories read"});
   const auto event_queries = MakeShapedQueries(

@@ -1,13 +1,13 @@
 // Dataset-cache benchmark: stages one on-disk STPQ index, then runs the
 // same metadata-pruned Selection twice per budget level — budget 0 (the
 // seed behavior: every pass reads files), a thrash-sized budget (every
-// insert evicts, spill files under the scratch dir), the same thrash budget
-// with 4 threads each running the Selection at once on one shared context
-// (their Gets race evictions and reloads of the same files; a pass's time is
-// the wall time until all 4 finish), and unbounded (the warm pass is pure
-// memory). Emits one JSON object per budget level so perf PRs
-// leave a machine-readable trajectory (bench/run_bench.sh writes it to
-// BENCH_cache.json), and exits non-zero if any pass's selected output
+// insert evicts, and an evicted file reloads from its origin), the same
+// thrash budget with 4 threads each running the Selection at once on one
+// shared context (their Gets race evictions and reloads of the same files;
+// a pass's time is the wall time until all 4 finish), and unbounded (the
+// warm pass is pure memory). Emits one JSON object per budget level so
+// perf PRs leave a machine-readable trajectory (bench/run_bench.sh writes
+// it to BENCH_cache.json), and exits non-zero if any pass's selected output
 // (every thread's, for the concurrent level) diverges from the budget-0
 // reference — the bench doubles as a correctness gate, like bench_shuffle.
 // Every row also carries
@@ -200,8 +200,6 @@ void EmitRow(const char* label, uint64_t budget, int threads, size_t records,
             << ",\"cache_hits\":" << r.metrics[Counter::kCacheHits]
             << ",\"cache_misses\":" << r.metrics[Counter::kCacheMisses]
             << ",\"cache_evictions\":" << r.metrics[Counter::kCacheEvictions]
-            << ",\"cache_spill_bytes\":"
-            << r.metrics[Counter::kCacheSpillBytes]
             << ",\"cache_reload_bytes\":"
             << r.metrics[Counter::kCacheReloadBytes]
             << ",\"resident_bytes_per_cached_file\":" << resident_per_file

@@ -13,9 +13,6 @@
 
 namespace st4ml {
 
-template <typename T>
-class CachedDataset;
-
 /// Rough serialized size of a value, used for shuffle byte accounting.
 /// Heap-owning standard containers are charged for their payload; everything
 /// else is charged sizeof. An approximation — the benchmarks compare
@@ -179,12 +176,6 @@ class Dataset {
     for (const auto& part : *parts_) total += part.size();
     return total;
   }
-
-  /// Registers every partition with the context's DatasetCache and returns
-  /// the cache-backed handle — the engine's `.persist()` (DESIGN.md §9).
-  /// Requires an STPQ record type (the spill format) and the
-  /// engine/cached_dataset.h header, where this is defined.
-  CachedDataset<T> Persist() const;
 
   /// Folds every partition with `seq_op`, then combines the per-partition
   /// results IN PARTITION ORDER with `comb_op` — deterministic by design.

@@ -19,47 +19,40 @@
 
 namespace st4ml {
 
-/// A byte-budgeted LRU cache of dataset partitions — the repo's stand-in for
-/// Spark's executor-memory persistence (paper §3.3: many extractors reuse one
-/// Selection→Conversion result instead of re-reading from disk).
+/// A byte-budgeted LRU cache of dataset partitions whose data already lives
+/// in a durable file — the repo's stand-in for Spark's executor-memory
+/// persistence (paper §3.3: repeated work reuses one loaded result instead
+/// of re-reading it from disk). Its one producer is the Selector, which
+/// caches each loaded STPQ file with its envelope columns.
 ///
 /// Entries are keyed by (dataset id, partition index) and hold type-erased
-/// partition data (`std::shared_ptr<const void>`; the typed layer lives in
-/// engine/cached_dataset.h). Each entry carries its serialized size; the sum
-/// of RESIDENT entry sizes never exceeds the budget after a Put or reload
-/// returns. When an insert pushes the cache over budget, least-recently-used
-/// entries are evicted until it fits:
+/// partition data (`std::shared_ptr<const void>`) plus the origin file it
+/// was read from and the fn that reads it back. Each entry carries its
+/// serialized size; the sum of RESIDENT entry sizes never exceeds the
+/// budget after a Put or reload returns. When an insert pushes the cache
+/// over budget, least-recently-used entries are evicted until it fits.
+/// Eviction only drops memory: the entry stays, and the next Get
+/// transparently reloads it from its origin. A partition larger than the
+/// whole budget is therefore evicted on insert and reloaded by every Get,
+/// and a budget of 0 disables the cache entirely: Put and Get become inert
+/// pass-throughs that touch no counters.
 ///
-///  - an entry with a spill function is written to an STPQ file under the
-///    scratch dir (once — a re-eviction of a reloaded entry reuses the file)
-///    and its memory dropped; the next Get transparently reloads it;
-///  - an entry whose data already lives in a durable file (PutWithOrigin —
-///    the Selector's loaded source files) just drops its memory and reloads
-///    from the origin path;
-///  - an entry with neither is erased outright and the next Get misses.
+/// Reloads run under the cache's RetryPolicy and go through the STPQ
+/// readers, so the stpq/read fault-injection site and the kTasksRetried
+/// accounting apply to them exactly as they do to selection I/O
+/// (DESIGN.md §8). Every reload also records an io-category span
+/// ("cache/reload") when a tracer is attached, and feeds the kCache*
+/// counters.
 ///
-/// A partition larger than the whole budget is therefore spilled immediately
-/// on insert, and a budget of 0 disables the cache entirely: Put and Get
-/// become inert pass-throughs that touch no counters.
-///
-/// Spill writes and reloads run under the cache's RetryPolicy and go through
-/// the STPQ readers/writers, so the stpq/read and stpq/write fault-injection
-/// sites and the kTasksRetried accounting apply to them exactly as they do
-/// to selection I/O (DESIGN.md §8). Every spill/reload also records an
-/// io-category span ("cache/spill" / "cache/reload") when a tracer is
-/// attached, and feeds the kCache* counters.
-///
-/// Thread-safe: one mutex guards the cache's bookkeeping. Get and Put are
-/// called from RunParallel worker tasks (the Selector's per-file loads).
-/// A reload runs with the mutex released, so resident hits and reloads of
-/// other keys proceed while it reads and decodes. Reloads are single-flight
-/// per key: the first Get of an evicted entry claims it and later Gets of
-/// the same key wait for that reload, then count as hits on the re-admitted
-/// data. A reload re-admits its result only if no Put or DropDataset
-/// replaced the entry meanwhile (each Put stamps a fresh generation); the
-/// caller gets the reloaded data either way. Spill writes still run under
-/// the mutex, so an eviction that spills serializes concurrent access —
-/// only CachedDataset entries spill.
+/// Thread-safe: one mutex guards the cache's bookkeeping, and no I/O runs
+/// under it. Get and Put are called from RunParallel worker tasks (the
+/// Selector's per-file loads). A reload runs with the mutex released, so
+/// resident hits and reloads of other keys proceed while it reads and
+/// decodes. Reloads are single-flight per key: the first Get of an evicted
+/// entry claims it and later Gets of the same key wait for that reload,
+/// then count as hits on the re-admitted data. A reload re-admits its
+/// result only if no Put replaced the entry meanwhile (each Put stamps a
+/// fresh generation); the caller gets the reloaded data either way.
 class DatasetCache {
  public:
   /// `budget_bytes == 0` disables caching; kUnbounded never evicts.
@@ -67,21 +60,12 @@ class DatasetCache {
 
   struct Options {
     uint64_t budget_bytes = 0;
-    /// Spill directory; created lazily on first spill and removed (with its
-    /// contents) by the destructor when the cache created it. Empty picks
-    /// <tmp>/st4ml_cache_<pid>_<seq>.
-    std::string scratch_dir;
-    /// Wraps every spill write and reload read; transient IOErrors (disk
-    /// pressure, injected faults) are re-attempted before the operation
-    /// fails, each re-attempt bumping kTasksRetried.
+    /// Wraps every reload read; transient IOErrors (disk pressure,
+    /// injected faults) are re-attempted before the reload fails, each
+    /// re-attempt bumping kTasksRetried.
     RetryPolicy retry;
   };
 
-  /// Writes `data` (a type-erased partition) to `path`; adds the bytes
-  /// written to *io_bytes.
-  using SpillFn = std::function<Status(const void* data,
-                                       const std::string& path,
-                                       uint64_t* io_bytes)>;
   /// Reads a partition back from `path`; adds the bytes read to *io_bytes.
   using ReloadFn = std::function<StatusOr<std::shared_ptr<const void>>(
       const std::string& path, uint64_t* io_bytes)>;
@@ -89,7 +73,6 @@ class DatasetCache {
   /// `counters` outlives the cache (the owning ExecutionContext guarantees
   /// this — its registry member is declared before the cache).
   DatasetCache(Options options, CounterRegistry* counters);
-  ~DatasetCache();
 
   DatasetCache(const DatasetCache&) = delete;
   DatasetCache& operator=(const DatasetCache&) = delete;
@@ -97,60 +80,47 @@ class DatasetCache {
   bool enabled() const { return options_.budget_bytes > 0; }
   const Options& options() const { return options_; }
 
-  /// Attaches the tracer spill/reload spans are recorded on (nullptr
-  /// detaches). Forwarded by ExecutionContext::set_tracer.
+  /// Attaches the tracer reload spans are recorded on (nullptr detaches).
+  /// Forwarded by ExecutionContext::set_tracer.
   void set_tracer(Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }
-
-  /// A fresh dataset id, never handed out before (CachedDataset handles).
-  uint64_t NewDatasetId();
 
   /// A stable id for a named dataset: the same name always maps to the same
   /// id within one cache, so independent Selectors loading the same file
   /// share one entry.
   uint64_t InternDatasetId(const std::string& name);
 
-  /// Inserts a partition, replacing any previous entry under the same key,
-  /// then evicts LRU entries until the resident bytes fit the budget (the
-  /// inserted entry is evicted last — and immediately, if it alone exceeds
-  /// the budget). No-op when the cache is disabled.
+  /// Inserts a partition whose durable copy is `origin_path`, replacing any
+  /// previous entry under the same key, then evicts LRU entries until the
+  /// resident bytes fit the budget (the inserted entry is evicted last —
+  /// and immediately, if it alone exceeds the budget). Get reads an evicted
+  /// entry back with `reload(origin_path)`. No-op when the cache is
+  /// disabled.
   void Put(uint64_t dataset_id, uint64_t partition,
-           std::shared_ptr<const void> data, uint64_t bytes, SpillFn spill,
-           ReloadFn reload);
-
-  /// Put for data that already has a durable on-disk copy at `origin_path`
-  /// (the Selector's loaded STPQ files): eviction drops the memory without
-  /// writing anything and Get reloads from the origin.
-  void PutWithOrigin(uint64_t dataset_id, uint64_t partition,
-                     std::shared_ptr<const void> data, uint64_t bytes,
-                     std::string origin_path, ReloadFn reload);
+           std::shared_ptr<const void> data, uint64_t bytes,
+           std::string origin_path, ReloadFn reload);
 
   /// Looks a partition up. Returns (in order of preference):
   ///  - the resident data — a pure hit;
-  ///  - data reloaded from the entry's spill/origin file — a hit plus
+  ///  - data reloaded from the entry's origin file — a hit plus
   ///    kCacheReloadBytes, re-resident when it fits the budget (a Get that
   ///    finds the same key's reload in flight waits for it instead);
-  ///  - nullptr when the key was never inserted or its entry was dropped —
-  ///    a miss, the caller recomputes;
+  ///  - nullptr when the key was never inserted — a miss, the caller
+  ///    loads it;
   ///  - a non-OK Status when a reload failed after retries.
   /// Disabled caches always return nullptr without counting a miss.
   StatusOr<std::shared_ptr<const void>> Get(uint64_t dataset_id,
                                             uint64_t partition);
 
-  /// Drops every entry of `dataset_id`, deleting any spill files the cache
-  /// wrote for it (origin files are left alone).
-  void DropDataset(uint64_t dataset_id);
-
   /// A consistent point-in-time view, for tests and the bench.
   struct Stats {
     uint64_t resident_bytes = 0;
     uint64_t resident_entries = 0;
-    uint64_t spilled_entries = 0;
+    uint64_t evicted_entries = 0;  // kept, reloadable, not resident
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    uint64_t spill_bytes = 0;
     uint64_t reload_bytes = 0;
   };
   Stats stats() const;
@@ -173,13 +143,10 @@ class DatasetCache {
   };
 
   struct Entry {
-    std::shared_ptr<const void> data;  // null while spilled / dropped
+    std::shared_ptr<const void> data;  // null while evicted
     uint64_t bytes = 0;
-    SpillFn spill;
     ReloadFn reload;
-    std::string disk_path;        // spill target, or the origin file
-    bool on_disk = false;         // disk_path currently holds the data
-    bool owns_disk_file = false;  // the cache wrote disk_path (scratch spill)
+    std::string origin_path;
     std::list<Key>::iterator lru_it;  // valid only while resident
     bool resident = false;
     bool loading = false;     // a Get is reloading it outside the lock
@@ -188,13 +155,10 @@ class DatasetCache {
 
   Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
 
-  /// Evicts from the LRU end until resident bytes fit the budget. An entry
-  /// whose spill write fails after retries is kept resident (over budget)
-  /// rather than lost; the failure is logged once per cache.
+  /// Evicts from the LRU end until resident bytes fit the budget.
   void EvictUntilWithinBudgetLocked();
-  /// Evicts the LRU entry; false when its spill failed and it was kept.
-  bool EvictOneLocked();
-  std::string SpillPathLocked(const Key& key);
+  /// Drops the LRU entry's memory; the entry stays reloadable.
+  void EvictOneLocked();
   /// The entry Put is about to overwrite: unlinked from the LRU, its
   /// reload claim (if any) released, and stamped with a fresh generation.
   Entry& ReplaceEntryLocked(const Key& key);
@@ -206,16 +170,14 @@ class DatasetCache {
   std::atomic<Tracer*> tracer_{nullptr};
 
   mutable std::mutex mu_;
-  std::condition_variable reload_done_;  // a reload claim ended, or a drop
+  std::condition_variable reload_done_;  // a reload claim ended
   std::list<Key> lru_;  // front = least recently used
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::unordered_map<std::string, uint64_t> interned_;
   uint64_t next_dataset_id_ = 1;
   uint64_t next_generation_ = 1;
   uint64_t resident_bytes_ = 0;
-  Stats stats_;  // resident_* fields are filled at stats() time
-  bool scratch_created_ = false;
-  bool spill_failure_logged_ = false;
+  Stats stats_;  // resident_* / evicted_* fields are filled at stats() time
 };
 
 }  // namespace st4ml

@@ -87,7 +87,7 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
 
   /// Attaches (or, with nullptr, detaches) a tracer. The context keeps the
   /// tracer alive; instrumentation sites read the raw pointer. Forwarded to
-  /// the dataset cache so its spill/reload spans land in the same trace.
+  /// the dataset cache so its reload spans land in the same trace.
   void set_tracer(std::shared_ptr<Tracer> tracer);
   Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
 

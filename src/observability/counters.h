@@ -32,8 +32,8 @@ namespace st4ml {
 ///    FaultInjector fired (DESIGN.md §8 failure semantics).
 ///  - kCache{Hits,Misses,Evictions} count DatasetCache lookups that found /
 ///    did not find an entry and LRU evictions under the byte budget;
-///    kCacheSpillBytes / kCacheReloadBytes count STPQ bytes the cache wrote
-///    to and read back from its scratch or origin files (DESIGN.md §9).
+///    kCacheReloadBytes counts STPQ bytes the cache read back from the
+///    origin files of evicted entries (DESIGN.md §9).
 ///    A disabled cache (budget 0) touches none of these.
 ///  - kIndexFilesMmapped counts `.stix` sidecars a selection mmapped;
 ///    kIndexPagesRead counts the distinct 4 KiB index pages those queries
@@ -80,7 +80,6 @@ enum class Counter : uint32_t {
   kCacheHits,
   kCacheMisses,
   kCacheEvictions,
-  kCacheSpillBytes,
   kCacheReloadBytes,
   kIndexFilesMmapped,
   kIndexPagesRead,
@@ -131,7 +130,6 @@ inline const char* CounterName(Counter c) {
       "cache_hits",
       "cache_misses",
       "cache_evictions",
-      "cache_spill_bytes",
       "cache_reload_bytes",
       "index_files_mmapped",
       "index_pages_read",

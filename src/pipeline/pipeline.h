@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/status.h"
-#include "engine/cached_dataset.h"
 #include "engine/execution_context.h"
 
 namespace st4ml {
@@ -158,17 +157,6 @@ class Pipeline {
       AccountStage(stage_name, have_in, records_in, have_out, records_out);
       return result;
     }
-  }
-
-  /// Persists `ds` in the context's dataset cache under a "persist" stage
-  /// span — the one-liner for the paper's extraction pattern (§3.3): persist
-  /// the post-Conversion dataset once, then run many extractors against the
-  /// returned handle's Load() instead of recomputing or re-reading it.
-  template <typename T>
-  CachedDataset<T> Persist(const Dataset<T>& ds) {
-    ScopedSpan stage(ctx_->tracer(), span_category::kStage, "persist");
-    stage.AddArg("records_in", ds.Count());
-    return ds.Persist();
   }
 
  private:

@@ -14,8 +14,8 @@
 #include "accel/kernels.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "engine/cached_dataset.h"
 #include "engine/dataset.h"
+#include "engine/dataset_cache.h"
 #include "index/stix.h"
 #include "ingest/wal.h"
 #include "partition/partitioner.h"
@@ -102,13 +102,6 @@ struct SelectorOptions {
   /// injected fault) are re-attempted with backoff before failing the
   /// Select; deterministic errors (NotFound, Corruption) fail immediately.
   RetryPolicy retry;
-  /// Serve repeated loads of the same file from the context's DatasetCache
-  /// (when its budget enables it): the pre-filter records are cached per
-  /// file together with their envelope columns, so later selections with
-  /// overlapping ST ranges filter the in-memory columns instead of
-  /// re-reading and re-parsing the file. Off, or with the cache disabled,
-  /// every Select reads its files — the seed behavior.
-  bool use_cache = true;
   /// Let the QueryPlanner serve COLD files (no enabled cache) from their
   /// mmap'd `.stix` sidecar when one is present and valid: index pages are
   /// walked, leaf hits refine through the kernel over mapped columns, and
@@ -249,9 +242,7 @@ class Selector {
     CounterRegistry& counters = internal::Counters(*ctx_);
     Tracer* tracer = ctx_->tracer();
     const uint64_t op_span = op.id();
-    DatasetCache* cache = options_.use_cache && ctx_->cache().enabled()
-                              ? &ctx_->cache()
-                              : nullptr;
+    DatasetCache* cache = ctx_->cache().enabled() ? &ctx_->cache() : nullptr;
     QueryPlanner planner(cache, options_.use_disk_index);
     // One slot per file, filled only by that file's task and folded into
     // stats_/counters on the driver after the join.
@@ -302,8 +293,8 @@ class Selector {
         // anything.
         auto file = selection_internal::MakeIndexedFile<RecordT>(
             std::move(records).value());
-        cache->PutWithOrigin(key, 0, file, out.read_bytes, paths[i],
-                             &selection_internal::ReloadIndexedFile<RecordT>);
+        cache->Put(key, 0, file, out.read_bytes, paths[i],
+                   &selection_internal::ReloadIndexedFile<RecordT>);
         out.records = FilterIndexed(*file, &out.selected_bytes);
         return Status::Ok();
       }

@@ -42,7 +42,6 @@
 
 // The mini dataflow engine ST4ML rides on.
 #include "engine/broadcast.h"
-#include "engine/cached_dataset.h"
 #include "engine/dataset.h"
 #include "engine/dataset_cache.h"
 #include "engine/execution_context.h"

@@ -5,14 +5,14 @@
 // seeded generators produce random ST workloads — records, query ranges,
 // ingest layouts, worker counts, cache budgets including 0 and "tiny,
 // forces eviction on every insert" — and ExpectIdentical runs the same
-// Selection → persist → extraction pipeline cached and uncached, asserting
+// Selection → conversion → extraction pipeline cached and uncached, asserting
 // byte-identical collected output and identical non-cache counters. Any
 // divergence means the cache changed WHAT was computed, not just how fast.
 //
 // The harness is deliberately reusable: dataset_cache_test builds targeted
 // regressions on the generators, cache_property_test sweeps 50 seeds
 // through ExpectIdentical (some with ST4ML-style probabilistic faults armed
-// on the stpq/read site so spill-reload exercises the retry path), and the
+// on the stpq/read site so cache reloads exercise the retry path), and the
 // integration and bench code reuse the workload staging.
 
 #include <unistd.h>
@@ -31,7 +31,6 @@
 #include "accel/kernels.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
-#include "engine/cached_dataset.h"
 #include "engine/execution_context.h"
 #include "pipeline/pipeline.h"
 #include "selection/on_disk_index.h"
@@ -43,7 +42,7 @@ namespace testing {
 
 /// One randomized workload. `tiny_budget` is sized against the staged file
 /// bytes so that it usually cannot hold even one file — every insert
-/// evicts, the "thrash" regime the spill path lives in.
+/// evicts, the "thrash" regime the reload path lives in.
 struct CacheWorkload {
   uint64_t seed = 0;
   int num_records = 200;
@@ -165,10 +164,10 @@ struct PipelineRun {
 };
 
 /// Runs the differential pipeline once: `repeats` metadata-pruned Selects
-/// over the same query (the selector-cache reuse), then persist the last
-/// selection and run two extractors against Load() (the CachedDataset
-/// reuse). Every collected record and extracted value is appended to
-/// `output` in order, so two runs agree iff their outputs match bytewise.
+/// over the same query (the selector-cache reuse), then a shuffle and two
+/// extractors over its one in-memory result. Every collected record and
+/// extracted value is appended to `output` in order, so two runs agree iff
+/// their outputs match bytewise.
 /// `disk_index` toggles the mmap'd `.stix` plan for cache-less runs (with a
 /// cache enabled the planner always prefers it, so the knob is inert there).
 inline PipelineRun RunCachePipeline(const CacheWorkload& w,
@@ -222,22 +221,15 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
       [&](const Dataset<EventRecord>& ds) { return ds.Repartition(3); },
       last);
 
-  // Persist once, extract twice — the paper's many-extractors pattern.
-  CachedDataset<EventRecord> cached = pipeline.Persist(converted);
+  // Convert once, extract twice — the paper's many-extractors pattern.
   for (int extractor = 0; extractor < 2; ++extractor) {
-    auto loaded = cached.Load();
-    if (!loaded.ok()) {
-      run.status = loaded.status();
-      GlobalFaultInjector().Reset();
-      return run;
-    }
     auto sums = pipeline.Run("extraction", [&] {
       struct Acc {
         uint64_t count = 0;
         int64_t id_sum = 0;
         int64_t time_sum = 0;
       };
-      return loaded->Aggregate(
+      return converted.Aggregate(
           Acc{},
           [extractor](Acc acc, const EventRecord& r) {
             ++acc.count;

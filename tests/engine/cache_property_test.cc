@@ -2,7 +2,7 @@
 // random workloads, each run uncached and cached at budgets {0, tiny,
 // unbounded} and worker counts {1, 8}, must produce byte-identical
 // Collect() output and identical non-cache counters. Seeds divisible by 5
-// run with probabilistic faults armed on the stpq/read site, so spill
+// run with probabilistic faults armed on the stpq/read site, so cache
 // reloads and cache-miss re-reads exercise the retry path mid-comparison.
 // Since ISSUE 7 every seed also draws a random kernel backend and
 // ExpectIdentical replays the whole grid under scalar AND that backend

@@ -1,8 +1,9 @@
 // DatasetCache unit tests: LRU eviction order, the zero-budget pass-through,
-// immediate spill of partitions larger than the budget, spill → reload
-// byte equality, origin-backed entries, concurrent access from RunParallel
-// workers, and reloads racing Gets, Puts and drops of the same cache
-// (exercised under TSan in CI).
+// partitions larger than the budget evicted on insert, origin-backed reload
+// byte equality, concurrent access from RunParallel workers, and reloads
+// racing Gets and Puts of the same cache (exercised under TSan in CI). Every
+// entry is origin-backed, as in the Selector: each partition is written to
+// an STPQ file first, and the cache reads it back from there.
 
 #include "engine/dataset_cache.h"
 
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <latch>
 #include <memory>
 #include <string>
@@ -23,7 +25,6 @@
 
 #include "common/fault_injector.h"
 #include "common/property.h"
-#include "engine/cached_dataset.h"
 #include "engine/execution_context.h"
 #include "storage/records.h"
 #include "storage/stpq.h"
@@ -56,58 +57,105 @@ const std::vector<EventRecord>& AsRecords(
   return *std::static_pointer_cast<const std::vector<EventRecord>>(data);
 }
 
+/// The reload fn of every entry here: reads the origin file back as a
+/// shared record vector.
+StatusOr<std::shared_ptr<const void>> ReloadRecords(const std::string& path,
+                                                    uint64_t* io_bytes) {
+  auto loaded = ReadStpqFile<EventRecord>(path, io_bytes);
+  if (!loaded.ok()) return loaded.status();
+  return std::shared_ptr<const void>(
+      std::make_shared<const std::vector<EventRecord>>(std::move(*loaded)));
+}
+
+/// A partition and its durable copy: the STPQ file it was written to, and
+/// that file's size — the bytes the cache accounts, as in the Selector.
+struct OriginPartition {
+  std::shared_ptr<const std::vector<EventRecord>> records;
+  std::string path;
+  uint64_t bytes = 0;
+};
+
 class DatasetCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ = (fs::temp_directory_path() /
-                ("st4ml_cache_test_" + std::to_string(::getpid())))
-                   .string();
-    fs::remove_all(scratch_);
+    dir_ = (fs::temp_directory_path() /
+            ("st4ml_cache_test_" + std::to_string(::getpid())))
+               .string();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all(scratch_); }
+  void TearDown() override { fs::remove_all(dir_); }
 
   DatasetCache::Options OptionsWithBudget(uint64_t budget) {
     DatasetCache::Options options;
     options.budget_bytes = budget;
-    options.scratch_dir = scratch_;
     return options;
   }
 
-  std::string scratch_;
+  /// Writes MakePartition(n, seed) to `<dir_>/<name>.stpq`.
+  OriginPartition WriteOrigin(const std::string& name, int n, uint64_t seed) {
+    OriginPartition out;
+    out.records = MakePartition(n, seed);
+    out.path = dir_ + "/" + name + ".stpq";
+    EXPECT_TRUE(WriteStpqFile(out.path, *out.records, nullptr).ok());
+    out.bytes = FileSizeBytes(out.path);
+    return out;
+  }
+
+  void Put(DatasetCache* cache, uint64_t ds, uint64_t partition,
+           const OriginPartition& origin,
+           DatasetCache::ReloadFn reload = &ReloadRecords) {
+    cache->Put(ds, partition, origin.records, origin.bytes, origin.path,
+               std::move(reload));
+  }
+
+  std::string dir_;
   CounterRegistry counters_;
 };
 
-// Entries without a spill function or origin are erased on eviction, which
-// makes the eviction ORDER directly observable as Get misses.
+// Each key reloads through a fn that counts its calls, which makes the
+// eviction ORDER observable: only the LRU victim is ever read back.
 TEST_F(DatasetCacheTest, EvictsLeastRecentlyUsedFirst) {
-  auto part = MakePartition(8, 1);
-  const uint64_t bytes = cache_internal::StpqPartitionBytes(*part);
-  DatasetCache cache(OptionsWithBudget(2 * bytes), &counters_);
-  const uint64_t ds = cache.NewDatasetId();
-  cache.Put(ds, 0, part, bytes, nullptr, nullptr);
-  cache.Put(ds, 1, part, bytes, nullptr, nullptr);
+  const OriginPartition part = WriteOrigin("lru", 8, 1);
+  int reloads[3] = {0, 0, 0};
+  DatasetCache cache(OptionsWithBudget(2 * part.bytes), &counters_);
+  const uint64_t ds = cache.InternDatasetId("lru");
+  auto counting = [&reloads](int key) -> DatasetCache::ReloadFn {
+    return [&reloads, key](const std::string& path, uint64_t* io_bytes) {
+      ++reloads[key];
+      return ReloadRecords(path, io_bytes);
+    };
+  };
+  Put(&cache, ds, 0, part, counting(0));
+  Put(&cache, ds, 1, part, counting(1));
   // Touch partition 0 so partition 1 becomes the LRU victim.
   ASSERT_NE(*cache.Get(ds, 0), nullptr);
-  cache.Put(ds, 2, part, bytes, nullptr, nullptr);
-
-  EXPECT_EQ(*cache.Get(ds, 1), nullptr) << "LRU entry should have been evicted";
-  EXPECT_NE(*cache.Get(ds, 0), nullptr);
-  EXPECT_NE(*cache.Get(ds, 2), nullptr);
+  Put(&cache, ds, 2, part, counting(2));
   DatasetCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_LE(stats.resident_bytes, 2 * bytes);
+  EXPECT_EQ(stats.evicted_entries, 1u);
+
+  ASSERT_NE(*cache.Get(ds, 0), nullptr);
+  ASSERT_NE(*cache.Get(ds, 2), nullptr);
+  EXPECT_EQ(reloads[0], 0) << "a resident entry was read back";
+  EXPECT_EQ(reloads[2], 0) << "a resident entry was read back";
+  auto victim = cache.Get(ds, 1);
+  ASSERT_TRUE(victim.ok());
+  ASSERT_NE(*victim, nullptr);
+  EXPECT_TRUE(SameRecords(AsRecords(*victim), *part.records));
+  EXPECT_EQ(reloads[1], 1) << "the LRU entry should have been evicted";
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 0u) << "origin-backed entries never miss";
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_LE(stats.resident_bytes, 2 * part.bytes);
 }
 
 TEST_F(DatasetCacheTest, ZeroBudgetIsInertPassThrough) {
   DatasetCache cache(OptionsWithBudget(0), &counters_);
   EXPECT_FALSE(cache.enabled());
-  auto part = MakePartition(4, 2);
-  const uint64_t ds = cache.NewDatasetId();
-  cache.Put(ds, 0, part, cache_internal::StpqPartitionBytes(*part),
-            &cache_internal::SpillPartition<EventRecord>,
-            &cache_internal::ReloadPartition<EventRecord>);
+  const OriginPartition part = WriteOrigin("zero", 4, 2);
+  const uint64_t ds = cache.InternDatasetId("zero");
+  Put(&cache, ds, 0, part);
   auto got = cache.Get(ds, 0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, nullptr);
@@ -115,107 +163,67 @@ TEST_F(DatasetCacheTest, ZeroBudgetIsInertPassThrough) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.resident_entries, 0u);
+  EXPECT_EQ(stats.evicted_entries, 0u);
   EXPECT_EQ(counters_.Snapshot()[Counter::kCacheMisses], 0u);
-  EXPECT_FALSE(fs::exists(scratch_));
 }
 
-// A partition larger than the whole budget cannot stay resident: it is
-// spilled to the scratch dir on insert and transparently reloaded on Get.
-TEST_F(DatasetCacheTest, OversizedPartitionSpillsImmediately) {
-  auto part = MakePartition(32, 3);
-  const uint64_t bytes = cache_internal::StpqPartitionBytes(*part);
-  DatasetCache cache(OptionsWithBudget(bytes / 2), &counters_);
-  const uint64_t ds = cache.NewDatasetId();
-  cache.Put(ds, 0, part, bytes, &cache_internal::SpillPartition<EventRecord>,
-            &cache_internal::ReloadPartition<EventRecord>);
+// A partition larger than the whole budget is never resident: it is evicted
+// on insert, and every Get reloads it from its origin.
+TEST_F(DatasetCacheTest, OversizedPartitionIsEvictedOnInsert) {
+  const OriginPartition part = WriteOrigin("oversized", 32, 3);
+  DatasetCache cache(OptionsWithBudget(part.bytes / 2), &counters_);
+  const uint64_t ds = cache.InternDatasetId("oversized");
+  Put(&cache, ds, 0, part);
 
   DatasetCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.resident_entries, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
-  EXPECT_EQ(stats.spilled_entries, 1u);
-  EXPECT_EQ(stats.spill_bytes, bytes);
-  ASSERT_TRUE(fs::exists(scratch_));
-  EXPECT_FALSE(fs::is_empty(scratch_));
+  EXPECT_EQ(stats.evicted_entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
 
-  auto got = cache.Get(ds, 0);
-  ASSERT_TRUE(got.ok());
-  ASSERT_NE(*got, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*got), *part));
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.reload_bytes, bytes);
+  for (uint64_t get = 1; get <= 2; ++get) {
+    auto got = cache.Get(ds, 0);
+    ASSERT_TRUE(got.ok());
+    ASSERT_NE(*got, nullptr);
+    EXPECT_TRUE(SameRecords(AsRecords(*got), *part.records));
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, get);
+    EXPECT_EQ(stats.reload_bytes, get * part.bytes) << "every Get reloads";
+    EXPECT_EQ(stats.resident_bytes, 0u);
+  }
 }
 
-// Spill + reload round-trips the records bit-for-bit, and the engine
-// counters mirror the cache's own stats.
-TEST_F(DatasetCacheTest, SpillReloadRoundTripsExactBytes) {
-  auto part_a = MakePartition(16, 4);
-  auto part_b = MakePartition(16, 5);
-  const uint64_t bytes = cache_internal::StpqPartitionBytes(*part_a);
-  DatasetCache cache(OptionsWithBudget(bytes + bytes / 2), &counters_);
-  const uint64_t ds = cache.NewDatasetId();
-  cache.Put(ds, 0, part_a, bytes,
-            &cache_internal::SpillPartition<EventRecord>,
-            &cache_internal::ReloadPartition<EventRecord>);
-  cache.Put(ds, 1, part_b, cache_internal::StpqPartitionBytes(*part_b),
-            &cache_internal::SpillPartition<EventRecord>,
-            &cache_internal::ReloadPartition<EventRecord>);
-  ASSERT_EQ(cache.stats().spilled_entries, 1u);
+// Eviction writes nothing: it drops the memory, and Get re-reads the durable
+// origin file bit-for-bit. The engine counters mirror the cache's own stats.
+TEST_F(DatasetCacheTest, OriginBackedEntryReloadsWithoutSpilling) {
+  const OriginPartition part_a = WriteOrigin("a", 16, 4);
+  const OriginPartition part_b = WriteOrigin("b", 16, 5);
+  DatasetCache cache(OptionsWithBudget(part_a.bytes + part_a.bytes / 2),
+                     &counters_);
+  const uint64_t ds = cache.InternDatasetId("stpq:" + part_a.path);
+  EXPECT_EQ(ds, cache.InternDatasetId("stpq:" + part_a.path))
+      << "ids are stable";
+  Put(&cache, ds, 0, part_a);
+  Put(&cache, ds, 1, part_b);
+  ASSERT_EQ(cache.stats().evicted_entries, 1u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
+                          fs::directory_iterator()),
+            2)
+      << "eviction wrote a file";
 
-  auto got = cache.Get(ds, 0);  // the spilled one
+  auto got = cache.Get(ds, 0);  // the evicted one
   ASSERT_TRUE(got.ok());
   ASSERT_NE(*got, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*got), *part_a));
+  EXPECT_TRUE(SameRecords(AsRecords(*got), *part_a.records));
+  EXPECT_TRUE(fs::exists(part_a.path)) << "origin files are never deleted";
 
   MetricsSnapshot metrics = counters_.Snapshot();
   DatasetCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.reload_bytes, part_a.bytes);
   EXPECT_EQ(metrics[Counter::kCacheHits], stats.hits);
+  EXPECT_EQ(metrics[Counter::kCacheMisses], stats.misses);
   EXPECT_EQ(metrics[Counter::kCacheEvictions], stats.evictions);
-  EXPECT_EQ(metrics[Counter::kCacheSpillBytes], stats.spill_bytes);
   EXPECT_EQ(metrics[Counter::kCacheReloadBytes], stats.reload_bytes);
-}
-
-// PutWithOrigin entries never write scratch files: eviction just drops the
-// memory and Get re-reads the durable origin file.
-TEST_F(DatasetCacheTest, OriginBackedEntryReloadsWithoutSpilling) {
-  auto part = MakePartition(12, 6);
-  const uint64_t bytes = cache_internal::StpqPartitionBytes(*part);
-  fs::create_directories(scratch_);
-  const std::string origin = scratch_ + "/origin.stpq";
-  ASSERT_TRUE(WriteStpqFile(origin, *part, nullptr).ok());
-
-  DatasetCache cache(OptionsWithBudget(bytes / 2), &counters_);
-  const uint64_t ds = cache.InternDatasetId("stpq:" + origin);
-  EXPECT_EQ(ds, cache.InternDatasetId("stpq:" + origin)) << "ids are stable";
-  cache.PutWithOrigin(ds, 0, part, bytes, origin,
-                      &cache_internal::ReloadPartition<EventRecord>);
-
-  DatasetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.resident_entries, 0u);
-  EXPECT_EQ(stats.spill_bytes, 0u) << "origin-backed eviction writes nothing";
-  auto got = cache.Get(ds, 0);
-  ASSERT_TRUE(got.ok());
-  ASSERT_NE(*got, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*got), *part));
-  EXPECT_GT(cache.stats().reload_bytes, 0u);
-  EXPECT_TRUE(fs::exists(origin)) << "origin files are never deleted";
-}
-
-TEST_F(DatasetCacheTest, DropDatasetRemovesEntriesAndSpillFiles) {
-  auto part = MakePartition(16, 7);
-  const uint64_t bytes = cache_internal::StpqPartitionBytes(*part);
-  DatasetCache cache(OptionsWithBudget(bytes / 2), &counters_);
-  const uint64_t ds = cache.NewDatasetId();
-  cache.Put(ds, 0, part, bytes, &cache_internal::SpillPartition<EventRecord>,
-            &cache_internal::ReloadPartition<EventRecord>);
-  ASSERT_TRUE(fs::exists(scratch_));
-  ASSERT_FALSE(fs::is_empty(scratch_));
-
-  cache.DropDataset(ds);
-  EXPECT_TRUE(fs::is_empty(scratch_)) << "spill files deleted with the entry";
-  auto got = cache.Get(ds, 0);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, nullptr);
 }
 
 // Many RunParallel workers hammer one budget-starved cache: every Get must
@@ -223,26 +231,29 @@ TEST_F(DatasetCacheTest, DropDatasetRemovesEntriesAndSpillFiles) {
 // this in CI to pin the locking discipline.
 TEST_F(DatasetCacheTest, ConcurrentPutGetFromWorkers) {
   constexpr size_t kTasks = 64;
+  auto expected = [](uint64_t key) {
+    return MakePartition(4 + static_cast<int>(key % 13), key);
+  };
+  std::vector<OriginPartition> origins;
+  for (size_t i = 0; i < kTasks; ++i) {
+    origins.push_back(WriteOrigin("p" + std::to_string(i),
+                                  4 + static_cast<int>(i % 13), i));
+  }
   auto ctx = ExecutionContext::Create(8);
-  DatasetCache::Options options = OptionsWithBudget(4096);
-  ctx->ConfigureCache(std::move(options));
+  ctx->ConfigureCache(OptionsWithBudget(4096));
   DatasetCache& cache = ctx->cache();
-  const uint64_t ds = cache.NewDatasetId();
+  const uint64_t ds = cache.InternDatasetId("workers");
 
   Status status = ctx->TryRunParallel(
       "cache_stress", kTasks, [&](size_t i) -> Status {
-        auto mine = MakePartition(4 + static_cast<int>(i % 13), i);
-        cache.Put(ds, i, mine, cache_internal::StpqPartitionBytes(*mine),
-                  &cache_internal::SpillPartition<EventRecord>,
-                  &cache_internal::ReloadPartition<EventRecord>);
+        Put(&cache, ds, i, origins[i]);
         // Read back my partition and a neighbor's (which may or may not be
         // inserted yet — a miss is fine, wrong bytes are not).
         for (uint64_t key : {static_cast<uint64_t>(i), (i + 7) % kTasks}) {
           auto got = cache.Get(ds, key);
           if (!got.ok()) return got.status();
           if (*got == nullptr) continue;
-          auto expect = MakePartition(4 + static_cast<int>(key % 13), key);
-          if (!SameRecords(AsRecords(*got), *expect)) {
+          if (!SameRecords(AsRecords(*got), *expected(key))) {
             return Status::Internal("cache returned wrong partition bytes");
           }
         }
@@ -255,43 +266,9 @@ TEST_F(DatasetCacheTest, ConcurrentPutGetFromWorkers) {
     auto got = cache.Get(ds, i);
     ASSERT_TRUE(got.ok());
     ASSERT_NE(*got, nullptr) << "partition " << i;
-    auto expect = MakePartition(4 + static_cast<int>(i % 13), i);
-    EXPECT_TRUE(SameRecords(AsRecords(*got), *expect)) << "partition " << i;
+    EXPECT_TRUE(SameRecords(AsRecords(*got), *expected(i)))
+        << "partition " << i;
   }
-}
-
-// CachedDataset end-to-end: persist under a thrash-sized budget, then Load
-// twice — both loads collect the original records exactly.
-TEST_F(DatasetCacheTest, CachedDatasetSurvivesEvictionChurn) {
-  auto ctx = ExecutionContext::Create(4);
-  ctx->ConfigureCache(OptionsWithBudget(512));
-  auto events = testing::RandomWorkloadEvents(200, 11);
-  auto ds = Dataset<EventRecord>::Parallelize(ctx, events, 8);
-  CachedDataset<EventRecord> cached = ds.Persist();
-  for (int pass = 0; pass < 2; ++pass) {
-    auto loaded = cached.Load();
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_TRUE(SameRecords(loaded->Collect(), events)) << "pass " << pass;
-  }
-  EXPECT_GT(ctx->MetricsSnapshot()[Counter::kCacheEvictions], 0u);
-  cached.Unpersist();
-  auto after_drop = cached.Load();
-  EXPECT_FALSE(after_drop.ok()) << "unpersisted dataset must not load";
-}
-
-TEST_F(DatasetCacheTest, CachedDatasetPassThroughWhenDisabled) {
-  auto ctx = ExecutionContext::Create(4);
-  ctx->ConfigureCache(OptionsWithBudget(0));
-  auto events = testing::RandomWorkloadEvents(50, 12);
-  auto ds = Dataset<EventRecord>::Parallelize(ctx, events, 4);
-  CachedDataset<EventRecord> cached = ds.Persist();
-  auto loaded = cached.Load();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(SameRecords(loaded->Collect(), events));
-  MetricsSnapshot metrics = ctx->MetricsSnapshot();
-  EXPECT_EQ(metrics[Counter::kCacheHits], 0u);
-  EXPECT_EQ(metrics[Counter::kCacheMisses], 0u);
-  EXPECT_EQ(metrics[Counter::kCacheEvictions], 0u);
 }
 
 // ---- reloads run outside the cache lock: a reload fn that counts its calls
@@ -304,7 +281,7 @@ class GatedReload {
     return [this](const std::string& path, uint64_t* io_bytes) {
       calls_.fetch_add(1);
       gate_.wait();
-      return cache_internal::ReloadPartition<EventRecord>(path, io_bytes);
+      return ReloadRecords(path, io_bytes);
     };
   }
   int calls() const { return calls_.load(); }
@@ -341,28 +318,22 @@ class CacheReloadRaceTest : public DatasetCacheTest {
   // partition 0 is evicted (reloadable) and partition 1 resident; partition
   // 0 reloads through `gated_`.
   std::unique_ptr<DatasetCache> MakeCacheWithEvictedKey() {
-    part_ = MakePartition(24, 21);
-    bytes_ = cache_internal::StpqPartitionBytes(*part_);
-    fs::create_directories(scratch_);
-    origin_ = scratch_ + "/origin.stpq";
-    EXPECT_TRUE(WriteStpqFile(origin_, *part_, nullptr).ok());
-    DatasetCache::Options options = OptionsWithBudget(bytes_ + bytes_ / 2);
+    origin_ = WriteOrigin("origin", 24, 21);
+    DatasetCache::Options options =
+        OptionsWithBudget(origin_.bytes + origin_.bytes / 2);
     options.retry.initial_backoff = std::chrono::milliseconds(0);
     auto cache = std::make_unique<DatasetCache>(options, &counters_);
-    ds_ = cache->NewDatasetId();
-    cache->PutWithOrigin(ds_, 0, part_, bytes_, origin_, gated_.Fn());
-    cache->PutWithOrigin(ds_, 1, part_, bytes_, origin_,
-                         &cache_internal::ReloadPartition<EventRecord>);
+    ds_ = cache->InternDatasetId("race");
+    Put(cache.get(), ds_, 0, origin_, gated_.Fn());
+    Put(cache.get(), ds_, 1, origin_);
     DatasetCache::Stats stats = cache->stats();
     EXPECT_EQ(stats.resident_entries, 1u);
-    EXPECT_EQ(stats.spilled_entries, 1u);
+    EXPECT_EQ(stats.evicted_entries, 1u);
     return cache;
   }
 
   GatedReload gated_;
-  std::shared_ptr<const std::vector<EventRecord>> part_;
-  uint64_t bytes_ = 0;
-  std::string origin_;
+  OriginPartition origin_;
   uint64_t ds_ = 0;
 };
 
@@ -392,12 +363,12 @@ TEST_F(CacheReloadRaceTest, ConcurrentGetsOfOneKeyReloadOnce) {
     ASSERT_NE(*got[w], nullptr) << "worker " << w;
     EXPECT_EQ(*got[w], *got[0]) << "worker " << w << " got another copy";
   }
-  EXPECT_TRUE(SameRecords(AsRecords(*got[0]), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*got[0]), *origin_.records));
   DatasetCache::Stats stats = cache->stats();
   EXPECT_EQ(stats.hits - hits_before, uint64_t{kWorkers});
   EXPECT_EQ(counters_.Snapshot()[Counter::kCacheHits] - counter_hits_before,
             uint64_t{kWorkers});
-  EXPECT_EQ(stats.reload_bytes, FileSizeBytes(origin_));
+  EXPECT_EQ(stats.reload_bytes, origin_.bytes);
 }
 
 TEST_F(CacheReloadRaceTest, ResidentGetDoesNotWaitForAnotherKeysReload) {
@@ -413,10 +384,10 @@ TEST_F(CacheReloadRaceTest, ResidentGetDoesNotWaitForAnotherKeysReload) {
   loader.join();
   ASSERT_TRUE(resident.ok());
   ASSERT_NE(*resident, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*resident), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*resident), *origin_.records));
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_NE(*reloaded, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *origin_.records));
 }
 
 // A Put that lands while the key's reload is in flight wins: the reload's
@@ -427,45 +398,19 @@ TEST_F(CacheReloadRaceTest, PutDuringReloadWins) {
   std::thread loader([&] { reloaded = cache->Get(ds_, 0); });
   gated_.AwaitCalls(1);
 
-  auto replacement = MakePartition(10, 22);
-  EXPECT_TRUE(CompletesDuringReload(&gated_, [&] {
-    cache->Put(ds_, 0, replacement,
-               cache_internal::StpqPartitionBytes(*replacement), nullptr,
-               nullptr);
-  }));
+  const OriginPartition replacement = WriteOrigin("replacement", 10, 22);
+  EXPECT_TRUE(CompletesDuringReload(
+      &gated_, [&] { Put(cache.get(), ds_, 0, replacement); }));
   loader.join();
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_NE(*reloaded, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *origin_.records));
 
   auto after = cache->Get(ds_, 0);
   ASSERT_TRUE(after.ok());
   ASSERT_NE(*after, nullptr);
-  EXPECT_EQ(*after, std::shared_ptr<const void>(replacement));
+  EXPECT_EQ(*after, std::shared_ptr<const void>(replacement.records));
   EXPECT_EQ(gated_.calls(), 1);
-}
-
-// A DropDataset that lands while a reload is in flight leaves nothing
-// behind; the reload's caller keeps the data it read.
-TEST_F(CacheReloadRaceTest, DropDuringReloadLeavesNoEntry) {
-  auto cache = MakeCacheWithEvictedKey();
-  StatusOr<std::shared_ptr<const void>> reloaded = std::shared_ptr<const void>();
-  std::thread loader([&] { reloaded = cache->Get(ds_, 0); });
-  gated_.AwaitCalls(1);
-
-  EXPECT_TRUE(CompletesDuringReload(&gated_, [&] { cache->DropDataset(ds_); }));
-  loader.join();
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  ASSERT_NE(*reloaded, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*reloaded), *part_));
-
-  DatasetCache::Stats stats = cache->stats();
-  EXPECT_EQ(stats.resident_entries, 0u);
-  EXPECT_EQ(stats.spilled_entries, 0u);
-  EXPECT_EQ(stats.resident_bytes, 0u);
-  auto after = cache->Get(ds_, 0);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, nullptr);
 }
 
 // A reload that exhausts its retries returns the error to its own caller
@@ -492,13 +437,13 @@ TEST_F(CacheReloadRaceTest, FailedReloadWakesWaitersAndStaysReloadable) {
   EXPECT_EQ(failed.status().code(), Status::Code::kIOError);
   ASSERT_TRUE(waited.ok()) << waited.status().ToString();
   ASSERT_NE(*waited, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*waited), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*waited), *origin_.records));
   EXPECT_EQ(gated_.calls(), attempts + 1);
 
   auto again = cache->Get(ds_, 0);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   ASSERT_NE(*again, nullptr);
-  EXPECT_TRUE(SameRecords(AsRecords(*again), *part_));
+  EXPECT_TRUE(SameRecords(AsRecords(*again), *origin_.records));
 }
 
 }  // namespace

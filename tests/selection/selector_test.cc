@@ -213,8 +213,8 @@ TEST_F(SelectorTest, CachedMissHitAndReloadMatchLinearScan) {
   cache_options.budget_bytes = budget;
   cached_ctx->ConfigureCache(cache_options);
   auto scan_ctx = ExecutionContext::Create(2);
+  scan_ctx->ConfigureCache({});  // budget 0: every Select reads its file
   SelectorOptions scan_options;
-  scan_options.use_cache = false;
   scan_options.use_disk_index = false;
 
   struct Step {

@@ -61,6 +61,19 @@ struct Daemon {
     return std::move(*client);
   }
 
+  /// Waits up to 5 s for the server to hold at most `n` open connections
+  /// and returns the final count. A handler frees its slot only when it
+  /// reads its client's hangup, which can land after the client's next
+  /// connect.
+  size_t AwaitActiveConnectionsAtMost(size_t n) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.ActiveConnectionsForTest() > n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return server.ActiveConnectionsForTest();
+  }
+
   Session session;
   Server server;
 };
@@ -281,20 +294,19 @@ TEST(ServerTest, ConnectionThreadsAreReapedAndTheCapSheds) {
   options.max_connections = 4;
   Daemon daemon(options);
 
-  // Churn 32 short-lived connections through the daemon.
+  // Churn 32 short-lived connections through the daemon, one at a time:
+  // each handler sees its hangup and frees its slot before the next
+  // connect, so no churned connect is shed at the cap.
   for (int i = 0; i < 32; ++i) {
-    Client client = daemon.Connect();
-    ASSERT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+    {
+      Client client = daemon.Connect();
+      ASSERT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+    }
+    ASSERT_EQ(daemon.AwaitActiveConnectionsAtMost(0), 0u);
   }
-  // Once every handler has observed its hangup, the next accept reaps them
+  // Every handler has observed its hangup, so the next accept reaps them
   // all; only the new connection's own thread may remain. Without the
   // reaper this reads 33.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (daemon.server.ActiveConnectionsForTest() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(daemon.server.ActiveConnectionsForTest(), 0u);
   Client fresh = daemon.Connect();
   ASSERT_TRUE(Ok(Call(fresh, R"({"verb":"ping"})")));
   EXPECT_EQ(daemon.server.ConnectionThreadsForTest(), 1u);
@@ -320,11 +332,7 @@ TEST(ServerTest, ConnectionThreadsAreReapedAndTheCapSheds) {
 
   // Dropping a held connection frees a slot for the next client.
   held.pop_back();
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (daemon.server.ActiveConnectionsForTest() > 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  daemon.AwaitActiveConnectionsAtMost(3);
   Client admitted = daemon.Connect();
   EXPECT_TRUE(Ok(Call(admitted, R"({"verb":"ping"})")));
 }
