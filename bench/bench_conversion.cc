@@ -63,7 +63,7 @@ void RunDataset(const char* name, const Dataset<SingularT>& data,
     auto structure = std::make_shared<const TemporalStructure>(
         TemporalStructure::Regular(range, bins));
     Timing t = TimeBoth(data, [&](ConversionStrategy s) {
-      return ToTimeSeriesConverter<SingularT>(structure, s);
+      return TimeSeriesConverter<SingularT>(structure, s);
     });
     table.AddRow({"-> time series", std::to_string(bins) + " bins",
                   std::to_string(bins), FmtSeconds(t.naive),
@@ -73,7 +73,7 @@ void RunDataset(const char* name, const Dataset<SingularT>& data,
     auto structure = std::make_shared<const SpatialStructure>(
         SpatialStructure::Grid(extent, grid, grid));
     Timing t = TimeBoth(data, [&](ConversionStrategy s) {
-      return ToSpatialMapConverter<SingularT>(structure, s);
+      return SpatialMapConverter<SingularT>(structure, s);
     });
     table.AddRow({"-> spatial map",
                   std::to_string(grid) + "x" + std::to_string(grid),
@@ -84,7 +84,7 @@ void RunDataset(const char* name, const Dataset<SingularT>& data,
     auto structure = std::make_shared<const RasterStructure>(
         RasterStructure::Regular(extent, size, size, range, size));
     Timing t = TimeBoth(data, [&](ConversionStrategy s) {
-      return ToRasterConverter<SingularT>(structure, s);
+      return RasterConverter<SingularT>(structure, s);
     });
     table.AddRow({"-> raster",
                   std::to_string(size) + "^3",

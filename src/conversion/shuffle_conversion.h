@@ -21,11 +21,11 @@ namespace st4ml {
 /// instance by its structure cell, shuffle everything by key, aggregate per
 /// cell, and assemble ONE SpatialMap on the driver.
 ///
-/// Cell assignment uses exactly the same rules as the broadcast converters —
-/// events join their first containing cell, trajectories every intersecting
-/// cell — so the ablation can assert the two strategies agree bit for bit;
-/// the difference is purely that this one moves records instead of the
-/// structure.
+/// Cell assignment is the broadcast converter's own slot function
+/// (conversion_internal::ForEachSlot) — events join their first containing
+/// cell, trajectories every intersecting cell — so the two designs agree bit
+/// for bit by construction; the difference is purely that this one moves
+/// records instead of the structure.
 ///
 /// A failed shuffle task surfaces as the returned Status.
 template <typename T, typename AggFn>
@@ -47,16 +47,10 @@ auto TryConvertToSpatialMapByShuffle(
   auto keyed = data.FlatMap(
       [structure](const T& item) {
         std::vector<std::pair<int64_t, T>> out;
-        if constexpr (ci::kIsEvent<T>) {
-          size_t cell = structure->FindCell(item.spatial);
-          if (cell != SpatialStructure::kNoCell) {
-            out.emplace_back(static_cast<int64_t>(cell), item);
-          }
-        } else {
-          for (size_t cell : structure->IntersectingCells(item.Shape())) {
-            out.emplace_back(static_cast<int64_t>(cell), item);
-          }
-        }
+        ci::ForEachSlot(*structure, /*index=*/nullptr, /*naive=*/false, item,
+                        [&](size_t cell) {
+                          out.emplace_back(static_cast<int64_t>(cell), item);
+                        });
         return out;
       },
       "conversion/shuffleKey");

@@ -2,7 +2,6 @@
 #define ST4ML_CONVERSION_SINGULAR_TO_COLLECTIVE_H_
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -17,7 +16,7 @@ namespace st4ml {
 
 /// How a converter locates the structure cells/bins an instance belongs to.
 ///
-/// Every strategy assigns instances to EXACTLY the same cells — they differ
+/// Both strategies assign instances to EXACTLY the same cells — they differ
 /// only in how candidates are found. This invariant is what lets the
 /// ablation bench assert that the broadcast design and the shuffle design
 /// produce identical results, and what keeps ST4ML's answers equal to the
@@ -32,8 +31,6 @@ enum class ConversionStrategy {
   /// Front-to-back scan over every cell/bin per instance — what the
   /// baselines do, kept as the reference implementation.
   kNaive,
-  /// Force the broadcast R-tree even for regular grids.
-  kRTree,
 };
 
 namespace conversion_internal {
@@ -154,11 +151,10 @@ inline std::vector<size_t> IndexedCellsForLine(const SpatialStructure& s,
   return out;
 }
 
-/// Whether the strategy wants an R-tree for this spatial structure.
-inline bool WantsCellIndex(ConversionStrategy strategy,
-                           const SpatialStructure& s) {
-  if (strategy == ConversionStrategy::kRTree) return true;
-  return strategy == ConversionStrategy::kAuto && !s.is_grid() && s.size() > 8;
+/// Whether kAuto indexes this spatial structure with an R-tree: irregular
+/// cells, more than 8 of them.
+inline bool WantsCellIndex(const SpatialStructure& s) {
+  return !s.is_grid() && s.size() > 8;
 }
 
 struct IdentityPre {
@@ -168,45 +164,129 @@ struct IdentityPre {
   }
 };
 
+/// Keeps each bucket as the slot's value. The converter hands buckets over
+/// as rvalues, so this moves them instead of copying.
 struct PassThroughAgg {
   template <typename P>
-  std::vector<P> operator()(const std::vector<P>& values) const {
+  std::vector<P> operator()(std::vector<P> values) const {
     return values;
   }
 };
 
 template <typename T>
 constexpr bool kIsEvent = std::is_same_v<T, STEvent>;
-template <typename T>
-constexpr bool kIsTraj = std::is_same_v<T, STTrajectory>;
 
 template <typename T>
 constexpr void AssertSingular() {
-  static_assert(kIsEvent<T> || kIsTraj<T>,
+  static_assert(kIsEvent<T> || std::is_same_v<T, STTrajectory>,
                 "converters accept STEvent or STTrajectory instances");
+}
+
+/// The spatial part of a structure a cell index can cover, or null.
+inline const SpatialStructure* SpatialPart(const TemporalStructure&) {
+  return nullptr;
+}
+inline const SpatialStructure* SpatialPart(const SpatialStructure& s) {
+  return &s;
+}
+inline const SpatialStructure* SpatialPart(const RasterStructure& r) {
+  return &r.spatial();
+}
+
+/// The slot functions: call `emit(slot)` for every slot of the structure
+/// `item` is assigned to, with the naive scan or the indexed lookup (`index`
+/// null means the structure's own closed-form lookup).
+
+/// Time series: an event joins its first containing bin, a trajectory every
+/// bin its time span intersects.
+template <typename T, typename Emit>
+void ForEachSlot(const TemporalStructure& s, const CellIndex*, bool naive,
+                 const T& item, Emit emit) {
+  if constexpr (kIsEvent<T>) {
+    int64_t t = item.temporal.start();
+    size_t bin = naive ? NaiveFirstBin(s, t) : s.FindBin(t);
+    if (bin != TemporalStructure::kNoBin) emit(bin);
+  } else {
+    Duration extent = item.TemporalExtent();
+    for (size_t bin :
+         naive ? NaiveBins(s, extent) : s.IntersectingBins(extent)) {
+      emit(bin);
+    }
+  }
+}
+
+/// Spatial map: an event joins its first containing cell, a trajectory every
+/// cell its shape intersects.
+template <typename T, typename Emit>
+void ForEachSlot(const SpatialStructure& s, const CellIndex* index, bool naive,
+                 const T& item, Emit emit) {
+  if constexpr (kIsEvent<T>) {
+    size_t cell = naive ? NaiveFirstCell(s, item.spatial)
+                        : IndexedFirstCell(s, index, item.spatial);
+    if (cell != SpatialStructure::kNoCell) emit(cell);
+  } else {
+    LineString shape = item.Shape();
+    for (size_t cell : naive ? NaiveCellsForLine(s, shape)
+                             : IndexedCellsForLine(s, index, shape)) {
+      emit(cell);
+    }
+  }
+}
+
+/// Raster, at flat index (bin * num_cells + cell):
+///  - an event joins every containing cell x every containing bin (an air
+///    reading on two overlapping road cells counts on both — no dedup, to
+///    match per-cell scans);
+///  - a trajectory joins the cross product of intersected cells and bins.
+template <typename T, typename Emit>
+void ForEachSlot(const RasterStructure& r, const CellIndex* index, bool naive,
+                 const T& item, Emit emit) {
+  const SpatialStructure& s = r.spatial();
+  const TemporalStructure& ts = r.temporal();
+  std::vector<size_t> cells;
+  std::vector<size_t> bins;
+  if constexpr (kIsEvent<T>) {
+    cells = naive ? NaiveContainingCells(s, item.spatial)
+                  : IndexedContainingCells(s, index, item.spatial);
+    bins = naive ? NaiveBins(ts, Duration(item.temporal.start()))
+                 : ts.IntersectingBins(Duration(item.temporal.start()));
+  } else {
+    LineString shape = item.Shape();
+    cells = naive ? NaiveCellsForLine(s, shape)
+                  : IndexedCellsForLine(s, index, shape);
+    Duration extent = item.TemporalExtent();
+    bins = naive ? NaiveBins(ts, extent) : ts.IntersectingBins(extent);
+  }
+  for (size_t bin : bins) {
+    for (size_t cell : cells) emit(r.FlatIndex(cell, bin));
+  }
 }
 
 }  // namespace conversion_internal
 
-/// Converts singular instances (events or trajectories) into one TimeSeries
-/// per engine partition, with the structure shipped to workers as a
-/// broadcast variable — design option 2 of DESIGN.md §3.2.2; no shuffle.
+/// Converts singular instances (events or trajectories) into one
+/// Collective<S, ...> per engine partition, with the structure — and, for
+/// irregular spatial structures of more than 8 cells, an R-tree over its
+/// cell envelopes — shipped to workers as broadcast variables: design
+/// option 2 of DESIGN.md §3.2.2; no shuffle.
 ///
 /// `Convert(data)` buckets whole instances (value type vector<T>);
 /// `Convert(data, pre, agg)` applies `pre` per instance before bucketing and
-/// `agg` per bin afterwards, so heavy payloads never outlive the partition.
-template <typename T>
-class TimeSeriesConverter {
+/// `agg` per slot afterwards, so heavy payloads never outlive the partition.
+/// `agg` receives each bucket as an rvalue. A zero-partition input (a
+/// selection that pruned everything) converts as one empty partition, so
+/// every output has a collective to merge.
+template <typename T, typename S>
+class Converter {
  public:
-  explicit TimeSeriesConverter(
-      std::shared_ptr<const TemporalStructure> structure,
-      ConversionStrategy strategy = ConversionStrategy::kAuto)
+  explicit Converter(std::shared_ptr<const S> structure,
+                     ConversionStrategy strategy = ConversionStrategy::kAuto)
       : structure_(std::move(structure)), strategy_(strategy) {
     conversion_internal::AssertSingular<T>();
-    ST4ML_CHECK(structure_ != nullptr) << "null temporal structure";
+    ST4ML_CHECK(structure_ != nullptr) << "null structure";
   }
 
-  Dataset<TimeSeries<std::vector<T>>> Convert(const Dataset<T>& data) const {
+  Dataset<Collective<S, std::vector<T>>> Convert(const Dataset<T>& data) const {
     return Convert(data, conversion_internal::IdentityPre{},
                    conversion_internal::PassThroughAgg{});
   }
@@ -215,180 +295,48 @@ class TimeSeriesConverter {
   auto Convert(const Dataset<T>& data, PreFn pre, AggFn agg) const {
     namespace ci = conversion_internal;
     using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
-    using R = std::decay_t<std::invoke_result_t<AggFn, const std::vector<P>&>>;
-    auto shared = MakeBroadcast(data.context(), structure_);
-    const bool naive = strategy_ == ConversionStrategy::kNaive;
-    return data.MapPartitions(
-        [shared, naive, pre, agg](const std::vector<T>& part) {
-          const TemporalStructure& s = *shared.value();
-          std::vector<std::vector<P>> buckets(s.size());
-          for (const T& item : part) {
-            if constexpr (ci::kIsEvent<T>) {
-              int64_t t = item.temporal.start();
-              size_t bin = naive ? ci::NaiveFirstBin(s, t) : s.FindBin(t);
-              if (bin != TemporalStructure::kNoBin) {
-                buckets[bin].push_back(pre(item));
-              }
-            } else {
-              Duration extent = item.TemporalExtent();
-              auto bins = naive ? ci::NaiveBins(s, extent)
-                                : s.IntersectingBins(extent);
-              for (size_t bin : bins) buckets[bin].push_back(pre(item));
-            }
-          }
-          std::vector<R> values;
-          values.reserve(buckets.size());
-          for (const auto& bucket : buckets) values.push_back(agg(bucket));
-          std::vector<TimeSeries<R>> out;
-          out.push_back(TimeSeries<R>(shared.value(), std::move(values)));
-          return out;
-        });
-  }
-
- private:
-  std::shared_ptr<const TemporalStructure> structure_;
-  ConversionStrategy strategy_;
-};
-
-/// Converts singular instances into one SpatialMap per engine partition.
-/// Irregular structures (postal areas, road cells) are matched through a
-/// broadcast R-tree over cell envelopes; grids compute each instance's
-/// candidate cell window in closed form.
-template <typename T>
-class SpatialMapConverter {
- public:
-  explicit SpatialMapConverter(
-      std::shared_ptr<const SpatialStructure> structure,
-      ConversionStrategy strategy = ConversionStrategy::kAuto)
-      : structure_(std::move(structure)), strategy_(strategy) {
-    conversion_internal::AssertSingular<T>();
-    ST4ML_CHECK(structure_ != nullptr) << "null spatial structure";
-  }
-
-  Dataset<SpatialMap<std::vector<T>>> Convert(const Dataset<T>& data) const {
-    return Convert(data, conversion_internal::IdentityPre{},
-                   conversion_internal::PassThroughAgg{});
-  }
-
-  template <typename PreFn, typename AggFn>
-  auto Convert(const Dataset<T>& data, PreFn pre, AggFn agg) const {
-    namespace ci = conversion_internal;
-    using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
-    using R = std::decay_t<std::invoke_result_t<AggFn, const std::vector<P>&>>;
+    using R = std::decay_t<std::invoke_result_t<AggFn, std::vector<P>>>;
     auto shared = MakeBroadcast(data.context(), structure_);
     const bool naive = strategy_ == ConversionStrategy::kNaive;
     Broadcast<ci::CellIndex> index;
-    if (!naive && ci::WantsCellIndex(strategy_, *structure_)) {
-      index = MakeBroadcast(data.context(), ci::CellIndex(*structure_));
+    const SpatialStructure* spatial = ci::SpatialPart(*structure_);
+    if (!naive && spatial != nullptr && ci::WantsCellIndex(*spatial)) {
+      index = MakeBroadcast(data.context(), ci::CellIndex(*spatial));
     }
-    return data.MapPartitions(
+    const Dataset<T> input =
+        data.num_partitions() > 0
+            ? data
+            : Dataset<T>::FromPartitions(data.context(),
+                                         typename Dataset<T>::Partitions(1));
+    return input.MapPartitions(
         [shared, index, naive, pre, agg](const std::vector<T>& part) {
-          const SpatialStructure& s = *shared.value();
-          const ci::CellIndex* tree = index ? index.get() : nullptr;
+          const S& s = *shared.value();
           std::vector<std::vector<P>> buckets(s.size());
           for (const T& item : part) {
-            if constexpr (ci::kIsEvent<T>) {
-              size_t cell = naive ? ci::NaiveFirstCell(s, item.spatial)
-                                  : ci::IndexedFirstCell(s, tree, item.spatial);
-              if (cell != SpatialStructure::kNoCell) {
-                buckets[cell].push_back(pre(item));
-              }
-            } else {
-              LineString shape = item.Shape();
-              auto cells = naive ? ci::NaiveCellsForLine(s, shape)
-                                 : ci::IndexedCellsForLine(s, tree, shape);
-              for (size_t cell : cells) buckets[cell].push_back(pre(item));
-            }
+            ci::ForEachSlot(s, index.get(), naive, item, [&](size_t slot) {
+              buckets[slot].push_back(pre(item));
+            });
           }
           std::vector<R> values;
           values.reserve(buckets.size());
-          for (const auto& bucket : buckets) values.push_back(agg(bucket));
-          std::vector<SpatialMap<R>> out;
-          out.push_back(SpatialMap<R>(shared.value(), std::move(values)));
+          for (auto& bucket : buckets) values.push_back(agg(std::move(bucket)));
+          std::vector<Collective<S, R>> out;
+          out.emplace_back(shared.value(), std::move(values));
           return out;
         });
   }
 
  private:
-  std::shared_ptr<const SpatialStructure> structure_;
+  std::shared_ptr<const S> structure_;
   ConversionStrategy strategy_;
 };
 
-/// Converts singular instances into one Raster per engine partition. The
-/// raster value at flat index (bin * num_cells + cell) collects instances
-/// assigned to that spatial cell during that temporal bin:
-///  - events join every containing cell x every containing bin (an air
-///    reading on two overlapping road cells counts on both — no dedup, to
-///    match per-cell scans);
-///  - trajectories join the cross product of intersected cells and bins.
 template <typename T>
-class RasterConverter {
- public:
-  explicit RasterConverter(std::shared_ptr<const RasterStructure> structure,
-                           ConversionStrategy strategy = ConversionStrategy::kAuto)
-      : structure_(std::move(structure)), strategy_(strategy) {
-    conversion_internal::AssertSingular<T>();
-    ST4ML_CHECK(structure_ != nullptr) << "null raster structure";
-  }
-
-  Dataset<Raster<std::vector<T>>> Convert(const Dataset<T>& data) const {
-    return Convert(data, conversion_internal::IdentityPre{},
-                   conversion_internal::PassThroughAgg{});
-  }
-
-  template <typename PreFn, typename AggFn>
-  auto Convert(const Dataset<T>& data, PreFn pre, AggFn agg) const {
-    namespace ci = conversion_internal;
-    using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
-    using R = std::decay_t<std::invoke_result_t<AggFn, const std::vector<P>&>>;
-    auto shared = MakeBroadcast(data.context(), structure_);
-    const bool naive = strategy_ == ConversionStrategy::kNaive;
-    Broadcast<ci::CellIndex> index;
-    if (!naive && ci::WantsCellIndex(strategy_, structure_->spatial())) {
-      index = MakeBroadcast(data.context(), ci::CellIndex(structure_->spatial()));
-    }
-    return data.MapPartitions(
-        [shared, index, naive, pre, agg](const std::vector<T>& part) {
-          const RasterStructure& r = *shared.value();
-          const SpatialStructure& s = r.spatial();
-          const TemporalStructure& ts = r.temporal();
-          const ci::CellIndex* tree = index ? index.get() : nullptr;
-          std::vector<std::vector<P>> buckets(r.size());
-          for (const T& item : part) {
-            std::vector<size_t> cells;
-            std::vector<size_t> bins;
-            if constexpr (ci::kIsEvent<T>) {
-              cells = naive ? ci::NaiveContainingCells(s, item.spatial)
-                            : ci::IndexedContainingCells(s, tree, item.spatial);
-              bins = naive ? ci::NaiveBins(ts, Duration(item.temporal.start()))
-                           : ts.IntersectingBins(Duration(item.temporal.start()));
-            } else {
-              LineString shape = item.Shape();
-              cells = naive ? ci::NaiveCellsForLine(s, shape)
-                            : ci::IndexedCellsForLine(s, tree, shape);
-              Duration extent = item.TemporalExtent();
-              bins = naive ? ci::NaiveBins(ts, extent)
-                           : ts.IntersectingBins(extent);
-            }
-            for (size_t bin : bins) {
-              for (size_t cell : cells) {
-                buckets[r.FlatIndex(cell, bin)].push_back(pre(item));
-              }
-            }
-          }
-          std::vector<R> values;
-          values.reserve(buckets.size());
-          for (const auto& bucket : buckets) values.push_back(agg(bucket));
-          std::vector<Raster<R>> out;
-          out.push_back(Raster<R>(shared.value(), std::move(values)));
-          return out;
-        });
-  }
-
- private:
-  std::shared_ptr<const RasterStructure> structure_;
-  ConversionStrategy strategy_;
-};
+using TimeSeriesConverter = Converter<T, TemporalStructure>;
+template <typename T>
+using SpatialMapConverter = Converter<T, SpatialStructure>;
+template <typename T>
+using RasterConverter = Converter<T, RasterStructure>;
 
 /// The converter names the paper's Table 3 uses: the source instance type is
 /// the template argument, the target collective type is in the name.
@@ -404,28 +352,6 @@ template <typename T>
 using Event2RasterConverter = RasterConverter<T>;
 template <typename T>
 using Traj2RasterConverter = RasterConverter<T>;
-
-/// Factory spellings used when the strategy is chosen at runtime.
-template <typename T>
-TimeSeriesConverter<T> ToTimeSeriesConverter(
-    std::shared_ptr<const TemporalStructure> structure,
-    ConversionStrategy strategy = ConversionStrategy::kAuto) {
-  return TimeSeriesConverter<T>(std::move(structure), strategy);
-}
-
-template <typename T>
-SpatialMapConverter<T> ToSpatialMapConverter(
-    std::shared_ptr<const SpatialStructure> structure,
-    ConversionStrategy strategy = ConversionStrategy::kAuto) {
-  return SpatialMapConverter<T>(std::move(structure), strategy);
-}
-
-template <typename T>
-RasterConverter<T> ToRasterConverter(
-    std::shared_ptr<const RasterStructure> structure,
-    ConversionStrategy strategy = ConversionStrategy::kAuto) {
-  return RasterConverter<T>(std::move(structure), strategy);
-}
 
 }  // namespace st4ml
 

@@ -16,10 +16,12 @@ namespace st4ml {
 /// followed by CollectAndMerge — per-partition work stays cheap (counts,
 /// sums) and only the small collective values cross partitions.
 
-/// Instance count per temporal bin.
-template <typename T>
-TimeSeries<int64_t> ExtractTsFlow(
-    const Dataset<TimeSeries<std::vector<T>>>& converted) {
+namespace extraction_internal {
+
+/// Instance count per slot.
+template <typename S, typename T>
+Collective<S, int64_t> CountPerSlot(
+    const Dataset<Collective<S, std::vector<T>>>& converted) {
   auto counts = MapValue(converted, [](const std::vector<T>& arr) {
     return static_cast<int64_t>(arr.size());
   });
@@ -27,21 +29,11 @@ TimeSeries<int64_t> ExtractTsFlow(
                          [](int64_t a, int64_t b) { return a + b; });
 }
 
-/// Instance count per spatial cell.
-template <typename T>
-SpatialMap<int64_t> ExtractSmFlow(
-    const Dataset<SpatialMap<std::vector<T>>>& converted) {
-  auto counts = MapValue(converted, [](const std::vector<T>& arr) {
-    return static_cast<int64_t>(arr.size());
-  });
-  return CollectAndMerge(counts, static_cast<int64_t>(0),
-                         [](int64_t a, int64_t b) { return a + b; });
-}
-
-/// Mean trajectory speed per spatial cell (0 where no trajectory passed).
-inline SpatialMap<double> ExtractSmSpeed(
-    const Dataset<SpatialMap<std::vector<STTrajectory>>>& converted,
-    SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
+/// Merged mean-speed accumulator per slot, speeds scaled to `unit`.
+template <typename S>
+Collective<S, MeanAcc> MeanSpeedPerSlot(
+    const Dataset<Collective<S, std::vector<STTrajectory>>>& converted,
+    SpeedUnit unit) {
   double factor = SpeedFactor(unit);
   auto partial =
       MapValue(converted, [factor](const std::vector<STTrajectory>& arr) {
@@ -49,18 +41,9 @@ inline SpatialMap<double> ExtractSmSpeed(
         for (const STTrajectory& t : arr) acc.Add(t.AverageSpeedMps() * factor);
         return acc;
       });
-  SpatialMap<MeanAcc> merged =
-      CollectAndMerge(partial, MeanAcc{},
-                      [](MeanAcc a, const MeanAcc& b) { return a + b; });
-  std::vector<double> means;
-  means.reserve(merged.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    means.push_back(merged.value(i).Mean());
-  }
-  return SpatialMap<double>(merged.structure(), std::move(means));
+  return CollectAndMerge(partial, MeanAcc{},
+                         [](MeanAcc a, const MeanAcc& b) { return a + b; });
 }
-
-namespace extraction_internal {
 
 /// Entries and exits of one trajectory with respect to one (cell, bin): a
 /// sample is "inside" when the bin contains its instant AND the cell
@@ -83,6 +66,34 @@ inline std::pair<int64_t, int64_t> TransitOf(const STTrajectory& t,
 }
 
 }  // namespace extraction_internal
+
+/// Instance count per temporal bin.
+template <typename T>
+TimeSeries<int64_t> ExtractTsFlow(
+    const Dataset<TimeSeries<std::vector<T>>>& converted) {
+  return extraction_internal::CountPerSlot(converted);
+}
+
+/// Instance count per spatial cell.
+template <typename T>
+SpatialMap<int64_t> ExtractSmFlow(
+    const Dataset<SpatialMap<std::vector<T>>>& converted) {
+  return extraction_internal::CountPerSlot(converted);
+}
+
+/// Mean trajectory speed per spatial cell (0 where no trajectory passed).
+inline SpatialMap<double> ExtractSmSpeed(
+    const Dataset<SpatialMap<std::vector<STTrajectory>>>& converted,
+    SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
+  SpatialMap<MeanAcc> merged =
+      extraction_internal::MeanSpeedPerSlot(converted, unit);
+  std::vector<double> means;
+  means.reserve(merged.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    means.push_back(merged.value(i).Mean());
+  }
+  return SpatialMap<double>(merged.structure(), std::move(means));
+}
 
 /// (entries, exits) per raster cell: how many trajectories moved into and
 /// out of each cell during each bin.
@@ -111,16 +122,8 @@ inline Raster<std::pair<int64_t, int64_t>> ExtractRasterTransit(
 inline Raster<CellSpeed> ExtractRasterSpeed(
     const Dataset<Raster<std::vector<STTrajectory>>>& converted,
     SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
-  double factor = SpeedFactor(unit);
-  auto partial =
-      MapValue(converted, [factor](const std::vector<STTrajectory>& arr) {
-        MeanAcc acc;
-        for (const STTrajectory& t : arr) acc.Add(t.AverageSpeedMps() * factor);
-        return acc;
-      });
   Raster<MeanAcc> merged =
-      CollectAndMerge(partial, MeanAcc{},
-                      [](MeanAcc a, const MeanAcc& b) { return a + b; });
+      extraction_internal::MeanSpeedPerSlot(converted, unit);
   std::vector<CellSpeed> speeds;
   speeds.reserve(merged.size());
   for (size_t i = 0; i < merged.size(); ++i) {

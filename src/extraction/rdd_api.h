@@ -12,93 +12,63 @@
 namespace st4ml {
 
 /// The collective-RDD extraction vocabulary (paper §3.3): MapValue rewrites
-/// every cell value in place, MapValuePlus additionally hands the cell its
+/// every slot value in place, MapValuePlus additionally hands the slot its
 /// own geometry/bin, and CollectAndMerge folds the per-partition collectives
 /// a converter emitted into the single result the user asked for.
 
-template <typename V, typename Fn>
-auto MapValue(const Dataset<TimeSeries<V>>& data, Fn f) {
-  using R = std::decay_t<std::invoke_result_t<Fn, const V&>>;
-  return data.Map([f](const TimeSeries<V>& ts) {
-    std::vector<R> values;
-    values.reserve(ts.size());
-    for (size_t i = 0; i < ts.size(); ++i) values.push_back(f(ts.value(i)));
-    return TimeSeries<R>(ts.structure(), std::move(values));
-  });
-}
-
-template <typename V, typename Fn>
-auto MapValue(const Dataset<SpatialMap<V>>& data, Fn f) {
-  using R = std::decay_t<std::invoke_result_t<Fn, const V&>>;
-  return data.Map([f](const SpatialMap<V>& sm) {
-    std::vector<R> values;
-    values.reserve(sm.size());
-    for (size_t i = 0; i < sm.size(); ++i) values.push_back(f(sm.value(i)));
-    return SpatialMap<R>(sm.structure(), std::move(values));
-  });
-}
-
-template <typename V, typename Fn>
-auto MapValue(const Dataset<Raster<V>>& data, Fn f) {
-  using R = std::decay_t<std::invoke_result_t<Fn, const V&>>;
-  return data.Map([f](const Raster<V>& raster) {
-    std::vector<R> values;
-    values.reserve(raster.size());
-    for (size_t i = 0; i < raster.size(); ++i) {
-      values.push_back(f(raster.value(i)));
-    }
-    return Raster<R>(raster.structure(), std::move(values));
-  });
-}
-
-template <typename V, typename Fn>
-auto MapValuePlus(const Dataset<TimeSeries<V>>& data, Fn f) {
-  using R = std::decay_t<std::invoke_result_t<Fn, const V&, const Duration&>>;
-  return data.Map([f](const TimeSeries<V>& ts) {
-    std::vector<R> values;
-    values.reserve(ts.size());
-    for (size_t i = 0; i < ts.size(); ++i) {
-      values.push_back(f(ts.value(i), ts.bin(i)));
-    }
-    return TimeSeries<R>(ts.structure(), std::move(values));
-  });
-}
-
-template <typename V, typename Fn>
-auto MapValuePlus(const Dataset<SpatialMap<V>>& data, Fn f) {
-  using R = std::decay_t<std::invoke_result_t<Fn, const V&, const Polygon&>>;
-  return data.Map([f](const SpatialMap<V>& sm) {
-    std::vector<R> values;
-    values.reserve(sm.size());
-    for (size_t i = 0; i < sm.size(); ++i) {
-      values.push_back(f(sm.value(i), sm.cell(i)));
-    }
-    return SpatialMap<R>(sm.structure(), std::move(values));
-  });
-}
-
-template <typename V, typename Fn>
-auto MapValuePlus(const Dataset<Raster<V>>& data, Fn f) {
-  using R = std::decay_t<
-      std::invoke_result_t<Fn, const V&, const Polygon&, const Duration&>>;
-  return data.Map([f](const Raster<V>& raster) {
-    std::vector<R> values;
-    values.reserve(raster.size());
-    for (size_t i = 0; i < raster.size(); ++i) {
-      values.push_back(f(raster.value(i), raster.cell(i), raster.bin(i)));
-    }
-    return Raster<R>(raster.structure(), std::move(values));
-  });
-}
-
 namespace extraction_internal {
 
-template <typename Out, typename Coll, typename R, typename MergeFn>
-Out MergeCollected(const std::vector<Coll>& parts, const R& zero,
-                   MergeFn merge) {
+/// `f` on slot `i`'s value plus where the slot sits in the structure:
+/// (value, bin) for a time series, (value, cell) for a spatial map and
+/// (value, cell, bin) for a raster.
+template <typename S, typename V, typename Fn>
+auto CallPlus(const Fn& f, const Collective<S, V>& c, size_t i) {
+  if constexpr (HasCells<S> && HasBins<S>) {
+    return f(c.value(i), c.cell(i), c.bin(i));
+  } else if constexpr (HasCells<S>) {
+    return f(c.value(i), c.cell(i));
+  } else {
+    return f(c.value(i), c.bin(i));
+  }
+}
+
+/// Rebuilds every collective of `data` with slot i's value replaced by
+/// `slot_fn(collective, i)`.
+template <typename S, typename V, typename SlotFn>
+auto MapSlots(const Dataset<Collective<S, V>>& data, SlotFn slot_fn) {
+  using R = std::decay_t<std::invoke_result_t<SlotFn, const Collective<S, V>&,
+                                              size_t>>;
+  return data.Map([slot_fn](const Collective<S, V>& c) {
+    std::vector<R> values;
+    values.reserve(c.size());
+    for (size_t i = 0; i < c.size(); ++i) values.push_back(slot_fn(c, i));
+    return Collective<S, R>(c.structure(), std::move(values));
+  });
+}
+
+}  // namespace extraction_internal
+
+template <typename S, typename V, typename Fn>
+auto MapValue(const Dataset<Collective<S, V>>& data, Fn f) {
+  return extraction_internal::MapSlots(
+      data, [f](const Collective<S, V>& c, size_t i) { return f(c.value(i)); });
+}
+
+template <typename S, typename V, typename Fn>
+auto MapValuePlus(const Dataset<Collective<S, V>>& data, Fn f) {
+  return extraction_internal::MapSlots(
+      data, [f](const Collective<S, V>& c, size_t i) {
+        return extraction_internal::CallPlus(f, c, i);
+      });
+}
+
+template <typename S, typename V, typename R, typename MergeFn>
+Collective<S, R> CollectAndMerge(const Dataset<Collective<S, V>>& data, R zero,
+                                 MergeFn merge) {
+  std::vector<Collective<S, V>> parts = data.Collect();
   ST4ML_CHECK(!parts.empty()) << "CollectAndMerge on an empty dataset";
-  Out out(parts.front().structure(), zero);
-  for (const Coll& part : parts) {
+  Collective<S, R> out(parts.front().structure(), zero);
+  for (const Collective<S, V>& part : parts) {
     ST4ML_CHECK(part.size() == out.size())
         << "partitions disagree on structure size";
     for (size_t i = 0; i < out.size(); ++i) {
@@ -107,29 +77,6 @@ Out MergeCollected(const std::vector<Coll>& parts, const R& zero,
     }
   }
   return out;
-}
-
-}  // namespace extraction_internal
-
-template <typename V, typename R, typename MergeFn>
-TimeSeries<R> CollectAndMerge(const Dataset<TimeSeries<V>>& data, R zero,
-                              MergeFn merge) {
-  return extraction_internal::MergeCollected<TimeSeries<R>>(data.Collect(),
-                                                            zero, merge);
-}
-
-template <typename V, typename R, typename MergeFn>
-SpatialMap<R> CollectAndMerge(const Dataset<SpatialMap<V>>& data, R zero,
-                              MergeFn merge) {
-  return extraction_internal::MergeCollected<SpatialMap<R>>(data.Collect(),
-                                                            zero, merge);
-}
-
-template <typename V, typename R, typename MergeFn>
-Raster<R> CollectAndMerge(const Dataset<Raster<V>>& data, R zero,
-                          MergeFn merge) {
-  return extraction_internal::MergeCollected<Raster<R>>(data.Collect(), zero,
-                                                        merge);
 }
 
 }  // namespace st4ml

@@ -118,94 +118,60 @@ struct StayPoint {
   int64_t num_points = 0;
 };
 
-/// Collective instances: a structure shared across partitions plus one value
-/// per structure cell. Conversion emits one per engine partition holding
-/// that partition's contribution; CollectAndMerge folds them into one.
+/// Structures whose slots have a spatial cell (SpatialStructure,
+/// RasterStructure) and whose slots have a temporal bin (TemporalStructure,
+/// RasterStructure).
+template <typename S>
+concept HasCells = requires(const S& s, size_t i) { s.cell(i); };
+template <typename S>
+concept HasBins = requires(const S& s, size_t i) { s.bin(i); };
 
-template <typename V>
-class TimeSeries {
+/// A collective instance (paper §3.2.1): a structure shared across
+/// partitions plus one value per structure slot. Conversion emits one per
+/// engine partition holding that partition's contribution; CollectAndMerge
+/// folds them into one.
+template <typename S, typename V>
+class Collective {
  public:
-  TimeSeries() = default;
-  TimeSeries(std::shared_ptr<const TemporalStructure> structure,
-             std::vector<V> values)
+  Collective() = default;
+  Collective(std::shared_ptr<const S> structure, std::vector<V> values)
       : structure_(std::move(structure)), values_(std::move(values)) {
     ST4ML_CHECK(values_.size() == structure_->size())
-        << "value count must match bin count";
+        << "value count must match structure size";
   }
-  TimeSeries(std::shared_ptr<const TemporalStructure> structure, const V& init)
-      : TimeSeries(structure,
+  Collective(std::shared_ptr<const S> structure, const V& init)
+      : Collective(structure,
                    std::vector<V>(structure ? structure->size() : 0, init)) {}
 
   size_t size() const { return values_.size(); }
   const V& value(size_t i) const { return values_[i]; }
   V& mutable_value(size_t i) { return values_[i]; }
   const std::vector<V>& values() const { return values_; }
-  const Duration& bin(size_t i) const { return structure_->bin(i); }
-  const std::shared_ptr<const TemporalStructure>& structure() const {
-    return structure_;
+  const Polygon& cell(size_t i) const
+    requires HasCells<S>
+  {
+    return structure_->cell(i);
   }
+  const Duration& bin(size_t i) const
+    requires HasBins<S>
+  {
+    return structure_->bin(i);
+  }
+  const std::shared_ptr<const S>& structure() const { return structure_; }
 
  private:
-  std::shared_ptr<const TemporalStructure> structure_;
+  std::shared_ptr<const S> structure_;
   std::vector<V> values_;
 };
 
+/// The paper's three collective types: values per temporal bin, per spatial
+/// cell, and per (cell, bin) of a raster.
 template <typename V>
-class SpatialMap {
- public:
-  SpatialMap() = default;
-  SpatialMap(std::shared_ptr<const SpatialStructure> structure,
-             std::vector<V> values)
-      : structure_(std::move(structure)), values_(std::move(values)) {
-    ST4ML_CHECK(values_.size() == structure_->size())
-        << "value count must match cell count";
-  }
-  SpatialMap(std::shared_ptr<const SpatialStructure> structure, const V& init)
-      : SpatialMap(structure,
-                   std::vector<V>(structure ? structure->size() : 0, init)) {}
-
-  size_t size() const { return values_.size(); }
-  const V& value(size_t i) const { return values_[i]; }
-  V& mutable_value(size_t i) { return values_[i]; }
-  const std::vector<V>& values() const { return values_; }
-  const Polygon& cell(size_t i) const { return structure_->cell(i); }
-  const std::shared_ptr<const SpatialStructure>& structure() const {
-    return structure_;
-  }
-
- private:
-  std::shared_ptr<const SpatialStructure> structure_;
-  std::vector<V> values_;
-};
-
+using TimeSeries = Collective<TemporalStructure, V>;
 template <typename V>
-class Raster {
- public:
-  Raster() = default;
-  Raster(std::shared_ptr<const RasterStructure> structure,
-         std::vector<V> values)
-      : structure_(std::move(structure)), values_(std::move(values)) {
-    ST4ML_CHECK(values_.size() == structure_->size())
-        << "value count must match cell x bin count";
-  }
-  Raster(std::shared_ptr<const RasterStructure> structure, const V& init)
-      : Raster(structure,
-               std::vector<V>(structure ? structure->size() : 0, init)) {}
-
-  size_t size() const { return values_.size(); }
-  const V& value(size_t i) const { return values_[i]; }
-  V& mutable_value(size_t i) { return values_[i]; }
-  const std::vector<V>& values() const { return values_; }
-  const Polygon& cell(size_t i) const { return structure_->cell(i); }
-  const Duration& bin(size_t i) const { return structure_->bin(i); }
-  const std::shared_ptr<const RasterStructure>& structure() const {
-    return structure_;
-  }
-
- private:
-  std::shared_ptr<const RasterStructure> structure_;
-  std::vector<V> values_;
-};
+using SpatialMap = Collective<SpatialStructure, V>;
+template <typename V>
+using Raster = Collective<RasterStructure, V>;
 
 }  // namespace st4ml
 

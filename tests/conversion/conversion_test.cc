@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "conversion/shuffle_conversion.h"
 #include "engine/execution_context.h"
 #include "engine/pair_ops.h"
+#include "extraction/rdd_api.h"
 
 namespace st4ml {
 namespace {
@@ -56,6 +59,9 @@ std::vector<STTrajectory> RandomTrajs(int n, uint64_t seed, const Mbr& extent,
   return trajs;
 }
 
+int64_t IdOf(const STEvent& e) { return e.data.id; }
+int64_t IdOf(const STTrajectory& t) { return t.data; }
+
 /// Merged per-bin event counts across partitions, as one flat vector.
 template <typename Coll>
 std::vector<std::vector<int64_t>> MergedIds(const std::vector<Coll>& pieces) {
@@ -64,18 +70,45 @@ std::vector<std::vector<int64_t>> MergedIds(const std::vector<Coll>& pieces) {
   ids.resize(pieces[0].size());
   for (const Coll& piece : pieces) {
     for (size_t i = 0; i < piece.size(); ++i) {
-      for (const auto& item : piece.value(i)) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(item)>, STEvent>) {
-          ids[i].push_back(item.data.id);
-        } else {
-          ids[i].push_back(item.data);
-        }
-      }
+      for (const auto& item : piece.value(i)) ids[i].push_back(IdOf(item));
     }
   }
   for (auto& bucket : ids) std::sort(bucket.begin(), bucket.end());
   return ids;
 }
+
+/// Per-piece, per-slot instance ids in bucket order: equal only when two
+/// conversions agree partition by partition, not just after merging.
+template <typename Coll>
+std::vector<std::vector<std::vector<int64_t>>> PieceIds(
+    const std::vector<Coll>& pieces) {
+  std::vector<std::vector<std::vector<int64_t>>> out;
+  for (const Coll& piece : pieces) {
+    std::vector<std::vector<int64_t>> slots(piece.size());
+    for (size_t i = 0; i < piece.size(); ++i) {
+      for (const auto& item : piece.value(i)) slots[i].push_back(IdOf(item));
+    }
+    out.push_back(std::move(slots));
+  }
+  return out;
+}
+
+/// `cols` x `rows` overlapping rectangles over [0,10]^2, each wider and
+/// taller than its pitch, so points and lines hit several cells and
+/// first-match order matters.
+std::vector<Polygon> OverlappingCells(int cols, int rows) {
+  std::vector<Polygon> cells;
+  double dx = 10.0 / cols, dy = 10.0 / rows;
+  for (int i = 0; i < cols * rows; ++i) {
+    double x = (i % cols) * dx, y = (i / cols) * dy;
+    cells.push_back(Polygon::FromMbr(Mbr(x, y, x + 1.4 * dx, y + 1.3 * dy)));
+  }
+  return cells;
+}
+
+using AnyStructure = std::variant<std::shared_ptr<const TemporalStructure>,
+                                  std::shared_ptr<const SpatialStructure>,
+                                  std::shared_ptr<const RasterStructure>>;
 
 class ConversionTest : public ::testing::Test {
  protected:
@@ -135,37 +168,127 @@ TEST_F(ConversionTest, TrajToTimeSeriesJoinsEveryIntersectingBin) {
   EXPECT_EQ(merged, expected);
 }
 
-TEST_F(ConversionTest, NaiveAndRtreeStrategiesAgreeOnGrid) {
-  auto grid = std::make_shared<SpatialStructure>(
-      SpatialStructure::Grid(extent_, 5, 5));
-  SpatialMapConverter<STEvent> naive(grid, ConversionStrategy::kNaive);
-  SpatialMapConverter<STEvent> rtree(grid, ConversionStrategy::kRTree);
-  SpatialMapConverter<STEvent> automatic(grid, ConversionStrategy::kAuto);
-  auto a = MergedIds(naive.Convert(event_data_).Collect());
-  auto b = MergedIds(rtree.Convert(event_data_).Collect());
-  auto c = MergedIds(automatic.Convert(event_data_).Collect());
+/// kNaive and kAuto on one structure and one instance type, through both
+/// Convert spellings: identical buckets piece by piece, one broadcast for
+/// kNaive and `auto_broadcasts` (the structure, plus the R-tree when one is
+/// built) for kAuto per Convert.
+template <typename T, typename S>
+void ExpectNaiveMatchesAuto(const ExecutionContext& ctx, const Dataset<T>& data,
+                            const std::shared_ptr<const S>& structure,
+                            uint64_t auto_broadcasts) {
+  Converter<T, S> naive(structure, ConversionStrategy::kNaive);
+  Converter<T, S> automatic(structure, ConversionStrategy::kAuto);
+  auto broadcasts = [&ctx] {
+    return ctx.MetricsSnapshot()[Counter::kBroadcasts];
+  };
+
+  uint64_t before = broadcasts();
+  auto a = PieceIds(naive.Convert(data).Collect());
+  uint64_t mid = broadcasts();
+  auto b = PieceIds(automatic.Convert(data).Collect());
+  EXPECT_EQ(mid - before, 1u);
+  EXPECT_EQ(broadcasts() - mid, auto_broadcasts);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
+  size_t assigned = 0;
+  for (const auto& piece : a) {
+    for (const auto& slot : piece) assigned += slot.size();
+  }
+  EXPECT_GT(assigned, 0u);
+
+  auto pre = [](const T& item) { return IdOf(item); };
+  auto agg = [](std::vector<int64_t> ids) { return ids; };
+  before = broadcasts();
+  auto c = naive.Convert(data, pre, agg).Collect();
+  mid = broadcasts();
+  auto d = automatic.Convert(data, pre, agg).Collect();
+  EXPECT_EQ(mid - before, 1u);
+  EXPECT_EQ(broadcasts() - mid, auto_broadcasts);
+  ASSERT_EQ(c.size(), d.size());
+  for (size_t p = 0; p < c.size(); ++p) {
+    EXPECT_EQ(c[p].values(), d[p].values());
+    EXPECT_EQ(c[p].values(), a[p]);
+  }
 }
 
-TEST_F(ConversionTest, NaiveAndRtreeStrategiesAgreeOnOverlappingIrregular) {
-  // Overlapping cells exercise first-match semantics in the indexed path.
-  std::vector<Polygon> cells;
-  for (int i = 0; i < 12; ++i) {
-    double x = (i % 4) * 2.5, y = (i / 4) * 3.0;
-    cells.push_back(Polygon::FromMbr(Mbr(x, y, x + 3.5, y + 4.0)));
+TEST_F(ConversionTest, NaiveAndAutoStrategiesAgreeOnEveryStructure) {
+  auto bins = TemporalStructure::Regular(range_, 10);
+  struct Case {
+    std::string name;
+    AnyStructure structure;
+    uint64_t auto_broadcasts;
+  };
+  const std::vector<Case> cases = {
+      {"bins", std::make_shared<const TemporalStructure>(bins), 1},
+      {"grid",
+       std::make_shared<const SpatialStructure>(
+           SpatialStructure::Grid(extent_, 5, 5)),
+       1},
+      {"irregular, 12 overlapping cells",
+       std::make_shared<const SpatialStructure>(
+           SpatialStructure::Irregular(OverlappingCells(4, 3))),
+       2},
+      {"irregular, 6 overlapping cells",
+       std::make_shared<const SpatialStructure>(
+           SpatialStructure::Irregular(OverlappingCells(3, 2))),
+       1},
+      {"raster over a grid",
+       std::make_shared<const RasterStructure>(
+           RasterStructure::Regular(extent_, 3, 3, range_, 4)),
+       1},
+      {"raster over 12 irregular cells",
+       std::make_shared<const RasterStructure>(RasterStructure::CrossProduct(
+           OverlappingCells(4, 3),
+           TemporalStructure::Regular(range_, 4).bins())),
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::visit(
+        [&](const auto& structure) {
+          {
+            SCOPED_TRACE("events");
+            ExpectNaiveMatchesAuto(*ctx_, event_data_, structure,
+                                   c.auto_broadcasts);
+          }
+          {
+            SCOPED_TRACE("trajectories");
+            ExpectNaiveMatchesAuto(*ctx_, traj_data_, structure,
+                                   c.auto_broadcasts);
+          }
+        },
+        c.structure);
   }
-  auto irregular =
-      std::make_shared<SpatialStructure>(SpatialStructure::Irregular(cells));
-  SpatialMapConverter<STEvent> naive(irregular, ConversionStrategy::kNaive);
-  SpatialMapConverter<STEvent> rtree(irregular, ConversionStrategy::kRTree);
-  EXPECT_EQ(MergedIds(naive.Convert(event_data_).Collect()),
-            MergedIds(rtree.Convert(event_data_).Collect()));
+}
 
-  SpatialMapConverter<STTrajectory> tn(irregular, ConversionStrategy::kNaive);
-  SpatialMapConverter<STTrajectory> tr(irregular, ConversionStrategy::kRTree);
-  EXPECT_EQ(MergedIds(tn.Convert(traj_data_).Collect()),
-            MergedIds(tr.Convert(traj_data_).Collect()));
+TEST_F(ConversionTest, ZeroPartitionInputConvertsAsOneEmptyPartition) {
+  // What a selection that prunes every partition hands the converter.
+  auto no_events =
+      Dataset<STEvent>::FromPartitions(ctx_, Dataset<STEvent>::Partitions{});
+  const std::vector<AnyStructure> structures = {
+      std::make_shared<const TemporalStructure>(
+          TemporalStructure::Regular(range_, 4)),
+      std::make_shared<const SpatialStructure>(
+          SpatialStructure::Irregular(OverlappingCells(4, 3))),
+      std::make_shared<const RasterStructure>(
+          RasterStructure::Regular(extent_, 3, 3, range_, 2)),
+  };
+  for (const AnyStructure& any : structures) {
+    std::visit(
+        [&](const auto& structure) {
+          using S = typename std::decay_t<decltype(structure)>::element_type;
+          Converter<STEvent, S> converter(structure);
+          auto converted = converter.Convert(no_events);
+          ASSERT_EQ(converted.num_partitions(), 1u);
+          auto counts = MapValue(converted, [](const std::vector<STEvent>& v) {
+            return static_cast<int64_t>(v.size());
+          });
+          auto merged = CollectAndMerge(
+              counts, int64_t{0}, [](int64_t a, int64_t b) { return a + b; });
+          EXPECT_EQ(merged.values(),
+                    std::vector<int64_t>(structure->size(), 0));
+        },
+        any);
+  }
 }
 
 TEST_F(ConversionTest, RasterCrossProductSemantics) {
@@ -213,34 +336,47 @@ TEST_F(ConversionTest, PreAndAggRunPerPartition) {
   EXPECT_EQ(sum, static_cast<int64_t>(events_.size()));
 }
 
-TEST_F(ConversionTest, BroadcastAndShuffleDesignsAgree) {
-  auto grid = std::make_shared<SpatialStructure>(
-      SpatialStructure::Grid(extent_, 4, 4));
-  auto count = [](const std::vector<STEvent>& items) {
+/// The broadcast converter and the shuffle design on one structure: equal
+/// per-cell counts, with the structure broadcast and no record shuffled by
+/// the first, records shuffled by the second.
+template <typename T>
+void ExpectShuffleMatchesBroadcast(
+    ExecutionContext& ctx, const Dataset<T>& data,
+    const std::shared_ptr<const SpatialStructure>& structure) {
+  auto count = [](const std::vector<T>& items) {
     return static_cast<int64_t>(items.size());
   };
-  ctx_->ResetMetrics();
-  SpatialMapConverter<STEvent> broadcast_conv(grid);
-  auto pieces = broadcast_conv.Convert(event_data_, conversion_internal::IdentityPre{},
-                                       count)
-                    .Collect();
-  std::vector<int64_t> broadcast_counts(grid->size(), 0);
-  for (const auto& piece : pieces) {
-    for (size_t i = 0; i < piece.size(); ++i) {
-      broadcast_counts[i] += piece.value(i);
-    }
-  }
-  const MetricsSnapshot before = ctx_->MetricsSnapshot();
-  uint64_t broadcasts = before[Counter::kBroadcasts];
-  uint64_t shuffled_before = before[Counter::kShuffleRecords];
+  ctx.ResetMetrics();
+  SpatialMapConverter<T> broadcast_conv(structure);
+  SpatialMap<int64_t> broadcast = CollectAndMerge(
+      broadcast_conv.Convert(data, conversion_internal::IdentityPre{}, count),
+      int64_t{0}, [](int64_t a, int64_t b) { return a + b; });
+  const MetricsSnapshot before = ctx.MetricsSnapshot();
 
-  auto shuffled = TryConvertToSpatialMapByShuffle(event_data_, grid, count);
+  auto shuffled = TryConvertToSpatialMapByShuffle(data, structure, count);
   ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
-  EXPECT_EQ(shuffled->values(), broadcast_counts);
+  EXPECT_EQ(shuffled->values(), broadcast.values());
+  int64_t total = 0;
+  for (int64_t c : broadcast.values()) total += c;
+  EXPECT_GT(total, 0);
   // The broadcast design ships the structure, not the records.
-  EXPECT_GE(broadcasts, 1u);
-  EXPECT_EQ(shuffled_before, 0u);
-  EXPECT_GT(ctx_->MetricsSnapshot()[Counter::kShuffleRecords], 0u);
+  EXPECT_GE(before[Counter::kBroadcasts], 1u);
+  EXPECT_EQ(before[Counter::kShuffleRecords], 0u);
+  EXPECT_GT(ctx.MetricsSnapshot()[Counter::kShuffleRecords], 0u);
+}
+
+TEST_F(ConversionTest, BroadcastAndShuffleDesignsAgree) {
+  const std::vector<std::shared_ptr<const SpatialStructure>> structures = {
+      std::make_shared<const SpatialStructure>(
+          SpatialStructure::Grid(extent_, 4, 4)),
+      std::make_shared<const SpatialStructure>(
+          SpatialStructure::Irregular(OverlappingCells(4, 3))),
+  };
+  for (const auto& structure : structures) {
+    SCOPED_TRACE(structure->is_grid() ? "grid" : "irregular");
+    ExpectShuffleMatchesBroadcast(*ctx_, event_data_, structure);
+    ExpectShuffleMatchesBroadcast(*ctx_, traj_data_, structure);
+  }
 }
 
 }  // namespace

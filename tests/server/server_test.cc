@@ -535,6 +535,34 @@ TEST(ServerTest, ExtractBinsPartitionTheSelection) {
   EXPECT_EQ(extracted.GetInt("count", -1), count);
 }
 
+// A box outside every partition makes the selector return a dataset with no
+// partitions at all. Extract still answers: every bin of the query's layout,
+// each with a zero count.
+TEST(ServerTest, ExtractOverAFullyPrunedSelectionReturnsZeroBins) {
+  testing::CacheWorkload w = ServeWorkload();
+  testing::StagedWorkload staged(w);
+  Daemon daemon;
+  Client client = daemon.Connect();
+
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                R"({"verb":"extract","dir":"%s","mbr":[5000,5000,5001,5001],)"
+                R"("time":[0,100000],"interval":25000})",
+                staged.dir().c_str());
+  JsonValue extracted = Call(client, buf);
+  ASSERT_TRUE(Ok(extracted)) << ErrorCode(extracted);
+  EXPECT_EQ(extracted.GetInt("count", -1), 0);
+  EXPECT_EQ(extracted.GetInt("num_bins", -1), 4);
+  const JsonValue* bins = extracted.Find("bins");
+  ASSERT_NE(bins, nullptr);
+  ASSERT_EQ(bins->array.size(), 4u);
+  for (const JsonValue& bin : bins->array) {
+    EXPECT_EQ(bin.GetInt("count", -1), 0);
+  }
+  // The daemon is still serving.
+  EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+}
+
 // The acceptance-criteria pin: >= 8 concurrent clients, each running a
 // DIFFERENT query, each receiving its own job's metrics delta. The
 // concurrent responses must match a serial replay of the same queries
