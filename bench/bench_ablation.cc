@@ -68,7 +68,6 @@ void AblateSelectionOrder(const BenchEnv& env) {
   double t_partition_first = TimeIt([&] {
     for (const STBox& q : queries) {
       SelectorOptions load_opts;
-      load_opts.partition_after_select = false;
       Selector<EventRecord> loader(env.ctx, SelectQuery::FromBox(STBox(env.nyc_extent, env.nyc_range)),
                                    load_opts);
       auto all = loader.Select(env.nyc[2].plain_dir);
@@ -146,7 +145,6 @@ void AblateOperatorChoice(const BenchEnv& env) {
   TablePrinter table({"operator", "time", "shuffled records"});
 
   SelectorOptions options;
-  options.partition_after_select = false;
   Selector<EventRecord> selector(
       env.ctx, SelectQuery::FromBox(STBox(env.nyc_extent, env.nyc_range)), options);
   auto events = selector.Select(env.nyc[2].plain_dir);
@@ -192,7 +190,6 @@ void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
                    double* seconds, uint64_t* bytes_read, uint64_t* records) {
   for (const STBox& q : queries) {
     SelectorOptions options;
-    options.partition_after_select = false;
     options.use_disk_index = disk_index;
     Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q), options);
     *seconds += TimeIt([&] {

@@ -31,7 +31,6 @@ template <typename RecordT>
 void Evaluate(const BenchEnv& env, const char* dataset, const ScaledDirs& dirs,
               const Mbr& extent, const Duration& range, TablePrinter* table) {
   SelectorOptions options;
-  options.partition_after_select = false;
   Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(STBox(extent, range)), options);
   auto data_or = selector.Select(dirs.plain_dir);
   ST4ML_CHECK(data_or.ok()) << data_or.status().ToString();

@@ -29,7 +29,6 @@ void RunSweep(const BenchEnv& env, const char* dataset_name,
   // like the paper's repeated-runs-average methodology.
   {
     SelectorOptions options;
-    options.partition_after_select = false;
     Selector<RecordT> warm(env.ctx, SelectQuery::FromBox(STBox(extent, range)), options);
     (void)warm.Select(dirs.plain_dir);
     (void)warm.Select(dirs.st4ml_dir, dirs.st4ml_meta);
@@ -40,7 +39,6 @@ void RunSweep(const BenchEnv& env, const char* dataset_name,
     uint64_t native_loaded = 0, indexed_loaded = 0, selected_bytes = 0;
     for (const STBox& q : queries) {
       SelectorOptions options;
-      options.partition_after_select = false;
 
       // Noise-robust estimate: best of `repeat` runs per query.
       Selector<RecordT> native(env.ctx, SelectQuery::FromBox(q), options);

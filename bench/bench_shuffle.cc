@@ -47,7 +47,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
       }
     }
     combined[p].assign(acc.begin(), acc.end());
-    internal::SortByKeyIfOrdered<K, V>(&combined[p]);
+    internal::SortByKey<K, V>(&combined[p]);
   });
 
   uint64_t records = 0;
@@ -74,7 +74,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
       }
     }
     out[target].assign(acc.begin(), acc.end());
-    internal::SortByKeyIfOrdered<K, V>(&out[target]);
+    internal::SortByKey<K, V>(&out[target]);
   });
   return Dataset<std::pair<K, V>>::FromPartitions(ctx, std::move(out));
 }
@@ -105,7 +105,7 @@ Dataset<std::pair<K, std::vector<V>>> GroupByKey(
       }
     }
     out[target].assign(groups.begin(), groups.end());
-    internal::SortByKeyIfOrdered<K, std::vector<V>>(&out[target]);
+    internal::SortByKey<K, std::vector<V>>(&out[target]);
   });
   return Dataset<std::pair<K, std::vector<V>>>::FromPartitions(ctx,
                                                                std::move(out));

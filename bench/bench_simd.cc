@@ -1,10 +1,9 @@
-// SIMD kernel benchmark (ISSUE 7): times every registered backend against
-// the scalar reference on the four batch kernels (ST-box filter, hash
-// combine, distance, min/max/sum reduction) at 1M records, then a warm
-// cached Selection end-to-end per backend. Every timed run is also a
-// correctness gate: SIMD outputs must match scalar BIT-for-bit (the
-// backend contract the property harness pins) and warm-select checksums
-// must be identical across backends — any divergence exits non-zero, so a
+// Box-filter kernel benchmark: times every registered backend against the
+// scalar reference on the ST-box filter at 1M records, then a warm cached
+// Selection end-to-end per backend. Every timed run is also a correctness
+// gate: the AVX2 hit bitmap must match scalar BIT-for-bit (the backend
+// contract the property harness pins) and warm-select checksums must be
+// identical across backends — any divergence exits non-zero, so a
 // published BENCH_simd.json always reflects verified outputs. The box
 // filter additionally gates best-SIMD >= 2x scalar at 1M records.
 // Emits one JSON object per line; bench/run_bench.sh writes it to
@@ -33,39 +32,17 @@ using accel::BoxFilterQuery;
 using accel::EnvelopeColumns;
 using accel::KernelBackend;
 
-struct KernelInputs {
-  EnvelopeColumns cols;
-  std::vector<double> ax, ay, bx, by;
-  std::vector<uint64_t> h1, h2;
-};
-
-KernelInputs MakeInputs(size_t n, uint64_t seed) {
+EnvelopeColumns MakeColumns(size_t n, uint64_t seed) {
   Rng rng(seed);
-  KernelInputs in;
-  in.cols.Reserve(n);
-  in.ax.resize(n);
-  in.ay.resize(n);
-  in.bx.resize(n);
-  in.by.resize(n);
-  in.h1.resize(n);
-  in.h2.resize(n);
+  EnvelopeColumns cols;
+  cols.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     double x = rng.Uniform(0, 100), y = rng.Uniform(0, 100);
     int64_t t = rng.UniformInt(0, 100000);
-    in.cols.Append(STBox(Mbr(x, y, x + rng.Uniform(0, 2), y + rng.Uniform(0, 2)),
-                         Duration(t, t + rng.UniformInt(0, 600))));
-    in.ax[i] = rng.Uniform(-180, 180);
-    in.ay[i] = rng.Uniform(-85, 85);
-    in.bx[i] = in.ax[i] + rng.Uniform(-0.01, 0.01);
-    in.by[i] = in.ay[i] + rng.Uniform(-0.01, 0.01);
-    in.h1[i] = rng.Next();
-    in.h2[i] = rng.Next();
+    cols.Append(STBox(Mbr(x, y, x + rng.Uniform(0, 2), y + rng.Uniform(0, 2)),
+                      Duration(t, t + rng.UniformInt(0, 600))));
   }
-  return in;
-}
-
-bool SameBits(const double* a, const double* b, size_t n) {
-  return std::memcmp(a, b, n * sizeof(double)) == 0;
+  return cols;
 }
 
 /// Times `op` `reps` times, returns the best wall time.
@@ -155,71 +132,27 @@ int Run(int argc, char** argv) {
   const KernelBackend* scalar = registry.Find("scalar");
   ST4ML_CHECK(scalar != nullptr);
 
-  KernelInputs in = MakeInputs(records, /*seed=*/7);
+  const EnvelopeColumns cols = MakeColumns(records, /*seed=*/7);
+  const auto view = cols.View();
   // ~half the staged boxes: the filter branch pattern matters for SIMD.
   BoxFilterQuery query{0, 0, 50, 100, 0, 100000};
 
   std::vector<uint8_t> ref_hits(records), hits(records);
-  std::vector<uint64_t> ref_hash(records), hash(records);
-  std::vector<double> ref_hav(records), ref_euc(records), dist(records);
-  double ref_mms[3], mms[3];
-
   double scalar_filter = 0, best_simd_filter_speedup = 0;
-  struct KernelTimes {
-    double filter = 0, hash = 0, haversine = 0, euclidean = 0, reduce = 0;
-  } scalar_times;
-
   for (const KernelBackend* backend : registry.Available()) {
     bool is_scalar = backend == scalar;
-    const char* name = backend->name();
-    auto view = in.cols.View();
-
     double t = Best(reps, [&] {
       backend->FilterBoxes(query, view, (is_scalar ? ref_hits : hits).data());
     });
     bool ok = is_scalar ||
               std::memcmp(ref_hits.data(), hits.data(), records) == 0;
     if (is_scalar) {
-      scalar_times.filter = scalar_filter = t;
+      scalar_filter = t;
     } else if (t > 0) {
       double speedup = scalar_filter / t;
       if (speedup > best_simd_filter_speedup) best_simd_filter_speedup = speedup;
     }
-    EmitKernelRow("box_filter", name, records, t, scalar_times.filter, ok);
-
-    t = Best(reps, [&] {
-      backend->CombineHashes(in.h1.data(), in.h2.data(), records,
-                             (is_scalar ? ref_hash : hash).data());
-    });
-    ok = is_scalar || ref_hash == hash;
-    if (is_scalar) scalar_times.hash = t;
-    EmitKernelRow("hash_combine", name, records, t, scalar_times.hash, ok);
-
-    t = Best(reps, [&] {
-      backend->HaversineMeters(in.ax.data(), in.ay.data(), in.bx.data(),
-                               in.by.data(), records,
-                               (is_scalar ? ref_hav : dist).data());
-    });
-    ok = is_scalar || SameBits(ref_hav.data(), dist.data(), records);
-    if (is_scalar) scalar_times.haversine = t;
-    EmitKernelRow("haversine", name, records, t, scalar_times.haversine, ok);
-
-    t = Best(reps, [&] {
-      backend->EuclideanDistance(in.ax.data(), in.ay.data(), in.bx.data(),
-                                 in.by.data(), records,
-                                 (is_scalar ? ref_euc : dist).data());
-    });
-    ok = is_scalar || SameBits(ref_euc.data(), dist.data(), records);
-    if (is_scalar) scalar_times.euclidean = t;
-    EmitKernelRow("euclidean", name, records, t, scalar_times.euclidean, ok);
-
-    t = Best(reps, [&] {
-      double* out = is_scalar ? ref_mms : mms;
-      backend->MinMaxSum(in.ax.data(), records, &out[0], &out[1], &out[2]);
-    });
-    ok = is_scalar || SameBits(ref_mms, mms, 3);
-    if (is_scalar) scalar_times.reduce = t;
-    EmitKernelRow("min_max_sum", name, records, t, scalar_times.reduce, ok);
+    EmitKernelRow("box_filter", backend->name(), records, t, scalar_filter, ok);
   }
 
   // End-to-end: a warm cached Selection (columnar fast path) per backend.

@@ -35,7 +35,6 @@ template <typename RecordT>
 std::vector<RecordT> LoadRecords(const BenchEnv& env, const ScaledDirs& dirs,
                                  const Mbr& extent, const Duration& range) {
   SelectorOptions options;
-  options.partition_after_select = false;
   Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(STBox(extent, range)), options);
   auto data = selector.Select(dirs.plain_dir);
   ST4ML_CHECK(data.ok()) << data.status().ToString();
@@ -57,7 +56,6 @@ double TimeSelections(const BenchEnv& env, std::vector<RecordT> records,
   auto run_batch = [&] {
     for (const STBox& q : queries) {
       SelectorOptions options;
-      options.partition_after_select = false;
       Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q), options);
       auto result = selector.Select(dir, dir + "/meta");
       ST4ML_CHECK(result.ok()) << result.status().ToString();

@@ -1,9 +1,7 @@
 // AVX2 backend: 4-wide double and 64-bit integer lanes. This is the ONLY
 // translation unit compiled with -mavx2 (per-file COMPILE_OPTIONS in
-// src/CMakeLists.txt) — and deliberately WITHOUT -mfma, so the compiler
-// cannot contract mul+add sequences into fused ops that would round
-// differently from the scalar backend. Registered only when
-// __builtin_cpu_supports("avx2") says the running CPU has it.
+// src/CMakeLists.txt). Registered only when __builtin_cpu_supports("avx2")
+// says the running CPU has it.
 
 #include "accel/kernels.h"
 
@@ -11,35 +9,9 @@
 
 #include <immintrin.h>
 
-#include <cmath>
-#include <limits>
-
-#include "accel/hash_mix.h"
-#include "geometry/point.h"
-
 namespace st4ml {
 namespace accel {
 namespace {
-
-/// 64-bit lane-wise wrapping multiply — AVX2 still has no 64-bit mullo
-/// (that arrives with AVX-512DQ), so compose it from 32x32->64 partials.
-inline __m256i MulLo64(__m256i a, __m256i b) {
-  __m256i lo = _mm256_mul_epu32(a, b);
-  __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-inline __m256i SplitMix64x4(__m256i z) {
-  const __m256i kGolden = _mm256_set1_epi64x(0x9e3779b97f4a7c15ULL);
-  const __m256i kMix1 = _mm256_set1_epi64x(0xbf58476d1ce4e5b9ULL);
-  const __m256i kMix2 = _mm256_set1_epi64x(0x94d049bb133111ebULL);
-  z = _mm256_add_epi64(z, kGolden);
-  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), kMix1);
-  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), kMix2);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
 
 class Avx2BackendImpl final : public KernelBackend {
  public:
@@ -89,98 +61,6 @@ class Avx2BackendImpl final : public KernelBackend {
                  q.t_min <= b.t_max[i] && b.t_min[i] <= q.t_max;
       hits[i] = hit ? 1 : 0;
     }
-  }
-
-  void CombineHashes(const uint64_t* h1, const uint64_t* h2, size_t n,
-                     uint64_t* out) const override {
-    const __m256i kGolden = _mm256_set1_epi64x(0x9e3779b97f4a7c15ULL);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h1 + i));
-      __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h2 + i));
-      __m256i inner = _mm256_add_epi64(b, kGolden);
-      inner = _mm256_add_epi64(inner, _mm256_slli_epi64(a, 6));
-      inner = _mm256_add_epi64(inner, _mm256_srli_epi64(a, 2));
-      __m256i z = SplitMix64x4(_mm256_xor_si256(a, inner));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), z);
-    }
-    for (; i < n; ++i) out[i] = HashCombine(h1[i], h2[i]);
-  }
-
-  void HaversineMeters(const double* ax, const double* ay, const double* bx,
-                       const double* by, size_t n,
-                       double* out) const override {
-    // Scalar in every backend: libm sin/cos/asin have no bit-exact vector
-    // counterpart (kernels.h).
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = st4ml::HaversineMeters(Point(ax[i], ay[i]), Point(bx[i], by[i]));
-    }
-  }
-
-  void EuclideanDistance(const double* ax, const double* ay, const double* bx,
-                         const double* by, size_t n,
-                         double* out) const override {
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      __m256d dx =
-          _mm256_sub_pd(_mm256_loadu_pd(ax + i), _mm256_loadu_pd(bx + i));
-      __m256d dy =
-          _mm256_sub_pd(_mm256_loadu_pd(ay + i), _mm256_loadu_pd(by + i));
-      __m256d d = _mm256_sqrt_pd(
-          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-      _mm256_storeu_pd(out + i, d);
-    }
-    for (; i < n; ++i) {
-      double dx = ax[i] - bx[i];
-      double dy = ay[i] - by[i];
-      out[i] = std::sqrt(dx * dx + dy * dy);
-    }
-  }
-
-  void MinMaxSum(const double* v, size_t n, double* min_out, double* max_out,
-                 double* sum_out) const override {
-    // The 8-lane contract as 2 four-wide accumulators: vector k holds
-    // lanes {4k .. 4k+3}; see backend_scalar.cc for the canonical form.
-    const double kInf = std::numeric_limits<double>::infinity();
-    __m256d mn[2], mx[2], sm[2];
-    for (int k = 0; k < 2; ++k) {
-      mn[k] = _mm256_set1_pd(kInf);
-      mx[k] = _mm256_set1_pd(-kInf);
-      sm[k] = _mm256_setzero_pd();
-    }
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      for (int k = 0; k < 2; ++k) {
-        __m256d x = _mm256_loadu_pd(v + i + 4 * k);
-        mn[k] = _mm256_min_pd(mn[k], x);
-        mx[k] = _mm256_max_pd(mx[k], x);
-        sm[k] = _mm256_add_pd(sm[k], x);
-      }
-    }
-    double mn_l[8], mx_l[8], sm_l[8];
-    for (int k = 0; k < 2; ++k) {
-      _mm256_storeu_pd(mn_l + 4 * k, mn[k]);
-      _mm256_storeu_pd(mx_l + 4 * k, mx[k]);
-      _mm256_storeu_pd(sm_l + 4 * k, sm[k]);
-    }
-    for (; i < n; ++i) {
-      int j = static_cast<int>(i % 8);
-      double x = v[i];
-      mn_l[j] = mn_l[j] < x ? mn_l[j] : x;
-      mx_l[j] = mx_l[j] > x ? mx_l[j] : x;
-      sm_l[j] += x;
-    }
-    double mn_all = mn_l[0], mx_all = mx_l[0], sm_all = sm_l[0];
-    for (int j = 1; j < 8; ++j) {
-      mn_all = mn_all < mn_l[j] ? mn_all : mn_l[j];
-      mx_all = mx_all > mx_l[j] ? mx_all : mx_l[j];
-      sm_all += sm_l[j];
-    }
-    *min_out = mn_all;
-    *max_out = mx_all;
-    *sum_out = sm_all;
   }
 };
 

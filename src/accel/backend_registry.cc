@@ -1,10 +1,9 @@
 // Backend discovery and runtime dispatch (DESIGN.md §11). The registry is
-// built once: each factory returns null when its ISA wasn't compiled in,
-// and compiled-in SIMD backends are additionally gated on the running CPU
-// via __builtin_cpu_supports — so a binary built with -mavx2 for the one
-// translation unit still starts (and silently runs sse2/scalar) on an
-// older machine. Selection order: ForceBackend override > ST4ML_BACKEND
-// env > widest available.
+// built once: scalar is always present, and AVX2 registers only when it
+// was compiled in AND the running CPU reports it via __builtin_cpu_supports — so a binary built with -mavx2 for the one
+// translation unit still starts (and silently runs scalar) on an older
+// machine. Selection order: ForceBackend override > ST4ML_BACKEND env >
+// widest available.
 
 #include <cstdlib>
 
@@ -13,15 +12,6 @@
 namespace st4ml {
 namespace accel {
 namespace {
-
-// __builtin_cpu_supports only takes string literals, so one probe per ISA.
-bool CpuHasSse2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -35,10 +25,6 @@ bool CpuHasAvx2() {
 
 BackendRegistry::BackendRegistry() {
   available_.push_back(ScalarBackend());  // always present, always first
-  if (const KernelBackend* sse2 = Sse2Backend();
-      sse2 != nullptr && CpuHasSse2()) {
-    available_.push_back(sse2);
-  }
   if (const KernelBackend* avx2 = Avx2Backend();
       avx2 != nullptr && CpuHasAvx2()) {
     available_.push_back(avx2);

@@ -1,17 +1,8 @@
-// Scalar reference backend — THE semantics every SIMD backend must
-// reproduce bit-for-bit (DESIGN.md §11). Each kernel body here is written
-// in the exact shape the vector backends mirror lane-wise: the filter
-// predicate is the STBox::Intersects comparison chain (so NaN behaves
-// identically), the reductions use the fixed 8-lane-strided accumulation
-// structure, and the distance kernels call the very same geometry inlines
-// the pre-accel code paths used.
+// Scalar reference backend — THE semantics the AVX2 backend must
+// reproduce bit-for-bit (DESIGN.md §11). The filter predicate is the
+// STBox::Intersects comparison chain, so NaN behaves identically.
 
-#include <cmath>
-#include <limits>
-
-#include "accel/hash_mix.h"
 #include "accel/kernels.h"
-#include "geometry/point.h"
 
 namespace st4ml {
 namespace accel {
@@ -35,64 +26,6 @@ class ScalarBackendImpl final : public KernelBackend {
                  q.t_min <= b.t_max[i] && b.t_min[i] <= q.t_max;
       hits[i] = hit ? 1 : 0;
     }
-  }
-
-  void CombineHashes(const uint64_t* h1, const uint64_t* h2, size_t n,
-                     uint64_t* out) const override {
-    for (size_t i = 0; i < n; ++i) out[i] = HashCombine(h1[i], h2[i]);
-  }
-
-  void HaversineMeters(const double* ax, const double* ay, const double* bx,
-                       const double* by, size_t n,
-                       double* out) const override {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = st4ml::HaversineMeters(Point(ax[i], ay[i]), Point(bx[i], by[i]));
-    }
-  }
-
-  void EuclideanDistance(const double* ax, const double* ay, const double* bx,
-                         const double* by, size_t n,
-                         double* out) const override {
-    for (size_t i = 0; i < n; ++i) {
-      double dx = ax[i] - bx[i];
-      double dy = ay[i] - by[i];
-      out[i] = std::sqrt(dx * dx + dy * dy);
-    }
-  }
-
-  void MinMaxSum(const double* v, size_t n, double* min_out, double* max_out,
-                 double* sum_out) const override {
-    // The 8-lane-strided contract from kernels.h, spelled out with real
-    // lanes so the scalar result is structurally the same computation the
-    // SSE2 (4x2 lanes) and AVX2 (2x4 lanes) backends perform — NOT a naive
-    // left-to-right fold, which would produce different float-addition
-    // rounding and different NaN propagation than the vector forms.
-    double mn[8], mx[8], sm[8];
-    for (int j = 0; j < 8; ++j) {
-      mn[j] = std::numeric_limits<double>::infinity();
-      mx[j] = -std::numeric_limits<double>::infinity();
-      sm[j] = 0.0;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      int j = static_cast<int>(i % 8);
-      double x = v[i];
-      // `cond ? new : acc` with the comparison on (acc, new) is exactly
-      // _mm_min_pd/_mm_max_pd: returns the SECOND operand when the compare
-      // is false OR unordered, so a NaN element replaces the accumulator
-      // and a NaN accumulator is replaced by the next element.
-      mn[j] = mn[j] < x ? mn[j] : x;
-      mx[j] = mx[j] > x ? mx[j] : x;
-      sm[j] += x;
-    }
-    double mn_all = mn[0], mx_all = mx[0], sm_all = sm[0];
-    for (int j = 1; j < 8; ++j) {
-      mn_all = mn_all < mn[j] ? mn_all : mn[j];
-      mx_all = mx_all > mx[j] ? mx_all : mx[j];
-      sm_all += sm[j];
-    }
-    *min_out = mn_all;
-    *max_out = mx_all;
-    *sum_out = sm_all;
   }
 };
 

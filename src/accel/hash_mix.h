@@ -6,9 +6,7 @@
 namespace st4ml {
 
 /// SplitMix64 finalizer (Vigna): full-avalanche mix of a 64-bit value using
-/// only adds, xors, shifts and wrapping multiplies — every operation has an
-/// exact SIMD equivalent, so the batched CombineHashes kernel can reproduce
-/// it bit-for-bit lane-wise (DESIGN.md §11).
+/// only adds, xors, shifts and wrapping multiplies.
 inline uint64_t SplitMix64(uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -20,9 +18,8 @@ inline uint64_t SplitMix64(uint64_t z) {
 /// repo used to ship, fed through a SplitMix64 finalizer so low-entropy key
 /// components (dense cell ids x small hour bins) still spread over all 64
 /// bits — weak combines skew the `hash % num_targets` bucketing and with it
-/// the shuffle's load balance. PairHash (engine/pair_ops.h) and the batched
-/// CombineHashes kernel (accel/kernels.h) are both defined as exactly this
-/// function; the differential bench gates that they never diverge.
+/// the shuffle's load balance. PairHash (engine/pair_ops.h) is defined as
+/// exactly this function of the component hashes.
 inline uint64_t HashCombine(uint64_t h1, uint64_t h2) {
   return SplitMix64(h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) +
                           (h1 >> 2)));

@@ -1,14 +1,12 @@
 #ifndef ST4ML_ACCEL_KERNELS_H_
 #define ST4ML_ACCEL_KERNELS_H_
 
-// Vectorized columnar kernels behind a runtime CPU backend registry
-// (DESIGN.md §11). STPQ is columnar on disk but the hot loops — ST-box
-// containment in Selector, shuffle key hashing in BucketByTarget, distance
-// math in the speed extractors — evaluated one record at a time. This layer
-// restructures those loops around batch kernels over SoA columns, with a
-// scalar reference backend that defines the exact semantics and SIMD
-// backends (SSE2/AVX2, selected at runtime via CPUID) that must reproduce
-// the scalar outputs BIT-FOR-BIT. The differential property harness
+// The ST-box filter kernel behind a runtime CPU backend registry
+// (DESIGN.md §11). Selection refines records by testing each envelope
+// against the query box; this layer runs that test as one batch kernel over
+// SoA envelope columns. The scalar backend defines the exact semantics and
+// the AVX2 backend (selected at runtime via CPUID) must reproduce its
+// outputs BIT-FOR-BIT. The differential property harness
 // (tests/common/property.h) and bench_simd's built-in comparison gate pin
 // that contract: a backend is a speedup, never a different answer.
 
@@ -96,16 +94,15 @@ class EnvelopeColumns {
   std::vector<int64_t> t_min_, t_max_;
 };
 
-/// One CPU kernel backend. Implementations are stateless and thread-safe;
-/// every method writes exactly its output range and nothing else. All
-/// backends are pinned byte-identical to the scalar reference — the scalar
-/// bodies in backend_scalar.cc ARE the semantics, including the fixed
-/// lane/accumulation structure of the reductions (see MinMaxSum).
+/// One CPU kernel backend. Implementations are stateless and thread-safe,
+/// and FilterBoxes writes exactly its output range and nothing else. The
+/// scalar body in backend_scalar.cc IS the semantics; the AVX2 backend is
+/// pinned byte-identical to it.
 class KernelBackend {
  public:
   virtual ~KernelBackend() = default;
 
-  /// "scalar", "sse2", "avx2" — the ST4ML_BACKEND / --backend vocabulary.
+  /// "scalar" or "avx2" — the ST4ML_BACKEND / --backend vocabulary.
   virtual const char* name() const = 0;
 
   /// hits[i] = 1 iff record i's envelope is non-empty and intersects `q`
@@ -114,42 +111,12 @@ class KernelBackend {
   /// coordinates never match, exactly as in the scalar predicate.
   virtual void FilterBoxes(const BoxFilterQuery& q, const EnvelopeView& boxes,
                            uint8_t* hits) const = 0;
-
-  /// out[i] = HashCombine(h1[i], h2[i]) — the PairHash combine, batched.
-  virtual void CombineHashes(const uint64_t* h1, const uint64_t* h2, size_t n,
-                             uint64_t* out) const = 0;
-
-  /// out[i] = great-circle meters between (ax[i], ay[i]) and (bx[i], by[i]),
-  /// bit-identical to geometry's HaversineMeters. Deliberately scalar in
-  /// every backend: sin/cos/asin have no bit-exact vector form without
-  /// vendoring a vector libm, and cross-backend identity outranks the win
-  /// (DESIGN.md §11). The batch shape keeps call sites ready for one.
-  virtual void HaversineMeters(const double* ax, const double* ay,
-                               const double* bx, const double* by, size_t n,
-                               double* out) const = 0;
-
-  /// out[i] = sqrt(dx*dx + dy*dy) — every operation IEEE-exact (vector
-  /// sqrt is correctly rounded), so SIMD lanes reproduce scalar bits.
-  virtual void EuclideanDistance(const double* ax, const double* ay,
-                                 const double* bx, const double* by, size_t n,
-                                 double* out) const = 0;
-
-  /// Column min / max / sum with a FIXED 8-lane-strided accumulation
-  /// structure: lane j folds elements j, j+8, j+16, ... in index order
-  /// (min as `acc = acc < v ? acc : v`, max as `acc = acc > v ? acc : v` —
-  /// the SSE min_pd/max_pd NaN semantics — sum as `acc += v`), then the
-  /// eight lanes combine left to right. Scalar implements the same eight
-  /// lanes, so every backend is bit-identical even under reordering-
-  /// sensitive float addition and NaN propagation. Empty input yields
-  /// (+inf, -inf, 0).
-  virtual void MinMaxSum(const double* v, size_t n, double* min_out,
-                         double* max_out, double* sum_out) const = 0;
 };
 
 /// The process-wide backend registry: knows every compiled-in backend,
 /// filters them by runtime CPU support (CPUID via __builtin_cpu_supports),
 /// and picks the active one — best available by default, overridable with
-/// ST4ML_BACKEND=scalar|sse2|avx2 or programmatically (the tools' --backend
+/// ST4ML_BACKEND=scalar|avx2 or programmatically (the tools' --backend
 /// flag, the property harness's per-seed randomization). Also the home of
 /// the two batch-dispatch counters the observability layer surfaces.
 class BackendRegistry {
@@ -178,24 +145,16 @@ class BackendRegistry {
   /// and test seams — not for flipping mid-pipeline.
   Status ForceBackend(const std::string& name);
 
-  /// Batch-dispatch observability: CountBatch is one batched kernel
-  /// invocation; CountFallback accounts records a host path processed
-  /// per-record because no batch kernel applies (non-batchable key types,
-  /// partitioner-virtual assignment). Surfaced by the st4mld `stats` verb
-  /// and the per-stage stderr summary.
+  /// Batch-dispatch observability: CountBatch is one FilterBoxes
+  /// invocation over `records` envelopes. Surfaced by the st4mld `stats`
+  /// verb and the per-stage stderr summary.
   void CountBatch(uint64_t records) const {
     batches_.fetch_add(1, std::memory_order_relaxed);
     batch_records_.fetch_add(records, std::memory_order_relaxed);
   }
-  void CountFallback(uint64_t records) const {
-    fallback_records_.fetch_add(records, std::memory_order_relaxed);
-  }
   uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
   uint64_t batch_records() const {
     return batch_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t fallback_records() const {
-    return fallback_records_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -207,7 +166,6 @@ class BackendRegistry {
   std::atomic<const KernelBackend*> active_{nullptr};
   mutable std::atomic<uint64_t> batches_{0};
   mutable std::atomic<uint64_t> batch_records_{0};
-  mutable std::atomic<uint64_t> fallback_records_{0};
 };
 
 /// Shorthand for the hot paths: the currently active backend.
@@ -216,9 +174,8 @@ inline const KernelBackend& Active() {
 }
 
 /// Backend factories (one .cc each, so only backend_avx2.cc is compiled
-/// with -mavx2). A factory returns null when its ISA is not compiled in.
+/// with -mavx2). Avx2Backend returns null when AVX2 is not compiled in.
 const KernelBackend* ScalarBackend();
-const KernelBackend* Sse2Backend();
 const KernelBackend* Avx2Backend();
 
 }  // namespace accel

@@ -2,15 +2,12 @@
 #define ST4ML_ENGINE_PAIR_OPS_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "accel/hash_mix.h"
-#include "accel/kernels.h"
 #include "common/status.h"
 #include "engine/append_only_map.h"
 #include "engine/dataset.h"
@@ -18,11 +15,10 @@
 namespace st4ml {
 
 /// Hash for std::pair keys (ReduceByKey over composite keys). Defined as
-/// exactly accel::HashCombine of the component hashes — the boost-style
-/// combine this used to be was weak for low-entropy components (dense cell
-/// ids x small hour bins skewed `hash % num_targets` bucketing); the
-/// SplitMix64 finalizer restores full avalanche, and the batched
-/// CombineHashes kernel reproduces it bit-for-bit (accel/hash_mix.h).
+/// exactly HashCombine of the component hashes — the boost-style combine
+/// this used to be was weak for low-entropy components (dense cell ids x
+/// small hour bins skewed `hash % num_targets` bucketing); the SplitMix64
+/// finalizer restores full avalanche (accel/hash_mix.h).
 struct PairHash {
   template <typename A, typename B>
   size_t operator()(const std::pair<A, B>& p) const {
@@ -34,27 +30,25 @@ struct PairHash {
 
 namespace internal {
 
-/// Ordered + equality-comparable keys take the fast shuffle paths: their
+/// The pair shuffles require ordered + equality-comparable keys: their
 /// output order is normalized by a final key sort, so the intermediate
-/// aggregation is free to use the insertion-ordered AppendOnlyMap. Other
-/// keys fall back to std::unordered_map with the seed's exact insertion
-/// sequence (their output order IS the map's iteration order).
+/// aggregation is free to use the insertion-ordered AppendOnlyMap. A key
+/// without `<` and `==` fails to compile against TryReduceByKey and
+/// TryGroupByKey.
 template <typename K>
 constexpr bool kOrderedKey = requires(const K& a, const K& b) {
   a < b;
   a == b;
 };
 
-/// Sorts a keyed partition by key when the key type is ordered, making
-/// shuffle output deterministic regardless of hash-map iteration order.
+/// Sorts a keyed partition by key, making shuffle output deterministic
+/// regardless of hash-map iteration order.
 template <typename K, typename V>
-void SortByKeyIfOrdered(std::vector<std::pair<K, V>>* part) {
-  if constexpr (kOrderedKey<K>) {
-    std::sort(part->begin(), part->end(),
-              [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-                return a.first < b.first;
-              });
-  }
+void SortByKey(std::vector<std::pair<K, V>>* part) {
+  std::sort(part->begin(), part->end(),
+            [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
+              return a.first < b.first;
+            });
 }
 
 /// A map-side shuffle output: one source partition's records grouped by
@@ -82,51 +76,15 @@ struct BucketedPartition {
 /// `Hash{}(key) % num_targets` — the map-side bucketing pass. Each record
 /// is hashed exactly once and copied (or moved, when `input` is an rvalue)
 /// exactly once into its bucket slot.
-/// True when the map-side bucketing can hash keys in batches: the hasher is
-/// PairHash over a std::pair key, so the combine step lifts out of the
-/// per-record loop into the CombineHashes kernel (the component std::hash
-/// calls stay scalar — for integral components they are trivial).
-template <typename K, typename Hash>
-constexpr bool kBatchablePairHash = false;
-template <typename A, typename B>
-constexpr bool kBatchablePairHash<std::pair<A, B>, PairHash> = true;
-
 template <typename K, typename V, typename Hash, typename In>
 BucketedPartition<K, V> BucketByTarget(In&& input, size_t num_targets) {
   constexpr bool kConsume = !std::is_lvalue_reference_v<In>;
   BucketedPartition<K, V> out;
   std::vector<uint32_t> targets(input.size());
   std::vector<size_t> counts(num_targets, 0);
-  if constexpr (kBatchablePairHash<K, Hash>) {
-    // Columnar fast path: component hashes into h1/h2 columns a chunk at a
-    // time, one CombineHashes kernel call per chunk, scalar mod. Produces
-    // exactly the per-record targets (PairHash IS HashCombine).
-    constexpr size_t kChunk = 2048;
-    std::array<uint64_t, kChunk> h1, h2, combined;
-    const accel::KernelBackend& kernels = accel::Active();
-    for (size_t base = 0; base < input.size(); base += kChunk) {
-      const size_t len = std::min(kChunk, input.size() - base);
-      for (size_t i = 0; i < len; ++i) {
-        const K& key = input[base + i].first;
-        h1[i] = static_cast<uint64_t>(
-            std::hash<typename K::first_type>{}(key.first));
-        h2[i] = static_cast<uint64_t>(
-            std::hash<typename K::second_type>{}(key.second));
-      }
-      kernels.CombineHashes(h1.data(), h2.data(), len, combined.data());
-      accel::BackendRegistry::Instance().CountBatch(len);
-      for (size_t i = 0; i < len; ++i) {
-        targets[base + i] = static_cast<uint32_t>(
-            static_cast<size_t>(combined[i]) % num_targets);
-        ++counts[targets[base + i]];
-      }
-    }
-  } else {
-    accel::BackendRegistry::Instance().CountFallback(input.size());
-    for (size_t i = 0; i < input.size(); ++i) {
-      targets[i] = static_cast<uint32_t>(Hash{}(input[i].first) % num_targets);
-      ++counts[targets[i]];
-    }
+  for (size_t i = 0; i < input.size(); ++i) {
+    targets[i] = static_cast<uint32_t>(Hash{}(input[i].first) % num_targets);
+    ++counts[targets[i]];
   }
   out.offsets.resize(num_targets + 1, 0);
   for (size_t t = 0; t < num_targets; ++t) {
@@ -159,15 +117,14 @@ BucketedPartition<K, V> BucketByTarget(In&& input, size_t num_targets) {
 ///
 /// Determinism contract (identical to the seed's rescan shuffle): per key,
 /// values are reduced in partition scan order map-side and in source
-/// partition order target-side. For ordered keys both sides aggregate in an
-/// insertion-ordered AppendOnlyMap and only the final unique-key output is
-/// sorted; unordered keys take a std::unordered_map path whose insertion
-/// sequence replicates the rescan's exactly.
+/// partition order target-side. Both sides aggregate in an insertion-ordered
+/// AppendOnlyMap and only the final unique-key output is sorted.
 ///
 /// Failure contract: a failing task (a throwing reducer, an injected engine
 /// fault) surfaces as the returned Status; nothing throws.
 template <typename K, typename V, typename Reduce,
           typename Hash = std::hash<K>>
+  requires internal::kOrderedKey<K>
 StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
     const Dataset<std::pair<K, V>>& ds, Reduce reduce) {
   size_t n = ds.num_partitions();
@@ -181,25 +138,11 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
   std::vector<uint64_t> partial_bytes(n, 0);
   auto map_task = [&](size_t p) -> Status {
     const auto& part = ds.partition(p);
-    std::vector<std::pair<K, V>> combined;
-    if constexpr (internal::kOrderedKey<K>) {
-      internal::AppendOnlyMap<K, V, Hash> acc(part.size());
-      for (const auto& [key, value] : part) {
-        acc.InsertOrCombine(key, value, reduce);
-      }
-      combined = std::move(acc).TakeEntries();
-    } else {
-      std::unordered_map<K, V, Hash> acc;
-      for (const auto& [key, value] : part) {
-        auto it = acc.find(key);
-        if (it == acc.end()) {
-          acc.emplace(key, value);
-        } else {
-          it->second = reduce(it->second, value);
-        }
-      }
-      combined.assign(acc.begin(), acc.end());
+    internal::AppendOnlyMap<K, V, Hash> acc(part.size());
+    for (const auto& [key, value] : part) {
+      acc.InsertOrCombine(key, value, reduce);
     }
+    std::vector<std::pair<K, V>> combined = std::move(acc).TakeEntries();
     uint64_t bytes = 0;
     for (const auto& kv : combined) bytes += ApproxShuffleBytes(kv);
     partial_records[p] = combined.size();
@@ -226,34 +169,17 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
   // produced — and the final key sort (unique keys) pins the output.
   typename Dataset<std::pair<K, V>>::Partitions out(n);
   auto merge_task = [&](size_t target) -> Status {
-    auto& merged = out[target];
-    if constexpr (internal::kOrderedKey<K>) {
-      size_t bound = 0;
-      for (const auto& b : bucketed) bound += b.bucket_size(target);
-      internal::AppendOnlyMap<K, V, Hash> acc(bound);
-      for (size_t p = 0; p < n; ++p) {
-        auto [it, end] = bucketed[p].bucket(target);
-        for (; it != end; ++it) {
-          acc.InsertOrCombine(it->first, it->second, reduce);
-        }
+    size_t bound = 0;
+    for (const auto& b : bucketed) bound += b.bucket_size(target);
+    internal::AppendOnlyMap<K, V, Hash> acc(bound);
+    for (size_t p = 0; p < n; ++p) {
+      auto [it, end] = bucketed[p].bucket(target);
+      for (; it != end; ++it) {
+        acc.InsertOrCombine(it->first, it->second, reduce);
       }
-      merged = std::move(acc).TakeEntries();
-      internal::SortByKeyIfOrdered<K, V>(&merged);
-    } else {
-      std::unordered_map<K, V, Hash> acc;
-      for (size_t p = 0; p < n; ++p) {
-        auto [it, end] = bucketed[p].bucket(target);
-        for (; it != end; ++it) {
-          auto found = acc.find(it->first);
-          if (found == acc.end()) {
-            acc.emplace(it->first, std::move(it->second));
-          } else {
-            found->second = reduce(found->second, it->second);
-          }
-        }
-      }
-      merged.assign(acc.begin(), acc.end());
     }
+    out[target] = std::move(acc).TakeEntries();
+    internal::SortByKey<K, V>(&out[target]);
     return Status::Ok();
   };
   ST4ML_RETURN_IF_ERROR(
@@ -268,11 +194,11 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
 /// Bucketed the same way as ReduceByKey: the map side counting-sorts each
 /// source partition by target (stable, so (partition, offset) order
 /// survives) and sums shuffle bytes in the same pass; the target side
-/// touches only its own buckets. For ordered keys grouping is sort-based:
-/// a stable sort of the source-ordered concatenation keeps each key's
-/// values in (partition, offset) order, and each run becomes one group with
-/// its vector sized exactly.
+/// touches only its own buckets. Each key's values are gathered in
+/// (partition, offset) order into one exactly-sized group, and the groups
+/// are sorted by key.
 template <typename K, typename V, typename Hash = std::hash<K>>
+  requires internal::kOrderedKey<K>
 StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
     const Dataset<std::pair<K, V>>& ds) {
   size_t n = ds.num_partitions();
@@ -308,52 +234,41 @@ StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
   typename Dataset<std::pair<K, std::vector<V>>>::Partitions out(n);
   auto merge_task = [&](size_t target) -> Status {
     auto& merged = out[target];
-    if constexpr (internal::kOrderedKey<K>) {
-      // Two passes so every group vector is allocated exactly once at its
-      // final size: the first sweep maps keys to dense indices (insertion
-      // order) and counts group sizes, the second moves values into the
-      // pre-reserved groups. Saves the ~log(group size) reallocations per
-      // key that a single grow-as-you-go sweep pays.
-      size_t bound = 0;
-      for (const auto& b : bucketed) bound += b.bucket_size(target);
-      internal::AppendOnlyMap<K, char, Hash> keys(bound);
-      std::vector<uint32_t> rec_key(bound);
-      std::vector<uint32_t> counts;
-      counts.reserve(bound);
-      size_t r = 0;
-      for (size_t p = 0; p < n; ++p) {
-        auto [it, end] = bucketed[p].bucket(target);
-        for (; it != end; ++it) {
-          size_t k = keys.GetIndex(it->first);
-          if (k == counts.size()) counts.push_back(0);
-          ++counts[k];
-          rec_key[r++] = static_cast<uint32_t>(k);
-        }
+    // Two passes so every group vector is allocated exactly once at its
+    // final size: the first sweep maps keys to dense indices (insertion
+    // order) and counts group sizes, the second moves values into the
+    // pre-reserved groups. Saves the ~log(group size) reallocations per
+    // key that a single grow-as-you-go sweep pays.
+    size_t bound = 0;
+    for (const auto& b : bucketed) bound += b.bucket_size(target);
+    internal::AppendOnlyMap<K, char, Hash> keys(bound);
+    std::vector<uint32_t> rec_key(bound);
+    std::vector<uint32_t> counts;
+    counts.reserve(bound);
+    size_t r = 0;
+    for (size_t p = 0; p < n; ++p) {
+      auto [it, end] = bucketed[p].bucket(target);
+      for (; it != end; ++it) {
+        size_t k = keys.GetIndex(it->first);
+        if (k == counts.size()) counts.push_back(0);
+        ++counts[k];
+        rec_key[r++] = static_cast<uint32_t>(k);
       }
-      auto entries = std::move(keys).TakeEntries();
-      merged.reserve(entries.size());
-      for (size_t k = 0; k < entries.size(); ++k) {
-        merged.emplace_back(std::move(entries[k].first), std::vector<V>());
-        merged[k].second.reserve(counts[k]);
-      }
-      r = 0;
-      for (size_t p = 0; p < n; ++p) {
-        auto [it, end] = bucketed[p].bucket(target);
-        for (; it != end; ++it) {
-          merged[rec_key[r++]].second.push_back(std::move(it->second));
-        }
-      }
-      internal::SortByKeyIfOrdered<K, std::vector<V>>(&merged);
-    } else {
-      std::unordered_map<K, std::vector<V>, Hash> groups;
-      for (size_t p = 0; p < n; ++p) {
-        auto [it, end] = bucketed[p].bucket(target);
-        for (; it != end; ++it) {
-          groups[it->first].push_back(std::move(it->second));
-        }
-      }
-      merged.assign(groups.begin(), groups.end());
     }
+    auto entries = std::move(keys).TakeEntries();
+    merged.reserve(entries.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
+      merged.emplace_back(std::move(entries[k].first), std::vector<V>());
+      merged[k].second.reserve(counts[k]);
+    }
+    r = 0;
+    for (size_t p = 0; p < n; ++p) {
+      auto [it, end] = bucketed[p].bucket(target);
+      for (; it != end; ++it) {
+        merged[rec_key[r++]].second.push_back(std::move(it->second));
+      }
+    }
+    internal::SortByKey<K, std::vector<V>>(&merged);
     return Status::Ok();
   };
   ST4ML_RETURN_IF_ERROR(

@@ -42,10 +42,8 @@ struct CellSpeed {
   int64_t vehicles = 0;
 };
 
-/// Column statistics over a batch of per-trajectory speeds, produced by the
-/// MinMaxSum reduction kernel (accel/kernels.h): the kernel's fixed 8-lane
-/// accumulation order defines `sum`, so the value is identical on every
-/// backend. Empty input is the reduction identity.
+/// Column statistics over a batch of per-trajectory speeds (see
+/// ExtractTrajSpeedStats). Empty input is the reduction identity.
 struct SpeedStats {
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();

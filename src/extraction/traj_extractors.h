@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/kernels.h"
 #include "engine/dataset.h"
 #include "extraction/extractor.h"
 #include "geometry/point.h"
@@ -73,28 +72,23 @@ inline Dataset<std::pair<int64_t, double>> ExtractTrajSpeeds(
 }
 
 /// Whole-dataset speed statistics: min / max / sum / count over the
-/// per-trajectory average speeds. Each partition materializes its speed
-/// column and reduces it with the MinMaxSum kernel (one vectorized pass);
-/// the per-partition partials merge on the driver in partition order. The
-/// kernel's fixed 8-lane accumulation order (accel/kernels.h) makes the
-/// sum — and therefore the whole result — identical on every backend and
-/// at every worker count, since partials are per-partition slots.
+/// per-trajectory average speeds. Each partition folds its speeds in scan
+/// order; the per-partition partials merge on the calling thread in
+/// partition order, so the result is identical at every worker count.
 inline SpeedStats ExtractTrajSpeedStats(
     const Dataset<STTrajectory>& trajs,
     SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
   double factor = SpeedFactor(unit);
   Dataset<SpeedStats> partial =
       trajs.MapPartitions([factor](const std::vector<STTrajectory>& part) {
-        std::vector<double> speeds;
-        speeds.reserve(part.size());
-        for (const STTrajectory& t : part) {
-          speeds.push_back(t.AverageSpeedMps() * factor);
-        }
         SpeedStats stats;
-        stats.count = static_cast<int64_t>(speeds.size());
-        accel::Active().MinMaxSum(speeds.data(), speeds.size(), &stats.min,
-                                  &stats.max, &stats.sum);
-        accel::BackendRegistry::Instance().CountBatch(speeds.size());
+        for (const STTrajectory& t : part) {
+          double speed = t.AverageSpeedMps() * factor;
+          stats.min = stats.min < speed ? stats.min : speed;
+          stats.max = stats.max > speed ? stats.max : speed;
+          stats.sum += speed;
+          ++stats.count;
+        }
         return std::vector<SpeedStats>{stats};
       });
   SpeedStats merged;

@@ -1,14 +1,12 @@
 #ifndef ST4ML_INSTANCES_INSTANCES_H_
 #define ST4ML_INSTANCES_INSTANCES_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "accel/kernels.h"
 #include "common/logging.h"
 #include "geometry/linestring.h"
 #include "geometry/point.h"
@@ -76,29 +74,12 @@ struct STTrajectory {
   }
 
   /// Whole-trajectory mean speed: great-circle length over elapsed time.
-  /// Segment distances go through the batched HaversineMeters kernel a
-  /// chunk at a time (consecutive points gathered into SoA spans); the sum
-  /// stays a sequential left-to-right fold over the per-segment results,
-  /// so the value is bit-identical to the old one-segment-at-a-time loop
-  /// on every backend (the cross-system checksum audit pins this).
+  /// Segment lengths are summed left to right, the order the cross-system
+  /// checksum audit pins.
   double AverageSpeedMps() const {
-    constexpr size_t kChunk = 256;
-    double ax[kChunk], ay[kChunk], bx[kChunk], by[kChunk], dist[kChunk];
-    const accel::KernelBackend& kernels = accel::Active();
     double meters = 0.0;
-    for (size_t seg = 1; seg < entries.size(); seg += kChunk) {
-      const size_t len = std::min(kChunk, entries.size() - seg);
-      for (size_t i = 0; i < len; ++i) {
-        ax[i] = entries[seg + i - 1].point.x;
-        ay[i] = entries[seg + i - 1].point.y;
-        bx[i] = entries[seg + i].point.x;
-        by[i] = entries[seg + i].point.y;
-      }
-      kernels.HaversineMeters(ax, ay, bx, by, len, dist);
-      for (size_t i = 0; i < len; ++i) meters += dist[i];
-    }
-    if (entries.size() > 1) {
-      accel::BackendRegistry::Instance().CountBatch(entries.size() - 1);
+    for (size_t i = 1; i < entries.size(); ++i) {
+      meters += HaversineMeters(entries[i - 1].point, entries[i].point);
     }
     int64_t span = TemporalExtent().Seconds();
     return span > 0 ? meters / static_cast<double>(span) : 0.0;

@@ -110,14 +110,13 @@ void PrintStageSummary(const Tracer& tracer, const MetricsSnapshot& snapshot,
                snapshot[Counter::kPartitionsPruned],
                snapshot[Counter::kPartitionsScanned]);
   // Kernel dispatch line: which backend ran, and how much of the work hit
-  // batch kernels vs per-record fallbacks. Registry-wide (process scope),
-  // not per-snapshot — dispatch identity doesn't vary per job.
+  // the batch box filter. Registry-wide (process scope), not per-snapshot —
+  // dispatch identity doesn't vary per job.
   const accel::BackendRegistry& accel = accel::BackendRegistry::Instance();
   std::fprintf(out,
                "backend: %s, %" PRIu64 " batches / %" PRIu64
-               " records batched, %" PRIu64 " records on fallback paths\n",
-               accel.active_name(), accel.batches(), accel.batch_records(),
-               accel.fallback_records());
+               " records batched\n",
+               accel.active_name(), accel.batches(), accel.batch_records());
 }
 
 }  // namespace st4ml

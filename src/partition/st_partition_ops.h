@@ -31,7 +31,8 @@ struct STPartitionOptions {
 /// order, and each output partition lists its records in that same order.
 ///
 /// A bad partitioner (null, trained to nothing, out-of-range assignment)
-/// surfaces as the returned Status.
+/// or a failing engine task surfaces as the returned Status; nothing
+/// throws.
 template <typename T, typename BoxFn, typename IdFn>
 StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
                                     STPartitioner* partitioner, BoxFn box_of,
@@ -49,12 +50,14 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
     starts[p + 1] = starts[p] + data.partition(p).size();
   }
   std::vector<STBox> boxes(starts.back());
-  ctx.RunParallel("st_partition/boxes", num_inputs, [&](size_t p) {
-    const std::vector<T>& part = data.partition(p);
-    for (size_t j = 0; j < part.size(); ++j) {
-      boxes[starts[p] + j] = box_of(part[j]);
-    }
-  });
+  ST4ML_RETURN_IF_ERROR(
+      ctx.TryRunParallel("st_partition/boxes", num_inputs, [&](size_t p) {
+        const std::vector<T>& part = data.partition(p);
+        for (size_t j = 0; j < part.size(); ++j) {
+          boxes[starts[p] + j] = box_of(part[j]);
+        }
+        return Status::Ok();
+      }));
   partitioner->Train(boxes);
 
   int n = partitioner->num_partitions();
@@ -64,7 +67,7 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
   // output partition t, ascending.
   std::vector<std::vector<std::vector<size_t>>> routes(
       num_inputs, std::vector<std::vector<size_t>>(num_targets));
-  Status assigned =
+  ST4ML_RETURN_IF_ERROR(
       ctx.TryRunParallel("st_partition/assign", num_inputs, [&](size_t p) {
         const std::vector<T>& part = data.partition(p);
         for (size_t j = 0; j < part.size(); ++j) {
@@ -78,25 +81,26 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
           }
         }
         return Status::Ok();
-      });
-  if (!assigned.ok()) return assigned;
+      }));
 
   typename Dataset<T>::Partitions parts(num_targets);
   std::vector<uint64_t> partial_bytes(num_targets, 0);
-  ctx.RunParallel("st_partition/scatter", num_targets, [&](size_t t) {
-    size_t count = 0;
-    for (size_t p = 0; p < num_inputs; ++p) count += routes[p][t].size();
-    parts[t].reserve(count);
-    uint64_t bytes = 0;
-    for (size_t p = 0; p < num_inputs; ++p) {
-      const std::vector<T>& part = data.partition(p);
-      for (size_t j : routes[p][t]) {
-        bytes += ApproxShuffleBytes(part[j]);
-        parts[t].push_back(part[j]);
-      }
-    }
-    partial_bytes[t] = bytes;
-  });
+  ST4ML_RETURN_IF_ERROR(
+      ctx.TryRunParallel("st_partition/scatter", num_targets, [&](size_t t) {
+        size_t count = 0;
+        for (size_t p = 0; p < num_inputs; ++p) count += routes[p][t].size();
+        parts[t].reserve(count);
+        uint64_t bytes = 0;
+        for (size_t p = 0; p < num_inputs; ++p) {
+          const std::vector<T>& part = data.partition(p);
+          for (size_t j : routes[p][t]) {
+            bytes += ApproxShuffleBytes(part[j]);
+            parts[t].push_back(part[j]);
+          }
+        }
+        partial_bytes[t] = bytes;
+        return Status::Ok();
+      }));
   uint64_t moved = 0;
   uint64_t bytes = 0;
   for (size_t t = 0; t < num_targets; ++t) {

@@ -31,8 +31,8 @@ struct ToolOptions {
   std::string metrics_json_path;
   /// 0 sizes the worker pool to the hardware.
   int num_workers = 0;
-  /// Non-empty: force the accel kernel backend ("scalar" | "sse2" |
-  /// "avx2") instead of the automatic choice (the ST4ML_BACKEND env knob,
+  /// Non-empty: force the accel kernel backend ("scalar" | "avx2")
+  /// instead of the automatic choice (the ST4ML_BACKEND env knob,
   /// else the widest ISA this CPU supports). An unknown or unsupported
   /// name surfaces on Session::configure_status() so tools can refuse to
   /// start instead of silently computing on the wrong backend.

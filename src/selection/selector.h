@@ -93,11 +93,10 @@ struct FileLoadResult {
 }  // namespace selection_internal
 
 struct SelectorOptions {
-  /// When set (and partition_after_select is true), the selected records are
-  /// ST-partitioned for the downstream stages — select FIRST, partition the
-  /// small result, not the other way around (the paper's ordering).
+  /// When set, the selected records are ST-partitioned for the downstream
+  /// stages — select FIRST, partition the small result, not the other way
+  /// around (the paper's ordering).
   std::shared_ptr<STPartitioner> partitioner;
-  bool partition_after_select = true;
   /// Per-file load retry: transient IOErrors (a flaky filesystem, an
   /// injected fault) are re-attempted with backoff before failing the
   /// Select; deterministic errors (NotFound, Corruption) fail immediately.
@@ -364,7 +363,7 @@ class Selector {
     op.AddArg("files", paths.size());
     op.AddArg("records_out", records_out);
     auto selected = Dataset<RecordT>::FromPartitions(ctx_, std::move(parts));
-    if (options_.partitioner != nullptr && options_.partition_after_select) {
+    if (options_.partitioner != nullptr) {
       auto partitioned = TrySTPartition(
           selected, options_.partitioner.get(),
           [](const RecordT& r) { return r.ComputeSTBox(); },

@@ -330,10 +330,19 @@ std::string Server::HandleRequest(const std::string& payload,
     }
     AdmissionTicket ticket(&admission_);
     if (!ticket.admitted()) return ErrorResponse(ticket.status());
-    if (verb == "extract") return HandleExtract(*parsed);
-    if (verb == "append") return HandleAppend(*parsed);
-    if (verb == "flush") return HandleFlush(*parsed);
-    return HandleSelect(*parsed, /*lookup_by_id=*/verb == "lookup_id");
+    // A job that throws (an engine task failing under a void-returning
+    // operator) answers this request with its error; it must not unwind
+    // the connection thread and terminate the daemon.
+    try {
+      if (verb == "extract") return HandleExtract(*parsed);
+      if (verb == "append") return HandleAppend(*parsed);
+      if (verb == "flush") return HandleFlush(*parsed);
+      return HandleSelect(*parsed, /*lookup_by_id=*/verb == "lookup_id");
+    } catch (const StatusError& e) {
+      return ErrorResponse(e.status());
+    } catch (const std::exception& e) {
+      return ErrorResponse(Status::Internal(e.what()));
+    }
   }
 
   return ErrorResponse(
@@ -391,13 +400,12 @@ std::string Server::HandleStats() {
       .Add("jobs_started", session_->jobs_started())
       .Add("inflight", static_cast<uint64_t>(admission_.inflight()))
       // Which kernel backend this daemon computes on, and how much of the
-      // work actually went through batch kernels vs per-record fallbacks —
-      // the first thing to check when a warm deployment is slower than the
-      // bench says it should be.
+      // work actually went through the batch box filter — the first thing
+      // to check when a warm deployment is slower than the bench says it
+      // should be.
       .Add("backend", accel.active_name())
       .Add("backend_batches", accel.batches())
       .Add("backend_batch_records", accel.batch_records())
-      .Add("backend_fallback_records", accel.fallback_records())
       .AddRaw("datasets", dataset_rows)
       .AddRaw("metrics", MetricsJson(m));
   return obj.Str();

@@ -87,8 +87,9 @@ inline CacheWorkload RandomCacheWorkload(uint64_t seed) {
                       : static_cast<uint64_t>(rng.UniformInt(64, 4096));
   w.fault_prob = seed % 5 == 0 ? 0.1 : 0.0;
   w.repeats = 2;
-  // Random compiled-in-and-supported backend, so the seed sweep exercises
-  // every dispatch target (on top of ExpectIdentical's scalar reference).
+  // Random compiled-in-and-supported backend — scalar or avx2 — so the seed
+  // sweep exercises both dispatch targets (on top of ExpectIdentical's
+  // scalar reference).
   const auto& available = accel::BackendRegistry::Instance().Available();
   w.backend =
       available[rng.UniformInt(0, static_cast<int64_t>(available.size()) - 1)]

@@ -57,8 +57,8 @@ TEST(CachePropertyTest, GeneratorCoversTheInterestingRegimes) {
   }
   EXPECT_GE(faulty, 5);
   EXPECT_GE(one_byte_budgets, 1);
-  // On any multi-backend build (x86-64 always has at least sse2), the
-  // sweep must actually run SIMD backends, not just draw scalar 50 times.
+  // When the CPU has AVX2 the draw is from {scalar, avx2}, and the sweep
+  // must actually run avx2, not just draw scalar 50 times.
   if (accel::BackendRegistry::Instance().Available().size() > 1) {
     EXPECT_GE(non_scalar_backends, 10);
   }

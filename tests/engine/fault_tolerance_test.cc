@@ -13,6 +13,7 @@
 #include "engine/execution_context.h"
 #include "engine/pair_ops.h"
 #include "partition/st_partition_ops.h"
+#include "partition/str_partitioner.h"
 #include "storage/records.h"
 
 namespace st4ml {
@@ -162,6 +163,30 @@ TEST_F(FaultToleranceTest, TrySTPartitionRejectsNullPartitioner) {
       [](const EventRecord& r) { return static_cast<uint64_t>(r.id); });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+}
+
+TEST_F(FaultToleranceTest, TrySTPartitionReturnsInjectedTaskFault) {
+  // Every phase runs on the Status path, so an engine task failure comes
+  // back as the result's Status instead of escaping as a StatusError.
+  auto ctx = ExecutionContext::Create(4);
+  std::vector<EventRecord> records(40);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].id = static_cast<int64_t>(i);
+    records[i].x = static_cast<double>(i % 7);
+    records[i].y = static_cast<double>(i % 5);
+    records[i].time = static_cast<int64_t>(i) * 60;
+  }
+  auto data = Dataset<EventRecord>::Parallelize(ctx, records, 4);
+  TSTRPartitioner partitioner(2, 2);
+  GlobalFaultInjector().FailNext(fault_site::kTaskRun, 1);
+  StatusOr<Dataset<EventRecord>> result = Status::Internal("not run");
+  EXPECT_NO_THROW(
+      result = TrySTPartition(
+          data, &partitioner,
+          [](const EventRecord& r) { return r.ComputeSTBox(); },
+          [](const EventRecord& r) { return static_cast<uint64_t>(r.id); }));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kIOError);
 }
 
 TEST_F(FaultToleranceTest, InjectedTaskFaultFailsJobWithIOError) {

@@ -267,7 +267,6 @@ TEST_F(SelectorTest, PartitionAfterSelectRedistributes) {
   STBox query(Mbr(0, 0, 100, 100), Duration(0, 100000));
   SelectorOptions options;
   options.partitioner = std::make_shared<TSTRPartitioner>(2, 2);
-  options.partition_after_select = true;
   Selector<EventRecord> selector(ctx_, SelectQuery::FromBox(query), options);
   auto selected = selector.Select(dir_, meta_);
   ASSERT_TRUE(selected.ok());

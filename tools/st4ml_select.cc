@@ -31,7 +31,7 @@ int Run(int argc, char** argv) {
                  "[--mbr=x1,y1,x2,y2 --time=start,end] [--ids=1,2,3] "
                  "[--limit=N] [--count-only] "
                  "[--cache-budget=BYTES] [--trace=FILE] "
-                 "[--metrics-json=FILE] [--backend=scalar|sse2|avx2]\n");
+                 "[--metrics-json=FILE] [--backend=scalar|avx2]\n");
     return 2;
   }
 

@@ -125,7 +125,7 @@ inline bool CheckIntFlags(const Flags& flags, const char* tool) {
 ///   --metrics-json=FILE    flat metrics JSON written on export
 ///   --workers=N            worker pool size (0 sizes to the hardware)
 ///   --backend=NAME         force the accel kernel backend
-///                          (scalar|sse2|avx2; absent keeps the automatic
+///                          (scalar|avx2; absent keeps the automatic
 ///                          choice: ST4ML_BACKEND env, else widest ISA the
 ///                          CPU supports) — an invalid name surfaces on
 ///                          Session::configure_status()
