@@ -113,12 +113,12 @@ size_t GridSpeedSt4mlC(const BenchEnv& env, int scale, const STBox& query) {
   auto structure = std::make_shared<const SpatialStructure>(
       SpatialStructure::Grid(query.mbr, 48, 48));
   Traj2SmConverter<STTrajectory> converter(structure);
-  auto cell_mean_speed = [](const std::vector<STTrajectory>& arr) {
+  auto cell_mean_speed = [](const Bucket<STTrajectory>& arr) {
     double sum = 0.0;
     for (const STTrajectory& t : arr) sum += t.AverageSpeedMps() * 3.6;
     return arr.empty() ? 0.0 : sum / arr.size();
   };
-  auto f = [&](const Dataset<SpatialMap<std::vector<STTrajectory>>>& rdd) {
+  auto f = [&](const Dataset<SpatialMap<Bucket<STTrajectory>>>& rdd) {
     return MapValue(rdd, cell_mean_speed);
   };
   auto extractor = MakeExtractor(f);
@@ -139,7 +139,7 @@ size_t TransitionSt4mlC(const BenchEnv& env, int scale, const STBox& query) {
       query.mbr, 16, 16, query.time,
       std::max(1, static_cast<int>(query.time.Seconds() / 3600))));
   Traj2RasterConverter<STTrajectory> converter(structure);
-  auto cell_transit = [](const std::vector<STTrajectory>& arr,
+  auto cell_transit = [](const Bucket<STTrajectory>& arr,
                          const Polygon& cell, const Duration& bin) {
     int64_t in = 0, out = 0;
     for (const STTrajectory& t : arr) {

@@ -107,7 +107,7 @@ void AblateConversionDesign(const BenchEnv& env) {
   auto events = ParseEvents(*selected);
   auto structure = std::make_shared<const SpatialStructure>(
       SpatialStructure::Grid(env.nyc_extent, 32, 32));
-  auto count_cell = [](const std::vector<STEvent>& arr) {
+  auto count_cell = [](const Bucket<STEvent>& arr) {
     return static_cast<int64_t>(arr.size());
   };
 

@@ -28,7 +28,7 @@ int main() {
       trajs);
   SpatialMap<double> speed = pipeline.Run(
       "extraction",
-      [](const Dataset<SpatialMap<std::vector<STTrajectory>>>& converted) {
+      [](const Dataset<SpatialMap<Bucket<STTrajectory>>>& converted) {
         return ExtractSmSpeed(converted, SpeedUnit::kKilometersPerHour);
       },
       cells);

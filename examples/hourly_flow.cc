@@ -53,7 +53,7 @@ int main() {
       ParseEvents(*selected));
   TimeSeries<int64_t> flow = pipeline.Run(
       "extraction",
-      [](const Dataset<TimeSeries<std::vector<STEvent>>>& binned) {
+      [](const Dataset<TimeSeries<Bucket<STEvent>>>& binned) {
         return ExtractTsFlow(binned);
       },
       series);

@@ -2,6 +2,7 @@
 #define ST4ML_CONVERSION_SINGULAR_TO_COLLECTIVE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -157,22 +158,6 @@ inline bool WantsCellIndex(const SpatialStructure& s) {
   return !s.is_grid() && s.size() > 8;
 }
 
-struct IdentityPre {
-  template <typename T>
-  T operator()(const T& value) const {
-    return value;
-  }
-};
-
-/// Keeps each bucket as the slot's value. The converter hands buckets over
-/// as rvalues, so this moves them instead of copying.
-struct PassThroughAgg {
-  template <typename P>
-  std::vector<P> operator()(std::vector<P> values) const {
-    return values;
-  }
-};
-
 template <typename T>
 constexpr bool kIsEvent = std::is_same_v<T, STEvent>;
 
@@ -262,6 +247,45 @@ void ForEachSlot(const RasterStructure& r, const CellIndex* index, bool naive,
   }
 }
 
+/// One partition's slot assignment as a stable counting sort. `kept` holds
+/// the partition positions of the items that joined at least one slot;
+/// slot i's items are `order[offsets[i]]` .. `order[offsets[i + 1] - 1]`,
+/// indices into `kept` in input order — the order a per-slot push_back
+/// would have produced, so per-slot folds sum exactly as before.
+struct SlotIndex {
+  std::vector<uint32_t> kept;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> order;
+};
+
+/// Runs the slot function once per item, recording (slot, item) pairs, then
+/// counts per slot, prefix-sums and scatters the pairs into `order`.
+template <typename S, typename T>
+SlotIndex SortIntoSlots(const S& s, const CellIndex* index, bool naive,
+                        const std::vector<T>& part) {
+  SlotIndex out;
+  out.offsets.assign(s.size() + 1, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (slot, kept index)
+  for (size_t i = 0; i < part.size(); ++i) {
+    const size_t before = pairs.size();
+    const auto k = static_cast<uint32_t>(out.kept.size());
+    ForEachSlot(s, index, naive, part[i], [&](size_t slot) {
+      pairs.emplace_back(static_cast<uint32_t>(slot), k);
+      ++out.offsets[slot + 1];
+    });
+    if (pairs.size() > before) out.kept.push_back(static_cast<uint32_t>(i));
+  }
+  ST4ML_CHECK(part.size() <= UINT32_MAX && pairs.size() <= UINT32_MAX)
+      << "a partition holds or assigns more than 2^32 items";
+  for (size_t i = 1; i < out.offsets.size(); ++i) {
+    out.offsets[i] += out.offsets[i - 1];
+  }
+  std::vector<uint32_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  out.order.resize(pairs.size());
+  for (const auto& [slot, k] : pairs) out.order[next[slot]++] = k;
+  return out;
+}
+
 }  // namespace conversion_internal
 
 /// Converts singular instances (events or trajectories) into one
@@ -270,12 +294,15 @@ void ForEachSlot(const RasterStructure& r, const CellIndex* index, bool naive,
 /// cell envelopes — shipped to workers as broadcast variables: design
 /// option 2 of DESIGN.md §3.2.2; no shuffle.
 ///
-/// `Convert(data)` buckets whole instances (value type vector<T>);
-/// `Convert(data, pre, agg)` applies `pre` per instance before bucketing and
-/// `agg` per slot afterwards, so heavy payloads never outlive the partition.
-/// `agg` receives each bucket as an rvalue. A zero-partition input (a
-/// selection that pruned everything) converts as one empty partition, so
-/// every output has a collective to merge.
+/// Each partition is assigned to slots by one stable counting sort
+/// (conversion_internal::SortIntoSlots). `Convert(data)` stores every
+/// assigned instance once per partition and makes each slot a Bucket<T>
+/// view into that store; `Convert(data, pre, agg)` applies `pre` once per
+/// assigned instance and `agg` per slot to a std::vector<P> gathered in
+/// input order (handed over as an rvalue), so heavy payloads never outlive
+/// the partition. A zero-partition input (a selection that pruned
+/// everything) converts as one empty partition, so every output has a
+/// collective to merge.
 template <typename T, typename S>
 class Converter {
  public:
@@ -286,16 +313,58 @@ class Converter {
     ST4ML_CHECK(structure_ != nullptr) << "null structure";
   }
 
-  Dataset<Collective<S, std::vector<T>>> Convert(const Dataset<T>& data) const {
-    return Convert(data, conversion_internal::IdentityPre{},
-                   conversion_internal::PassThroughAgg{});
+  Dataset<Collective<S, Bucket<T>>> Convert(const Dataset<T>& data) const {
+    return ConvertSorted(data, [](const std::shared_ptr<const S>& s,
+                                  const std::vector<T>& part,
+                                  conversion_internal::SlotIndex slots) {
+      std::vector<T> items;
+      items.reserve(slots.kept.size());
+      for (uint32_t i : slots.kept) items.push_back(part[i]);
+      auto store = std::make_shared<const BucketStore<T>>(
+          BucketStore<T>{std::move(items), std::move(slots.order)});
+      const std::vector<uint32_t>& offsets = slots.offsets;
+      std::vector<Bucket<T>> values(s->size());
+      for (size_t i = 0; i < values.size(); ++i) {
+        if (offsets[i] != offsets[i + 1]) {  // empty slots reference nothing
+          values[i] = Bucket<T>(store, offsets[i], offsets[i + 1]);
+        }
+      }
+      return Collective<S, Bucket<T>>(s, std::move(values));
+    });
   }
 
   template <typename PreFn, typename AggFn>
   auto Convert(const Dataset<T>& data, PreFn pre, AggFn agg) const {
-    namespace ci = conversion_internal;
     using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
     using R = std::decay_t<std::invoke_result_t<AggFn, std::vector<P>>>;
+    return ConvertSorted(data, [pre, agg](const std::shared_ptr<const S>& s,
+                                          const std::vector<T>& part,
+                                          conversion_internal::SlotIndex slots) {
+      std::vector<P> mapped;
+      mapped.reserve(slots.kept.size());
+      for (uint32_t i : slots.kept) mapped.push_back(pre(part[i]));
+      const std::vector<uint32_t>& offsets = slots.offsets;
+      std::vector<R> values;
+      values.reserve(s->size());
+      for (size_t i = 0; i < s->size(); ++i) {
+        std::vector<P> bucket;
+        bucket.reserve(offsets[i + 1] - offsets[i]);
+        for (uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          bucket.push_back(mapped[slots.order[k]]);
+        }
+        values.push_back(agg(std::move(bucket)));
+      }
+      return Collective<S, R>(s, std::move(values));
+    });
+  }
+
+ private:
+  /// Broadcasts the structure (and cell index), sorts every partition into
+  /// slots and turns each into one collective with
+  /// `build(structure, partition, slots)`.
+  template <typename BuildFn>
+  auto ConvertSorted(const Dataset<T>& data, BuildFn build) const {
+    namespace ci = conversion_internal;
     auto shared = MakeBroadcast(data.context(), structure_);
     const bool naive = strategy_ == ConversionStrategy::kNaive;
     Broadcast<ci::CellIndex> index;
@@ -309,24 +378,15 @@ class Converter {
             : Dataset<T>::FromPartitions(data.context(),
                                          typename Dataset<T>::Partitions(1));
     return input.MapPartitions(
-        [shared, index, naive, pre, agg](const std::vector<T>& part) {
-          const S& s = *shared.value();
-          std::vector<std::vector<P>> buckets(s.size());
-          for (const T& item : part) {
-            ci::ForEachSlot(s, index.get(), naive, item, [&](size_t slot) {
-              buckets[slot].push_back(pre(item));
-            });
-          }
-          std::vector<R> values;
-          values.reserve(buckets.size());
-          for (auto& bucket : buckets) values.push_back(agg(std::move(bucket)));
-          std::vector<Collective<S, R>> out;
-          out.emplace_back(shared.value(), std::move(values));
+        [shared, index, naive, build](const std::vector<T>& part) {
+          const std::shared_ptr<const S>& s = shared.value();
+          std::vector<decltype(build(s, part, ci::SlotIndex{}))> out;
+          out.push_back(
+              build(s, part, ci::SortIntoSlots(*s, index.get(), naive, part)));
           return out;
         });
   }
 
- private:
   std::shared_ptr<const S> structure_;
   ConversionStrategy strategy_;
 };

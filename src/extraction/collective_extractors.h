@@ -21,25 +21,43 @@ namespace extraction_internal {
 /// Instance count per slot.
 template <typename S, typename T>
 Collective<S, int64_t> CountPerSlot(
-    const Dataset<Collective<S, std::vector<T>>>& converted) {
-  auto counts = MapValue(converted, [](const std::vector<T>& arr) {
-    return static_cast<int64_t>(arr.size());
+    const Dataset<Collective<S, Bucket<T>>>& converted) {
+  auto counts = MapValue(converted, [](const Bucket<T>& bucket) {
+    return static_cast<int64_t>(bucket.size());
   });
   return CollectAndMerge(counts, static_cast<int64_t>(0),
                          [](int64_t a, int64_t b) { return a + b; });
 }
 
-/// Merged mean-speed accumulator per slot, speeds scaled to `unit`.
+/// Merged mean-speed accumulator per slot, speeds scaled to `unit`. Each
+/// stored trajectory's speed is computed once, however many slots it
+/// joined, then folded per slot in bucket order through the bucket indices.
 template <typename S>
 Collective<S, MeanAcc> MeanSpeedPerSlot(
-    const Dataset<Collective<S, std::vector<STTrajectory>>>& converted,
+    const Dataset<Collective<S, Bucket<STTrajectory>>>& converted,
     SpeedUnit unit) {
   double factor = SpeedFactor(unit);
-  auto partial =
-      MapValue(converted, [factor](const std::vector<STTrajectory>& arr) {
-        MeanAcc acc;
-        for (const STTrajectory& t : arr) acc.Add(t.AverageSpeedMps() * factor);
-        return acc;
+  auto partial = converted.Map(
+      [factor](const Collective<S, Bucket<STTrajectory>>& c) {
+        const BucketStore<STTrajectory>* store = nullptr;
+        std::vector<double> speeds;
+        std::vector<MeanAcc> accs(c.size());
+        for (size_t i = 0; i < c.size(); ++i) {
+          const Bucket<STTrajectory>& bucket = c.value(i);
+          if (bucket.empty()) continue;
+          if (bucket.store() != store) {
+            store = bucket.store();
+            speeds.clear();
+            speeds.reserve(store->items.size());
+            for (const STTrajectory& t : store->items) {
+              speeds.push_back(t.AverageSpeedMps() * factor);
+            }
+          }
+          for (size_t j = 0; j < bucket.size(); ++j) {
+            accs[i].Add(speeds[bucket.index(j)]);
+          }
+        }
+        return Collective<S, MeanAcc>(c.structure(), std::move(accs));
       });
   return CollectAndMerge(partial, MeanAcc{},
                          [](MeanAcc a, const MeanAcc& b) { return a + b; });
@@ -70,20 +88,20 @@ inline std::pair<int64_t, int64_t> TransitOf(const STTrajectory& t,
 /// Instance count per temporal bin.
 template <typename T>
 TimeSeries<int64_t> ExtractTsFlow(
-    const Dataset<TimeSeries<std::vector<T>>>& converted) {
+    const Dataset<TimeSeries<Bucket<T>>>& converted) {
   return extraction_internal::CountPerSlot(converted);
 }
 
 /// Instance count per spatial cell.
 template <typename T>
 SpatialMap<int64_t> ExtractSmFlow(
-    const Dataset<SpatialMap<std::vector<T>>>& converted) {
+    const Dataset<SpatialMap<Bucket<T>>>& converted) {
   return extraction_internal::CountPerSlot(converted);
 }
 
 /// Mean trajectory speed per spatial cell (0 where no trajectory passed).
 inline SpatialMap<double> ExtractSmSpeed(
-    const Dataset<SpatialMap<std::vector<STTrajectory>>>& converted,
+    const Dataset<SpatialMap<Bucket<STTrajectory>>>& converted,
     SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
   SpatialMap<MeanAcc> merged =
       extraction_internal::MeanSpeedPerSlot(converted, unit);
@@ -98,12 +116,12 @@ inline SpatialMap<double> ExtractSmSpeed(
 /// (entries, exits) per raster cell: how many trajectories moved into and
 /// out of each cell during each bin.
 inline Raster<std::pair<int64_t, int64_t>> ExtractRasterTransit(
-    const Dataset<Raster<std::vector<STTrajectory>>>& converted) {
+    const Dataset<Raster<Bucket<STTrajectory>>>& converted) {
   auto partial = MapValuePlus(
-      converted, [](const std::vector<STTrajectory>& arr, const Polygon& cell,
+      converted, [](const Bucket<STTrajectory>& bucket, const Polygon& cell,
                     const Duration& bin) {
         std::pair<int64_t, int64_t> total{0, 0};
-        for (const STTrajectory& t : arr) {
+        for (const STTrajectory& t : bucket) {
           auto [in, out] = extraction_internal::TransitOf(t, cell, bin);
           total.first += in;
           total.second += out;
@@ -120,7 +138,7 @@ inline Raster<std::pair<int64_t, int64_t>> ExtractRasterTransit(
 
 /// Mean vehicle speed plus vehicle count per raster cell.
 inline Raster<CellSpeed> ExtractRasterSpeed(
-    const Dataset<Raster<std::vector<STTrajectory>>>& converted,
+    const Dataset<Raster<Bucket<STTrajectory>>>& converted,
     SpeedUnit unit = SpeedUnit::kMetersPerSecond) {
   Raster<MeanAcc> merged =
       extraction_internal::MeanSpeedPerSlot(converted, unit);

@@ -1,7 +1,9 @@
 #ifndef ST4ML_INSTANCES_INSTANCES_H_
 #define ST4ML_INSTANCES_INSTANCES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -97,6 +99,79 @@ struct StayPoint {
   Point center;
   Duration duration;
   int64_t num_points = 0;
+};
+
+/// One partition's converted instances (paper §3.2.2: cells reference
+/// instances, they do not copy them): each instance that joined at least
+/// one slot, stored once in partition order, and `order`, the positions in
+/// `items` grouped slot by slot (CSR) that the partition's buckets read
+/// through.
+template <typename T>
+struct BucketStore {
+  std::vector<T> items;
+  std::vector<uint32_t> order;
+};
+
+/// The value of one collective slot after conversion: a read-only view of
+/// the instances assigned to the slot, in partition input order. The
+/// non-empty buckets of one collective share their partition's store and
+/// keep it alive; an empty bucket holds no reference at all.
+template <typename T>
+class Bucket {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = T;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const T*;
+    using reference = const T&;
+
+    Iterator() = default;
+    Iterator(const uint32_t* pos, const T* items) : pos_(pos), items_(items) {}
+
+    const T& operator*() const { return items_[*pos_]; }
+    Iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++pos_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return pos_ == other.pos_; }
+
+   private:
+    const uint32_t* pos_ = nullptr;
+    const T* items_ = nullptr;
+  };
+
+  Bucket() = default;
+  /// Slot entries [begin, end) of `store->order`.
+  Bucket(std::shared_ptr<const BucketStore<T>> store, uint32_t begin,
+         uint32_t end)
+      : store_(std::move(store)), begin_(begin), end_(end) {}
+
+  size_t size() const { return end_ - begin_; }
+  bool empty() const { return begin_ == end_; }
+  /// Where the j-th instance of the slot sits in `store()->items`.
+  uint32_t index(size_t j) const { return store_->order[begin_ + j]; }
+  const T& operator[](size_t j) const { return store_->items[index(j)]; }
+  Iterator begin() const { return At(begin_); }
+  Iterator end() const { return At(end_); }
+  /// The partition store the bucket reads; null when the bucket is empty.
+  const BucketStore<T>* store() const { return store_.get(); }
+
+ private:
+  Iterator At(uint32_t pos) const {
+    if (store_ == nullptr) return Iterator();
+    return Iterator(store_->order.data() + pos, store_->items.data());
+  }
+
+  std::shared_ptr<const BucketStore<T>> store_;
+  uint32_t begin_ = 0;
+  uint32_t end_ = 0;
 };
 
 /// Structures whose slots have a spatial cell (SpatialStructure,

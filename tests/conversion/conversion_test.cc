@@ -1,6 +1,7 @@
 #include "conversion/singular_to_collective.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -279,7 +280,7 @@ TEST_F(ConversionTest, ZeroPartitionInputConvertsAsOneEmptyPartition) {
           Converter<STEvent, S> converter(structure);
           auto converted = converter.Convert(no_events);
           ASSERT_EQ(converted.num_partitions(), 1u);
-          auto counts = MapValue(converted, [](const std::vector<STEvent>& v) {
+          auto counts = MapValue(converted, [](const Bucket<STEvent>& v) {
             return static_cast<int64_t>(v.size());
           });
           auto merged = CollectAndMerge(
@@ -336,6 +337,113 @@ TEST_F(ConversionTest, PreAndAggRunPerPartition) {
   EXPECT_EQ(sum, static_cast<int64_t>(events_.size()));
 }
 
+TEST_F(ConversionTest, PreRunsOncePerItemOnOverlappingRaster) {
+  // air_over_road's shape: overlapping irregular cells x overlapping bins,
+  // so one event joins several cells x several bins. The last bin spans the
+  // whole range and the cells cover the extent, so every event joins.
+  std::vector<Duration> bins = {Duration(0, 20000), Duration(10000, 30000),
+                                Duration(0, 36000)};
+  auto raster = std::make_shared<const RasterStructure>(
+      RasterStructure::CrossProduct(OverlappingCells(4, 3), bins));
+  auto pre_agg_ids = [&](ConversionStrategy strategy, int64_t* calls) {
+    std::atomic<int64_t> counter{0};
+    auto pre = [&counter](const STEvent& e) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+      return IdOf(e);
+    };
+    auto agg = [](std::vector<int64_t> ids) { return ids; };
+    RasterConverter<STEvent> converter(raster, strategy);
+    auto pieces = converter.Convert(event_data_, pre, agg).Collect();
+    *calls = counter.load();
+    std::vector<std::vector<std::vector<int64_t>>> out;
+    for (const auto& piece : pieces) out.push_back(piece.values());
+    return out;
+  };
+  int64_t naive_calls = 0;
+  int64_t auto_calls = 0;
+  auto naive = pre_agg_ids(ConversionStrategy::kNaive, &naive_calls);
+  auto automatic = pre_agg_ids(ConversionStrategy::kAuto, &auto_calls);
+  EXPECT_EQ(naive_calls, static_cast<int64_t>(events_.size()));
+  EXPECT_EQ(auto_calls, static_cast<int64_t>(events_.size()));
+  EXPECT_EQ(naive, automatic);
+  size_t assigned = 0;
+  for (const auto& piece : naive) {
+    for (const auto& slot : piece) assigned += slot.size();
+  }
+  EXPECT_GT(assigned, 2 * events_.size());  // events really join many slots
+
+  // The bucketing spelling agrees with the pre/agg spelling piece by piece.
+  RasterConverter<STEvent> converter(raster);
+  EXPECT_EQ(PieceIds(converter.Convert(event_data_).Collect()), naive);
+}
+
+TEST_F(ConversionTest, BucketsStoreEachInstanceOncePerPartition) {
+  auto grid = std::make_shared<const SpatialStructure>(
+      SpatialStructure::Grid(extent_, 6, 6));
+  SpatialMapConverter<STTrajectory> converter(grid);
+  for (const auto& piece : converter.Convert(traj_data_).Collect()) {
+    const BucketStore<STTrajectory>* store = nullptr;
+    std::vector<int64_t> ids;
+    for (size_t i = 0; i < piece.size(); ++i) {
+      const Bucket<STTrajectory>& bucket = piece.value(i);
+      if (bucket.empty()) {
+        EXPECT_EQ(bucket.store(), nullptr);  // empty slots reference nothing
+        EXPECT_TRUE(bucket.begin() == bucket.end());
+        continue;
+      }
+      if (store == nullptr) store = bucket.store();
+      EXPECT_EQ(bucket.store(), store);
+      for (size_t j = 0; j < bucket.size(); ++j) {
+        EXPECT_EQ(&bucket[j], &store->items[bucket.index(j)]);
+        // Parallelize keeps ids ascending within a partition; the sort is
+        // stable, so they stay ascending within each slot.
+        if (j > 0) {
+          EXPECT_LT(IdOf(bucket[j - 1]), IdOf(bucket[j]));
+        }
+        ids.push_back(IdOf(bucket[j]));
+      }
+    }
+    ASSERT_NE(store, nullptr);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    EXPECT_EQ(store->items.size(), ids.size());
+    EXPECT_GT(store->order.size(), store->items.size());  // lines span cells
+  }
+}
+
+TEST_F(ConversionTest, ConvertedCollectivesOutliveInputAndConverter) {
+  auto grid = std::make_shared<const SpatialStructure>(
+      SpatialStructure::Grid(extent_, 5, 5));
+  std::vector<std::vector<int64_t>> expected(grid->size());
+  for (const STTrajectory& t : trajs_) {
+    LineString shape = t.Shape();
+    for (size_t i = 0; i < grid->size(); ++i) {
+      if (shape.IntersectsMbr(grid->cell_mbr(i))) expected[i].push_back(t.data);
+    }
+  }
+  std::vector<SpatialMap<Bucket<STTrajectory>>> pieces;
+  {
+    auto data = Dataset<STTrajectory>::Parallelize(ctx_, trajs_, 4);
+    SpatialMapConverter<STTrajectory> converter(grid);
+    auto converted = converter.Convert(data);
+    pieces = converted.Collect();
+  }  // the input, the converter and the converted Dataset are gone
+  grid.reset();
+  std::vector<SpatialMap<Bucket<STTrajectory>>> copies = pieces;
+  pieces.clear();
+
+  for (auto& bucket : expected) std::sort(bucket.begin(), bucket.end());
+  EXPECT_EQ(MergedIds(copies), expected);
+  for (const auto& piece : copies) {
+    for (size_t i = 0; i < piece.size(); ++i) {
+      for (const STTrajectory& t : piece.value(i)) {
+        EXPECT_EQ(t.entries.size(),
+                  trajs_[static_cast<size_t>(t.data)].entries.size());
+      }
+    }
+  }
+}
+
 /// The broadcast converter and the shuffle design on one structure: equal
 /// per-cell counts, with the structure broadcast and no record shuffled by
 /// the first, records shuffled by the second.
@@ -349,7 +457,7 @@ void ExpectShuffleMatchesBroadcast(
   ctx.ResetMetrics();
   SpatialMapConverter<T> broadcast_conv(structure);
   SpatialMap<int64_t> broadcast = CollectAndMerge(
-      broadcast_conv.Convert(data, conversion_internal::IdentityPre{}, count),
+      broadcast_conv.Convert(data, [](const T& item) { return item; }, count),
       int64_t{0}, [](int64_t a, int64_t b) { return a + b; });
   const MetricsSnapshot before = ctx.MetricsSnapshot();
 
