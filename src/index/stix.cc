@@ -175,34 +175,8 @@ std::string StixPathFor(const std::string& stpq_path) {
   return fs::path(stpq_path).replace_extension(".stix").string();
 }
 
-StatusOr<int64_t> FileMtimeStamp(const std::string& path) {
-  std::error_code ec;
-  auto mtime = fs::last_write_time(path, ec);
-  if (ec) return Status::IOError("cannot stat mtime of " + path);
-  return static_cast<int64_t>(mtime.time_since_epoch().count());
-}
-
-StatusOr<uint64_t> StpqHeaderFingerprint(const std::string& stpq_path) {
-  std::ifstream in(stpq_path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot read stpq header of " + stpq_path);
-  }
-  char header[kStpqHeaderBytes];
-  in.read(header, sizeof(header));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    return Status::IOError("cannot read stpq header of " + stpq_path);
-  }
-  uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
-  for (char c : header) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;  // FNV-1a prime
-  }
-  return hash;
-}
-
 Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
-                     uint64_t source_size, int64_t source_mtime,
-                     uint64_t source_fingerprint, uint64_t* io_bytes) {
+                     const StpqIdentity& source, uint64_t* io_bytes) {
   const uint64_t n = input.boxes.size();
   if (input.ids.size() != n || input.offsets.size() != n + 1) {
     return Status::InvalidArgument("stix build input arrays disagree for " +
@@ -295,9 +269,9 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
   header.record_count = n;
   header.node_count = nodes.size();
   header.id_count = id_dir.size();
-  header.source_size = source_size;
-  header.source_mtime = source_mtime;
-  header.source_fingerprint = source_fingerprint;
+  header.source_size = source.size;
+  header.source_mtime = source.mtime_stamp;
+  header.source_fingerprint = source.header_fingerprint;
   header.file_bytes = layout.total;
   for (uint32_t s = 0; s < kStixNumSections; ++s) {
     header.section_off[s] = layout.off[s];
@@ -396,14 +370,25 @@ StixIndex& StixIndex::operator=(StixIndex&& other) noexcept {
 }
 
 StatusOr<StixIndex> StixIndex::Open(const std::string& stix_path,
-                                    const std::string& stpq_path) {
+                                    const StpqIdentity& source) {
   StixIndex index;
-  ST4ML_RETURN_IF_ERROR(index.Validate(stix_path, stpq_path));
+  ST4ML_RETURN_IF_ERROR(index.Validate(stix_path, source));
   return index;
 }
 
+StatusOr<StixIndex> StixIndex::Open(const std::string& stix_path,
+                                    const std::string& stpq_path) {
+  // An unreadable stat or header on the source is treated as stale:
+  // serving index hits for a file we cannot even inspect would be worse.
+  StatusOr<StpqIdentity> source = ReadStpqIdentity(stpq_path);
+  if (!source.ok()) {
+    return Status::InvalidArgument("stale stix sidecar for " + stpq_path);
+  }
+  return Open(stix_path, *source);
+}
+
 Status StixIndex::Validate(const std::string& stix_path,
-                           const std::string& stpq_path) {
+                           const StpqIdentity& source) {
   int fd = ::open(stix_path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -557,16 +542,11 @@ Status StixIndex::Validate(const std::string& stix_path,
   }
   // Staleness: the sidecar must describe the CURRENT source file. The
   // size|mtime pair is the dataset cache's key; the header fingerprint
-  // additionally catches a same-size rewrite within one mtime tick. An
-  // unreadable stat or header on the source is treated as stale — serving
-  // index hits for a file we cannot even inspect would be worse.
-  StatusOr<int64_t> mtime = FileMtimeStamp(stpq_path);
-  StatusOr<uint64_t> fingerprint = StpqHeaderFingerprint(stpq_path);
-  if (!mtime.ok() || !fingerprint.ok() ||
-      FileSizeBytes(stpq_path) != header_.source_size ||
-      *mtime != header_.source_mtime ||
-      *fingerprint != header_.source_fingerprint) {
-    return Status::InvalidArgument("stale stix sidecar for " + stpq_path);
+  // additionally catches a same-size rewrite within one mtime tick.
+  const StpqIdentity built{header_.source_size, header_.source_mtime,
+                           header_.source_fingerprint};
+  if (built != source) {
+    return Status::InvalidArgument("stale stix sidecar " + stix_path);
   }
   return Status::Ok();
 }

@@ -7,14 +7,14 @@
 // index (postings lists per id) into a sidecar `part-NNNNN.stix` next to
 // the `part-NNNNN.stpq`. At query time the sidecar is mmap'd, so a COLD
 // selection walks index pages, refines leaf hits through the vectorized
-// FilterBoxes kernel over mmap'd SoA envelope columns, and then seeks and
-// reads only the bytes of matching records — instead of parsing the whole
-// file and building an R-tree in memory first. Warm paths keep the
+// FilterBoxes kernel over mmap'd SoA envelope columns, and then reads only
+// covering spans of the matching records' bytes — instead of parsing the
+// whole file and building an R-tree in memory first. Warm paths keep the
 // in-memory cached index (DatasetCache); the QueryPlanner picks per file.
 //
-// Invalidation: the header embeds the source file's size and mtime — the
-// same key the dataset cache uses — PLUS a fingerprint of the source's
-// STPQ header, so even a same-size rewrite landing within one mtime tick
+// Invalidation: the header embeds the source file's StpqIdentity: its size
+// and mtime — the same key the dataset cache uses — PLUS a fingerprint of
+// its STPQ header, so even a same-size rewrite landing within one mtime tick
 // invalidates the sidecar and the planner falls back to a linear scan
 // instead of serving stale hits.
 //
@@ -131,29 +131,17 @@ struct StixBuildInput {
   std::vector<uint64_t> offsets;  // n + 1 byte offsets into the .stpq
 };
 
-/// Serializes `input` as a sidecar at `stix_path`, keyed to a source file
-/// of `source_size` bytes / `source_mtime` / `source_fingerprint`. The file
-/// is staged under `<stix_path>.tmp` and published by atomic rename. When
-/// non-null, `io_bytes` accumulates the bytes written (the STPQ writer
-/// convention).
+/// Serializes `input` as a sidecar at `stix_path`, keyed to the source
+/// file's `source` identity. The file is staged under `<stix_path>.tmp` and
+/// published by atomic rename. When non-null, `io_bytes` accumulates the
+/// bytes written (the STPQ writer convention).
 Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
-                     uint64_t source_size, int64_t source_mtime,
-                     uint64_t source_fingerprint, uint64_t* io_bytes = nullptr);
-
-/// Stat-based invalidation stamp of one file, matching what WriteStixFile
-/// embeds and what StixIndex::Open re-checks. An unreadable mtime is an
-/// ERROR, never stamp 0 — a zero stamp would validate against any sidecar
-/// built from an equally unreadable state.
-StatusOr<int64_t> FileMtimeStamp(const std::string& path);
-
-/// FNV-1a over the first kStpqHeaderBytes of `stpq_path` — the content half
-/// of the sidecar invalidation key. Errors if the header can't be read.
-StatusOr<uint64_t> StpqHeaderFingerprint(const std::string& stpq_path);
+                     const StpqIdentity& source, uint64_t* io_bytes = nullptr);
 
 /// The STR bulk loader for one just-written partition: computes envelopes,
 /// ids and record byte offsets from `records` (which must be exactly the
-/// records inside `stpq_path`), stats the file for the invalidation key,
-/// and writes the sidecar next to it.
+/// records inside `stpq_path`), reads the file's identity for the
+/// invalidation key, and writes the sidecar next to it.
 template <typename RecordT>
 Status BuildStixForStpq(const std::string& stpq_path,
                         const std::vector<RecordT>& records,
@@ -170,12 +158,9 @@ Status BuildStixForStpq(const std::string& stpq_path,
     offset += StpqRecordBytes(r);
     input.offsets.push_back(offset);
   }
-  StatusOr<int64_t> mtime = FileMtimeStamp(stpq_path);
-  if (!mtime.ok()) return mtime.status();
-  StatusOr<uint64_t> fingerprint = StpqHeaderFingerprint(stpq_path);
-  if (!fingerprint.ok()) return fingerprint.status();
-  return WriteStixFile(StixPathFor(stpq_path), input, FileSizeBytes(stpq_path),
-                       *mtime, *fingerprint, io_bytes);
+  StatusOr<StpqIdentity> source = ReadStpqIdentity(stpq_path);
+  if (!source.ok()) return source.status();
+  return WriteStixFile(StixPathFor(stpq_path), input, *source, io_bytes);
 }
 
 /// Per-query index observability, fed into kIndexPagesRead / kPostingsHits.
@@ -189,14 +174,19 @@ struct StixQueryStats {
 /// node structure (children strictly below parents, leaf runs in bounds),
 /// `order` a permutation, record offsets monotone and inside the source
 /// file, id directory sorted with postings runs in bounds — plus the
-/// staleness check against the live `.stpq`, so the query methods can walk
-/// raw mapped memory without per-access checks. The audit is a few
-/// sequential integer scans over the mapped pages: a fraction of the
-/// parse-and-build it replaces. Any violation returns InvalidArgument (bad
+/// staleness check against the source's identity, so the query methods can
+/// walk raw mapped memory without per-access checks. The selector passes
+/// the identity of the `.stpq` it already holds open (StpqReader), so the
+/// sidecar is checked against the very file the records come from. The
+/// audit is a few sequential integer scans over the mapped pages: a
+/// fraction of the parse-and-build it replaces. Any violation returns InvalidArgument (bad
 /// bytes) or IOError (can't map), and the planner falls back to the
 /// linear-scan plan.
 class StixIndex {
  public:
+  static StatusOr<StixIndex> Open(const std::string& stix_path,
+                                  const StpqIdentity& source);
+  /// Reads `stpq_path`'s identity first; an unreadable source is stale.
   static StatusOr<StixIndex> Open(const std::string& stix_path,
                                   const std::string& stpq_path);
 
@@ -232,7 +222,7 @@ class StixIndex {
   uint64_t RecordOffset(uint64_t index) const { return rec_offsets_[index]; }
 
  private:
-  Status Validate(const std::string& stix_path, const std::string& stpq_path);
+  Status Validate(const std::string& stix_path, const StpqIdentity& source);
   void Unmap();
 
   StixHeader header_;

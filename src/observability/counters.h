@@ -18,7 +18,11 @@ namespace st4ml {
 ///    per-operator kShuffle*<Op> slots partition those totals exactly
 ///    (totals == sum over operators, by construction).
 ///  - kStpqBytes{Read,Written} count the on-disk STPQ bytes actually
-///    consumed/produced, headers included.
+///    consumed/produced, headers included; a ranged selection read counts
+///    the gap bytes inside its covering spans too.
+///  - kStpqReadCalls counts the read calls selection made for record
+///    bytes: one per whole-file read, one per covering span of a ranged
+///    read (so 1 per file when a file's hits fit in one span).
 ///  - kPartitions{Pruned,Scanned} count whole files the on-disk index
 ///    skipped vs opened during selection.
 ///  - k{Selection,Conversion,Extraction}RecordsOut are the per-stage record
@@ -64,6 +68,7 @@ enum class Counter : uint32_t {
   kStpqBytesWritten,
   kStpqFilesRead,
   kStpqFilesWritten,
+  kStpqReadCalls,
   kPartitionsPruned,
   kPartitionsScanned,
   kSelectionRecordsOut,
@@ -114,6 +119,7 @@ inline const char* CounterName(Counter c) {
       "stpq_bytes_written",
       "stpq_files_read",
       "stpq_files_written",
+      "stpq_read_calls",
       "partitions_pruned",
       "partitions_scanned",
       "selection_records_out",

@@ -82,6 +82,7 @@ template <typename RecordT>
 struct FileLoadResult {
   std::vector<RecordT> records;
   uint64_t read_bytes = 0;
+  uint64_t read_calls = 0;
   uint64_t selected_bytes = 0;
   uint64_t pages_read = 0;
   uint64_t postings_hits = 0;
@@ -226,10 +227,11 @@ class Selector {
   ///     in-memory index, a miss loads the file once and admits it. The
   ///     cache key folds in size|mtime, so a rewritten file gets a fresh
   ///     entry instead of stale bytes.
-  ///   - kMmapIndex: mmap the validated `.stix` sidecar, walk index pages,
-  ///     refine leaf hits through the kernel over mapped columns, and
-  ///     ranged-read ONLY the matching record bytes. A sidecar that fails
-  ///     its validation audit demotes the file to a linear scan.
+  ///   - kMmapIndex: open the `.stpq` once, mmap the `.stix` sidecar
+  ///     validated against that open file, walk index pages, refine leaf
+  ///     hits through the kernel over mapped columns, and read only
+  ///     covering spans of the matching records' bytes. A sidecar that
+  ///     fails its validation audit demotes the file to a linear scan.
   ///   - kLinearScan: full parse + in-memory filter (the seed path).
   /// Every plan evaluates the same envelopes against the same query, so
   /// the selected output is byte-identical across plans; only the I/O and
@@ -321,6 +323,7 @@ class Selector {
     typename Dataset<RecordT>::Partitions parts(paths.size());
     uint64_t records_out = 0;
     uint64_t loaded_bytes = 0;
+    uint64_t read_calls = 0;
     uint64_t kept_bytes = 0;
     uint64_t files_read = 0;
     uint64_t plan_counts[kNumFilePlans] = {};
@@ -331,6 +334,7 @@ class Selector {
       FileLoad& load = loads[i];
       records_out += load.records.size();
       loaded_bytes += load.read_bytes;
+      read_calls += load.read_calls;
       kept_bytes += load.selected_bytes;
       files_read += load.file_read;
       plan_counts[static_cast<size_t>(load.plan_run)] += 1;
@@ -342,6 +346,7 @@ class Selector {
     stats_.bytes_loaded += loaded_bytes;
     stats_.bytes_selected += kept_bytes;
     counters.Add(Counter::kStpqBytesRead, loaded_bytes);
+    counters.Add(Counter::kStpqReadCalls, read_calls);
     counters.Add(Counter::kStpqFilesRead, files_read);
     // Scanned counts files CONSULTED (pruned + scanned == total), whether
     // their bytes came from disk, the cache, or the mmap'd index.
@@ -385,7 +390,10 @@ class Selector {
         [&]() -> StatusOr<std::vector<RecordT>> {
           uint64_t bytes = 0;
           auto loaded = ReadStpqFile<RecordT>(path, &bytes);
-          if (loaded.ok()) out->read_bytes = bytes;
+          if (loaded.ok()) {
+            out->read_bytes = bytes;
+            out->read_calls = 1;
+          }
           return loaded;
         },
         &counters, &attempts);
@@ -396,16 +404,25 @@ class Selector {
   }
 
   /// The kMmapIndex plan for one file. Returns false (not an error) when
-  /// the sidecar is missing, stale, or fails its validation audit — the
-  /// caller demotes the file to a linear scan, which is also what the
+  /// the `.stpq` cannot be opened, or its sidecar is missing, stale, or
+  /// fails its validation audit — the caller demotes the file to a linear
+  /// scan, which reports an unreadable file and is also what the
   /// corruption-hardening contract promises (DESIGN.md §12). Returns a
   /// non-OK Status only for hard failures AFTER a valid index: a ranged
   /// read that misses its promised byte run (Corruption) or an I/O error
   /// the retry policy could not absorb.
+  ///
+  /// The `.stpq` is opened once: the sidecar is validated against that
+  /// open file's identity, and every attempt reads through it.
   StatusOr<bool> ServeViaStix(const std::string& path,
                               selection_internal::FileLoadResult<RecordT>* load,
                               CounterRegistry& counters) {
-    auto opened = StixIndex::Open(StixPathFor(path), path);
+    constexpr uint8_t kind = std::is_same_v<RecordT, EventRecord>
+                                 ? kStpqKindEvent
+                                 : kStpqKindTraj;
+    auto reader = StpqReader::Open(path, kind);
+    if (!reader.ok()) return false;
+    auto opened = StixIndex::Open(StixPathFor(path), reader->identity());
     if (!opened.ok()) return false;
     load->mmapped = true;
     StixIndex index = std::move(*opened);
@@ -425,38 +442,34 @@ class Selector {
     load->postings_hits = qstats.postings_hits;
     std::vector<RecordT>* out = &load->records;
     out->clear();
-    if (hits.empty()) return true;  // no match: the .stpq is never opened
-    constexpr uint8_t kind = std::is_same_v<RecordT, EventRecord>
-                                 ? kStpqKindEvent
-                                 : kStpqKindTraj;
+    if (hits.empty()) return true;  // no match: no record byte is read
+    if (reader->record_count() != index.record_count()) {
+      return Status::Corruption("stix sidecar record count disagrees with " +
+                                path);
+    }
+    // Coalesce consecutive hit indices into maximal byte runs, records
+    // emerging in ascending record order — byte-identical to the linear
+    // filter. ReadRuns reads them in covering spans.
+    std::vector<StpqRun> runs;
+    size_t a = 0;
+    while (a < hits.size()) {
+      size_t b = a + 1;
+      while (b < hits.size() && hits[b] == hits[b - 1] + 1) ++b;
+      runs.push_back({index.RecordOffset(hits[a]),
+                      index.RecordOffset(hits[b - 1] + 1), b - a});
+      a = b;
+    }
+    out->reserve(hits.size());
     uint64_t attempts = 0;
     Status read = options_.retry.Run(
         [&]() -> Status {
           out->clear();
-          auto reader = StpqReader::Open(path, kind);
-          if (!reader.ok()) return reader.status();
-          if (reader->record_count() != index.record_count()) {
-            return Status::Corruption(
-                "stix sidecar record count disagrees with " + path);
-          }
-          // Coalesce consecutive hit indices into maximal byte runs: one
-          // seek-and-read per run, records emerging in ascending record
-          // order — byte-identical to the linear filter.
-          size_t a = 0;
-          while (a < hits.size()) {
-            size_t b = a + 1;
-            while (b < hits.size() && hits[b] == hits[b - 1] + 1) ++b;
-            ST4ML_RETURN_IF_ERROR(reader->template ReadRecordsAt<RecordT>(
-                index.RecordOffset(hits[a]),
-                index.RecordOffset(hits[b - 1] + 1),
-                b - a, out));
-            a = b;
-          }
-          load->read_bytes = reader->bytes_read();
-          return Status::Ok();
+          return reader->ReadRuns(runs, out);
         },
         &counters, &attempts);
     if (!read.ok()) return read;
+    load->read_bytes = reader->bytes_read();
+    load->read_calls = reader->read_calls();
     load->file_read = true;
     for (const RecordT& r : *out) load->selected_bytes += StpqRecordBytes(r);
     return true;

@@ -58,12 +58,13 @@ std::string ErrorResponse(const Status& status) {
 /// The per-job counter subset worth shipping to a client: enough to verify
 /// cache behavior (the CI smoke asserts cache_hits > 0 on the second
 /// request), record flow, and which plan the planner actually executed per
-/// file, without dumping all 39 slots per response.
+/// file, without dumping every slot per response.
 std::string MetricsJson(const MetricsSnapshot& m) {
   JsonObject obj;
   obj.Add("cache_hits", m[Counter::kCacheHits])
       .Add("cache_misses", m[Counter::kCacheMisses])
       .Add("stpq_bytes_read", m[Counter::kStpqBytesRead])
+      .Add("stpq_read_calls", m[Counter::kStpqReadCalls])
       .Add("partitions_pruned", m[Counter::kPartitionsPruned])
       .Add("partitions_scanned", m[Counter::kPartitionsScanned])
       .Add("selection_records_out", m[Counter::kSelectionRecordsOut])

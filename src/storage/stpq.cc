@@ -1,6 +1,12 @@
 #include "storage/stpq.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
@@ -10,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "common/fault_injector.h"
 #include "storage/atomic_publish.h"
@@ -67,6 +74,28 @@ class Cursor {
 size_t ReadBlock(std::ifstream& in, char* buf, uint64_t len) {
   in.read(buf, static_cast<std::streamsize>(len));
   return static_cast<size_t>(in.gcount());
+}
+
+// FNV-1a, the header fingerprint of StpqIdentity.
+uint64_t Fnv1a(const char* data, size_t len) {
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= static_cast<uint8_t>(data[i]);
+    hash *= 1099511628211ull;  // FNV-1a prime
+  }
+  return hash;
+}
+
+// A stat mtime in file_time_type ticks: the same stamp FileMtimeStamp gets
+// from fs::last_write_time, whose clock has its own epoch.
+int64_t MtimeStamp(const struct stat& st) {
+  using namespace std::chrono;
+  const sys_time<nanoseconds> mtime(seconds(st.st_mtim.tv_sec) +
+                                    nanoseconds(st.st_mtim.tv_nsec));
+  return static_cast<int64_t>(
+      time_point_cast<file_clock::duration>(file_clock::from_sys(mtime))
+          .time_since_epoch()
+          .count());
 }
 
 // Writers stage under `<path>.tmp` and only FinishWrite publishes the
@@ -289,68 +318,174 @@ StatusOr<uint8_t> ReadStpqKind(const std::string& path) {
   return kind;
 }
 
-StatusOr<StpqReader> StpqReader::Open(const std::string& path,
-                                      uint8_t expected_kind) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
+StatusOr<int64_t> FileMtimeStamp(const std::string& path) {
+  std::error_code ec;
+  auto mtime = fs::last_write_time(path, ec);
+  if (ec) return Status::IOError("cannot stat mtime of " + path);
+  return static_cast<int64_t>(mtime.time_since_epoch().count());
+}
+
+StatusOr<StpqIdentity> ReadStpqIdentity(const std::string& path) {
+  std::string header;
+  auto opened = StpqReader::OpenFile(path, &header);
+  if (!opened.ok()) return opened.status();
+  if (header.size() != kStpqHeaderBytes) {
+    return Status::IOError("cannot read stpq header of " + path);
+  }
+  return opened->identity();
+}
+
+StatusOr<uint64_t> StpqHeaderFingerprint(const std::string& stpq_path) {
+  auto identity = ReadStpqIdentity(stpq_path);
+  if (!identity.ok()) return identity.status();
+  return identity->header_fingerprint;
+}
+
+StpqReader::~StpqReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+StpqReader::StpqReader(StpqReader&& other) noexcept {
+  *this = std::move(other);
+}
+
+StpqReader& StpqReader::operator=(StpqReader&& other) noexcept {
+  if (this == &other) return *this;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = std::exchange(other.fd_, -1);
+  path_ = std::move(other.path_);
+  identity_ = other.identity_;
+  record_count_ = other.record_count_;
+  bytes_read_ = other.bytes_read_;
+  read_calls_ = other.read_calls_;
+  buf_ = std::move(other.buf_);
+  buf_bytes_ = std::exchange(other.buf_bytes_, 0);
+  return *this;
+}
+
+// The one open behind both ReadStpqIdentity and Open: the identity comes
+// from the descriptor's fstat and the header bytes read through it, so the
+// sidecar builder and the validator see the same file the same way.
+// `header` receives up to kStpqHeaderBytes (fewer for a short file).
+StatusOr<StpqReader> StpqReader::OpenFile(const std::string& path,
+                                          std::string* header) {
   StpqReader reader;
   reader.path_ = path;
-  reader.in_.open(path, std::ios::binary);
-  if (!reader.in_.is_open()) {
-    return Status::NotFound("no such STPQ file: " + path);
+  reader.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (reader.fd_ < 0) {
+    if (errno == ENOENT) return Status::NotFound("no such STPQ file: " + path);
+    return Status::IOError("cannot open " + path);
   }
-  char header[kStpqHeaderBytes];
-  Cursor in(header, ReadBlock(reader.in_, header, sizeof(header)));
-  ST4ML_RETURN_IF_ERROR(
-      CheckHeader(in, path, expected_kind, &reader.record_count_));
-  reader.file_bytes_ = FileSizeBytes(path);
-  reader.bytes_read_ = kStpqHeaderBytes;
+  struct stat st;
+  if (::fstat(reader.fd_, &st) != 0) {
+    return Status::IOError("cannot stat " + path);
+  }
+  reader.identity_.size = static_cast<uint64_t>(st.st_size);
+  reader.identity_.mtime_stamp = MtimeStamp(st);
+  char bytes[kStpqHeaderBytes];
+  const ssize_t got = ::pread(reader.fd_, bytes, sizeof(bytes), 0);
+  if (got < 0) return Status::IOError("cannot read " + path);
+  header->assign(bytes, static_cast<size_t>(got));
+  reader.identity_.header_fingerprint = Fnv1a(header->data(), header->size());
   return reader;
 }
 
-Status StpqReader::CheckRange(uint64_t offset, uint64_t end_offset) const {
-  if (offset < kStpqHeaderBytes || end_offset < offset ||
-      end_offset > file_bytes_) {
-    return Status::Corruption("record range outside file bounds in " + path_);
+StatusOr<StpqReader> StpqReader::Open(const std::string& path,
+                                      uint8_t expected_kind) {
+  std::string header;
+  auto reader = OpenFile(path, &header);
+  if (!reader.ok()) return reader.status();
+  Cursor in(header.data(), header.size());
+  ST4ML_RETURN_IF_ERROR(
+      CheckHeader(in, path, expected_kind, &reader->record_count_));
+  reader->bytes_read_ = kStpqHeaderBytes;
+  return reader;
+}
+
+// One covering read of [begin, end) into buf_, looping only if the kernel
+// returns short (end of file ends the loop); `got` is the bytes read.
+Status StpqReader::ReadSpan(uint64_t begin, uint64_t end, size_t* got) {
+  const uint64_t len = end - begin;
+  *got = 0;
+  if (len == 0) return Status::Ok();
+  if (buf_bytes_ < len) {
+    buf_.reset(new char[len]);
+    buf_bytes_ = len;
   }
+  while (*got < len) {
+    const ssize_t n = ::pread(fd_, buf_.get() + *got, len - *got,
+                              static_cast<off_t>(begin + *got));
+    ++read_calls_;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("read failed in " + path_);
+    }
+    if (n == 0) break;
+    *got += static_cast<size_t>(n);
+  }
+  bytes_read_ += *got;
   return Status::Ok();
 }
 
 template <typename RecordT>
-Status StpqReader::ReadRunAt(uint64_t offset, uint64_t end_offset,
-                             uint64_t count, std::vector<RecordT>* out) {
-  ST4ML_RETURN_IF_ERROR(CheckRange(offset, end_offset));
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  if (!in_.good()) return Status::IOError("seek failed in " + path_);
-  // CheckRange bounds the run by the file size, so the buffer is too.
-  const uint64_t len = end_offset - offset;
-  std::unique_ptr<char[]> buf(new char[len]);
-  const size_t got = ReadBlock(in_, buf.get(), len);
-  Cursor in(buf.get(), got);
-  for (uint64_t i = 0; i < count; ++i) {
-    ST4ML_RETURN_IF_ERROR(
-        ReadOneRecord(in, file_bytes_, path_, &out->emplace_back()));
+Status StpqReader::ReadRuns(std::span<const StpqRun> runs,
+                            std::vector<RecordT>* out) {
+  ST4ML_RETURN_IF_ERROR(
+      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path_));
+  // Every run lies inside the record bytes, after its predecessor: a span
+  // then never decodes one byte twice, so no record can come out twice.
+  uint64_t prev_end = kStpqHeaderBytes;
+  for (const StpqRun& run : runs) {
+    if (run.offset < kStpqHeaderBytes || run.end_offset < run.offset ||
+        run.end_offset > identity_.size) {
+      return Status::Corruption("record range outside file bounds in " +
+                                path_);
+    }
+    if (run.offset < prev_end) {
+      return Status::Corruption("record runs overlap or go backwards in " +
+                                path_);
+    }
+    prev_end = run.end_offset;
   }
-  // The records must consume EXACTLY the promised run: a sidecar whose
-  // offsets disagree with the file is corruption, not silently wrong data.
-  if (got != len || in.remaining() != 0) {
-    return Status::Corruption("record range mismatch in " + path_);
+  size_t first = 0;
+  while (first < runs.size()) {
+    size_t last = first + 1;
+    while (last < runs.size() &&
+           runs[last].offset - runs[last - 1].end_offset <=
+               kStpqReadHoleLimit) {
+      ++last;
+    }
+    const uint64_t begin = runs[first].offset;
+    size_t got = 0;
+    ST4ML_RETURN_IF_ERROR(ReadSpan(begin, runs[last - 1].end_offset, &got));
+    for (size_t r = first; r < last; ++r) {
+      const StpqRun& run = runs[r];
+      const uint64_t at = run.offset - begin;
+      const uint64_t len = run.end_offset - run.offset;
+      // A span cut short (the file shrank after Open) leaves the runs past
+      // the cut fewer bytes than they were promised.
+      const uint64_t have = at >= got ? 0 : std::min<uint64_t>(got - at, len);
+      Cursor in(buf_.get() + at, static_cast<size_t>(have));
+      for (uint64_t i = 0; i < run.count; ++i) {
+        ST4ML_RETURN_IF_ERROR(
+            ReadOneRecord(in, identity_.size, path_, &out->emplace_back()));
+      }
+      // The records must consume EXACTLY the promised run: a sidecar whose
+      // offsets disagree with the file is corruption, not silently wrong
+      // data.
+      if (have != len || in.remaining() != 0) {
+        return Status::Corruption("record range mismatch in " + path_);
+      }
+    }
+    first = last;
   }
-  bytes_read_ += len;
   return Status::Ok();
 }
 
-Status StpqReader::ReadEventsAt(uint64_t offset, uint64_t end_offset,
-                                uint64_t count,
-                                std::vector<EventRecord>* out) {
-  return ReadRunAt(offset, end_offset, count, out);
-}
-
-Status StpqReader::ReadTrajsAt(uint64_t offset, uint64_t end_offset,
-                               uint64_t count, std::vector<TrajRecord>* out) {
-  return ReadRunAt(offset, end_offset, count, out);
-}
+template Status StpqReader::ReadRuns(std::span<const StpqRun>,
+                                     std::vector<EventRecord>*);
+template Status StpqReader::ReadRuns(std::span<const StpqRun>,
+                                     std::vector<TrajRecord>*);
 
 std::vector<std::string> ListStpqFiles(const std::string& dir) {
   std::vector<std::string> files;

@@ -3,7 +3,8 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -53,9 +54,9 @@ inline uint64_t StpqRecordBytes(const TrajRecord& r) {
 /// while the storage layer stays engine-agnostic.
 ///
 /// Readers make one read call per file (the whole-file readers) or per
-/// ranged run (StpqReader), into a buffer bounded by the file size, and
-/// decode the records from memory with every length checked against the
-/// bytes actually read.
+/// covering span of ranged runs (StpqReader::ReadRuns), into a buffer
+/// bounded by the file size, and decode the records from memory with every
+/// length checked against the bytes actually read.
 Status WriteStpqFile(const std::string& path,
                      const std::vector<EventRecord>& records,
                      uint64_t* io_bytes = nullptr);
@@ -81,60 +82,110 @@ StatusOr<std::vector<RecordT>> ReadStpqFile(const std::string& path,
   }
 }
 
-/// Ranged record reads, for index-directed selection: Open validates the
-/// header once (firing the same kStpqRead fault site as the full readers),
-/// then ReadRecordsAt parses exactly the records inside one
-/// [offset, end_offset) byte run — the unit the mmap'd `.stix` sidecar
-/// resolves leaf hits into — so a cold indexed selection reads only the
-/// bytes of matching records instead of the whole file. Offsets come from
-/// the sidecar's record-offset table; ReadRecordsAt re-verifies that the
-/// parsed records consume EXACTLY the promised byte run, so a sidecar that
-/// disagrees with its file surfaces as Corruption, never as silently wrong
-/// records. bytes_read() accounts the header plus every run's bytes, the
-/// same currency as the full readers' io_bytes.
+/// What a `.stix` sidecar is keyed to: the source file's size, its mtime
+/// stamp (FileMtimeStamp's units) and an FNV-1a fingerprint of its header
+/// bytes, which catches a same-size rewrite landing within one mtime tick.
+struct StpqIdentity {
+  uint64_t size = 0;
+  int64_t mtime_stamp = 0;
+  uint64_t header_fingerprint = 0;
+
+  bool operator==(const StpqIdentity&) const = default;
+};
+
+/// The identity of the file at `path`, from one open: fstat for size and
+/// mtime, one read for the header. The sidecar builder stamps this, and
+/// StpqReader::Open computes the same value for the validator to check,
+/// so both sides share one definition. NotFound if the file is missing,
+/// IOError if it cannot be read or holds less than a full header.
+StatusOr<StpqIdentity> ReadStpqIdentity(const std::string& path);
+
+/// Stat-based mtime stamp of one file in std::filesystem::file_time_type
+/// ticks — the unit StpqIdentity::mtime_stamp uses, whether it came from
+/// this path-based stat or from StpqReader's fstat. An unreadable mtime is
+/// an ERROR, never stamp 0: a zero stamp would validate against any
+/// sidecar built from an equally unreadable state.
+StatusOr<int64_t> FileMtimeStamp(const std::string& path);
+
+/// FNV-1a over the first kStpqHeaderBytes of `stpq_path` — the content half
+/// of the sidecar invalidation key. Errors if the header can't be read.
+StatusOr<uint64_t> StpqHeaderFingerprint(const std::string& stpq_path);
+
+/// One run of consecutive records: `count` records filling exactly the
+/// bytes [offset, end_offset) of the file.
+struct StpqRun {
+  uint64_t offset = 0;
+  uint64_t end_offset = 0;
+  uint64_t count = 0;
+};
+
+/// Runs whose gap (the bytes between one run's end and the next run's
+/// offset) is at most this many bytes share one covering read: reading
+/// the gap costs less than another read call. Measured on the apps_cold
+/// benchmark (EXPERIMENTS.md, "Covering reads").
+inline constexpr uint64_t kStpqReadHoleLimit = 4096;
+
+/// Ranged record reads, for index-directed selection. Open opens the file
+/// ONCE: it fstats the descriptor, reads and checks the header, and keeps
+/// the file's StpqIdentity, so the `.stix` sidecar can be validated against
+/// the very file the records then come from. ReadRuns takes the runs the
+/// mmap'd sidecar resolves leaf hits into (ascending, non-overlapping) and
+/// groups them into covering spans, split wherever a gap exceeds
+/// kStpqReadHoleLimit. Each span costs one read call into one buffer; every
+/// run then decodes from that buffer at its own offset and must consume
+/// EXACTLY its promised bytes, so a sidecar that disagrees with its file
+/// surfaces as Corruption, never as silently wrong records. Each ReadRuns
+/// call fires the kStpqRead fault site once, like one whole-file read.
+/// bytes_read() accounts the header plus every span's bytes, gap bytes
+/// included — the bytes actually read, in the full readers' io_bytes
+/// currency; read_calls() counts the span reads.
 class StpqReader {
  public:
   static StatusOr<StpqReader> Open(const std::string& path,
                                    uint8_t expected_kind);
 
   StpqReader() = default;
-  StpqReader(StpqReader&&) = default;
-  StpqReader& operator=(StpqReader&&) = default;
+  ~StpqReader();
+  StpqReader(StpqReader&& other) noexcept;
+  StpqReader& operator=(StpqReader&& other) noexcept;
+  StpqReader(const StpqReader&) = delete;
+  StpqReader& operator=(const StpqReader&) = delete;
 
-  Status ReadEventsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                      std::vector<EventRecord>* out);
-  Status ReadTrajsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                     std::vector<TrajRecord>* out);
+  /// Appends the records of every run in `runs` to `out`, in run order.
+  template <typename RecordT>
+  Status ReadRuns(std::span<const StpqRun> runs, std::vector<RecordT>* out);
 
+  /// The one-run case of ReadRuns.
   template <typename RecordT>
   Status ReadRecordsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
                        std::vector<RecordT>* out) {
-    if constexpr (std::is_same_v<RecordT, EventRecord>) {
-      return ReadEventsAt(offset, end_offset, count, out);
-    } else {
-      static_assert(std::is_same_v<RecordT, TrajRecord>,
-                    "STPQ stores EventRecord or TrajRecord");
-      return ReadTrajsAt(offset, end_offset, count, out);
-    }
+    const StpqRun run{offset, end_offset, count};
+    return ReadRuns(std::span(&run, 1), out);
   }
 
   /// The header's record count (untrusted until records deserialize).
   uint64_t record_count() const { return record_count_; }
-  uint64_t file_bytes() const { return file_bytes_; }
-  /// Header + run bytes consumed so far.
+  uint64_t file_bytes() const { return identity_.size; }
+  const StpqIdentity& identity() const { return identity_; }
+  /// Header + covering-span bytes read so far.
   uint64_t bytes_read() const { return bytes_read_; }
+  /// Covering-span read calls so far.
+  uint64_t read_calls() const { return read_calls_; }
 
  private:
-  Status CheckRange(uint64_t offset, uint64_t end_offset) const;
-  template <typename RecordT>
-  Status ReadRunAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                   std::vector<RecordT>* out);
+  friend StatusOr<StpqIdentity> ReadStpqIdentity(const std::string& path);
+  static StatusOr<StpqReader> OpenFile(const std::string& path,
+                                       std::string* header);
+  Status ReadSpan(uint64_t begin, uint64_t end, size_t* got);
 
-  std::ifstream in_;
+  int fd_ = -1;
   std::string path_;
-  uint64_t file_bytes_ = 0;
+  StpqIdentity identity_;
   uint64_t record_count_ = 0;
   uint64_t bytes_read_ = 0;
+  uint64_t read_calls_ = 0;
+  std::unique_ptr<char[]> buf_;
+  uint64_t buf_bytes_ = 0;
 };
 
 /// Paths of every *.stpq file directly inside `dir`, sorted by name.

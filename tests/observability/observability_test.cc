@@ -28,6 +28,8 @@
 #include "observability/trace_export.h"
 #include "observability/tracer.h"
 #include "pipeline/pipeline.h"
+#include "selection/on_disk_index.h"
+#include "selection/selector.h"
 
 namespace st4ml {
 namespace {
@@ -388,6 +390,62 @@ TEST(TraceExportTest, MetricsJsonMatchesSnapshotExactly) {
     EXPECT_EQ(static_cast<uint64_t>(value->number), snap[c])
         << CounterName(c);
   }
+}
+
+TEST(CounterRegistryTest, StpqReadCallsCountCoveringReadsNotRuns) {
+  // Small files (each under the hole limit) whose hits are scattered: the
+  // ranged plan makes one read call per file with hits, however many runs
+  // of consecutive hits the file holds; the linear scan makes one per file.
+  auto ctx = ExecutionContext::Create(2);
+  Rng rng(23);
+  std::vector<EventRecord> events;
+  for (int i = 0; i < 240; ++i) {
+    EventRecord r;
+    r.id = i;
+    r.x = rng.Uniform(0, 100);
+    r.y = rng.Uniform(0, 100);
+    r.time = rng.UniformInt(0, 100000);
+    events.push_back(r);
+  }
+  const std::string dir = TempPath("st4ml_observability_read_calls");
+  fs::remove_all(dir);
+  auto data = Dataset<EventRecord>::Parallelize(ctx, events, 4);
+  TSTRPartitioner partitioner(2, 2);
+  ASSERT_TRUE(
+      BuildOnDiskIndex(data, &partitioner, dir, dir + "/index.meta").ok());
+  const STBox query(Mbr(0, 0, 60, 60), Duration(0, 60000));
+
+  // Runs of consecutive hits, summed over the files: more than one per file.
+  uint64_t runs = 0;
+  for (const std::string& path : ListStpqFiles(dir)) {
+    ASSERT_LT(FileSizeBytes(path), kStpqReadHoleLimit);
+    auto index = StixIndex::Open(StixPathFor(path), path);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    std::vector<uint32_t> hits;
+    index->QueryBox(accel::BoxFilterQuery::FromBox(query), &hits, nullptr);
+    for (size_t i = 0; i < hits.size(); ++i) {
+      runs += i == 0 || hits[i] != hits[i - 1] + 1;
+    }
+  }
+
+  SelectorOptions options;
+  options.use_disk_index = true;
+  Selector<EventRecord> indexed(ctx, SelectQuery::FromBox(query), options);
+  ASSERT_TRUE(indexed.Select(dir, dir + "/index.meta").ok());
+  MetricsSnapshot m = ctx->MetricsSnapshot();
+  ASSERT_GT(m[Counter::kPlannerMmapIndex], 0u);
+  EXPECT_GT(m[Counter::kStpqFilesRead], 0u);
+  EXPECT_EQ(m[Counter::kStpqReadCalls], m[Counter::kStpqFilesRead]);
+  EXPECT_GT(runs, m[Counter::kStpqReadCalls]);
+
+  ctx->ResetMetrics();
+  options.use_disk_index = false;
+  Selector<EventRecord> scanned(ctx, SelectQuery::FromBox(query), options);
+  ASSERT_TRUE(scanned.Select(dir, dir + "/index.meta").ok());
+  m = ctx->MetricsSnapshot();
+  EXPECT_GT(m[Counter::kStpqFilesRead], 0u);
+  EXPECT_EQ(m[Counter::kStpqReadCalls], m[Counter::kStpqFilesRead]);
+  fs::remove_all(dir);
 }
 
 TEST(TracerTest, ResetMetricsZeroesEverySlot) {

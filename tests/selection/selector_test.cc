@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -284,6 +286,76 @@ TEST_F(SelectorTest, PersistDatasetSupportsFullScanOnly) {
   auto selected = selector.Select(plain);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(SortedIds(*selected), ReferenceIds(events_, query));
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// A record of exactly `bytes` on disk, far outside the boundary test's box.
+EventRecord Filler(int64_t id, uint64_t bytes) {
+  EventRecord r;
+  r.id = id;
+  r.x = 90;
+  r.y = 90;
+  r.time = 90000;
+  r.attr.assign(bytes - StpqRecordBytes(EventRecord{}), 'f');
+  return r;
+}
+
+TEST_F(SelectorTest, HoleLimitSplitsCoveringReadsExactlyAtTheLimit) {
+  // Hits at records 0, 2 and 4. The gap between the first two is exactly
+  // the hole limit, so one read covers both; the next gap is one byte
+  // more, so the third hit costs a read of its own.
+  std::string dir = TempDir("hole_limit");
+  std::vector<EventRecord> records;
+  for (int64_t i = 0; i < 3; ++i) {
+    EventRecord hit;
+    hit.id = 100 + i;
+    hit.x = 5 + static_cast<double>(i);
+    hit.y = 5;
+    hit.time = 10 * (i + 1);
+    hit.attr = "hit";
+    records.push_back(hit);
+    if (i == 0) records.push_back(Filler(1, kStpqReadHoleLimit));
+    if (i == 1) records.push_back(Filler(2, kStpqReadHoleLimit + 1));
+  }
+  const std::string path = dir + "/part-00000.stpq";
+  ASSERT_TRUE(WriteStpqFile(path, records).ok());
+  ASSERT_TRUE(BuildStixForStpq(path, records).ok());
+  const STBox query(Mbr(0, 0, 20, 20), Duration(0, 100));
+
+  SelectorOptions with_index;
+  with_index.use_disk_index = true;
+  ctx_->ResetMetrics();
+  Selector<EventRecord> indexed(ctx_, SelectQuery::FromBox(query), with_index);
+  auto ri = indexed.Select(dir);
+  ASSERT_TRUE(ri.ok()) << ri.status().ToString();
+  MetricsSnapshot m = ctx_->MetricsSnapshot();
+  EXPECT_EQ(m[Counter::kPlannerMmapIndex], 1u);
+  EXPECT_EQ(m[Counter::kStpqReadCalls], 2u);
+  const uint64_t first_span = StpqRecordBytes(records[0]) +
+                              StpqRecordBytes(records[1]) +
+                              StpqRecordBytes(records[2]);
+  EXPECT_EQ(indexed.stats().bytes_loaded,
+            kStpqHeaderBytes + first_span + StpqRecordBytes(records[4]));
+
+  SelectorOptions without;
+  without.use_disk_index = false;
+  ctx_->ResetMetrics();
+  Selector<EventRecord> scanned(ctx_, SelectQuery::FromBox(query), without);
+  auto rs = scanned.Select(dir);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kPlannerLinearScan], 1u);
+  EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kStpqReadCalls], 1u);
+
+  std::string out = TempDir("hole_limit_out");
+  ASSERT_TRUE(WriteStpqFile(out + "/indexed.stpq", ri->Collect()).ok());
+  ASSERT_TRUE(WriteStpqFile(out + "/scanned.stpq", rs->Collect()).ok());
+  EXPECT_EQ(ri->Count(), 3u);
+  EXPECT_EQ(Slurp(out + "/indexed.stpq"), Slurp(out + "/scanned.stpq"));
 }
 
 }  // namespace

@@ -508,6 +508,29 @@ TEST(ServerTest, StatsListsServedDatasetsAndPlannerCounters) {
   EXPECT_GE(metrics->GetInt("postings_hits", -1), 0);
 }
 
+TEST(ServerTest, ResponsesAndStatsCountStpqReadCalls) {
+  testing::CacheWorkload w = ServeWorkload();
+  testing::StagedWorkload staged(w);
+  Daemon daemon;
+  Client client = daemon.Connect();
+
+  // Cold: every cache miss is one whole-file read, so one read call.
+  JsonValue cold = Call(client, SelectRequest(staged.dir(), 0, 100000));
+  ASSERT_TRUE(Ok(cold));
+  const int64_t calls = Metric(cold, "stpq_read_calls");
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(calls, Metric(cold, "cache_misses"));
+
+  // Warm: served from the cache, no read call.
+  JsonValue warm = Call(client, SelectRequest(staged.dir(), 0, 100000));
+  ASSERT_TRUE(Ok(warm));
+  EXPECT_EQ(Metric(warm, "stpq_read_calls"), 0);
+
+  JsonValue stats = Call(client, R"({"verb":"stats"})");
+  ASSERT_TRUE(Ok(stats));
+  EXPECT_EQ(Metric(stats, "stpq_read_calls"), calls);
+}
+
 TEST(ServerTest, ExtractBinsPartitionTheSelection) {
   testing::CacheWorkload w = ServeWorkload();
   testing::StagedWorkload staged(w);

@@ -476,6 +476,143 @@ TEST(StpqCorruptionTest, EmptyPayloadsRoundTripThroughBothPaths) {
   EXPECT_EQ(trajs_reader->bytes_read(), trajs_reader->file_bytes());
 }
 
+// ---- covering spans: several runs decode from one read, and each run must
+// still consume exactly its own byte range.
+
+// Byte offset of every record (n + 1 entries), as the sidecar stores them.
+std::vector<uint64_t> RecordOffsets(const std::vector<EventRecord>& events) {
+  std::vector<uint64_t> offsets = {kStpqHeaderBytes};
+  for (const EventRecord& r : events) {
+    offsets.push_back(offsets.back() + StpqRecordBytes(r));
+  }
+  return offsets;
+}
+
+// The run of records [first, last).
+StpqRun RunOf(const std::vector<uint64_t>& offsets, size_t first,
+              size_t last) {
+  return StpqRun{offsets[first], offsets[last], last - first};
+}
+
+TEST(StpqCorruptionTest, SpanDecodesEveryRunFromOneRead) {
+  std::string dir = TempDir("spanok");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(20);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  auto offsets = RecordOffsets(events);
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<StpqRun> runs = {RunOf(offsets, 1, 3), RunOf(offsets, 5, 6),
+                               RunOf(offsets, 9, 13)};
+  std::vector<EventRecord> out;
+  ASSERT_TRUE(reader->ReadRuns(runs, &out).ok());
+  std::vector<EventRecord> want = {events[1], events[2],  events[5],
+                                   events[9], events[10], events[11],
+                                   events[12]};
+  EXPECT_TRUE(SameEvents(out, want));
+  EXPECT_EQ(reader->read_calls(), 1u);
+  // Gap bytes inside the span count as read.
+  EXPECT_EQ(reader->bytes_read(), kStpqHeaderBytes + offsets[13] - offsets[1]);
+}
+
+TEST(StpqCorruptionTest, SpanRunsThatOverlapOrGoBackwardsAreCorruption) {
+  std::string dir = TempDir("spanorder");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(10);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  auto offsets = RecordOffsets(events);
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok());
+  const std::vector<std::vector<StpqRun>> bad = {
+      {RunOf(offsets, 0, 3), RunOf(offsets, 2, 4)},   // overlap
+      {RunOf(offsets, 5, 6), RunOf(offsets, 2, 3)},   // backwards
+      {RunOf(offsets, 4, 5), RunOf(offsets, 4, 5)},   // the same run twice
+      {RunOf(offsets, 1, 2), RunOf(offsets, 6, 7), RunOf(offsets, 3, 4)},
+  };
+  for (const auto& runs : bad) {
+    std::vector<EventRecord> out;
+    Status read = reader->ReadRuns(runs, &out);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.code(), Status::Code::kCorruption) << read.ToString();
+    EXPECT_TRUE(out.empty()) << "records decoded from disordered runs";
+  }
+  EXPECT_EQ(reader->read_calls(), 0u);
+}
+
+TEST(StpqCorruptionTest, MidSpanRunCountDisagreeingWithItsRangeIsCorruption) {
+  std::string dir = TempDir("spancount");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(10);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  auto offsets = RecordOffsets(events);
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok());
+  for (uint64_t count : {uint64_t{1}, uint64_t{3}, uint64_t{0}}) {
+    // The middle run holds records 3 and 4, but claims `count`.
+    std::vector<StpqRun> runs = {RunOf(offsets, 0, 2), RunOf(offsets, 3, 5),
+                                 RunOf(offsets, 7, 8)};
+    runs[1].count = count;
+    std::vector<EventRecord> out;
+    Status read = reader->ReadRuns(runs, &out);
+    ASSERT_FALSE(read.ok()) << "count " << count;
+    EXPECT_EQ(read.code(), Status::Code::kCorruption) << read.ToString();
+  }
+}
+
+TEST(StpqCorruptionTest, FileTruncatedInsideCoveringSpanIsCorruption) {
+  std::string dir = TempDir("spantrunc");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(20);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  auto offsets = RecordOffsets(events);
+  std::vector<StpqRun> runs = {RunOf(offsets, 1, 2), RunOf(offsets, 5, 6),
+                               RunOf(offsets, 10, 13)};
+  const uint64_t cut = offsets[11] + 3;
+
+  // Shrunk after Open: the one read comes back short inside the span.
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok());
+  fs::resize_file(path, cut);
+  std::vector<EventRecord> out;
+  Status read = reader->ReadRuns(runs, &out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.code(), Status::Code::kCorruption) << read.ToString();
+
+  // Shrunk before Open: the runs fail the bounds check up front.
+  auto reopened = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reopened.ok());
+  out.clear();
+  read = reopened->ReadRuns(runs, &out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.code(), Status::Code::kCorruption) << read.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(StpqCorruptionTest, SpanEndingPastEofIsCorruption) {
+  std::string dir = TempDir("spaneof");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(8);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  auto offsets = RecordOffsets(events);
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok());
+  const uint64_t eof = reader->file_bytes();
+  ASSERT_EQ(eof, offsets[8]);
+  const std::vector<std::vector<StpqRun>> bad = {
+      // The last run's end overshoots EOF.
+      {RunOf(offsets, 0, 2), StpqRun{offsets[6], eof + 16, 2}},
+      // A whole run beyond EOF.
+      {RunOf(offsets, 2, 3), StpqRun{eof + 8, eof + 8 + offsets[1], 1}},
+  };
+  for (const auto& runs : bad) {
+    std::vector<EventRecord> out;
+    Status read = reader->ReadRuns(runs, &out);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.code(), Status::Code::kCorruption) << read.ToString();
+    EXPECT_TRUE(out.empty());
+  }
+}
+
 // ---- `.stix` sidecar: a damaged index must be rejected by Open's
 // validation (InvalidArgument), leaving the planner to fall back to a
 // linear scan of the intact .stpq. The full mutation matrix lives in

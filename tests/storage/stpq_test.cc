@@ -1,5 +1,6 @@
 #include "storage/stpq.h"
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -139,6 +140,33 @@ TEST(StpqTest, MetaRoundTrip) {
   STBox everything(Mbr(-1e9, -1e9, 1e9, 1e9),
                    Duration(-(int64_t{1} << 40), int64_t{1} << 40));
   EXPECT_FALSE((*loaded)[1].box.Intersects(everything));
+}
+
+TEST(StpqTest, ReaderIdentityEqualsThePathBasedStamps) {
+  // The reader stamps its identity from fstat on its open descriptor; a
+  // `.stix` sidecar may have been keyed from the path. Both must agree, to
+  // the nanosecond, or every sidecar would read as stale.
+  std::string dir = TempDir("identity");
+  std::string path = dir + "/part.stpq";
+  ASSERT_TRUE(WriteStpqFile(path, RandomEvents(30, 4)).ok());
+  const auto stamp = std::chrono::time_point_cast<fs::file_time_type::duration>(
+      fs::file_time_type::clock::now() - std::chrono::hours(3) +
+      std::chrono::nanoseconds(123456789));
+  fs::last_write_time(path, stamp);
+
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto mtime = FileMtimeStamp(path);
+  ASSERT_TRUE(mtime.ok());
+  EXPECT_EQ(reader->identity().mtime_stamp, *mtime);
+  EXPECT_EQ(*mtime, static_cast<int64_t>(stamp.time_since_epoch().count()));
+  EXPECT_EQ(reader->identity().size, FileSizeBytes(path));
+  auto fingerprint = StpqHeaderFingerprint(path);
+  ASSERT_TRUE(fingerprint.ok());
+  EXPECT_EQ(reader->identity().header_fingerprint, *fingerprint);
+  auto identity = ReadStpqIdentity(path);
+  ASSERT_TRUE(identity.ok());
+  EXPECT_TRUE(*identity == reader->identity());
 }
 
 }  // namespace
