@@ -3,6 +3,7 @@
 // Extraction with built-in extractors.
 
 #include <cstdlib>
+#include <utility>
 
 #include "apps.h"
 #include "conversion/parse.h"
@@ -25,7 +26,7 @@ Dataset<STEvent> SelectEvents(const BenchEnv& env, const ScaledDirs& dirs,
   Selector<EventRecord> selector(env.ctx, SelectQuery::FromBox(query), options);
   auto selected = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
   ST4ML_CHECK(selected.ok()) << selected.status().ToString();
-  return ParseEvents(*selected);
+  return ParseEvents(std::move(*selected));
 }
 
 Dataset<STTrajectory> SelectTrajs(const BenchEnv& env, const ScaledDirs& dirs,
@@ -35,7 +36,7 @@ Dataset<STTrajectory> SelectTrajs(const BenchEnv& env, const ScaledDirs& dirs,
   Selector<TrajRecord> selector(env.ctx, SelectQuery::FromBox(query), options);
   auto selected = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
   ST4ML_CHECK(selected.ok()) << selected.status().ToString();
-  return ParseTrajs(*selected);
+  return ParseTrajs(std::move(*selected));
 }
 
 }  // namespace

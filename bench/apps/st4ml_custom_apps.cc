@@ -5,6 +5,7 @@
 // preMap/agg hooks.
 
 #include <cstdlib>
+#include <utility>
 
 #include "apps.h"
 #include "conversion/parse.h"
@@ -27,7 +28,7 @@ Dataset<STEvent> SelectEventsC(const BenchEnv& env, const ScaledDirs& dirs,
   Selector<EventRecord> selector(env.ctx, SelectQuery::FromBox(query), options);
   auto selected = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
   ST4ML_CHECK(selected.ok()) << selected.status().ToString();
-  return ParseEvents(*selected);
+  return ParseEvents(std::move(*selected));
 }
 
 Dataset<STTrajectory> SelectTrajsC(const BenchEnv& env, const ScaledDirs& dirs,
@@ -37,7 +38,7 @@ Dataset<STTrajectory> SelectTrajsC(const BenchEnv& env, const ScaledDirs& dirs,
   Selector<TrajRecord> selector(env.ctx, SelectQuery::FromBox(query), options);
   auto selected = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
   ST4ML_CHECK(selected.ok()) << selected.status().ToString();
-  return ParseTrajs(*selected);
+  return ParseTrajs(std::move(*selected));
 }
 
 }  // namespace

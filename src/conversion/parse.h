@@ -13,12 +13,12 @@ namespace st4ml {
 /// The baselines instead re-parse string attributes at every use site; that
 /// difference is the paper's Table 1 row "data type of location/time".
 
-inline STEvent ToSTEvent(const EventRecord& record) {
+inline STEvent ToSTEvent(EventRecord record) {
   STEvent event;
   event.spatial = Point(record.x, record.y);
   event.temporal = Duration(record.time);
   event.data.id = record.id;
-  event.data.attr = record.attr;
+  event.data.attr = std::move(record.attr);
   return event;
 }
 
@@ -32,12 +32,17 @@ inline STTrajectory ToSTTrajectory(const TrajRecord& record) {
   return traj;
 }
 
-inline Dataset<STEvent> ParseEvents(const Dataset<EventRecord>& records) {
-  return records.Map([](const EventRecord& r) { return ToSTEvent(r); });
+/// The parses take `records` as a sink: a caller that hands over the sole
+/// handle (std::move) has each record moved into its instance, or freed
+/// partition by partition once converted; a shared input is copied.
+inline Dataset<STEvent> ParseEvents(Dataset<EventRecord> records) {
+  return std::move(records).Map(
+      [](EventRecord r) { return ToSTEvent(std::move(r)); });
 }
 
-inline Dataset<STTrajectory> ParseTrajs(const Dataset<TrajRecord>& records) {
-  return records.Map([](const TrajRecord& r) { return ToSTTrajectory(r); });
+inline Dataset<STTrajectory> ParseTrajs(Dataset<TrajRecord> records) {
+  return std::move(records).Map(
+      [](const TrajRecord& r) { return ToSTTrajectory(r); });
 }
 
 }  // namespace st4ml

@@ -83,7 +83,9 @@ class Dataset {
                                    Partitions parts) {
     Dataset<T> ds;
     ds.ctx_ = std::move(ctx);
-    ds.parts_ = std::make_shared<const Partitions>(std::move(parts));
+    // Constructed non-const, so a sole owner may move elements out (see
+    // SoleOwnedPartitions).
+    ds.parts_ = std::make_shared<Partitions>(std::move(parts));
     return ds;
   }
 
@@ -91,13 +93,42 @@ class Dataset {
   size_t num_partitions() const { return parts_ ? parts_->size() : 0; }
   const std::vector<T>& partition(size_t i) const { return (*parts_)[i]; }
 
+  /// The partitions, writable, when this handle is their sole owner: no
+  /// other Dataset can observe them, so a consumer that took the handle by
+  /// value (TrySTPartition) may move elements out, as Collect() && does.
+  /// Null when they are shared; read them through partition() and copy.
+  Partitions* SoleOwnedPartitions() {
+    if (parts_ == nullptr || parts_.use_count() != 1) return nullptr;
+    return const_cast<Partitions*>(parts_.get());
+  }
+
   template <typename F>
-  auto Map(F fn) const {
+  auto Map(F fn) const& {
     using U = std::decay_t<decltype(fn(std::declval<const T&>()))>;
     return MapPartitions("map", [fn](const std::vector<T>& part) {
       std::vector<U> out;
       out.reserve(part.size());
       for (const T& value : part) out.push_back(fn(value));
+      return out;
+    });
+  }
+
+  /// Map on an expiring Dataset: when this handle is the sole owner of the
+  /// partitions, `fn` receives each element as an rvalue (an `fn` taking it
+  /// by value moves instead of copying) and each source partition is freed
+  /// once mapped. Shared partitions map as `Map() const&` does.
+  template <typename F>
+  auto Map(F fn) && {
+    if (SoleOwnedPartitions() == nullptr) {
+      return static_cast<const Dataset&>(*this).Map(std::move(fn));
+    }
+    using U = std::decay_t<decltype(fn(std::declval<T&&>()))>;
+    return MapPartitions("map", [fn](const std::vector<T>& part) {
+      auto& owned = const_cast<std::vector<T>&>(part);  // sole owner
+      std::vector<U> out;
+      out.reserve(owned.size());
+      for (T& value : owned) out.push_back(fn(std::move(value)));
+      std::vector<T>().swap(owned);
       return out;
     });
   }
@@ -158,12 +189,11 @@ class Dataset {
   /// the partitions no other Dataset can observe them, so the elements are
   /// moved out instead of copied. Shared partitions still copy.
   std::vector<T> Collect() && {
+    Partitions* owned = SoleOwnedPartitions();
+    if (owned == nullptr) return static_cast<const Dataset&>(*this).Collect();
     std::vector<T> out;
-    if (!parts_) return out;
-    if (parts_.use_count() != 1) return static_cast<const Dataset&>(*this).Collect();
     out.reserve(Count());
-    auto& parts = const_cast<Partitions&>(*parts_);
-    for (auto& part : parts) {
+    for (auto& part : *owned) {
       out.insert(out.end(), std::make_move_iterator(part.begin()),
                  std::make_move_iterator(part.end()));
     }
@@ -213,8 +243,7 @@ class Dataset {
   /// of the source partitions they are consumed by the shuffle, so records
   /// move instead of copy.
   Dataset<T> Repartition(size_t num_partitions) && {
-    return RepartitionImpl(num_partitions, parts_ != nullptr &&
-                                               parts_.use_count() == 1);
+    return RepartitionImpl(num_partitions, SoleOwnedPartitions() != nullptr);
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "partition/baseline_partitioners.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cmath>
 #include <utility>
 
@@ -67,10 +68,14 @@ void KDBPartitioner::CollectIntersecting(int node, const Mbr& query,
   if (hi >= n.split) CollectIntersecting(n.right, query, out);
 }
 
-std::vector<int> KDBPartitioner::Assign(const STBox& box, bool duplicate,
-                                        uint64_t record_id) const {
+void KDBPartitioner::AssignTo(const STBox& box, bool duplicate,
+                              uint64_t record_id,
+                              std::vector<int>* out) const {
   (void)record_id;
-  if (root_ < 0) return {0};
+  if (root_ < 0) {
+    out->push_back(0);
+    return;
+  }
   if (!duplicate) {
     double cx = (box.mbr.x_min + box.mbr.x_max) / 2.0;
     double cy = (box.mbr.y_min + box.mbr.y_max) / 2.0;
@@ -80,12 +85,12 @@ std::vector<int> KDBPartitioner::Assign(const STBox& box, bool duplicate,
       double v = n.x_axis ? cx : cy;
       node = v >= n.split ? n.right : n.left;
     }
-    return {nodes_[node].leaf_id};
+    out->push_back(nodes_[node].leaf_id);
+    return;
   }
-  std::vector<int> out;
-  CollectIntersecting(root_, box.mbr, &out);
-  std::sort(out.begin(), out.end());
-  return out;
+  const size_t first = out->size();
+  CollectIntersecting(root_, box.mbr, out);
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
 }
 
 GridPartitioner::GridPartitioner(int num_partitions) {
@@ -118,23 +123,25 @@ int GridPartitioner::CellOf(double x, double y) const {
   return iy * g_ + ix;
 }
 
-std::vector<int> GridPartitioner::Assign(const STBox& box, bool duplicate,
-                                         uint64_t record_id) const {
+void GridPartitioner::AssignTo(const STBox& box, bool duplicate,
+                               uint64_t record_id,
+                               std::vector<int>* out) const {
   (void)record_id;
   double cx = (box.mbr.x_min + box.mbr.x_max) / 2.0;
   double cy = (box.mbr.y_min + box.mbr.y_max) / 2.0;
-  if (!duplicate) return {CellOf(cx, cy)};
+  if (!duplicate) {
+    out->push_back(CellOf(cx, cy));
+    return;
+  }
   int lo = CellOf(box.mbr.x_min, box.mbr.y_min);
   int hi = CellOf(box.mbr.x_max, box.mbr.y_max);
   int ix_lo = lo % g_, iy_lo = lo / g_;
   int ix_hi = hi % g_, iy_hi = hi / g_;
-  std::vector<int> out;
   for (int iy = iy_lo; iy <= iy_hi; ++iy) {
     for (int ix = ix_lo; ix <= ix_hi; ++ix) {
-      out.push_back(iy * g_ + ix);
+      out->push_back(iy * g_ + ix);
     }
   }
-  return out;
 }
 
 }  // namespace st4ml

@@ -18,8 +18,8 @@ class KDBPartitioner : public STPartitioner {
 
   void Train(const std::vector<STBox>& boxes) override;
   int num_partitions() const override { return num_partitions_; }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override;
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override;
 
  private:
   struct Node {
@@ -51,8 +51,8 @@ class GridPartitioner : public STPartitioner {
 
   void Train(const std::vector<STBox>& boxes) override;
   int num_partitions() const override { return g_ * g_; }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override;
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override;
 
  private:
   int CellOf(double x, double y) const;

@@ -23,12 +23,13 @@ class HashPartitioner : public STPartitioner {
 
   int num_partitions() const override { return num_partitions_; }
 
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override {
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override {
     (void)box;
     (void)duplicate;  // hashing has no notion of a neighboring partition
     uint64_t h = Mix(record_id);
-    return {static_cast<int>(h % static_cast<uint64_t>(num_partitions_))};
+    out->push_back(
+        static_cast<int>(h % static_cast<uint64_t>(num_partitions_)));
   }
 
  private:

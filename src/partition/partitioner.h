@@ -23,11 +23,11 @@ namespace st4ml {
 /// dropped: partitioning must be total or selection would silently lose
 /// records that arrive after training.
 ///
-/// Threading and determinism: `Assign` must be thread-safe on a trained
+/// Threading and determinism: `AssignTo` must be thread-safe on a trained
 /// partitioner, because TrySTPartition calls it from the worker pool; and
 /// `Train` must be a deterministic function of the envelopes in the order
-/// given (TrySTPartition passes them in global scan order). T-STR breaks
-/// ties between equal time centers by that input order.
+/// given (TrySTPartition passes a strided sample of them in global scan
+/// order). T-STR breaks ties between equal time centers by that input order.
 class STPartitioner {
  public:
   virtual ~STPartitioner() = default;
@@ -37,10 +37,20 @@ class STPartitioner {
 
   virtual int num_partitions() const = 0;
 
-  /// Partition ids for one record (see class comment). `record_id` feeds
-  /// content-independent schemes like hash partitioning.
-  virtual std::vector<int> Assign(const STBox& box, bool duplicate,
-                                  uint64_t record_id) const = 0;
+  /// Appends the partition ids for one record (see class comment) to
+  /// `*out`, leaving what it already holds in place, so a caller placing
+  /// many records reuses one buffer and allocates nothing per record.
+  /// `record_id` feeds content-independent schemes like hash partitioning.
+  virtual void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                        std::vector<int>* out) const = 0;
+
+  /// AssignTo into a fresh vector.
+  std::vector<int> Assign(const STBox& box, bool duplicate,
+                          uint64_t record_id) const {
+    std::vector<int> out;
+    AssignTo(box, duplicate, record_id, &out);
+    return out;
+  }
 };
 
 }  // namespace st4ml

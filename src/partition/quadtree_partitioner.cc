@@ -1,6 +1,7 @@
 #include "partition/quadtree_partitioner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <queue>
 #include <utility>
 
@@ -108,23 +109,26 @@ void QuadTreePartitioner::CollectIntersecting(int node, const Mbr& query,
   }
 }
 
-std::vector<int> QuadTreePartitioner::Assign(const STBox& box, bool duplicate,
-                                             uint64_t record_id) const {
+void QuadTreePartitioner::AssignTo(const STBox& box, bool duplicate,
+                                   uint64_t record_id,
+                                   std::vector<int>* out) const {
   (void)record_id;
   double cx = (box.mbr.x_min + box.mbr.x_max) / 2.0;
   double cy = (box.mbr.y_min + box.mbr.y_max) / 2.0;
-  if (!duplicate) return {LeafAt(cx, cy)};
+  if (!duplicate) {
+    out->push_back(LeafAt(cx, cy));
+    return;
+  }
   // Clamp the envelope into the extent so border records match border
   // leaves; fall back to the primary if the clamp degenerates.
   Mbr clamped(std::clamp(box.mbr.x_min, extent_.x_min, extent_.x_max),
               std::clamp(box.mbr.y_min, extent_.y_min, extent_.y_max),
               std::clamp(box.mbr.x_max, extent_.x_min, extent_.x_max),
               std::clamp(box.mbr.y_max, extent_.y_min, extent_.y_max));
-  std::vector<int> out;
-  CollectIntersecting(0, clamped, &out);
-  if (out.empty()) out.push_back(LeafAt(cx, cy));
-  std::sort(out.begin(), out.end());
-  return out;
+  const size_t first = out->size();
+  CollectIntersecting(0, clamped, out);
+  if (out->size() == first) out->push_back(LeafAt(cx, cy));
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
 }
 
 }  // namespace st4ml

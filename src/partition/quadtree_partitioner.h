@@ -22,8 +22,8 @@ class QuadTreePartitioner : public STPartitioner {
   int num_partitions() const override {
     return static_cast<int>(leaf_of_node_.empty() ? 1 : num_leaves_);
   }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override;
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override;
 
  private:
   struct Node {

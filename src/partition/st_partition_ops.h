@@ -1,6 +1,7 @@
 #ifndef ST4ML_PARTITION_ST_PARTITION_OPS_H_
 #define ST4ML_PARTITION_ST_PARTITION_OPS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -18,23 +19,52 @@ struct STPartitionOptions {
   bool duplicate = false;
 };
 
-/// Repartitions a dataset by spatio-temporal locality: trains `partitioner`
-/// on every record envelope, then moves each record to its assigned
-/// partition(s). A full shuffle — each placed record is charged to the
-/// engine metrics, which is exactly the cost the T-STR experiments weigh
-/// against the locality it buys.
+/// TrySTPartition trains its partitioner on at most this many envelopes.
+/// Chosen by the balance sweep in EXPERIMENTS.md ("Sampled ST-partition
+/// training"): T-STR(4,4) trained on it stays within a few percent of
+/// perfect balance, at a fraction of the cost of training on everything.
+inline constexpr size_t kSTPartitionTrainSample = 8192;
+
+namespace partition_internal {
+
+/// An evenly strided sample of `items`: element k * n / size for
+/// k < size, in order. An input of at most `size` items is returned whole.
+template <typename V>
+std::vector<V> StridedSample(const std::vector<V>& items, size_t size) {
+  const size_t n = items.size();
+  if (n <= size) return items;
+  std::vector<V> sample;
+  sample.reserve(size);
+  for (size_t k = 0; k < size; ++k) sample.push_back(items[k * n / size]);
+  return sample;
+}
+
+}  // namespace partition_internal
+
+/// Repartitions a dataset by spatio-temporal locality: samples the record
+/// envelopes, trains `partitioner` on the sample (boundaries), then moves
+/// each record to its assigned partition(s). A full shuffle — each placed
+/// record is charged to the engine metrics, which is exactly the cost the
+/// T-STR experiments weigh against the locality it buys.
 ///
-/// Every phase runs on the context's pool: envelopes per input partition,
-/// Assign per input partition (so `Assign` must be thread-safe), and a
-/// gather per output partition that copies each placed record once. The
-/// result is the serial loop's: training sees the envelopes in global scan
-/// order, and each output partition lists its records in that same order.
+/// Training sees the strided sample of kSTPartitionTrainSample envelopes in
+/// global scan order (all of them for a smaller input), so the layout does
+/// not depend on the worker count or the input partitioning. Every other
+/// phase runs on the context's pool: envelopes per input partition,
+/// AssignTo per input partition into one reused buffer (so it must be
+/// thread-safe), and a gather per output partition. Each output partition
+/// lists its records in global scan order.
+///
+/// `data` is a sink. When the caller hands over the sole handle
+/// (std::move) and `duplicate` is off, each record is moved to its one
+/// home; otherwise it is copied, once per placement. Either way the shuffle
+/// counters charge every placement.
 ///
 /// A bad partitioner (null, trained to nothing, out-of-range assignment)
 /// or a failing engine task surfaces as the returned Status; nothing
 /// throws.
 template <typename T, typename BoxFn, typename IdFn>
-StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
+StatusOr<Dataset<T>> TrySTPartition(Dataset<T> data,
                                     STPartitioner* partitioner, BoxFn box_of,
                                     IdFn id_of,
                                     STPartitionOptions options = {}) {
@@ -58,7 +88,8 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
         }
         return Status::Ok();
       }));
-  partitioner->Train(boxes);
+  partitioner->Train(
+      partition_internal::StridedSample(boxes, kSTPartitionTrainSample));
 
   int n = partitioner->num_partitions();
   if (n <= 0) return Status::Internal("partitioner produced no partitions");
@@ -70,10 +101,13 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
   ST4ML_RETURN_IF_ERROR(
       ctx.TryRunParallel("st_partition/assign", num_inputs, [&](size_t p) {
         const std::vector<T>& part = data.partition(p);
+        std::vector<int> targets;
         for (size_t j = 0; j < part.size(); ++j) {
           uint64_t id = static_cast<uint64_t>(id_of(part[j]));
-          for (int t : partitioner->Assign(boxes[starts[p] + j],
-                                           options.duplicate, id)) {
+          targets.clear();
+          partitioner->AssignTo(boxes[starts[p] + j], options.duplicate, id,
+                                &targets);
+          for (int t : targets) {
             if (t < 0 || t >= n) {
               return Status::Internal("partition assignment out of range");
             }
@@ -83,6 +117,10 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
         return Status::Ok();
       }));
 
+  // Without duplicates every record has exactly one home, so a sole
+  // owner's records move: each is touched by exactly one gather task.
+  typename Dataset<T>::Partitions* owned =
+      options.duplicate ? nullptr : data.SoleOwnedPartitions();
   typename Dataset<T>::Partitions parts(num_targets);
   std::vector<uint64_t> partial_bytes(num_targets, 0);
   ST4ML_RETURN_IF_ERROR(
@@ -95,7 +133,11 @@ StatusOr<Dataset<T>> TrySTPartition(const Dataset<T>& data,
           const std::vector<T>& part = data.partition(p);
           for (size_t j : routes[p][t]) {
             bytes += ApproxShuffleBytes(part[j]);
-            parts[t].push_back(part[j]);
+            if (owned != nullptr) {
+              parts[t].push_back(std::move((*owned)[p][j]));
+            } else {
+              parts[t].push_back(part[j]);
+            }
           }
         }
         partial_bytes[t] = bytes;

@@ -156,16 +156,16 @@ void STRPartitioner::Train(const std::vector<STBox>& boxes) {
   tiling_ = partition_internal::BuildStrTiling(&centers, gx, gy);
 }
 
-std::vector<int> STRPartitioner::Assign(const STBox& box, bool duplicate,
-                                        uint64_t record_id) const {
+void STRPartitioner::AssignTo(const STBox& box, bool duplicate,
+                              uint64_t record_id,
+                              std::vector<int>* out) const {
   (void)record_id;
   if (!duplicate) {
-    return {tiling_.TileOf(partition_internal::CenterX(box),
-                           partition_internal::CenterY(box))};
+    out->push_back(tiling_.TileOf(partition_internal::CenterX(box),
+                                  partition_internal::CenterY(box)));
+    return;
   }
-  std::vector<int> out;
-  tiling_.IntersectingTiles(box.mbr, 0, &out);
-  return out;
+  tiling_.IntersectingTiles(box.mbr, 0, out);
 }
 
 TSTRPartitioner::TSTRPartitioner(int temporal_slices, int spatial_tiles)
@@ -210,8 +210,9 @@ void TSTRPartitioner::Train(const std::vector<STBox>& boxes) {
   }
 }
 
-std::vector<int> TSTRPartitioner::Assign(const STBox& box, bool duplicate,
-                                         uint64_t record_id) const {
+void TSTRPartitioner::AssignTo(const STBox& box, bool duplicate,
+                               uint64_t record_id,
+                               std::vector<int>* out) const {
   (void)record_id;
   if (!duplicate) {
     int slice = static_cast<int>(
@@ -220,21 +221,20 @@ std::vector<int> TSTRPartitioner::Assign(const STBox& box, bool duplicate,
         t_splits_.begin());
     int tile = tilings_[slice].TileOf(partition_internal::CenterX(box),
                                       partition_internal::CenterY(box));
-    return {slice * tiles_per_slice_ + tile};
+    out->push_back(slice * tiles_per_slice_ + tile);
+    return;
   }
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   // Slices by the trained cuts, like the primary lookup above (an untrained
   // or empty-trained partitioner has none and one slice).
   int slices = static_cast<int>(t_splits_.size()) + 1;
-  std::vector<int> out;
   for (int s = 0; s < slices; ++s) {
     int64_t t_lo = s == 0 ? kMin : t_splits_[s - 1];
     int64_t t_hi = s == slices - 1 ? kMax : t_splits_[s];
     if (box.time.start() > t_hi || box.time.end() < t_lo) continue;
-    tilings_[s].IntersectingTiles(box.mbr, s * tiles_per_slice_, &out);
+    tilings_[s].IntersectingTiles(box.mbr, s * tiles_per_slice_, out);
   }
-  return out;
 }
 
 }  // namespace st4ml

@@ -52,8 +52,8 @@ class STRPartitioner : public STPartitioner {
 
   void Train(const std::vector<STBox>& boxes) override;
   int num_partitions() const override { return tiling_.num_tiles(); }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override;
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override;
 
   /// The trained layout.
   const partition_internal::StrTiling& tiling() const { return tiling_; }
@@ -76,8 +76,8 @@ class TSTRPartitioner : public STPartitioner {
   int num_partitions() const override {
     return static_cast<int>(tilings_.size()) * tiles_per_slice_;
   }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override;
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override;
 
   /// The trained layout: time cuts, then one spatial tiling per slice.
   const std::vector<int64_t>& t_splits() const { return t_splits_; }

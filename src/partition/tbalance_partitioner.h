@@ -37,21 +37,21 @@ class TBalancePartitioner : public STPartitioner {
 
   int num_partitions() const override { return num_partitions_; }
 
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override {
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override {
     (void)record_id;
-    int64_t tc = box.time.start() / 2 + box.time.end() / 2;
-    int primary = static_cast<int>(
-        std::upper_bound(splits_.begin(), splits_.end(), tc) -
-        splits_.begin());
-    if (!duplicate) return {primary};
-    std::vector<int> out;
+    if (!duplicate) {
+      int64_t tc = box.time.start() / 2 + box.time.end() / 2;
+      out->push_back(static_cast<int>(
+          std::upper_bound(splits_.begin(), splits_.end(), tc) -
+          splits_.begin()));
+      return;
+    }
     for (int s = 0; s < num_partitions_; ++s) {
       bool after_lo = s == 0 || box.time.end() >= splits_[s - 1];
       bool before_hi = s == num_partitions_ - 1 || box.time.start() <= splits_[s];
-      if (after_lo && before_hi) out.push_back(s);
+      if (after_lo && before_hi) out->push_back(s);
     }
-    return out;
   }
 
  private:

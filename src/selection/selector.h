@@ -370,7 +370,7 @@ class Selector {
     auto selected = Dataset<RecordT>::FromPartitions(ctx_, std::move(parts));
     if (options_.partitioner != nullptr) {
       auto partitioned = TrySTPartition(
-          selected, options_.partitioner.get(),
+          std::move(selected), options_.partitioner.get(),
           [](const RecordT& r) { return r.ComputeSTBox(); },
           [](const RecordT& r) { return static_cast<uint64_t>(r.id); });
       if (!partitioned.ok()) return partitioned.status();

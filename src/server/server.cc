@@ -646,10 +646,8 @@ std::string Server::HandleExtract(const JsonValue& request) {
     // records currently match.
     auto structure = std::make_shared<TemporalStructure>(
         TemporalStructure::RegularByInterval(query.box.time, interval_s));
-    auto events = job.pipeline().Run(
-        "parse",
-        [](const Dataset<EventRecord>& raw) { return ParseEvents(raw); },
-        *selected);
+    auto events =
+        job.pipeline().Run("parse", ParseEvents, std::move(*selected));
     TimeSeriesConverter<STEvent> converter(structure);
     auto series = job.pipeline().Run(
         "conversion",

@@ -5,16 +5,20 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "conversion/parse.h"
 #include "conversion/shuffle_conversion.h"
 #include "engine/execution_context.h"
 #include "engine/pair_ops.h"
 #include "extraction/rdd_api.h"
+#include "storage/records.h"
 
 namespace st4ml {
 namespace {
@@ -485,6 +489,153 @@ TEST_F(ConversionTest, BroadcastAndShuffleDesignsAgree) {
     ExpectShuffleMatchesBroadcast(*ctx_, event_data_, structure);
     ExpectShuffleMatchesBroadcast(*ctx_, traj_data_, structure);
   }
+}
+
+// --- Parsing: a by-value sink moves a sole-owned input, copies a shared one.
+
+std::vector<EventRecord> RandomEventRecords(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EventRecord> records(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EventRecord& r = records[static_cast<size_t>(i)];
+    r.id = i;
+    r.x = rng.Uniform(0, 10);
+    r.y = rng.Uniform(0, 10);
+    r.time = rng.UniformInt(0, 36000);
+    // Long enough to live on the heap, so a moved attr keeps its buffer.
+    r.attr = "attribute payload of record " + std::to_string(i);
+  }
+  return records;
+}
+
+std::vector<TrajRecord> RandomTrajRecords(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TrajRecord> records(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    TrajRecord& r = records[static_cast<size_t>(i)];
+    r.id = i;
+    int64_t t = rng.UniformInt(0, 36000);
+    for (int k = 0; k < 1 + i % 7; ++k) {
+      r.points.push_back(
+          TrajPointRecord{rng.Uniform(0, 10), rng.Uniform(0, 10), t + 30 * k});
+    }
+  }
+  return records;
+}
+
+using EventKey =
+    std::tuple<int64_t, std::string, double, double, int64_t, int64_t>;
+
+std::vector<std::vector<EventKey>> EventContents(const Dataset<STEvent>& data) {
+  std::vector<std::vector<EventKey>> out(data.num_partitions());
+  for (size_t p = 0; p < out.size(); ++p) {
+    for (const STEvent& e : data.partition(p)) {
+      out[p].emplace_back(e.data.id, e.data.attr, e.spatial.x, e.spatial.y,
+                          e.temporal.start(), e.temporal.end());
+    }
+  }
+  return out;
+}
+
+std::vector<EventKey> RecordKeys(const std::vector<EventRecord>& records) {
+  std::vector<EventKey> out;
+  for (const EventRecord& r : records) {
+    out.emplace_back(r.id, r.attr, r.x, r.y, r.time, r.time);
+  }
+  return out;
+}
+
+std::vector<const char*> AttrBuffers(const Dataset<EventRecord>& data) {
+  std::vector<const char*> out;
+  for (size_t p = 0; p < data.num_partitions(); ++p) {
+    for (const EventRecord& r : data.partition(p)) out.push_back(r.attr.data());
+  }
+  return out;
+}
+
+std::vector<const char*> AttrBuffers(const Dataset<STEvent>& data) {
+  std::vector<const char*> out;
+  for (size_t p = 0; p < data.num_partitions(); ++p) {
+    for (const STEvent& e : data.partition(p)) out.push_back(e.data.attr.data());
+  }
+  return out;
+}
+
+using TrajKey = std::pair<int64_t, std::vector<std::tuple<double, double, int64_t>>>;
+
+std::vector<std::vector<TrajKey>> TrajContents(
+    const Dataset<STTrajectory>& data) {
+  std::vector<std::vector<TrajKey>> out(data.num_partitions());
+  for (size_t p = 0; p < out.size(); ++p) {
+    for (const STTrajectory& t : data.partition(p)) {
+      TrajKey key{t.data, {}};
+      for (const STEntry& e : t.entries) {
+        key.second.emplace_back(e.point.x, e.point.y, e.time);
+      }
+      out[p].push_back(std::move(key));
+    }
+  }
+  return out;
+}
+
+std::vector<TrajKey> TrajRecordKeys(const std::vector<TrajRecord>& records) {
+  std::vector<TrajKey> out;
+  for (const TrajRecord& r : records) {
+    TrajKey key{r.id, {}};
+    for (const TrajPointRecord& p : r.points) {
+      key.second.emplace_back(p.x, p.y, p.time);
+    }
+    out.push_back(std::move(key));
+  }
+  return out;
+}
+
+TEST_F(ConversionTest, ParseEventsMovesASoleInputAndCopiesASharedOne) {
+  const std::vector<EventRecord> records = RandomEventRecords(600, 51);
+
+  auto shared = Dataset<EventRecord>::Parallelize(ctx_, records, 4);
+  const std::vector<const char*> shared_buffers = AttrBuffers(shared);
+  Dataset<STEvent> from_shared = ParseEvents(shared);
+  // The shared input is untouched, buffers included.
+  EXPECT_EQ(RecordKeys(shared.Collect()), RecordKeys(records));
+  EXPECT_EQ(AttrBuffers(shared), shared_buffers);
+
+  auto sole = Dataset<EventRecord>::Parallelize(ctx_, records, 4);
+  const std::vector<const char*> sole_buffers = AttrBuffers(sole);
+  Dataset<STEvent> from_sole = ParseEvents(std::move(sole));
+
+  EXPECT_EQ(EventContents(from_sole), EventContents(from_shared));
+  ASSERT_EQ(from_shared.num_partitions(), 4u);
+  std::vector<EventKey> flat;
+  for (const auto& part : EventContents(from_shared)) {
+    flat.insert(flat.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(flat, RecordKeys(records));
+  // Moved: every attr kept its buffer. Copied: none did.
+  EXPECT_EQ(AttrBuffers(from_sole), sole_buffers);
+  std::vector<const char*> copied = AttrBuffers(from_shared);
+  for (size_t i = 0; i < copied.size(); ++i) {
+    EXPECT_NE(copied[i], shared_buffers[i]) << "record " << i;
+  }
+}
+
+TEST_F(ConversionTest, ParseTrajsGivesTheSameFromASoleOrASharedInput) {
+  const std::vector<TrajRecord> records = RandomTrajRecords(300, 52);
+
+  auto shared = Dataset<TrajRecord>::Parallelize(ctx_, records, 4);
+  Dataset<STTrajectory> from_shared = ParseTrajs(shared);
+  EXPECT_EQ(TrajRecordKeys(shared.Collect()), TrajRecordKeys(records));
+
+  auto sole = Dataset<TrajRecord>::Parallelize(ctx_, records, 4);
+  Dataset<STTrajectory> from_sole = ParseTrajs(std::move(sole));
+
+  EXPECT_EQ(TrajContents(from_sole), TrajContents(from_shared));
+  ASSERT_EQ(from_shared.num_partitions(), 4u);
+  std::vector<TrajKey> flat;
+  for (const auto& part : TrajContents(from_shared)) {
+    flat.insert(flat.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(flat, TrajRecordKeys(records));
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -469,11 +472,11 @@ class OutOfRangePartitioner : public STPartitioner {
  public:
   void Train(const std::vector<STBox>& boxes) override { (void)boxes; }
   int num_partitions() const override { return 4; }
-  std::vector<int> Assign(const STBox& box, bool duplicate,
-                          uint64_t record_id) const override {
+  void AssignTo(const STBox& box, bool duplicate, uint64_t record_id,
+                std::vector<int>* out) const override {
     (void)box;
     (void)duplicate;
-    return {record_id == 150 ? 4 : static_cast<int>(record_id % 4)};
+    out->push_back(record_id == 150 ? 4 : static_cast<int>(record_id % 4));
   }
 };
 
@@ -486,6 +489,207 @@ TEST(STPartitionTest, OutOfRangeAssignmentIsInternal) {
     ASSERT_FALSE(partitioned.ok());
     EXPECT_EQ(partitioned.status().code(), Status::Code::kInternal);
     EXPECT_EQ(ctx->MetricsSnapshot()[Counter::kShuffleRecordsStPartition], 0u);
+  }
+}
+
+// --- Sampled training, reused assign buffers, and moved records. ---
+
+/// The serial loop with training on the strided sample the sampling rule
+/// names: envelope k * n / S in scan order for k < S, every envelope when
+/// n <= S. Written out here rather than through StridedSample, so the rule
+/// itself is pinned.
+Layout SampledSerialReference(const std::vector<STEvent>& records,
+                              STPartitioner* partitioner, bool duplicate,
+                              uint64_t* moved, uint64_t* bytes) {
+  const size_t n = records.size();
+  const size_t s = kSTPartitionTrainSample;
+  std::vector<STBox> boxes;
+  for (const STEvent& e : records) boxes.push_back(EventBox(e));
+  std::vector<STBox> sample;
+  if (n <= s) {
+    sample = boxes;
+  } else {
+    for (size_t k = 0; k < s; ++k) sample.push_back(boxes[k * n / s]);
+  }
+  partitioner->Train(sample);
+  Layout layout(static_cast<size_t>(partitioner->num_partitions()));
+  *moved = 0;
+  *bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (int p : partitioner->Assign(boxes[i], duplicate, EventId(records[i]))) {
+      layout[static_cast<size_t>(p)].push_back(records[i].data.id);
+      *moved += 1;
+      *bytes += ApproxShuffleBytes(records[i]);
+    }
+  }
+  return layout;
+}
+
+Layout LayoutOf(const Dataset<STEvent>& data) {
+  Layout layout(data.num_partitions());
+  for (size_t p = 0; p < layout.size(); ++p) {
+    for (const STEvent& e : data.partition(p)) layout[p].push_back(e.data.id);
+  }
+  return layout;
+}
+
+TEST(STPartitionTest, TrainsOnTheStridedSample) {
+  const size_t s = kSTPartitionTrainSample;
+  for (size_t n : {s, s + 1, 3 * s + 7}) {
+    std::vector<STEvent> events = RandomEvents(static_cast<int>(n), 13);
+    for (bool duplicate : {false, true}) {
+      TSTRPartitioner reference_partitioner(3, 4);
+      uint64_t want_moved = 0;
+      uint64_t want_bytes = 0;
+      Layout want = SampledSerialReference(events, &reference_partitioner,
+                                           duplicate, &want_moved, &want_bytes);
+      for (int workers : {1, 8}) {
+        for (size_t input_parts : {1u, 5u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " duplicate=" << duplicate
+                       << " workers=" << workers << " inputs=" << input_parts);
+          auto ctx = ExecutionContext::Create(workers);
+          auto data = Dataset<STEvent>::Parallelize(ctx, events, input_parts);
+          ctx->ResetMetrics();
+          TSTRPartitioner tstr(3, 4);
+          STPartitionOptions options;
+          options.duplicate = duplicate;
+          auto partitioned = TrySTPartition(std::move(data), &tstr, EventBox,
+                                            EventId, options);
+          ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
+          EXPECT_EQ(LayoutOf(*partitioned), want);
+          EXPECT_EQ(tstr.t_splits(), reference_partitioner.t_splits());
+          const MetricsSnapshot snap = ctx->MetricsSnapshot();
+          EXPECT_EQ(snap[Counter::kShuffleRecordsStPartition], want_moved);
+          EXPECT_EQ(snap[Counter::kShuffleBytesStPartition], want_bytes);
+        }
+      }
+    }
+  }
+}
+
+/// Everything an event carries, comparable.
+using EventKey =
+    std::tuple<int64_t, std::string, double, double, int64_t, int64_t>;
+
+EventKey KeyOf(const STEvent& e) {
+  return {e.data.id,   e.data.attr,        e.spatial.x,
+          e.spatial.y, e.temporal.start(), e.temporal.end()};
+}
+
+/// Partition contents as full event keys, in order.
+std::vector<std::vector<EventKey>> ContentsOf(const Dataset<STEvent>& data) {
+  std::vector<std::vector<EventKey>> contents(data.num_partitions());
+  for (size_t p = 0; p < contents.size(); ++p) {
+    for (const STEvent& e : data.partition(p)) contents[p].push_back(KeyOf(e));
+  }
+  return contents;
+}
+
+/// Events whose attrs are long enough to live on the heap, so a moved
+/// record keeps its attr buffer and a copied one does not.
+std::vector<STEvent> EventsWithHeapAttrs(int n, uint64_t seed) {
+  std::vector<STEvent> events = RandomEvents(n, seed);
+  for (STEvent& e : events) {
+    e.data.attr = "attribute payload of event " + std::to_string(e.data.id);
+  }
+  return events;
+}
+
+std::map<int64_t, const char*> AttrBuffers(const Dataset<STEvent>& data) {
+  std::map<int64_t, const char*> buffers;
+  for (size_t p = 0; p < data.num_partitions(); ++p) {
+    for (const STEvent& e : data.partition(p)) {
+      buffers[e.data.id] = e.data.attr.data();
+    }
+  }
+  return buffers;
+}
+
+TEST(STPartitionTest, SoleOwnedInputMovesRecords) {
+  for (int workers : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    auto ctx = ExecutionContext::Create(workers);
+    auto data = Dataset<STEvent>::Parallelize(
+        ctx, EventsWithHeapAttrs(500, 14), 5);
+    const std::map<int64_t, const char*> before = AttrBuffers(data);
+    TSTRPartitioner tstr(3, 4);
+    auto partitioned = TrySTPartition(std::move(data), &tstr, EventBox,
+                                      EventId);
+    ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
+    EXPECT_EQ(AttrBuffers(*partitioned), before);
+  }
+}
+
+TEST(STPartitionTest, SharedInputIsCopiedAndLeftIntact) {
+  const std::vector<STEvent> events = EventsWithHeapAttrs(500, 15);
+  for (bool duplicate : {false, true}) {
+    for (int workers : {1, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "duplicate=" << duplicate << " workers=" << workers);
+      STPartitionOptions options;
+      options.duplicate = duplicate;
+      // Copy path: the caller keeps a second live handle.
+      auto ctx = ExecutionContext::Create(workers);
+      auto data = Dataset<STEvent>::Parallelize(ctx, events, 5);
+      Dataset<STEvent> second = data;
+      const std::map<int64_t, const char*> before = AttrBuffers(second);
+      ctx->ResetMetrics();
+      TSTRPartitioner copy_tstr(3, 4);
+      auto copied = TrySTPartition(std::move(data), &copy_tstr, EventBox,
+                                   EventId, options);
+      ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+      const MetricsSnapshot copy_snap = ctx->MetricsSnapshot();
+      std::vector<std::vector<EventKey>> original(1);
+      for (const STEvent& e : events) original[0].push_back(KeyOf(e));
+      EXPECT_EQ(ContentsOf(second.Repartition(1)), original);
+      EXPECT_EQ(AttrBuffers(second), before);
+      for (const auto& [id, buffer] : AttrBuffers(*copied)) {
+        EXPECT_NE(buffer, before.at(id)) << "record " << id;
+      }
+
+      // Move path (when not duplicating): the sole handle is handed over.
+      auto move_ctx = ExecutionContext::Create(workers);
+      auto sole = Dataset<STEvent>::Parallelize(move_ctx, events, 5);
+      move_ctx->ResetMetrics();
+      TSTRPartitioner move_tstr(3, 4);
+      auto moved = TrySTPartition(std::move(sole), &move_tstr, EventBox,
+                                  EventId, options);
+      ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+      const MetricsSnapshot move_snap = move_ctx->MetricsSnapshot();
+
+      EXPECT_EQ(ContentsOf(*moved), ContentsOf(*copied));
+      for (Counter c : {Counter::kShuffleRecordsStPartition,
+                        Counter::kShuffleBytesStPartition,
+                        Counter::kShuffleRecords, Counter::kShuffleBytes}) {
+        EXPECT_EQ(move_snap[c], copy_snap[c]);
+      }
+      EXPECT_GT(move_snap[Counter::kShuffleRecordsStPartition], 0u);
+    }
+  }
+}
+
+TEST(PartitionerTest, AssignEqualsAssignToOnAClearedBuffer) {
+  auto boxes = ClusteredBoxes(1500, 16);
+  for (STBox& b : boxes) b.mbr = b.mbr.Buffered(6.0);  // cross boundaries
+  for (auto& p : AllPartitioners()) {
+    p->Train(boxes);
+    std::vector<int> buffer;
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      for (bool duplicate : {false, true}) {
+        std::vector<int> want = p->Assign(boxes[i], duplicate, i);
+        buffer.clear();
+        p->AssignTo(boxes[i], duplicate, i, &buffer);
+        EXPECT_EQ(buffer, want) << "box " << i << " duplicate " << duplicate;
+        // AssignTo appends: what the buffer held stays, in front.
+        std::vector<int> prefixed = {-1, -2};
+        p->AssignTo(boxes[i], duplicate, i, &prefixed);
+        ASSERT_EQ(prefixed.size(), want.size() + 2);
+        EXPECT_EQ(prefixed[0], -1);
+        EXPECT_EQ(prefixed[1], -2);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), prefixed.begin() + 2));
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "conversion/singular_to_collective.h"
 #include "conversion/parse.h"
@@ -68,11 +69,7 @@ int Run(int argc, char** argv) {
 
   st4ml::Job job = session.StartJob("st4ml_extract");
   st4ml::Pipeline& pipeline = job.pipeline();
-  auto events = pipeline.Run(
-      "parse", [](const st4ml::Dataset<st4ml::EventRecord>& raw) {
-        return st4ml::ParseEvents(raw);
-      },
-      data);
+  auto events = pipeline.Run("parse", st4ml::ParseEvents, std::move(data));
   st4ml::TimeSeriesConverter<st4ml::STEvent> converter(structure);
   auto series = pipeline.Run(
       "conversion",
