@@ -3,14 +3,14 @@
 // seed behavior: every pass reads files), a thrash-sized budget (every
 // insert evicts, and an evicted file reloads from its origin), the same
 // thrash budget with 4 threads each running the Selection at once on one
-// shared context (their Gets race evictions and reloads of the same files;
-// a pass's time is the wall time until all 4 finish), and unbounded (the
-// warm pass is pure memory). Emits one JSON object per budget level so
-// perf PRs leave a machine-readable trajectory (bench/run_bench.sh writes
-// it to BENCH_cache.json), and exits non-zero if any pass's selected output
-// (every thread's, for the concurrent level) diverges from the budget-0
-// reference — the bench doubles as a correctness gate, like bench_shuffle.
-// Every row also carries
+// shared context (their lookups race loads, evictions and reloads of the
+// same files; a pass's time is the wall time until all 4 finish), and
+// unbounded (the warm pass is pure memory). Emits one JSON object per
+// budget level so perf PRs leave a machine-readable trajectory
+// (bench/run_bench.sh writes it to BENCH_cache.json), and exits non-zero if
+// any pass's selected output (every thread's, for the concurrent level)
+// diverges from the budget-0 reference — the bench doubles as a correctness
+// gate, like bench_shuffle. Every row also carries
 // resident_bytes_per_cached_file: the mean memory one selector cache entry
 // holds (records + envelope columns) over the staged files, on top of the
 // serialized bytes the budget accounts.

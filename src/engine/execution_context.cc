@@ -44,8 +44,6 @@ ExecutionContext::~ExecutionContext() {
 void ExecutionContext::set_tracer(std::shared_ptr<Tracer> tracer) {
   tracer_owned_ = std::move(tracer);
   tracer_.store(tracer_owned_.get(), std::memory_order_release);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (cache_ != nullptr) cache_->set_tracer(tracer_owned_.get());
 }
 
 DatasetCache& ExecutionContext::cache() {
@@ -55,16 +53,14 @@ DatasetCache& ExecutionContext::cache() {
     int64_t budget = GetEnvInt("ST4ML_CACHE_BUDGET_BYTES", 0);
     options.budget_bytes = budget < 0 ? DatasetCache::kUnbounded
                                       : static_cast<uint64_t>(budget);
-    cache_ = std::make_unique<DatasetCache>(std::move(options), &counters_);
-    cache_->set_tracer(tracer());
+    cache_ = std::make_unique<DatasetCache>(options, &counters_);
   }
   return *cache_;
 }
 
 void ExecutionContext::ConfigureCache(DatasetCache::Options options) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_ = std::make_unique<DatasetCache>(std::move(options), &counters_);
-  cache_->set_tracer(tracer());
+  cache_ = std::make_unique<DatasetCache>(options, &counters_);
 }
 
 void ExecutionContext::FailJob(ParallelJob* job, Status status,

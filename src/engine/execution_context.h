@@ -86,8 +86,7 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
   void ResetMetrics() { counters_.Reset(); }
 
   /// Attaches (or, with nullptr, detaches) a tracer. The context keeps the
-  /// tracer alive; instrumentation sites read the raw pointer. Forwarded to
-  /// the dataset cache so its reload spans land in the same trace.
+  /// tracer alive; instrumentation sites read the raw pointer.
   void set_tracer(std::shared_ptr<Tracer> tracer);
   Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
 

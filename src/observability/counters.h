@@ -34,10 +34,11 @@ namespace st4ml {
 ///    threw; kTasksRetried counts RetryPolicy re-attempts at the I/O
 ///    boundaries; kFaultsInjected counts engine-boundary faults the
 ///    FaultInjector fired (DESIGN.md §8 failure semantics).
-///  - kCache{Hits,Misses,Evictions} count DatasetCache lookups that found /
-///    did not find an entry and LRU evictions under the byte budget;
-///    kCacheReloadBytes counts STPQ bytes the cache read back from the
-///    origin files of evicted entries (DESIGN.md §9).
+///  - kCache{Hits,Misses,Evictions} count DatasetCache lookups that knew /
+///    did not know the key (a reload of an evicted key is a hit) and LRU
+///    evictions under the byte budget; kCacheReloadBytes counts the bytes
+///    the loads of evicted keys read back from their origin files
+///    (DESIGN.md §9).
 ///    A disabled cache (budget 0) touches none of these.
 ///  - kIndexFilesMmapped counts `.stix` sidecars a selection mmapped;
 ///    kIndexPagesRead counts the distinct 4 KiB index pages those queries

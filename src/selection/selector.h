@@ -64,17 +64,6 @@ std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
   return file;
 }
 
-/// Cache reload fn: re-reads the origin file and recomputes its columns, so
-/// an entry that was evicted under memory pressure comes back fully indexed.
-template <typename RecordT>
-StatusOr<std::shared_ptr<const void>> ReloadIndexedFile(
-    const std::string& path, uint64_t* io_bytes) {
-  auto loaded = ReadStpqFile<RecordT>(path, io_bytes);
-  if (!loaded.ok()) return loaded.status();
-  return std::shared_ptr<const void>(
-      MakeIndexedFile<RecordT>(std::move(*loaded)));
-}
-
 /// One file's Select outcome: the selected records plus the per-file
 /// accounting LoadAndFilter folds after the join. Each load task fills its
 /// own slot, so the fold reads every file's stats in index order.
@@ -223,10 +212,10 @@ class Selector {
   /// output is byte-identical to the old sequential load.
   ///
   /// Each file executes the plan the QueryPlanner picked:
-  ///   - kCachedIndex: probe the DatasetCache; a hit refines the warm
-  ///     in-memory index, a miss loads the file once and admits it. The
-  ///     cache key folds in size|mtime, so a rewritten file gets a fresh
-  ///     entry instead of stale bytes.
+  ///   - kCachedIndex: one DatasetCache::GetOrLoad; a hit refines the warm
+  ///     in-memory index, a miss or an evicted file is read whole (under
+  ///     options_.retry) and admitted. The cache key folds in size|mtime,
+  ///     so a rewritten file gets a fresh entry instead of stale bytes.
   ///   - kMmapIndex: open the `.stpq` once, mmap the `.stix` sidecar
   ///     validated against that open file, walk index pages, refine leaf
   ///     hits through the kernel over mapped columns, and read only
@@ -276,26 +265,27 @@ class Selector {
         // Only planned when `cache` is non-null.
         out.plan_run = FilePlan::kCachedIndex;
         io.AddArg("plan_cached", 1);
-        uint64_t key = cache->InternDatasetId(FileCacheName(paths[i]));
-        auto got = cache->Get(key, 0);
+        // One call serves hits, first loads and reloads of evicted files.
+        // A load reads the whole file and indexes its columns; a reload's
+        // bytes are the cache's reload bytes, not first-load stpq I/O.
+        auto got = cache->GetOrLoad(
+            FileCacheName(paths[i]),
+            [&](bool reload) -> StatusOr<DatasetCache::Loaded> {
+              FileLoad reread;
+              FileLoad* read = reload ? &reread : &out;
+              if (reload) io.AddArg("reload", 1);
+              auto records = ReadWhole(paths[i], read, &io, counters);
+              if (!records.ok()) return records.status();
+              return DatasetCache::Loaded{
+                  selection_internal::MakeIndexedFile<RecordT>(
+                      std::move(records).value()),
+                  read->read_bytes};
+            });
         if (!got.ok()) return got.status();
-        if (*got != nullptr) {
-          // Hit: filter the cached columns and copy only the matching
-          // records; no file I/O, no parse, no envelope recomputation.
-          auto file = std::static_pointer_cast<
-              const selection_internal::IndexedStpqFile<RecordT>>(*got);
-          out.records = FilterIndexed(*file, &out.selected_bytes);
-          return Status::Ok();
-        }
-        auto records = ReadWhole(paths[i], &out, &io, counters);
-        if (!records.ok()) return records.status();
-        // Miss: admit the records with their columns, with the source file
-        // as the reload path — eviction drops memory without writing
-        // anything.
-        auto file = selection_internal::MakeIndexedFile<RecordT>(
-            std::move(records).value());
-        cache->Put(key, 0, file, out.read_bytes, paths[i],
-                   &selection_internal::ReloadIndexedFile<RecordT>);
+        // Filter the cached columns and copy only the matching records; a
+        // resident hit pays no file I/O, parse or envelope recomputation.
+        auto file = std::static_pointer_cast<
+            const selection_internal::IndexedStpqFile<RecordT>>(*got);
         out.records = FilterIndexed(*file, &out.selected_bytes);
         return Status::Ok();
       }
@@ -379,9 +369,9 @@ class Selector {
     return selected;
   }
 
-  /// Reads all of one STPQ file under the retry policy (the cached-miss and
-  /// linear-scan plans): transient IOErrors are re-attempted, and on success
-  /// `out` records the bytes of the attempt that succeeded.
+  /// Reads all of one STPQ file under the retry policy (the cached-index
+  /// load and the linear-scan plan): transient IOErrors are re-attempted,
+  /// and on success `out` records the bytes of the attempt that succeeded.
   StatusOr<std::vector<RecordT>> ReadWhole(
       const std::string& path, selection_internal::FileLoadResult<RecordT>* out,
       ScopedSpan* io, CounterRegistry& counters) {

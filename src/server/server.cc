@@ -85,6 +85,21 @@ constexpr size_t kMaxRequestIds = 65536;
 /// Largest record batch one append frame may carry, for the same reason.
 constexpr size_t kMaxAppendRecords = 65536;
 
+/// Most bins one extract request may ask for (a year of 10-minute bins is
+/// 52,560), so a wide time range over a tiny interval cannot make the
+/// daemon allocate without limit.
+constexpr uint64_t kMaxExtractBins = 65536;
+
+/// How many bins TemporalSliding cuts `range` into at `interval_s` > 0:
+/// ceil(span / interval), at least one, and none for an inverted range. The
+/// span is taken in unsigned arithmetic, so no int64 range can overflow it.
+uint64_t ExtractBinCount(const Duration& range, int64_t interval_s) {
+  if (range.end() < range.start()) return 0;
+  const uint64_t span = static_cast<uint64_t>(range.end()) -
+                        static_cast<uint64_t>(range.start());
+  return span == 0 ? 1 : (span - 1) / static_cast<uint64_t>(interval_s) + 1;
+}
+
 /// Parses the shared job-verb query fields into the ONE SelectQuery type.
 /// `require_box` is set for select/extract (mbr+time mandatory, unchanged
 /// wire contract); lookup_id passes false — omitting both means the id
@@ -123,6 +138,27 @@ Status ParseQuery(const JsonValue& request, bool require_box,
   ST4ML_RETURN_IF_ERROR(request.GetCheckedIntArray("ids", kMaxRequestIds, &ids));
   if (!ids.empty()) query->SetIds(std::move(ids));
   return Status::Ok();
+}
+
+/// The one way select, lookup_id and extract read `dir`. An ingest
+/// directory — one with a live Ingestor, or streaming state on disk — is
+/// served from the MERGED view: compacted partitions + staged WAL tail. The
+/// ingestor's snapshot lock (shared) spans the whole selection so the
+/// compactor cannot delete a listed segment mid-read. Any other directory
+/// is a batch-built one, pruned through its `index.meta`.
+StatusOr<Dataset<EventRecord>> SelectDir(Selector<EventRecord>* selector,
+                                         const std::string& dir,
+                                         Ingestor* live) {
+  if (live != nullptr) {
+    std::shared_lock<std::shared_mutex> snapshot(live->snapshot_mu());
+    return selector->SelectIngest(dir);
+  }
+  std::error_code ec;
+  if (std::filesystem::exists(IngestManifestPath(dir), ec) ||
+      std::filesystem::exists(dir + "/wal", ec)) {
+    return selector->SelectIngest(dir);
+  }
+  return selector->Select(dir, dir + "/index.meta");
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
@@ -558,30 +594,12 @@ std::string Server::HandleSelect(const JsonValue& request, bool lookup_by_id) {
   query.count_only = limit == 0;
   RecordServedDir(dir);
 
-  // An ingest directory — one with a live Ingestor, or streaming state on
-  // disk — is served from the MERGED view: compacted partitions + staged
-  // WAL tail. The ingestor's snapshot lock (shared) spans the whole
-  // selection so the compactor cannot delete a listed segment mid-read.
-  Ingestor* live = FindIngestor(dir);
-  std::error_code ec;
-  bool ingest_dir =
-      live != nullptr ||
-      std::filesystem::exists(IngestManifestPath(dir), ec) ||
-      std::filesystem::exists(dir + "/wal", ec);
-
   Job job = session_->StartJob(lookup_by_id ? "serve/lookup_id"
                                             : "serve/select");
   Selector<EventRecord> selector(session_->context(), query);
-  auto selected = job.pipeline().Run("selection", [&] {
-    if (ingest_dir) {
-      if (live != nullptr) {
-        std::shared_lock<std::shared_mutex> snapshot(live->snapshot_mu());
-        return selector.SelectIngest(dir);
-      }
-      return selector.SelectIngest(dir);
-    }
-    return selector.Select(dir, dir + "/index.meta");
-  });
+  auto selected = job.pipeline().Run(
+      "selection",
+      [&] { return SelectDir(&selector, dir, FindIngestor(dir)); });
   job.Finish();
   if (!job.ok()) return ErrorResponse(job.status());
 
@@ -634,12 +652,18 @@ std::string Server::HandleExtract(const JsonValue& request) {
   int64_t interval_s = 0;
   status = request.GetCheckedInt("interval", 3600, 1, INT64_MAX, &interval_s);
   if (!status.ok()) return ErrorResponse(status);
+  if (ExtractBinCount(query.box.time, interval_s) > kMaxExtractBins) {
+    return ErrorResponse(Status::InvalidArgument(
+        "'time' / 'interval' exceeds the per-request limit of " +
+        std::to_string(kMaxExtractBins) + " bins"));
+  }
   RecordServedDir(dir);
 
   Job job = session_->StartJob("serve/extract");
   Selector<EventRecord> selector(session_->context(), query);
   auto selected = job.pipeline().Run(
-      "selection", [&] { return selector.Select(dir, dir + "/index.meta"); });
+      "selection",
+      [&] { return SelectDir(&selector, dir, FindIngestor(dir)); });
   if (selected.ok()) {
     // The bin layout comes from the QUERY's time range, not the data's, so
     // the same request always yields the same bins regardless of which

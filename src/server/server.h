@@ -54,7 +54,7 @@ struct ServerOptions {
 ///   lookup_id {"verb":"lookup_id","dir":D,"ids":[...]
 ///              [,"mbr":[4],"time":[2]][,"limit":N]}
 ///   extract   {"verb":"extract","dir":D,"mbr":[4],"time":[2]
-///              [,"interval":S]}
+///              [,"interval":S]}         time / interval <= 65536 bins
 ///   append    {"verb":"append","dir":D,"records":[{"id":I,"x":X,"y":Y,
 ///              "time":T[,"attr":S]},...]}       streaming WAL ingestion
 ///   flush     {"verb":"flush","dir":D}    seal + compact everything staged
@@ -62,10 +62,10 @@ struct ServerOptions {
 ///   shutdown  {"verb":"shutdown"}                         graceful stop
 ///
 /// append/flush/ingest_status serve a per-dir Ingestor (lazily opened, with
-/// crash recovery, on first use); a select against an ingest directory is
-/// answered from the MERGED view — compacted partitions plus the staged WAL
-/// tail — under the ingestor's snapshot lock, so every acked record appears
-/// exactly once even mid-compaction (DESIGN.md §13).
+/// crash recovery, on first use); a select, lookup_id or extract against an
+/// ingest directory is answered from the MERGED view — compacted partitions
+/// plus the staged WAL tail — under the ingestor's snapshot lock, so every
+/// acked record appears exactly once even mid-compaction (DESIGN.md §13).
 ///
 /// select/lookup_id/extract all parse into the ONE SelectQuery type; a
 /// lookup_id with no mbr/time spans everything and lets the id postings

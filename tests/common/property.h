@@ -179,12 +179,7 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
   std::shared_ptr<ExecutionContext> ctx = ExecutionContext::Create(workers);
   DatasetCache::Options cache_options;
   cache_options.budget_bytes = budget;
-  // Fault runs re-attempt aggressively (and without backoff, for speed):
-  // p = 0.1 over 8 attempts makes a persistent failure vanishingly rare,
-  // so the differential comparison never aborts on an injected fault.
-  cache_options.retry.max_attempts = 8;
-  cache_options.retry.initial_backoff = std::chrono::milliseconds(0);
-  ctx->ConfigureCache(std::move(cache_options));
+  ctx->ConfigureCache(cache_options);
 
   if (w.fault_prob > 0) {
     GlobalFaultInjector().Reset();
@@ -192,6 +187,10 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
                                            w.fault_prob, w.seed);
   }
 
+  // Fault runs re-attempt aggressively (and without backoff, for speed):
+  // p = 0.1 over 8 attempts makes a persistent failure vanishingly rare,
+  // so the differential comparison never aborts on an injected fault. The
+  // policy covers every read, cache reloads included.
   SelectorOptions selector_options;
   selector_options.retry.max_attempts = 8;
   selector_options.retry.initial_backoff = std::chrono::milliseconds(0);

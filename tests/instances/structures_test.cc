@@ -48,6 +48,35 @@ TEST(TemporalStructureTest, IrregularKeepsGivenBins) {
   EXPECT_EQ(ts.FindBin(160), 1u);  // first containing, despite overlap
 }
 
+// Bins of a range that ends near INT64_MAX, cut at a step nearly as large:
+// stepping past the end must not overflow (UBSan checks it in CI), and the
+// layout stays the clipped-tail sliding window.
+TEST(TemporalStructureTest, RegularByIntervalNearInt64Max) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  TemporalStructure tail =
+      TemporalStructure::RegularByInterval(Duration(kMax - 25, kMax), 10);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.bin(0), Duration(kMax - 25, kMax - 15));
+  EXPECT_EQ(tail.bin(1), Duration(kMax - 15, kMax - 5));
+  EXPECT_EQ(tail.bin(2), Duration(kMax - 5, kMax));
+
+  TemporalStructure wide = TemporalStructure::RegularByInterval(
+      Duration(kMax - 100, kMax), kMax / 2);
+  ASSERT_EQ(wide.size(), 1u);
+  EXPECT_EQ(wide.bin(0), Duration(kMax - 100, kMax));
+
+  // The whole int64 line, whose span does not fit an int64, in four steps.
+  const int64_t step = int64_t{1} << 62;
+  TemporalStructure all =
+      TemporalStructure::RegularByInterval(Duration(kMin, kMax), step);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all.bin(0), Duration(kMin, kMin + step));
+  EXPECT_EQ(all.bin(1), Duration(kMin + step, 0));
+  EXPECT_EQ(all.bin(2), Duration(0, step));
+  EXPECT_EQ(all.bin(3), Duration(step, kMax));
+}
+
 TEST(SpatialStructureTest, GridRowMajorLayout) {
   SpatialStructure grid = SpatialStructure::Grid(Mbr(0, 0, 4, 2), 4, 2);
   ASSERT_EQ(grid.size(), 8u);

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -584,6 +585,102 @@ TEST(ServerTest, ExtractOverAFullyPrunedSelectionReturnsZeroBins) {
     EXPECT_EQ(bin.GetInt("count", -1), 0);
   }
   // The daemon is still serving.
+  EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+}
+
+// Extract reads a streaming-ingest directory the way select does: the merged
+// view of compacted partitions and the staged WAL tail. Records appended
+// through the append verb are counted by both verbs alike, before and after
+// a flush compacts them.
+TEST(ServerTest, ExtractOverAnIngestDirectoryMatchesSelect) {
+  // Declared before the daemon, so its ingestor is gone before the removal.
+  struct ScratchDir {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("st4ml_server_ingest_" + std::to_string(::getpid())))
+                           .string();
+    ScratchDir() { std::filesystem::remove_all(path); }
+    ~ScratchDir() { std::filesystem::remove_all(path); }
+  } scratch;
+  const std::string& dir = scratch.path;
+  Daemon daemon;
+  Client client = daemon.Connect();
+
+  const std::vector<EventRecord> events = testing::RandomWorkloadEvents(600, 9);
+  for (size_t begin = 0; begin < events.size(); begin += 200) {
+    std::string records;
+    for (size_t i = begin; i < begin + 200; ++i) {
+      char row[160];
+      std::snprintf(row, sizeof(row),
+                    R"(%s{"id":%lld,"x":%.17g,"y":%.17g,"time":%lld})",
+                    i == begin ? "" : ",",
+                    static_cast<long long>(events[i].id), events[i].x,
+                    events[i].y, static_cast<long long>(events[i].time));
+      records += row;
+    }
+    JsonValue appended =
+        Call(client, R"({"verb":"append","dir":")" + dir +
+                         R"(","records":[)" + records + "]}");
+    ASSERT_TRUE(Ok(appended)) << ErrorCode(appended);
+  }
+
+  char extract[512];
+  std::snprintf(extract, sizeof(extract),
+                R"({"verb":"extract","dir":"%s","mbr":[0,0,100,100],)"
+                R"("time":[0,100000],"interval":25000})",
+                dir.c_str());
+  for (const bool flushed : {false, true}) {
+    if (flushed) {
+      ASSERT_TRUE(Ok(Call(client, R"({"verb":"flush","dir":")" + dir + "\"}")));
+    }
+    JsonValue selected = Call(client, SelectRequest(dir, 0, 100000, 0));
+    ASSERT_TRUE(Ok(selected)) << ErrorCode(selected);
+    EXPECT_EQ(selected.GetInt("count", -1),
+              static_cast<int64_t>(events.size()))
+        << "flushed " << flushed;
+    JsonValue extracted = Call(client, extract);
+    ASSERT_TRUE(Ok(extracted)) << ErrorCode(extracted) << " flushed "
+                               << flushed;
+    const JsonValue* bins = extracted.Find("bins");
+    ASSERT_NE(bins, nullptr);
+    int64_t total = 0;
+    for (const JsonValue& bin : bins->array) total += bin.GetInt("count", 0);
+    EXPECT_EQ(total, selected.GetInt("count", -1)) << "flushed " << flushed;
+  }
+}
+
+// A time range that would cut into more bins than the per-request limit is
+// rejected before any bin is allocated — including ranges whose span does
+// not fit an int64.
+TEST(ServerTest, ExtractRejectsTooManyBins) {
+  testing::CacheWorkload w = ServeWorkload();
+  testing::StagedWorkload staged(w);
+  Daemon daemon;
+  Client client = daemon.Connect();
+
+  for (const char* window :
+       {R"("time":[0,9e18],"interval":1)",
+        R"("time":[-9.2e18,9.2e18],"interval":1000000)",
+        R"("time":[0,65537],"interval":1)"}) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  R"({"verb":"extract","dir":"%s","mbr":[0,0,100,100],%s})",
+                  staged.dir().c_str(), window);
+    JsonValue rejected = Call(client, buf);
+    EXPECT_FALSE(Ok(rejected)) << window;
+    EXPECT_EQ(ErrorCode(rejected), "INVALID_ARGUMENT") << window;
+  }
+  // 65536 bins is the limit itself, and a span near 2^64 with a step as
+  // large still fits in a handful of bins.
+  for (const char* window :
+       {R"("time":[0,65536],"interval":1)",
+        R"("time":[-9.2e18,9.2e18],"interval":4611686018427387904)"}) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  R"({"verb":"extract","dir":"%s","mbr":[0,0,100,100],%s})",
+                  staged.dir().c_str(), window);
+    JsonValue accepted = Call(client, buf);
+    EXPECT_TRUE(Ok(accepted)) << window << " " << ErrorCode(accepted);
+  }
   EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
 }
 
