@@ -17,6 +17,9 @@
 // choices control.
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "bench_common.h"
 #include "conversion/parse.h"
@@ -180,20 +183,35 @@ void AblateOperatorChoice(const BenchEnv& env) {
   table.Print();
 }
 
-/// One file plan per run over the T-STR layout (the caller turns the cache
-/// off, so the planner picks between the mmap'd `.stix` sidecar and a full
-/// parse + kernel filter per file); returns seconds, bytes read and records
-/// selected.
+/// A sidecar-less view of a T-STR layout: hard links to its `.stpq` files in
+/// a sibling directory (no data is copied). The layout's metadata file names
+/// the files relative to whichever directory is selected, so it serves both.
+std::string SidecarFreeView(const std::string& dir) {
+  namespace fs = std::filesystem;
+  const std::string view = dir + "_nostix";
+  fs::remove_all(view);
+  fs::create_directories(view);
+  for (const std::string& path : ListStpqFiles(dir)) {
+    std::error_code ec;
+    fs::create_hard_link(path, view + "/" + fs::path(path).filename().string(),
+                         ec);
+    ST4ML_CHECK(!ec) << "link " << path << ": " << ec.message();
+  }
+  return view;
+}
+
+/// One cold run of `queries` over `dir` (the caller turns the cache off, so
+/// each file is served through its mmap'd `.stix` sidecar when `dir` has
+/// one, else by a full parse + kernel filter); returns seconds, bytes read
+/// and records selected.
 template <typename RecordT>
-void RunSelectPlan(const BenchEnv& env, const ScaledDirs& dirs,
-                   const std::vector<STBox>& queries, bool disk_index,
+void RunSelectPlan(const BenchEnv& env, const std::string& dir,
+                   const std::string& meta, const std::vector<STBox>& queries,
                    double* seconds, uint64_t* bytes_read, uint64_t* records) {
   for (const STBox& q : queries) {
-    SelectorOptions options;
-    options.use_disk_index = disk_index;
-    Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q), options);
+    Selector<RecordT> selector(env.ctx, SelectQuery::FromBox(q));
     *seconds += TimeIt([&] {
-      auto r = selector.Select(dirs.st4ml_dir, dirs.st4ml_meta);
+      auto r = selector.Select(dir, meta);
       ST4ML_CHECK(r.ok()) << r.status().ToString();
       *records += r->Count();
     });
@@ -211,19 +229,27 @@ void AblateDiskIndex(const BenchEnv& env) {
       env.nyc_extent, env.nyc_range, 0.25, 7 * 86400, 4, 21);
   const auto traj_queries = MakeShapedQueries(
       env.porto_extent, env.porto_range, 0.25, 7 * 86400, 4, 22);
+  const ScaledDirs& events = env.nyc[2];
+  const ScaledDirs& trajs = env.porto[2];
+  const std::string events_scan = SidecarFreeView(events.st4ml_dir);
+  const std::string trajs_scan = SidecarFreeView(trajs.st4ml_dir);
   uint64_t selected[2][2] = {};
   for (bool disk_index : {true, false}) {
     double t_e = 0, t_t = 0;
     uint64_t read_e = 0, read_t = 0;
-    RunSelectPlan<EventRecord>(env, env.nyc[2], event_queries, disk_index,
-                               &t_e, &read_e, &selected[disk_index][0]);
-    RunSelectPlan<TrajRecord>(env, env.porto[2], traj_queries, disk_index,
-                              &t_t, &read_t, &selected[disk_index][1]);
+    RunSelectPlan<EventRecord>(
+        env, disk_index ? events.st4ml_dir : events_scan, events.st4ml_meta,
+        event_queries, &t_e, &read_e, &selected[disk_index][0]);
+    RunSelectPlan<TrajRecord>(
+        env, disk_index ? trajs.st4ml_dir : trajs_scan, trajs.st4ml_meta,
+        traj_queries, &t_t, &read_t, &selected[disk_index][1]);
     table.AddRow({disk_index ? "mmap .stix index" : "linear scan",
                   FmtSeconds(t_e), FmtMb(read_e), FmtSeconds(t_t),
                   FmtMb(read_t)});
   }
   table.Print();
+  std::filesystem::remove_all(events_scan);
+  std::filesystem::remove_all(trajs_scan);
   ST4ML_CHECK(selected[0][0] == selected[1][0] &&
               selected[0][1] == selected[1][1])
       << "plans disagree on selected records";

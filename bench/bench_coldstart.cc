@@ -3,11 +3,12 @@
 // index, then times the SAME selective query through the two cold paths a
 // fresh process can take:
 //
-//   parse_build  cache enabled, disk index off — the pre-sidecar cold
-//                start: parse every surviving part file end to end and
-//                build the in-memory index as a side effect.
-//   mmap_index   cache disabled, disk index on — mmap the sidecar, walk
-//                the packed tree, and ranged-read only matching records.
+//   parse_build  cache enabled — the pre-sidecar cold start: parse every
+//                surviving part file end to end and build the in-memory
+//                index as a side effect (the cached plan never consults
+//                the sidecars).
+//   mmap_index   cache disabled — mmap the sidecar, walk the packed tree,
+//                and ranged-read only matching records.
 //
 // Emits one JSON object per mode plus a summary row (bench/run_bench.sh
 // writes BENCH_coldstart.json at the repo root). The bench doubles as a
@@ -101,9 +102,7 @@ ModeResult RunMode(const std::string& dir, const std::string& meta,
       cache.budget_bytes = DatasetCache::kUnbounded;
       ctx->ConfigureCache(std::move(cache));
     }
-    SelectorOptions options;
-    options.use_disk_index = disk_index;
-    Selector<EventRecord> selector(ctx, SelectQuery::FromBox(query), options);
+    Selector<EventRecord> selector(ctx, SelectQuery::FromBox(query));
     Stopwatch watch;
     auto selected = selector.Select(dir, meta);
     double seconds = watch.ElapsedSeconds();

@@ -14,7 +14,7 @@ StatusOr<Dataset<GeoObject>> GeoSparkLike::LoadAllEvents(
   Dataset<GeoObject>::Partitions parts;
   parts.reserve(paths.size());
   for (const std::string& path : paths) {
-    auto records = ReadStpqEvents(path);
+    auto records = ReadStpqFile<EventRecord>(path);
     if (!records.ok()) return records.status();
     std::vector<GeoObject> objects;
     objects.reserve(records->size());
@@ -33,7 +33,7 @@ StatusOr<Dataset<GeoObject>> GeoSparkLike::LoadAllTrajs(
   Dataset<GeoObject>::Partitions parts;
   parts.reserve(paths.size());
   for (const std::string& path : paths) {
-    auto records = ReadStpqTrajs(path);
+    auto records = ReadStpqFile<TrajRecord>(path);
     if (!records.ok()) return records.status();
     std::vector<GeoObject> objects;
     objects.reserve(records->size());

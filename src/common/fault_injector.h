@@ -18,8 +18,8 @@ namespace fault_site {
 /// Checked once per claimed chunk in ExecutionContext::RunChunks — a fired
 /// fault fails the running job exactly like a task that returned an error.
 inline constexpr const char* kTaskRun = "engine/task";
-/// Checked on entry to ReadStpqEvents / ReadStpqTrajs — a fired fault is a
-/// transient IOError, which is what RetryPolicy retries.
+/// Checked once per StpqReader read (ReadRuns, ReadAll) — a fired fault is
+/// a transient IOError, which is what RetryPolicy retries.
 inline constexpr const char* kStpqRead = "stpq/read";
 /// Checked on entry to the STPQ writers (PersistDataset / BuildOnDiskIndex
 /// go through them).

@@ -275,33 +275,9 @@ class Dataset {
     const size_t total = starts.back();
     Partitions out(num_partitions);
     ScopedSpan op(ctx_->tracer(), span_category::kOperation, "repartition");
-    if (ctx_->num_workers() == 1) {
-      // Sequential deal: with no parallelism to win, the streaming pass
-      // beats the strided per-target pulls below on cache behavior.
-      for (size_t t = 0; t < num_partitions; ++t) {
-        out[t].reserve(total > t ? (total - t - 1) / num_partitions + 1 : 0);
-      }
-      uint64_t seq_bytes = 0;
-      size_t next = 0;
-      for (const auto& part : *parts_) {
-        for (const T& value : part) {
-          seq_bytes += ApproxShuffleBytes(value);
-          if (may_move) {
-            out[next].push_back(std::move(const_cast<T&>(value)));
-          } else {
-            out[next].push_back(value);
-          }
-          next = (next + 1) % num_partitions;
-        }
-      }
-      internal::Counters(*ctx_).AddShuffle(ShuffleOp::kRepartition, total,
-                                           seq_bytes);
-      op.AddArg("records", total);
-      op.AddArg("bytes", seq_bytes);
-      return FromPartitions(ctx_, std::move(out));
-    }
     // Per-target strided pulls: round-robin by global index, so record g
-    // lands in partition g % num_partitions exactly as the sequential deal.
+    // lands in partition g % num_partitions. A one-worker pool runs the
+    // scatter inline.
     std::vector<uint64_t> partial_bytes(num_partitions, 0);
     ctx_->RunParallel("repartition/scatter", num_partitions, [&](size_t target) {
       size_t count =

@@ -10,12 +10,12 @@
 // FilterBoxes kernel over mmap'd SoA envelope columns, and then reads only
 // covering spans of the matching records' bytes — instead of parsing the
 // whole file and building an R-tree in memory first. Warm paths keep the
-// in-memory cached index (DatasetCache); the QueryPlanner picks per file.
+// in-memory cached index (DatasetCache); the Selector picks per file.
 //
 // Invalidation: the header embeds the source file's StpqIdentity: its size
 // and mtime — the same key the dataset cache uses — PLUS a fingerprint of
 // its STPQ header, so even a same-size rewrite landing within one mtime tick
-// invalidates the sidecar and the planner falls back to a linear scan
+// invalidates the sidecar and the Selector falls back to a linear scan
 // instead of serving stale hits.
 //
 // File layout (native-endian, like STPQ — never leaves the machine):
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "accel/kernels.h"
-#include "common/env.h"
 #include "common/status.h"
 #include "index/stbox.h"
 #include "storage/stpq.h"
@@ -117,13 +116,6 @@ static_assert(sizeof(StixHeader) == 152, "StixHeader must pack to 152 bytes");
 /// Sidecar path for an STPQ partition: the extension swapped to `.stix`.
 std::string StixPathFor(const std::string& stpq_path);
 
-/// The ST4ML_DISK_INDEX env knob: any value but "off" (the default is on)
-/// lets the QueryPlanner consider mmap'd sidecars. SelectorOptions reads
-/// this once at construction; tests override the field directly.
-inline bool DiskIndexEnabledByEnv() {
-  return GetEnvString("ST4ML_DISK_INDEX", "on") != "off";
-}
-
 /// Everything the bulk loader needs about one partition, in record order.
 struct StixBuildInput {
   std::vector<STBox> boxes;       // record envelopes (ComputeSTBox)
@@ -180,7 +172,7 @@ struct StixQueryStats {
 /// sidecar is checked against the very file the records come from. The
 /// audit is a few sequential integer scans over the mapped pages: a
 /// fraction of the parse-and-build it replaces. Any violation returns InvalidArgument (bad
-/// bytes) or IOError (can't map), and the planner falls back to the
+/// bytes) or IOError (can't map), and the Selector falls back to the
 /// linear-scan plan.
 class StixIndex {
  public:

@@ -45,9 +45,10 @@ namespace st4ml {
 ///    touched (nodes walked, column runs refined, postings resolved);
 ///    kPostingsHits counts inverted-index postings entries resolved for
 ///    requested ids (DESIGN.md §12).
-///  - kPlanner{MmapIndex,CachedIndex,LinearScan} count the per-file plan the
-///    QueryPlanner actually EXECUTED: an intended mmap plan whose sidecar
-///    fails validation falls back to — and is counted as — a linear scan.
+///  - kPlanner{MmapIndex,CachedIndex,LinearScan} count the plan each file
+///    was served by: with the cache off, a file whose `.stix` sidecar
+///    validates is an mmap-index file, and one whose sidecar is missing,
+///    stale or corrupt is a linear-scan file.
 ///  - kWalSegmentsScanned counts `.stwal` staging segments a merged Select
 ///    served records from (the kWalScan plan); kWalReplayedRecords counts
 ///    records recovered from WAL segments when an Ingestor reopens a

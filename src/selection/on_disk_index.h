@@ -88,15 +88,13 @@ Status PersistDataset(const Dataset<RecordT>& data, const std::string& dir,
 /// sidecar index (STR-packed R-tree + id postings — the persistent
 /// external-memory index cold selection mmaps), and record each file's
 /// tight ST envelope in a metadata sidecar. Selection later prunes whole
-/// files against that metadata before touching their bytes, and serves
-/// survivors through the planner's best per-file plan. Pass
-/// `build_sidecar_index = false` to get the PR-7-era layout (no `.stix`).
+/// files against that metadata before touching their bytes; a cold Select
+/// then serves each survivor through its sidecar.
 template <typename RecordT>
 Status BuildOnDiskIndex(const Dataset<RecordT>& data,
                         STPartitioner* partitioner, const std::string& dir,
                         const std::string& meta_path,
-                        const RetryPolicy& retry = {},
-                        bool build_sidecar_index = true) {
+                        const RetryPolicy& retry = {}) {
   if (partitioner == nullptr) {
     return Status::InvalidArgument("BuildOnDiskIndex requires a partitioner");
   }
@@ -129,10 +127,8 @@ Status BuildOnDiskIndex(const Dataset<RecordT>& data,
     std::string name = selection_internal::PartFileName(p);
     ST4ML_RETURN_IF_ERROR(selection_internal::WritePartFileWithRetry(
         dir + "/" + name, parts[p], retry, counters));
-    if (build_sidecar_index) {
-      ST4ML_RETURN_IF_ERROR(selection_internal::WriteStixWithRetry(
-          dir + "/" + name, parts[p], retry, counters));
-    }
+    ST4ML_RETURN_IF_ERROR(selection_internal::WriteStixWithRetry(
+        dir + "/" + name, parts[p], retry, counters));
     StpqPartMeta entry;
     entry.file = std::move(name);
     entry.box = bounds[p];

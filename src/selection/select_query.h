@@ -16,7 +16,7 @@ namespace st4ml {
 /// shapes — `Selector`'s STBox constructor argument, the CLI tools'
 /// --mbr/--time flag pair, and the server's `select` JSON verb — and none of
 /// them could ask for a record by id at all. Every entry point now constructs
-/// a SelectQuery and every consumer (Selector, QueryPlanner, the st4mld
+/// a SelectQuery and every consumer (the Selector's plans, the st4mld
 /// verbs) reads the same struct.
 ///
 /// Semantics:

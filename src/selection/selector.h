@@ -21,14 +21,34 @@
 #include "partition/partitioner.h"
 #include "partition/st_partition_ops.h"
 #include "partition/str_partitioner.h"
-#include "selection/query_planner.h"
 #include "selection/select_query.h"
 #include "storage/ingest_manifest.h"
 #include "storage/stpq.h"
 
 namespace st4ml {
 
+/// How one file was served by a Select (DESIGN.md §12), counted into the
+/// kPlanner{LinearScan,CachedIndex,MmapIndex} / kWalSegmentsScanned
+/// counters.
+enum class FilePlan : uint8_t {
+  kLinearScan = 0,   // read the whole file, filter in memory
+  kCachedIndex = 1,  // in-memory cached index: hit, or load-and-admit
+  kMmapIndex = 2,    // mmap the .stix sidecar, read only matching bytes
+  kWalScan = 3,      // staged `.stwal` segment: frame-parse + filter
+};
+inline constexpr size_t kNumFilePlans = 4;
+
 namespace selection_internal {
+
+/// True for WAL staging segments, sealed (`.stwal`) or active
+/// (`.stwal.open`) — the suffixes src/ingest/wal.h writes.
+inline bool IsWalSegmentPath(const std::string& path) {
+  auto ends_with = [&](const char* suffix) {
+    size_t n = std::char_traits<char>::length(suffix);
+    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
+  };
+  return ends_with(".stwal") || ends_with(".stwal.open");
+}
 
 /// What the selector caches per STPQ file: the raw records PLUS their
 /// per-record envelopes as SoA columns, so a warm hit skips the file read,
@@ -76,7 +96,6 @@ struct FileLoadResult {
   uint64_t pages_read = 0;
   uint64_t postings_hits = 0;
   bool file_read = false;
-  bool mmapped = false;
   FilePlan plan_run = FilePlan::kLinearScan;  // the plan actually executed
 };
 
@@ -91,13 +110,6 @@ struct SelectorOptions {
   /// injected fault) are re-attempted with backoff before failing the
   /// Select; deterministic errors (NotFound, Corruption) fail immediately.
   RetryPolicy retry;
-  /// Let the QueryPlanner serve COLD files (no enabled cache) from their
-  /// mmap'd `.stix` sidecar when one is present and valid: index pages are
-  /// walked, leaf hits refine through the kernel over mapped columns, and
-  /// only matching record bytes are read. Results are byte-identical to
-  /// the linear scan (the differential property harness pins it); only the
-  /// I/O counters differ. Defaults from ST4ML_DISK_INDEX ("off" disables).
-  bool use_disk_index = DiskIndexEnabledByEnv();
 };
 
 /// I/O accounting, accumulated across Select calls: how many file bytes were
@@ -113,8 +125,9 @@ struct SelectorStats {
 /// SelectQuery — ST box AND optional id set. One-argument Select scans a
 /// plain directory end to end; the two-argument form prunes whole files
 /// through the on-disk metadata first and only opens survivors. Per file,
-/// the QueryPlanner picks the cached-index, mmap-index, or linear-scan
-/// plan; every plan returns byte-identical records.
+/// the input picks the plan — a WAL segment, an enabled cache, a valid
+/// `.stix` sidecar, or none of these — and every plan returns
+/// byte-identical records.
 template <typename RecordT>
 class Selector {
  public:
@@ -211,17 +224,20 @@ class Selector {
   /// result is always file i — the parallel fill is index-addressed, so the
   /// output is byte-identical to the old sequential load.
   ///
-  /// Each file executes the plan the QueryPlanner picked:
-  ///   - kCachedIndex: one DatasetCache::GetOrLoad; a hit refines the warm
-  ///     in-memory index, a miss or an evicted file is read whole (under
-  ///     options_.retry) and admitted. The cache key folds in size|mtime,
-  ///     so a rewritten file gets a fresh entry instead of stale bytes.
-  ///   - kMmapIndex: open the `.stpq` once, mmap the `.stix` sidecar
-  ///     validated against that open file, walk index pages, refine leaf
-  ///     hits through the kernel over mapped columns, and read only
-  ///     covering spans of the matching records' bytes. A sidecar that
-  ///     fails its validation audit demotes the file to a linear scan.
-  ///   - kLinearScan: full parse + in-memory filter (the seed path).
+  /// Each file's plan is a function of the input alone (DESIGN.md §12):
+  ///   - kWalScan: a `.stwal` / `.stwal.open` staging segment is
+  ///     frame-parsed and filtered.
+  ///   - kCachedIndex: with the cache enabled, one DatasetCache::GetOrLoad;
+  ///     a hit refines the warm in-memory index, a miss or an evicted file
+  ///     is read whole (under options_.retry) and admitted. The cache key
+  ///     folds in size|mtime, so a rewritten file gets a fresh entry
+  ///     instead of stale bytes.
+  ///   - otherwise the `.stpq` is opened once and its `.stix` sidecar is
+  ///     validated against that open file. kMmapIndex if it validates:
+  ///     walk index pages, refine leaf hits through the kernel over mapped
+  ///     columns, and read only covering spans of the matching records'
+  ///     bytes. kLinearScan if it is missing, stale or fails its audit:
+  ///     read the whole file through the same descriptor and filter it.
   /// Every plan evaluates the same envelopes against the same query, so
   /// the selected output is byte-identical across plans; only the I/O and
   /// planner counters differ.
@@ -233,23 +249,22 @@ class Selector {
     Tracer* tracer = ctx_->tracer();
     const uint64_t op_span = op.id();
     DatasetCache* cache = ctx_->cache().enabled() ? &ctx_->cache() : nullptr;
-    QueryPlanner planner(cache, options_.use_disk_index);
     // One slot per file, filled only by that file's task and folded into
     // stats_/counters on the driver after the join.
     using FileLoad = selection_internal::FileLoadResult<RecordT>;
     std::vector<FileLoad> loads(paths.size());
     auto load_task = [&](size_t i) -> Status {
       FileLoad& out = loads[i];
+      const std::string& path = paths[i];
       ScopedSpan io(tracer, span_category::kIo, "stpq_read", op_span);
-      const FilePlan plan = planner.Plan(paths[i]);
-      if (plan == FilePlan::kWalScan) {
+      if (selection_internal::IsWalSegmentPath(path)) {
         out.plan_run = FilePlan::kWalScan;
         io.AddArg("plan_wal", 1);
         if constexpr (std::is_same_v<RecordT, EventRecord>) {
           // Tolerant read: a merged Select may race the live appender, and
           // the only incomplete frame a segment can legally carry is the
           // in-flight tail — unacked by definition, so correct to exclude.
-          auto result = ReadListedWalSegment(paths[i]);
+          auto result = ReadListedWalSegment(path);
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
           out.file_read = true;
@@ -258,27 +273,27 @@ class Selector {
           return Status::Ok();
         } else {
           return Status::InvalidArgument("WAL staging holds event records: " +
-                                         paths[i]);
+                                         path);
         }
       }
-      if (plan == FilePlan::kCachedIndex) {
-        // Only planned when `cache` is non-null.
+      if (cache != nullptr) {
         out.plan_run = FilePlan::kCachedIndex;
         io.AddArg("plan_cached", 1);
         // One call serves hits, first loads and reloads of evicted files.
         // A load reads the whole file and indexes its columns; a reload's
         // bytes are the cache's reload bytes, not first-load stpq I/O.
         auto got = cache->GetOrLoad(
-            FileCacheName(paths[i]),
+            FileCacheName(path),
             [&](bool reload) -> StatusOr<DatasetCache::Loaded> {
               FileLoad reread;
               FileLoad* read = reload ? &reread : &out;
               if (reload) io.AddArg("reload", 1);
-              auto records = ReadWhole(paths[i], read, &io, counters);
-              if (!records.ok()) return records.status();
+              auto reader = OpenStpq(path, counters);
+              if (!reader.ok()) return reader.status();
+              ST4ML_RETURN_IF_ERROR(ReadAll(*reader, read, &io, counters));
               return DatasetCache::Loaded{
                   selection_internal::MakeIndexedFile<RecordT>(
-                      std::move(records).value()),
+                      std::move(read->records)),
                   read->read_bytes};
             });
         if (!got.ok()) return got.status();
@@ -289,23 +304,22 @@ class Selector {
         out.records = FilterIndexed(*file, &out.selected_bytes);
         return Status::Ok();
       }
-      if (plan == FilePlan::kMmapIndex) {
-        auto served = ServeViaStix(paths[i], &out, counters);
-        if (!served.ok()) return served.status();  // hard I/O or corruption
-        if (*served) {
-          out.plan_run = FilePlan::kMmapIndex;
-          io.AddArg("plan_mmap", 1);
-          io.AddArg("bytes", out.read_bytes);
-          return Status::Ok();
-        }
-        // Invalid / stale sidecar: fall through to the linear scan.
+      auto reader = OpenStpq(path, counters);
+      if (!reader.ok()) return reader.status();
+      auto index = StixIndex::Open(StixPathFor(path), reader->identity());
+      if (index.ok()) {
+        out.plan_run = FilePlan::kMmapIndex;
+        io.AddArg("plan_mmap", 1);
+        ST4ML_RETURN_IF_ERROR(
+            ServeViaStix(path, *reader, *index, &out, counters));
+        io.AddArg("bytes", out.read_bytes);
+        return Status::Ok();
       }
+      // No valid sidecar (missing, stale, or failing its audit).
       out.plan_run = FilePlan::kLinearScan;
       io.AddArg("plan_scan", 1);
-      auto records = ReadWhole(paths[i], &out, &io, counters);
-      if (!records.ok()) return records.status();
-      out.records =
-          FilterRecords(std::move(records).value(), &out.selected_bytes);
+      ST4ML_RETURN_IF_ERROR(ReadAll(*reader, &out, &io, counters));
+      out.records = FilterRecords(std::move(out.records), &out.selected_bytes);
       return Status::Ok();
     };
     ST4ML_RETURN_IF_ERROR(
@@ -317,7 +331,6 @@ class Selector {
     uint64_t kept_bytes = 0;
     uint64_t files_read = 0;
     uint64_t plan_counts[kNumFilePlans] = {};
-    uint64_t files_mmapped = 0;
     uint64_t pages_total = 0;
     uint64_t postings_total = 0;
     for (size_t i = 0; i < paths.size(); ++i) {
@@ -328,7 +341,6 @@ class Selector {
       kept_bytes += load.selected_bytes;
       files_read += load.file_read;
       plan_counts[static_cast<size_t>(load.plan_run)] += 1;
-      files_mmapped += load.mmapped;
       pages_total += load.pages_read;
       postings_total += load.postings_hits;
       parts[i] = std::move(load.records);
@@ -343,11 +355,16 @@ class Selector {
     counters.Add(Counter::kPartitionsScanned, paths.size());
     counters.Add(Counter::kSelectionRecordsOut, records_out);
     counters.Add(Counter::kSelectionBytesSelected, kept_bytes);
-    QueryPlanner::CountExecuted(
-        counters, plan_counts[static_cast<size_t>(FilePlan::kMmapIndex)],
-        plan_counts[static_cast<size_t>(FilePlan::kCachedIndex)],
-        plan_counts[static_cast<size_t>(FilePlan::kLinearScan)],
-        plan_counts[static_cast<size_t>(FilePlan::kWalScan)]);
+    // The plan each file was actually served by, in FilePlan order.
+    constexpr Counter kPlanCounters[kNumFilePlans] = {
+        Counter::kPlannerLinearScan, Counter::kPlannerCachedIndex,
+        Counter::kPlannerMmapIndex, Counter::kWalSegmentsScanned};
+    for (size_t p = 0; p < kNumFilePlans; ++p) {
+      if (plan_counts[p] > 0) counters.Add(kPlanCounters[p], plan_counts[p]);
+    }
+    // Every mmap-plan file mapped its sidecar.
+    const uint64_t files_mmapped =
+        plan_counts[static_cast<size_t>(FilePlan::kMmapIndex)];
     if (files_mmapped > 0) {
       counters.Add(Counter::kIndexFilesMmapped, files_mmapped);
     }
@@ -369,53 +386,47 @@ class Selector {
     return selected;
   }
 
-  /// Reads all of one STPQ file under the retry policy (the cached-index
-  /// load and the linear-scan plan): transient IOErrors are re-attempted,
-  /// and on success `out` records the bytes of the attempt that succeeded.
-  StatusOr<std::vector<RecordT>> ReadWhole(
-      const std::string& path, selection_internal::FileLoadResult<RecordT>* out,
-      ScopedSpan* io, CounterRegistry& counters) {
-    uint64_t attempts = 0;
-    auto records = options_.retry.Run(
-        [&]() -> StatusOr<std::vector<RecordT>> {
-          uint64_t bytes = 0;
-          auto loaded = ReadStpqFile<RecordT>(path, &bytes);
-          if (loaded.ok()) {
-            out->read_bytes = bytes;
-            out->read_calls = 1;
-          }
-          return loaded;
-        },
-        &counters, &attempts);
-    io->AddArg("bytes", out->read_bytes);
-    if (attempts > 1) io->AddArg("attempts", attempts);
-    if (records.ok()) out->file_read = true;
-    return records;
+  /// Opens one `.stpq` under the retry policy: the one descriptor every
+  /// plan but the WAL scan reads through.
+  StatusOr<StpqReader> OpenStpq(const std::string& path,
+                                CounterRegistry& counters) {
+    return options_.retry.Run(
+        [&] { return StpqReader::Open(path, StpqKindOf<RecordT>()); },
+        &counters);
   }
 
-  /// The kMmapIndex plan for one file. Returns false (not an error) when
-  /// the `.stpq` cannot be opened, or its sidecar is missing, stale, or
-  /// fails its validation audit — the caller demotes the file to a linear
-  /// scan, which reports an unreadable file and is also what the
-  /// corruption-hardening contract promises (DESIGN.md §12). Returns a
-  /// non-OK Status only for hard failures AFTER a valid index: a ranged
-  /// read that misses its promised byte run (Corruption) or an I/O error
-  /// the retry policy could not absorb.
-  ///
-  /// The `.stpq` is opened once: the sidecar is validated against that
-  /// open file's identity, and every attempt reads through it.
-  StatusOr<bool> ServeViaStix(const std::string& path,
-                              selection_internal::FileLoadResult<RecordT>* load,
-                              CounterRegistry& counters) {
-    constexpr uint8_t kind = std::is_same_v<RecordT, EventRecord>
-                                 ? kStpqKindEvent
-                                 : kStpqKindTraj;
-    auto reader = StpqReader::Open(path, kind);
-    if (!reader.ok()) return false;
-    auto opened = StixIndex::Open(StixPathFor(path), reader->identity());
-    if (!opened.ok()) return false;
-    load->mmapped = true;
-    StixIndex index = std::move(*opened);
+  /// Reads every record of an opened file into `load->records` under the
+  /// retry policy (the linear scan and the cached-index load); a retry
+  /// re-reads through the same descriptor. A whole-file read is one read
+  /// call of the file's bytes.
+  Status ReadAll(StpqReader& reader,
+                 selection_internal::FileLoadResult<RecordT>* load,
+                 ScopedSpan* io, CounterRegistry& counters) {
+    uint64_t attempts = 0;
+    Status read = options_.retry.Run(
+        [&]() -> Status {
+          load->records.clear();
+          return reader.ReadAll(&load->records);
+        },
+        &counters, &attempts);
+    if (read.ok()) {
+      load->read_bytes = reader.file_bytes();
+      load->read_calls = 1;
+      load->file_read = true;
+    }
+    io->AddArg("bytes", load->read_bytes);
+    if (attempts > 1) io->AddArg("attempts", attempts);
+    return read;
+  }
+
+  /// The kMmapIndex plan for one file, over its opened `.stpq` and the
+  /// sidecar validated against it. Returns a non-OK Status only for hard
+  /// failures: a ranged read that misses its promised byte run
+  /// (Corruption) or an I/O error the retry policy could not absorb.
+  Status ServeViaStix(const std::string& path, StpqReader& reader,
+                      const StixIndex& index,
+                      selection_internal::FileLoadResult<RecordT>* load,
+                      CounterRegistry& counters) {
     StixQueryStats qstats;
     std::vector<uint32_t> hits;
     // Query-side emptiness stays a host check (kernel contract): an
@@ -432,8 +443,8 @@ class Selector {
     load->postings_hits = qstats.postings_hits;
     std::vector<RecordT>* out = &load->records;
     out->clear();
-    if (hits.empty()) return true;  // no match: no record byte is read
-    if (reader->record_count() != index.record_count()) {
+    if (hits.empty()) return Status::Ok();  // no match: no record byte read
+    if (reader.record_count() != index.record_count()) {
       return Status::Corruption("stix sidecar record count disagrees with " +
                                 path);
     }
@@ -450,19 +461,18 @@ class Selector {
       a = b;
     }
     out->reserve(hits.size());
-    uint64_t attempts = 0;
     Status read = options_.retry.Run(
         [&]() -> Status {
           out->clear();
-          return reader->ReadRuns(runs, out);
+          return reader.ReadRuns(runs, out);
         },
-        &counters, &attempts);
+        &counters);
     if (!read.ok()) return read;
-    load->read_bytes = reader->bytes_read();
-    load->read_calls = reader->read_calls();
+    load->read_bytes = reader.bytes_read();
+    load->read_calls = reader.read_calls();
     load->file_read = true;
     for (const RecordT& r : *out) load->selected_bytes += StpqRecordBytes(r);
-    return true;
+    return Status::Ok();
   }
 
   /// Cache key for one STPQ file: path plus size and mtime, so a rewritten

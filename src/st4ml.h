@@ -81,7 +81,6 @@
 #include "partition/str_partitioner.h"
 #include "partition/tbalance_partitioner.h"
 #include "selection/on_disk_index.h"
-#include "selection/query_planner.h"
 #include "selection/select_query.h"
 #include "selection/selector.h"
 

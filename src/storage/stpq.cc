@@ -69,13 +69,6 @@ class Cursor {
   const char* end_;
 };
 
-// Reads up to `len` bytes from `in`'s position into `buf` with one read
-// call; returns the bytes read, short only at end of file.
-size_t ReadBlock(std::ifstream& in, char* buf, uint64_t len) {
-  in.read(buf, static_cast<std::streamsize>(len));
-  return static_cast<size_t>(in.gcount());
-}
-
 // FNV-1a, the header fingerprint of StpqIdentity.
 uint64_t Fnv1a(const char* data, size_t len) {
   uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
@@ -167,8 +160,7 @@ Status CheckHeader(Cursor& in, const std::string& path,
   return Status::Ok();
 }
 
-// Per-record parsers shared by the full readers and StpqReader's ranged
-// reads, so both paths apply identical bounds checks. `file_bytes` caps the
+// Per-record parsers behind every StpqReader read. `file_bytes` caps the
 // untrusted length fields (overflow-safe: compared, never multiplied).
 Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
                      EventRecord* r) {
@@ -217,37 +209,6 @@ Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
   return Status::Ok();
 }
 
-// The whole-file reader behind ReadStpqEvents / ReadStpqTrajs: one read of
-// the file into memory, then header and records decode from the buffer.
-template <typename RecordT>
-StatusOr<std::vector<RecordT>> ReadWholeFile(const std::string& path,
-                                             uint8_t kind,
-                                             uint64_t min_record_bytes,
-                                             uint64_t* io_bytes) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  const uint64_t file_bytes = FileSizeBytes(path);
-  std::unique_ptr<char[]> buf(new char[file_bytes]);
-  Cursor in(buf.get(), ReadBlock(file, buf.get(), file_bytes));
-  uint64_t count = 0;
-  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kind, &count));
-  if (io_bytes != nullptr) *io_bytes += file_bytes;
-  std::vector<RecordT> records;
-  // The header count is untrusted until every record deserializes; clamp
-  // the reserve to what the file could possibly hold so a corrupt count
-  // cannot trigger a giant allocation. The record loop still walks the full
-  // claimed count and reports the truncation.
-  records.reserve(
-      static_cast<size_t>(std::min(count, file_bytes / min_record_bytes)));
-  for (uint64_t i = 0; i < count; ++i) {
-    ST4ML_RETURN_IF_ERROR(
-        ReadOneRecord(in, file_bytes, path, &records.emplace_back()));
-  }
-  return records;
-}
-
 }  // namespace
 
 Status WriteStpqFile(const std::string& path,
@@ -286,23 +247,11 @@ Status WriteStpqFile(const std::string& path,
   return FinishWrite(out, path, io_bytes);
 }
 
-StatusOr<std::vector<EventRecord>> ReadStpqEvents(const std::string& path,
-                                                  uint64_t* io_bytes) {
-  return ReadWholeFile<EventRecord>(path, kStpqKindEvent, kMinEventRecordBytes,
-                                    io_bytes);
-}
-
-StatusOr<std::vector<TrajRecord>> ReadStpqTrajs(const std::string& path,
-                                                uint64_t* io_bytes) {
-  return ReadWholeFile<TrajRecord>(path, kStpqKindTraj, kMinTrajRecordBytes,
-                                   io_bytes);
-}
-
 StatusOr<uint8_t> ReadStpqKind(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  char header[sizeof(kStpqMagic) + 1];
-  Cursor in(header, ReadBlock(file, header, sizeof(header)));
+  std::string header;
+  auto opened = StpqReader::OpenFile(path, &header);
+  if (!opened.ok()) return opened.status();
+  Cursor in(header.data(), header.size());
   char magic[sizeof(kStpqMagic)];
   if (!in.Take(sizeof(magic), magic) ||
       std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
@@ -482,10 +431,42 @@ Status StpqReader::ReadRuns(std::span<const StpqRun> runs,
   return Status::Ok();
 }
 
+template <typename RecordT>
+Status StpqReader::ReadAll(std::vector<RecordT>* out) {
+  constexpr uint64_t min_record_bytes =
+      std::is_same_v<RecordT, EventRecord> ? kMinEventRecordBytes
+                                           : kMinTrajRecordBytes;
+  out->reserve(out->size() +
+               static_cast<size_t>(std::min(
+                   record_count_, identity_.size / min_record_bytes)));
+  const StpqRun body{kStpqHeaderBytes, identity_.size, record_count_};
+  Status read = ReadRuns(std::span(&body, 1), out);
+  buf_.reset();
+  buf_bytes_ = 0;
+  return read;
+}
+
+template <typename RecordT>
+StatusOr<std::vector<RecordT>> ReadStpqFile(const std::string& path,
+                                            uint64_t* io_bytes) {
+  auto reader = StpqReader::Open(path, StpqKindOf<RecordT>());
+  if (!reader.ok()) return reader.status();
+  std::vector<RecordT> records;
+  ST4ML_RETURN_IF_ERROR(reader->ReadAll(&records));
+  if (io_bytes != nullptr) *io_bytes += reader->bytes_read();
+  return records;
+}
+
 template Status StpqReader::ReadRuns(std::span<const StpqRun>,
                                      std::vector<EventRecord>*);
 template Status StpqReader::ReadRuns(std::span<const StpqRun>,
                                      std::vector<TrajRecord>*);
+template Status StpqReader::ReadAll(std::vector<EventRecord>*);
+template Status StpqReader::ReadAll(std::vector<TrajRecord>*);
+template StatusOr<std::vector<EventRecord>> ReadStpqFile(const std::string&,
+                                                         uint64_t*);
+template StatusOr<std::vector<TrajRecord>> ReadStpqFile(const std::string&,
+                                                        uint64_t*);
 
 std::vector<std::string> ListStpqFiles(const std::string& dir) {
   std::vector<std::string> files;

@@ -53,10 +53,10 @@ inline uint64_t StpqRecordBytes(const TrajRecord& r) {
 /// that own an ExecutionContext can feed the engine's STPQ I/O counters
 /// while the storage layer stays engine-agnostic.
 ///
-/// Readers make one read call per file (the whole-file readers) or per
-/// covering span of ranged runs (StpqReader::ReadRuns), into a buffer
-/// bounded by the file size, and decode the records from memory with every
-/// length checked against the bytes actually read.
+/// Every read goes through StpqReader: one read call per covering span
+/// (the whole record body, for ReadAll), into a buffer bounded by the file
+/// size, decoding the records from memory with every length checked
+/// against the bytes actually read.
 Status WriteStpqFile(const std::string& path,
                      const std::vector<EventRecord>& records,
                      uint64_t* io_bytes = nullptr);
@@ -64,22 +64,20 @@ Status WriteStpqFile(const std::string& path,
                      const std::vector<TrajRecord>& records,
                      uint64_t* io_bytes = nullptr);
 
-StatusOr<std::vector<EventRecord>> ReadStpqEvents(const std::string& path,
-                                                  uint64_t* io_bytes = nullptr);
-StatusOr<std::vector<TrajRecord>> ReadStpqTrajs(const std::string& path,
-                                                uint64_t* io_bytes = nullptr);
-
-/// Record-type-generic read, for templated callers like the selector.
+/// Reads every record of the file at `path`: StpqReader::Open, then
+/// ReadAll through that one descriptor.
 template <typename RecordT>
 StatusOr<std::vector<RecordT>> ReadStpqFile(const std::string& path,
-                                            uint64_t* io_bytes = nullptr) {
-  if constexpr (std::is_same_v<RecordT, EventRecord>) {
-    return ReadStpqEvents(path, io_bytes);
-  } else {
-    static_assert(std::is_same_v<RecordT, TrajRecord>,
-                  "STPQ stores EventRecord or TrajRecord");
-    return ReadStpqTrajs(path, io_bytes);
-  }
+                                            uint64_t* io_bytes = nullptr);
+
+/// The record-kind tag STPQ stores `RecordT` under.
+template <typename RecordT>
+constexpr uint8_t StpqKindOf() {
+  static_assert(std::is_same_v<RecordT, EventRecord> ||
+                    std::is_same_v<RecordT, TrajRecord>,
+                "STPQ stores EventRecord or TrajRecord");
+  return std::is_same_v<RecordT, EventRecord> ? kStpqKindEvent
+                                              : kStpqKindTraj;
 }
 
 /// What a `.stix` sidecar is keyed to: the source file's size, its mtime
@@ -135,10 +133,10 @@ inline constexpr uint64_t kStpqReadHoleLimit = 4096;
 /// run then decodes from that buffer at its own offset and must consume
 /// EXACTLY its promised bytes, so a sidecar that disagrees with its file
 /// surfaces as Corruption, never as silently wrong records. Each ReadRuns
-/// call fires the kStpqRead fault site once, like one whole-file read.
-/// bytes_read() accounts the header plus every span's bytes, gap bytes
-/// included — the bytes actually read, in the full readers' io_bytes
-/// currency; read_calls() counts the span reads.
+/// (or ReadAll) call fires the kStpqRead fault site once. bytes_read()
+/// accounts the header plus every span's bytes, gap bytes included — the
+/// bytes actually read, in ReadStpqFile's io_bytes currency; read_calls()
+/// counts the span reads.
 class StpqReader {
  public:
   static StatusOr<StpqReader> Open(const std::string& path,
@@ -154,6 +152,16 @@ class StpqReader {
   /// Appends the records of every run in `runs` to `out`, in run order.
   template <typename RecordT>
   Status ReadRuns(std::span<const StpqRun> runs, std::vector<RecordT>* out);
+
+  /// Appends every record of the file to `out`: ReadRuns over the one run
+  /// from the end of the header to the end of the file, with the header's
+  /// count, so the records must consume exactly the file's record bytes — a
+  /// corrupt count or trailing bytes are Corruption, never records silently
+  /// dropped. The reserve is clamped to what the file could hold, so a
+  /// corrupt count cannot force a giant allocation. The body buffer is
+  /// freed before return.
+  template <typename RecordT>
+  Status ReadAll(std::vector<RecordT>* out);
 
   /// The one-run case of ReadRuns.
   template <typename RecordT>
@@ -174,6 +182,7 @@ class StpqReader {
 
  private:
   friend StatusOr<StpqIdentity> ReadStpqIdentity(const std::string& path);
+  friend StatusOr<uint8_t> ReadStpqKind(const std::string& path);
   static StatusOr<StpqReader> OpenFile(const std::string& path,
                                        std::string* header);
   Status ReadSpan(uint64_t begin, uint64_t end, size_t* got);

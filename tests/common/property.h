@@ -31,6 +31,7 @@
 #include "accel/kernels.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
+#include "common/sidecar_free_copy.h"
 #include "engine/execution_context.h"
 #include "pipeline/pipeline.h"
 #include "selection/on_disk_index.h"
@@ -165,16 +166,15 @@ struct PipelineRun {
 };
 
 /// Runs the differential pipeline once: `repeats` metadata-pruned Selects
-/// over the same query (the selector-cache reuse), then a shuffle and two
-/// extractors over its one in-memory result. Every collected record and
-/// extracted value is appended to `output` in order, so two runs agree iff
-/// their outputs match bytewise.
-/// `disk_index` toggles the mmap'd `.stix` plan for cache-less runs (with a
-/// cache enabled the planner always prefers it, so the knob is inert there).
+/// of the built directory `dir` over the same query (the selector-cache
+/// reuse), then a shuffle and two extractors over its one in-memory result.
+/// Every collected record and extracted value is appended to `output` in
+/// order, so two runs agree iff their outputs match bytewise. Cache-less
+/// runs over a directory with sidecars take the mmap'd `.stix` plan; over a
+/// SidecarFreeCopy they take the linear scan.
 inline PipelineRun RunCachePipeline(const CacheWorkload& w,
-                                    const StagedWorkload& staged,
-                                    uint64_t budget, int workers,
-                                    bool disk_index = true) {
+                                    const std::string& dir, uint64_t budget,
+                                    int workers) {
   PipelineRun run;
   std::shared_ptr<ExecutionContext> ctx = ExecutionContext::Create(workers);
   DatasetCache::Options cache_options;
@@ -194,14 +194,13 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
   SelectorOptions selector_options;
   selector_options.retry.max_attempts = 8;
   selector_options.retry.initial_backoff = std::chrono::milliseconds(0);
-  selector_options.use_disk_index = disk_index;
 
   Pipeline pipeline(ctx, "cache_property");
   Dataset<EventRecord> last;
   for (int r = 0; r < w.repeats; ++r) {
     Selector<EventRecord> selector(ctx, SelectQuery::FromBox(w.query), selector_options);
     auto selected = pipeline.Run("selection", [&] {
-      return selector.Select(staged.dir(), staged.meta());
+      return selector.Select(dir, dir + "/index.meta");
     });
     if (!selected.ok()) {
       run.status = selected.status();
@@ -294,9 +293,9 @@ inline const std::vector<Counter>& CacheInvariantCounters() {
 /// volume, selection and pruning decisions, task failures. This is
 /// CacheInvariantCounters minus the two executor-shape counters:
 /// kChunkClaims (the pool sizes chunks from its worker count, so the
-/// number of claims tracks the pool, not the data) and kParallelJobs (a
-/// one-worker Repartition deals sequentially without opening a job at
-/// all — a scheduling choice, not a record-flow difference).
+/// number of claims tracks the pool, not the data) and kParallelJobs
+/// (whether a stage opens a parallel job is a scheduling choice, not a
+/// record-flow difference).
 inline std::vector<Counter> ExecutorInvariantCounters() {
   std::vector<Counter> counters = CacheInvariantCounters();
   for (Counter shape : {Counter::kChunkClaims, Counter::kParallelJobs}) {
@@ -333,6 +332,7 @@ class ScopedBackend {
 ///    ExecutorInvariantCounters() slot (the executor differential).
 inline void ExpectIdentical(const CacheWorkload& w) {
   StagedWorkload staged(w);
+  const SidecarFreeCopy scan(staged.dir());
   const uint64_t budgets[] = {0, w.tiny_budget, DatasetCache::kUnbounded};
   std::vector<std::string> backends = {"scalar"};
   std::string alt =
@@ -346,10 +346,9 @@ inline void ExpectIdentical(const CacheWorkload& w) {
     ScopedBackend forced(backend);
     MetricsSnapshot one_worker;
     for (int workers : {1, 8}) {
-      // The reference run is linear-scan (disk index off): the seed path
+      // The reference run is linear-scan (no sidecars): the seed path
       // every other plan must reproduce byte for byte.
-      PipelineRun uncached = RunCachePipeline(w, staged, 0, workers,
-                                              /*disk_index=*/false);
+      PipelineRun uncached = RunCachePipeline(w, scan.dir(), 0, workers);
       ASSERT_TRUE(uncached.status.ok())
           << "seed " << w.seed << " uncached workers " << workers
           << " backend " << backend << ": " << uncached.status.ToString();
@@ -374,8 +373,7 @@ inline void ExpectIdentical(const CacheWorkload& w) {
       // mmap'd .stix sidecars must agree bytewise AND keep every record-flow
       // counter (only the I/O-shape counters may change — exactly the
       // index's job).
-      PipelineRun mmapped = RunCachePipeline(w, staged, 0, workers,
-                                             /*disk_index=*/true);
+      PipelineRun mmapped = RunCachePipeline(w, staged.dir(), 0, workers);
       ASSERT_TRUE(mmapped.status.ok())
           << "seed " << w.seed << " disk-index workers " << workers
           << " backend " << backend << ": " << mmapped.status.ToString();
@@ -389,7 +387,8 @@ inline void ExpectIdentical(const CacheWorkload& w) {
             << " backend " << backend;
       }
       for (uint64_t budget : budgets) {
-        PipelineRun cached = RunCachePipeline(w, staged, budget, workers);
+        PipelineRun cached =
+            RunCachePipeline(w, staged.dir(), budget, workers);
         ASSERT_TRUE(cached.status.ok())
             << "seed " << w.seed << " budget " << budget << " workers "
             << workers << " backend " << backend << ": "

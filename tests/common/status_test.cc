@@ -76,7 +76,7 @@ TEST(StatusOrTest, ReturnIfErrorMacroPropagates) {
 }
 
 TEST(StatusPipelineTest, MissingFileIsNotFound) {
-  auto result = ReadStpqEvents("/definitely/not/a/file.stpq");
+  auto result = ReadStpqFile<EventRecord>("/definitely/not/a/file.stpq");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kNotFound);
 }
@@ -85,7 +85,7 @@ TEST(StatusPipelineTest, BadMagicIsCorruption) {
   std::string dir = TempDir("magic");
   std::string path = dir + "/bad.stpq";
   std::ofstream(path, std::ios::binary) << "NOTAMAGICFILE_AT_ALL";
-  auto result = ReadStpqEvents(path);
+  auto result = ReadStpqFile<EventRecord>(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
 }
@@ -97,7 +97,7 @@ TEST(StatusPipelineTest, TruncatedFileIsCorruption) {
   // Chop the tail off a valid file.
   auto size = fs::file_size(path);
   fs::resize_file(path, size - 7);
-  auto result = ReadStpqEvents(path);
+  auto result = ReadStpqFile<EventRecord>(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
 }
@@ -106,7 +106,8 @@ TEST(StatusPipelineTest, WrongKindIsCorruption) {
   std::string dir = TempDir("kind");
   std::string path = dir + "/part-00000.stpq";
   ASSERT_TRUE(WriteStpqFile(path, SomeEvents(3)).ok());
-  auto result = ReadStpqTrajs(path);  // events on disk, trajs requested
+  // Events on disk, trajectories requested.
+  auto result = ReadStpqFile<TrajRecord>(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
 }

@@ -356,9 +356,7 @@ TEST_F(StixCorruptionTest, SelectorDemotesCorruptSidecarToLinearScan) {
 
   auto ctx = ExecutionContext::Create(2);
   STBox box(Mbr(0, 0, 100, 100), Duration(0, 100000));
-  SelectorOptions options;
-  options.use_disk_index = true;
-  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box), options);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box));
   auto selected = selector.Select(dir_);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
   EXPECT_EQ(selected->Count(), BruteForceBox(events_, box).size());
@@ -375,9 +373,7 @@ TEST(StixSelectorTest, MmapSelectCountsIndexTraffic) {
 
   auto ctx = ExecutionContext::Create(2);
   STBox box(Mbr(10, 10, 30, 30), Duration(0, 40000));
-  SelectorOptions options;
-  options.use_disk_index = true;
-  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box), options);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box));
   auto selected = selector.Select(dir);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
   EXPECT_EQ(selected->Count(), BruteForceBox(events, box).size());
@@ -398,10 +394,7 @@ TEST(StixSelectorTest, PostingsHitsCountOnIdLookup) {
   StagePair(dir, events);
 
   auto ctx = ExecutionContext::Create(2);
-  SelectorOptions options;
-  options.use_disk_index = true;
-  Selector<EventRecord> selector(
-      ctx, SelectQuery::FromIds({1, 2, 3, 4, 5}), options);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromIds({1, 2, 3, 4, 5}));
   auto selected = selector.Select(dir);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
   size_t expected = 0;

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/sidecar_free_copy.h"
 #include "engine/dataset.h"
 #include "engine/execution_context.h"
 #include "engine/pair_ops.h"
@@ -428,9 +429,7 @@ TEST(CounterRegistryTest, StpqReadCallsCountCoveringReadsNotRuns) {
     }
   }
 
-  SelectorOptions options;
-  options.use_disk_index = true;
-  Selector<EventRecord> indexed(ctx, SelectQuery::FromBox(query), options);
+  Selector<EventRecord> indexed(ctx, SelectQuery::FromBox(query));
   ASSERT_TRUE(indexed.Select(dir, dir + "/index.meta").ok());
   MetricsSnapshot m = ctx->MetricsSnapshot();
   ASSERT_GT(m[Counter::kPlannerMmapIndex], 0u);
@@ -439,9 +438,9 @@ TEST(CounterRegistryTest, StpqReadCallsCountCoveringReadsNotRuns) {
   EXPECT_GT(runs, m[Counter::kStpqReadCalls]);
 
   ctx->ResetMetrics();
-  options.use_disk_index = false;
-  Selector<EventRecord> scanned(ctx, SelectQuery::FromBox(query), options);
-  ASSERT_TRUE(scanned.Select(dir, dir + "/index.meta").ok());
+  const testing::SidecarFreeCopy scan(dir);
+  Selector<EventRecord> scanned(ctx, SelectQuery::FromBox(query));
+  ASSERT_TRUE(scanned.Select(scan.dir(), scan.meta()).ok());
   m = ctx->MetricsSnapshot();
   EXPECT_GT(m[Counter::kStpqFilesRead], 0u);
   EXPECT_EQ(m[Counter::kStpqReadCalls], m[Counter::kStpqFilesRead]);

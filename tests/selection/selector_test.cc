@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/sidecar_free_copy.h"
 #include "engine/execution_context.h"
 #include "selection/on_disk_index.h"
 #include "storage/records.h"
@@ -20,6 +22,7 @@ namespace st4ml {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::SidecarFreeCopy;
 
 std::string TempDir(const std::string& name) {
   fs::path dir = fs::temp_directory_path() / ("st4ml_selector_" + name);
@@ -115,12 +118,11 @@ TEST_F(SelectorTest, PruningLoadsFewerBytesOnSelectiveQuery) {
   STBox query(Mbr(5, 5, 15, 15), Duration(0, 10000));
   // Pin the linear-scan plan: under the mmap index BOTH selectors already
   // read only matching bytes, which is a different assertion (below).
-  SelectorOptions options;
-  options.use_disk_index = false;
-  Selector<EventRecord> full(ctx_, SelectQuery::FromBox(query), options);
-  Selector<EventRecord> pruned(ctx_, SelectQuery::FromBox(query), options);
-  ASSERT_TRUE(full.Select(dir_).ok());
-  ASSERT_TRUE(pruned.Select(dir_, meta_).ok());
+  const SidecarFreeCopy scan(dir_);
+  Selector<EventRecord> full(ctx_, SelectQuery::FromBox(query));
+  Selector<EventRecord> pruned(ctx_, SelectQuery::FromBox(query));
+  ASSERT_TRUE(full.Select(scan.dir()).ok());
+  ASSERT_TRUE(pruned.Select(scan.dir(), scan.meta()).ok());
   EXPECT_GT(full.stats().bytes_loaded, 0u);
   EXPECT_LT(pruned.stats().bytes_loaded, full.stats().bytes_loaded);
   EXPECT_EQ(pruned.stats().bytes_selected, full.stats().bytes_selected);
@@ -128,14 +130,11 @@ TEST_F(SelectorTest, PruningLoadsFewerBytesOnSelectiveQuery) {
 
 TEST_F(SelectorTest, MmapIndexMatchesLinearScanAndReadsFewerBytes) {
   STBox query(Mbr(5, 5, 25, 25), Duration(0, 30000));
-  SelectorOptions with_index;
-  with_index.use_disk_index = true;
-  SelectorOptions without;
-  without.use_disk_index = false;
-  Selector<EventRecord> indexed(ctx_, SelectQuery::FromBox(query), with_index);
-  Selector<EventRecord> scanned(ctx_, SelectQuery::FromBox(query), without);
+  const SidecarFreeCopy scan(dir_);
+  Selector<EventRecord> indexed(ctx_, SelectQuery::FromBox(query));
+  Selector<EventRecord> scanned(ctx_, SelectQuery::FromBox(query));
   auto ri = indexed.Select(dir_, meta_);
-  auto rs = scanned.Select(dir_, meta_);
+  auto rs = scanned.Select(scan.dir(), scan.meta());
   ASSERT_TRUE(ri.ok()) << ri.status().ToString();
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(SortedIds(*ri), SortedIds(*rs));
@@ -152,6 +151,7 @@ TEST_F(SelectorTest, IdPredicateComposesIdenticallyAcrossPlans) {
   SelectQuery id_only = SelectQuery::FromIds(wanted);
   SelectQuery id_and_box = SelectQuery::FromIds(wanted);
   id_and_box.box = STBox(Mbr(0, 0, 60, 60), Duration(0, 100000));
+  const SidecarFreeCopy scan(dir_);
   for (const SelectQuery& query : {id_only, id_and_box}) {
     std::vector<int64_t> expected;
     for (const EventRecord& r : events_) {
@@ -160,14 +160,11 @@ TEST_F(SelectorTest, IdPredicateComposesIdenticallyAcrossPlans) {
       }
     }
     std::sort(expected.begin(), expected.end());
-    for (bool disk_index : {false, true}) {
-      SelectorOptions options;
-      options.use_disk_index = disk_index;
-      Selector<EventRecord> selector(ctx_, query, options);
-      auto selected = selector.Select(dir_, meta_);
+    for (const std::string& dir : {scan.dir(), dir_}) {
+      Selector<EventRecord> selector(ctx_, query);
+      auto selected = selector.Select(dir, dir + "/index.meta");
       ASSERT_TRUE(selected.ok()) << selected.status().ToString();
-      EXPECT_EQ(SortedIds(*selected), expected)
-          << "disk_index=" << disk_index;
+      EXPECT_EQ(SortedIds(*selected), expected) << dir;
     }
   }
 }
@@ -176,13 +173,12 @@ TEST_F(SelectorTest, EmptyIdSetMatchesNothing) {
   SelectQuery query = SelectQuery::FromBox(
       STBox(Mbr(0, 0, 100, 100), Duration(0, 100000)));
   query.SetIds({});
-  for (bool disk_index : {false, true}) {
-    SelectorOptions options;
-    options.use_disk_index = disk_index;
-    Selector<EventRecord> selector(ctx_, query, options);
-    auto selected = selector.Select(dir_, meta_);
+  const SidecarFreeCopy scan(dir_);
+  for (const std::string& dir : {scan.dir(), dir_}) {
+    Selector<EventRecord> selector(ctx_, query);
+    auto selected = selector.Select(dir, dir + "/index.meta");
     ASSERT_TRUE(selected.ok());
-    EXPECT_EQ(selected->Count(), 0u) << "disk_index=" << disk_index;
+    EXPECT_EQ(selected->Count(), 0u) << dir;
   }
 }
 
@@ -216,8 +212,6 @@ TEST_F(SelectorTest, CachedMissHitAndReloadMatchLinearScan) {
   cached_ctx->ConfigureCache(cache_options);
   auto scan_ctx = ExecutionContext::Create(2);
   scan_ctx->ConfigureCache({});  // budget 0: every Select reads its file
-  SelectorOptions scan_options;
-  scan_options.use_disk_index = false;
 
   struct Step {
     const std::string* dir;
@@ -231,8 +225,7 @@ TEST_F(SelectorTest, CachedMissHitAndReloadMatchLinearScan) {
     const MetricsSnapshot cached_before = cached_ctx->MetricsSnapshot();
     const MetricsSnapshot scan_before = scan_ctx->MetricsSnapshot();
     Selector<EventRecord> cached(cached_ctx, SelectQuery::FromBox(query));
-    Selector<EventRecord> scan(scan_ctx, SelectQuery::FromBox(query),
-                               scan_options);
+    Selector<EventRecord> scan(scan_ctx, SelectQuery::FromBox(query));
     auto got = cached.Select(*steps[s].dir);
     auto want = scan.Select(*steps[s].dir);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -327,10 +320,8 @@ TEST_F(SelectorTest, HoleLimitSplitsCoveringReadsExactlyAtTheLimit) {
   ASSERT_TRUE(BuildStixForStpq(path, records).ok());
   const STBox query(Mbr(0, 0, 20, 20), Duration(0, 100));
 
-  SelectorOptions with_index;
-  with_index.use_disk_index = true;
   ctx_->ResetMetrics();
-  Selector<EventRecord> indexed(ctx_, SelectQuery::FromBox(query), with_index);
+  Selector<EventRecord> indexed(ctx_, SelectQuery::FromBox(query));
   auto ri = indexed.Select(dir);
   ASSERT_TRUE(ri.ok()) << ri.status().ToString();
   MetricsSnapshot m = ctx_->MetricsSnapshot();
@@ -342,11 +333,10 @@ TEST_F(SelectorTest, HoleLimitSplitsCoveringReadsExactlyAtTheLimit) {
   EXPECT_EQ(indexed.stats().bytes_loaded,
             kStpqHeaderBytes + first_span + StpqRecordBytes(records[4]));
 
-  SelectorOptions without;
-  without.use_disk_index = false;
+  const SidecarFreeCopy scan(dir);
   ctx_->ResetMetrics();
-  Selector<EventRecord> scanned(ctx_, SelectQuery::FromBox(query), without);
-  auto rs = scanned.Select(dir);
+  Selector<EventRecord> scanned(ctx_, SelectQuery::FromBox(query));
+  auto rs = scanned.Select(scan.dir());
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kPlannerLinearScan], 1u);
   EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kStpqReadCalls], 1u);
@@ -356,6 +346,88 @@ TEST_F(SelectorTest, HoleLimitSplitsCoveringReadsExactlyAtTheLimit) {
   ASSERT_TRUE(WriteStpqFile(out + "/scanned.stpq", rs->Collect()).ok());
   EXPECT_EQ(ri->Count(), 3u);
   EXPECT_EQ(Slurp(out + "/indexed.stpq"), Slurp(out + "/scanned.stpq"));
+}
+
+// Each file's plan follows its own input: with half the sidecars deleted,
+// the cold Select serves exactly those files by the linear scan and the
+// rest through their sidecars, and its output is byte-identical to a
+// Select over a copy with no sidecars at all.
+TEST_F(SelectorTest, HalfTheSidecarsSplitThePlansByFile) {
+  const SidecarFreeCopy scan(dir_);
+  const std::vector<std::string> files = ListStpqFiles(dir_);
+  ASSERT_GE(files.size(), 2u);
+  uint64_t removed = 0;
+  for (size_t i = 0; i < files.size(); i += 2) {
+    ASSERT_TRUE(fs::remove(StixPathFor(files[i])));
+    ++removed;
+  }
+  const STBox query(Mbr(10, 10, 70, 70), Duration(0, 80000));
+  ctx_->ConfigureCache({});
+  ctx_->ResetMetrics();
+  Selector<EventRecord> mixed(ctx_, SelectQuery::FromBox(query));
+  auto got = mixed.Select(dir_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const MetricsSnapshot m = ctx_->MetricsSnapshot();
+  EXPECT_EQ(m[Counter::kPlannerLinearScan], removed);
+  EXPECT_EQ(m[Counter::kPlannerMmapIndex], files.size() - removed);
+  EXPECT_EQ(m[Counter::kIndexFilesMmapped], files.size() - removed);
+
+  ctx_->ResetMetrics();
+  Selector<EventRecord> all_scan(ctx_, SelectQuery::FromBox(query));
+  auto want = all_scan.Select(scan.dir());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kPlannerLinearScan],
+            files.size());
+  EXPECT_EQ(ctx_->MetricsSnapshot()[Counter::kPlannerMmapIndex], 0u);
+
+  EXPECT_GT(want->Count(), 0u);
+  std::string out = TempDir("half_sidecars_out");
+  ASSERT_TRUE(WriteStpqFile(out + "/mixed.stpq", got->Collect()).ok());
+  ASSERT_TRUE(WriteStpqFile(out + "/scanned.stpq", want->Collect()).ok());
+  EXPECT_EQ(Slurp(out + "/mixed.stpq"), Slurp(out + "/scanned.stpq"));
+}
+
+// A part file whose header count is lowered from 10 to 9. The stomp also
+// changes the header fingerprint, so the sidecar is stale and the cold
+// Select falls to the linear scan. That scan must reject the file, as the
+// cached plan's load must: the 9 records the count claims are never served.
+TEST(SelectorCorruptionTest, LoweredHeaderCountFailsEveryPlan) {
+  const std::string dir = TempDir("lowered_count");
+  const std::string meta = dir + "/index.meta";
+  auto build_ctx = ExecutionContext::Create(2);
+  auto data =
+      Dataset<EventRecord>::Parallelize(build_ctx, RandomEvents(10, 5), 1);
+  TSTRPartitioner partitioner(1, 1);
+  ASSERT_TRUE(BuildOnDiskIndex(data, &partitioner, dir, meta).ok());
+  const std::vector<std::string> files = ListStpqFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  std::string bytes = Slurp(files[0]);
+  const size_t count_at = sizeof(kStpqMagic) + 1;
+  uint64_t count = 0;
+  std::memcpy(&count, &bytes[count_at], sizeof(count));
+  ASSERT_EQ(count, 10u);
+  count = 9;
+  std::memcpy(&bytes[count_at], &count, sizeof(count));
+  {
+    std::ofstream stomp(files[0], std::ios::binary | std::ios::trunc);
+    stomp << bytes;
+  }
+  EXPECT_FALSE(StixIndex::Open(StixPathFor(files[0]), files[0]).ok());
+
+  const SelectQuery query = SelectQuery::FromBox(
+      STBox(Mbr(0, 0, 100, 100), Duration(0, 100000)));
+  for (uint64_t budget : {uint64_t{0}, DatasetCache::kUnbounded}) {
+    auto ctx = ExecutionContext::Create(2);
+    DatasetCache::Options cache_options;
+    cache_options.budget_bytes = budget;
+    ctx->ConfigureCache(cache_options);
+    Selector<EventRecord> selector(ctx, query);
+    auto selected = selector.Select(dir, meta);
+    ASSERT_FALSE(selected.ok()) << "budget " << budget << " served "
+                                << selected->Count() << " records";
+    EXPECT_EQ(selected.status().code(), Status::Code::kCorruption)
+        << selected.status().ToString();
+  }
 }
 
 }  // namespace

@@ -270,6 +270,32 @@ TEST(StpqCorruptionTest, TruncatedTrajTailIsCorruption) {
   ExpectBothPathsFail<TrajRecord>(path, Status::Code::kCorruption);
 }
 
+// A count lowered below the records the file holds: both readers must
+// reject the bytes left over, not return the first 9 of 10 records.
+TEST(StpqCorruptionTest, LoweredHeaderCountIsCorruption) {
+  std::string dir = TempDir("lowered");
+  std::string path = dir + "/lowered.stpq";
+  ASSERT_TRUE(WriteStpqFile(path, SomeEvents(10)).ok());
+  std::string bytes = Slurp(path);
+  uint64_t count = 0;
+  std::memcpy(&count, &bytes[kCountOffset], sizeof(count));
+  ASSERT_EQ(count, 10u);
+  count = 9;
+  std::memcpy(&bytes[kCountOffset], &count, sizeof(count));
+  Dump(path, bytes);
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption,
+                                   "record range mismatch");
+}
+
+TEST(StpqCorruptionTest, TrailingBytesAfterLastRecordIsCorruption) {
+  std::string dir = TempDir("trailing");
+  std::string path = dir + "/trailing.stpq";
+  ASSERT_TRUE(WriteStpqFile(path, SomeEvents(10)).ok());
+  Dump(path, Slurp(path) + std::string(5, '\0'));
+  ExpectBothPathsFail<EventRecord>(path, Status::Code::kCorruption,
+                                   "record range mismatch");
+}
+
 TEST(StpqCorruptionTest, BadMetaHeaderIsCorruption) {
   std::string dir = TempDir("meta");
   std::string path = dir + "/idx.meta";
@@ -307,7 +333,7 @@ TEST(StpqCorruptionTest, TornPublishLeavesOriginalIntact) {
   // The previously published file is byte-identical and still loads: a
   // failed publish must be invisible to readers.
   EXPECT_EQ(Slurp(path), before);
-  auto loaded = ReadStpqEvents(path);
+  auto loaded = ReadStpqFile<EventRecord>(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), original.size());
   fs::remove_all(path + ".tmp");
@@ -433,7 +459,7 @@ TEST(StpqCorruptionTest, EmptyPayloadsRoundTripThroughBothPaths) {
   auto events = SomeEvents(6);
   for (size_t i = 0; i < events.size(); i += 2) events[i].attr.clear();
   ASSERT_TRUE(WriteStpqFile(events_path, events).ok());
-  auto whole_events = ReadStpqEvents(events_path);
+  auto whole_events = ReadStpqFile<EventRecord>(events_path);
   ASSERT_TRUE(whole_events.ok()) << whole_events.status().ToString();
   EXPECT_TRUE(SameEvents(*whole_events, events));
   std::vector<EventRecord> ranged_events;
@@ -456,7 +482,7 @@ TEST(StpqCorruptionTest, EmptyPayloadsRoundTripThroughBothPaths) {
                                    SomeTraj(3, 0), SomeTraj(4, 0),
                                    SomeTraj(5, 1)};
   ASSERT_TRUE(WriteStpqFile(trajs_path, trajs).ok());
-  auto whole_trajs = ReadStpqTrajs(trajs_path);
+  auto whole_trajs = ReadStpqFile<TrajRecord>(trajs_path);
   ASSERT_TRUE(whole_trajs.ok()) << whole_trajs.status().ToString();
   EXPECT_TRUE(SameTrajs(*whole_trajs, trajs));
   std::vector<TrajRecord> ranged_trajs;
@@ -632,7 +658,7 @@ TEST(StpqCorruptionTest, StixBadMagicIsInvalidArgument) {
   ASSERT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), Status::Code::kInvalidArgument);
   // The data file itself is untouched and still loads.
-  EXPECT_TRUE(ReadStpqEvents(path).ok());
+  EXPECT_TRUE(ReadStpqFile<EventRecord>(path).ok());
 }
 
 TEST(StpqCorruptionTest, StixTruncationIsInvalidArgument) {

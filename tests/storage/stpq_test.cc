@@ -61,7 +61,7 @@ TEST(StpqTest, EventRoundTrip) {
   std::string dir = TempDir("events");
   auto events = RandomEvents(100, 1);
   ASSERT_TRUE(WriteStpqFile(dir + "/e.stpq", events).ok());
-  auto loaded = ReadStpqEvents(dir + "/e.stpq");
+  auto loaded = ReadStpqFile<EventRecord>(dir + "/e.stpq");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), events.size());
   for (size_t i = 0; i < events.size(); ++i) {
@@ -77,7 +77,7 @@ TEST(StpqTest, TrajRoundTrip) {
   std::string dir = TempDir("trajs");
   auto trajs = RandomTrajs(40, 2);
   ASSERT_TRUE(WriteStpqFile(dir + "/t.stpq", trajs).ok());
-  auto loaded = ReadStpqTrajs(dir + "/t.stpq");
+  auto loaded = ReadStpqFile<TrajRecord>(dir + "/t.stpq");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), trajs.size());
   for (size_t i = 0; i < trajs.size(); ++i) {
@@ -90,7 +90,7 @@ TEST(StpqTest, TrajRoundTrip) {
 TEST(StpqTest, EmptyFileRoundTrip) {
   std::string dir = TempDir("zero");
   ASSERT_TRUE(WriteStpqFile(dir + "/z.stpq", std::vector<EventRecord>{}).ok());
-  auto loaded = ReadStpqEvents(dir + "/z.stpq");
+  auto loaded = ReadStpqFile<EventRecord>(dir + "/z.stpq");
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
 }

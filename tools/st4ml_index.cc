@@ -68,14 +68,14 @@ st4ml::Status BuildOne(const std::string& path) {
   if (!kind.ok()) return kind.status();
   uint64_t io_bytes = 0;
   if (*kind == st4ml::kStpqKindEvent) {
-    auto records = st4ml::ReadStpqEvents(path);
+    auto records = st4ml::ReadStpqFile<st4ml::EventRecord>(path);
     if (!records.ok()) return records.status();
     ST4ML_RETURN_IF_ERROR(st4ml::BuildStixForStpq(path, *records, &io_bytes));
     std::printf("built %s (%zu records, %llu index bytes)\n",
                 st4ml::StixPathFor(path).c_str(), records->size(),
                 static_cast<unsigned long long>(io_bytes));
   } else {
-    auto records = st4ml::ReadStpqTrajs(path);
+    auto records = st4ml::ReadStpqFile<st4ml::TrajRecord>(path);
     if (!records.ok()) return records.status();
     ST4ML_RETURN_IF_ERROR(st4ml::BuildStixForStpq(path, *records, &io_bytes));
     std::printf("built %s (%zu records, %llu index bytes)\n",
