@@ -161,13 +161,16 @@ const BenchEnv& GetBenchEnv() {
     e->air = DirsFor(root, "air");
     e->osm = DirsFor(root, "osm");
 
-    // Re-stage unless the marker matches the requested scale.
+    // Re-stage unless the marker matches the requested scale and the staged
+    // part lists still read: data staged in an older index.meta format is
+    // rebuilt, not failed on.
     bool staged = false;
     std::ifstream marker(root + "/" + kStageMarker);
     if (marker) {
       double staged_scale = -1;
       marker >> staged_scale;
-      staged = staged_scale == e->scale;
+      staged = staged_scale == e->scale &&
+               ReadStpqMeta(e->nyc[0].st4ml_meta).ok();
     }
     if (!staged) {
       StageAll(e);

@@ -47,8 +47,8 @@ Status IngestRecords(const std::vector<RecordT>& records,
   });
 
   size_t blocks = std::min(kBlocks, std::max<size_t>(records.size(), 1));
-  std::vector<StpqPartMeta> meta;
-  meta.reserve(blocks);
+  StpqManifest meta;
+  meta.parts.reserve(blocks);
   for (size_t b = 0; b < blocks; ++b) {
     size_t lo = records.size() * b / blocks;
     size_t hi = records.size() * (b + 1) / blocks;
@@ -57,7 +57,7 @@ Status IngestRecords(const std::vector<RecordT>& records,
     STBox bounds;
     for (size_t i = lo; i < hi; ++i) {
       block.push_back(records[order[i]]);
-      bounds.Extend(boxes[order[i]]);
+      if (IsValidEnvelope(boxes[order[i]])) bounds.Extend(boxes[order[i]]);
     }
     std::string name = BlockFileName(b);
     ST4ML_RETURN_IF_ERROR(WriteStpqFile(dir + "/" + name, block));
@@ -65,7 +65,7 @@ Status IngestRecords(const std::vector<RecordT>& records,
     entry.file = std::move(name);
     entry.box = bounds;
     entry.count = block.size();
-    meta.push_back(std::move(entry));
+    meta.parts.push_back(std::move(entry));
   }
   return WriteStpqMeta(dir + "/blocks.meta", meta);
 }
@@ -85,7 +85,7 @@ StatusOr<Dataset<GeoObject>> SelectRecords(
   if (!meta.ok()) return meta.status();
   STBox query(range, time);
   Dataset<GeoObject>::Partitions parts;
-  for (const StpqPartMeta& block : *meta) {
+  for (const StpqPartMeta& block : meta->parts) {
     if (!block.box.Intersects(query)) continue;
     auto records = ReadStpqFile<RecordT>(dir + "/" + block.file);
     if (!records.ok()) return records.status();

@@ -40,6 +40,16 @@ struct STBox {
   }
 };
 
+/// An envelope that can match SOME query: non-inverted and NaN-free. Every
+/// union of record envelopes (a cached file's, a `.stix` node's, a part's in
+/// index.meta) skips the others: they never match, an empty trajectory's
+/// inverted box must not widen the union, and a NaN must not poison it into
+/// rejecting everything.
+inline bool IsValidEnvelope(const STBox& box) {
+  return box.mbr.x_min <= box.mbr.x_max && box.mbr.y_min <= box.mbr.y_max &&
+         box.time.start() <= box.time.end();
+}
+
 }  // namespace st4ml
 
 #endif  // ST4ML_INDEX_STBOX_H_

@@ -57,15 +57,6 @@ StixLayout ComputeStixLayout(uint64_t records, uint64_t nodes, uint64_t ids) {
   return layout;
 }
 
-/// A record envelope that can match SOME query: non-inverted, NaN-free.
-/// Degenerate envelopes are skipped when extending node boxes (they can
-/// never match, and a NaN must not poison a node box into pruning valid
-/// siblings — the same rule MakeIndexedFile applies to the file envelope).
-bool ValidBox(const STBox& box) {
-  return box.mbr.x_min <= box.mbr.x_max && box.mbr.y_min <= box.mbr.y_max &&
-         box.time.start() <= box.time.end();
-}
-
 StixNode EmptyNode() {
   StixNode node;
   node.x_min = 1.0;  // inverted: matches nothing until extended
@@ -200,7 +191,7 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
         std::min<uint64_t>(kStixNodeCapacity, n - lo));
     for (uint32_t i = 0; i < node.count; ++i) {
       const STBox& box = input.boxes[order[lo + i]];
-      if (!ValidBox(box)) continue;
+      if (!IsValidEnvelope(box)) continue;
       ExtendNode(&node, box.mbr.x_min, box.mbr.y_min, box.mbr.x_max,
                  box.mbr.y_max, box.time.start(), box.time.end());
     }

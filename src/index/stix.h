@@ -36,9 +36,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/kernels.h"
+#include "common/retry.h"
 #include "common/status.h"
 #include "index/stbox.h"
 #include "storage/stpq.h"
@@ -153,6 +155,60 @@ Status BuildStixForStpq(const std::string& stpq_path,
   StatusOr<StpqIdentity> source = ReadStpqIdentity(stpq_path);
   if (!source.ok()) return source.status();
   return WriteStixFile(StixPathFor(stpq_path), input, *source, io_bytes);
+}
+
+/// Writes `path` under `retry`: a transient IOError (disk pressure, an
+/// injected fault) is re-attempted with backoff, and the truncating writer
+/// makes a re-attempt idempotent. With `counters`, re-attempts are charged
+/// to kTasksRetried and the written file to kStpqBytesWritten /
+/// kStpqFilesWritten.
+template <typename RecordT>
+Status WriteStpqFileWithRetry(const std::string& path,
+                              const std::vector<RecordT>& records,
+                              const RetryPolicy& retry,
+                              CounterRegistry* counters) {
+  uint64_t written = 0;
+  ST4ML_RETURN_IF_ERROR(retry.Run(
+      [&]() -> Status {
+        uint64_t bytes = 0;
+        Status write = WriteStpqFile(path, records, &bytes);
+        if (write.ok()) written = bytes;
+        return write;
+      },
+      counters));
+  if (counters != nullptr) {
+    counters->Add(Counter::kStpqBytesWritten, written);
+    counters->Add(Counter::kStpqFilesWritten, 1);
+  }
+  return Status::Ok();
+}
+
+/// The one part writer of a dataset directory, shared by batch ingestion
+/// (BuildOnDiskIndex) and the streaming compactor: writes `<dir>/<name>`,
+/// then its `.stix` sidecar (after the part is durable, so the sidecar's
+/// identity key matches what a later open sees), each under `retry`, and
+/// returns the part's index.meta entry. `box` is the union of the records'
+/// valid envelopes (IsValidEnvelope), which each caller folds from
+/// envelopes it already has. Sidecar bytes stay out of kStpqBytesWritten,
+/// which counts STPQ record bytes, as its read-side twin never counts index
+/// pages.
+template <typename RecordT>
+StatusOr<StpqPartMeta> WriteIndexedPart(const std::string& dir,
+                                        std::string name,
+                                        const std::vector<RecordT>& records,
+                                        const STBox& box,
+                                        const RetryPolicy& retry,
+                                        CounterRegistry* counters) {
+  const std::string path = dir + "/" + name;
+  ST4ML_RETURN_IF_ERROR(
+      WriteStpqFileWithRetry(path, records, retry, counters));
+  ST4ML_RETURN_IF_ERROR(retry.Run(
+      [&]() -> Status { return BuildStixForStpq(path, records); }, counters));
+  StpqPartMeta part;
+  part.file = std::move(name);
+  part.box = box;
+  part.count = records.size();
+  return part;
 }
 
 /// Per-query index observability, fed into kIndexPagesRead / kPostingsHits.

@@ -62,7 +62,7 @@ bool RemoveFileChecked(const std::string& path) {
 
 /// The name a segment is recorded under in the manifest's consumed set:
 /// always the SEALED name. A parked `.open` straggler drops its suffix so
-/// Recover and SelectIngest (which both compare sealed names) find it.
+/// Recover and the merged Select (which both compare sealed names) find it.
 std::string ConsumedName(const std::string& path) {
   std::string name = fs::path(path).filename().string();
   if (EndsWith(name, kWalOpenSuffix)) {
@@ -116,8 +116,7 @@ Ingestor::~Ingestor() {
 
 Status Ingestor::Recover() {
   // 1. The manifest is the source of truth for what was committed.
-  StatusOr<IngestManifest> read =
-      ReadIngestManifest(IngestManifestPath(dir_));
+  StatusOr<StpqManifest> read = ReadStpqMeta(dir_ + "/index.meta");
   if (read.ok()) {
     manifest_ = std::move(*read);
   } else if (read.status().code() != Status::Code::kNotFound) {
@@ -391,25 +390,24 @@ Status Ingestor::CompactNow() {
 
   // Write the new partitions (atomic: temp + fsync + rename inside the
   // writers). Until the manifest commit below they are invisible orphans a
-  // crashed run's Recover() deletes.
-  IngestManifest next;
+  // crashed run's Recover() deletes. A failed write fails the cycle; the
+  // next tick retries it.
+  StpqManifest next;
   {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
     next.generation = manifest_.generation + 1;
     next.parts = manifest_.parts;
   }
-  std::vector<StpqPartMeta> published;
   for (auto& [bucket, records] : buckets) {
-    std::string name = PartitionName(next.generation, bucket);
-    std::string path = dir_ + "/" + name;
-    ST4ML_RETURN_IF_ERROR(WriteStpqFile(path, records));
-    ST4ML_RETURN_IF_ERROR(BuildStixForStpq(path, records));
-    StpqPartMeta meta;
-    meta.file = std::move(name);
-    for (const EventRecord& r : records) meta.box.Extend(r.ComputeSTBox());
-    meta.count = records.size();
-    published.push_back(meta);
-    next.parts.push_back(std::move(meta));
+    STBox box;
+    for (const EventRecord& r : records) {
+      const STBox envelope = r.ComputeSTBox();
+      if (IsValidEnvelope(envelope)) box.Extend(envelope);
+    }
+    auto part = WriteIndexedPart(dir_, PartitionName(next.generation, bucket),
+                                 records, box, RetryPolicy::None(), nullptr);
+    if (!part.ok()) return part.status();
+    next.parts.push_back(std::move(*part));
   }
   for (const std::string& path : segments) {
     next.consumed.push_back(ConsumedName(path));
@@ -425,12 +423,7 @@ Status Ingestor::CompactNow() {
 
   // THE commit point: after this rename the partitions are real and the
   // segments are consumed; before it, nothing happened.
-  ST4ML_RETURN_IF_ERROR(
-      WriteIngestManifest(IngestManifestPath(dir_), next));
-  // Advisory mirror for batch tooling that only knows index.meta; readers
-  // of the merged view use the manifest, so a crash between these two
-  // writes costs nothing.
-  ST4ML_RETURN_IF_ERROR(WriteStpqMeta(dir_ + "/index.meta", next.parts));
+  ST4ML_RETURN_IF_ERROR(WriteStpqMeta(dir_ + "/index.meta", next));
 
   {
     // Exclusive: in-process readers hold snapshot_mu() shared across their
@@ -446,7 +439,7 @@ Status Ingestor::CompactNow() {
                        }),
         sealed_.end());
     staged_records_ -= absorbed;
-    for (const StpqPartMeta& p : published) compacted_records_ += p.count;
+    compacted_records_ += absorbed;
     // Deferred by one cycle: cross-process readers that listed these
     // segments just before the commit can still open them. A file whose
     // unlink fails stays pending — and therefore stays in the NEXT
@@ -495,23 +488,6 @@ IngestorStats Ingestor::Stats() const {
     stats.generation = manifest_.generation;
   }
   return stats;
-}
-
-IngestSnapshot Ingestor::Snapshot() const {
-  IngestSnapshot snap;
-  {
-    std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-    snap.parts = manifest_.parts;
-    snap.generation = manifest_.generation;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap.wal_paths = sealed_;
-    for (const auto& [bucket, writer] : writers_) {
-      snap.wal_paths.push_back(writer.open_path());
-    }
-  }
-  return snap;
 }
 
 }  // namespace st4ml

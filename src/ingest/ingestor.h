@@ -5,10 +5,11 @@
 // time-bucketed WAL segments (src/ingest/wal.h) under `<dir>/wal/`, and a
 // background compactor rolls sealed segments into indexed
 // `ingest-g<gen>-b<bucket>.stpq` (+`.stix`) partitions published atomically.
-// The single commit point is `<dir>/ingest.manifest`
-// (src/storage/ingest_manifest.h): readers obtain the partition list and the
-// consumed-segment skip set from one atomically-replaced file, so a Select
-// issued mid-stream sees every acked record exactly once.
+// The single commit point is the directory's part list, `<dir>/index.meta`
+// (StpqManifest, src/storage/stpq.h): readers obtain the partition list and
+// the consumed-segment skip set from one atomically-replaced file, so a
+// Select issued mid-stream sees every acked record exactly once. Opening a
+// batch-built directory adopts the parts its index.meta lists.
 //
 // Crash semantics:
 //  - Append returning Ok is the ack; the destructor does NOT seal or flush,
@@ -39,7 +40,7 @@
 #include "common/status.h"
 #include "engine/execution_context.h"
 #include "ingest/wal.h"
-#include "storage/ingest_manifest.h"
+#include "storage/stpq.h"
 
 namespace st4ml {
 
@@ -69,14 +70,6 @@ struct IngestorStats {
   uint64_t compactions = 0; ///< manifest publishes by this process
   uint64_t wal_segments = 0;
   uint64_t generation = 0;  ///< current manifest generation
-};
-
-/// What a consistent merged read serves: the published partitions plus the
-/// staged WAL tail, taken from the in-memory manifest under snapshot_mu().
-struct IngestSnapshot {
-  std::vector<StpqPartMeta> parts;     // files relative to dir()
-  std::vector<std::string> wal_paths;  // absolute segment paths
-  uint64_t generation = 0;
 };
 
 class Ingestor {
@@ -117,10 +110,8 @@ class Ingestor {
 
   IngestorStats Stats() const;
 
-  /// Consistent merged view for an in-process read. Hold snapshot_mu()
-  /// SHARED across the whole read to keep the compactor from deleting a
-  /// listed segment underneath it.
-  IngestSnapshot Snapshot() const;
+  /// Hold SHARED across a whole in-process merged read to keep the
+  /// compactor from deleting a listed segment underneath it.
   std::shared_mutex& snapshot_mu() const { return snapshot_mu_; }
 
   const std::string& dir() const { return dir_; }
@@ -160,7 +151,7 @@ class Ingestor {
   /// Readers share, the compactor takes it exclusively for the
   /// commit swap + deferred deletions.
   mutable std::shared_mutex snapshot_mu_;
-  IngestManifest manifest_;
+  StpqManifest manifest_;
   std::vector<std::string> pending_delete_;  // consumed paths, deleted next cycle
   uint64_t compacted_records_ = 0;
 

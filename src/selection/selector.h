@@ -22,7 +22,6 @@
 #include "partition/st_partition_ops.h"
 #include "partition/str_partitioner.h"
 #include "selection/select_query.h"
-#include "storage/ingest_manifest.h"
 #include "storage/stpq.h"
 
 namespace st4ml {
@@ -74,12 +73,7 @@ std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
   for (const RecordT& r : file->records) {
     const STBox box = r.ComputeSTBox();
     file->cols.Append(box);
-    // The file envelope skips degenerate boxes (inverted — e.g. an empty
-    // trajectory — or NaN coordinates): they can never match a query, and
-    // a NaN must not poison the union into rejecting the whole file.
-    if (box.mbr.x_min <= box.mbr.x_max && box.mbr.y_min <= box.mbr.y_max) {
-      file->envelope.Extend(box);
-    }
+    if (IsValidEnvelope(box)) file->envelope.Extend(box);
   }
   return file;
 }
@@ -124,7 +118,8 @@ struct SelectorStats {
 /// The selection stage (paper §3.1): load persisted records matching a
 /// SelectQuery — ST box AND optional id set. One-argument Select scans a
 /// plain directory end to end; the two-argument form prunes whole files
-/// through the on-disk metadata first and only opens survivors. Per file,
+/// through the directory's part list first, only opens survivors, and adds
+/// the staged WAL tail of a streamed directory. Per file,
 /// the input picks the plan — a WAL segment, an enabled cache, a valid
 /// `.stix` sidecar, or none of these — and every plan returns
 /// byte-identical records.
@@ -146,42 +141,33 @@ class Selector {
     return LoadAndFilter(paths);
   }
 
-  /// Metadata-pruned selection over a directory written by BuildOnDiskIndex.
+  /// Metadata-pruned selection over a dataset directory (DESIGN.md §12-13),
+  /// batch-built or streamed: the parts the manifest at `meta_path` lists,
+  /// pruned by the query box, PLUS the staged WAL tail under `<dir>/wal`
+  /// that the manifest has not consumed — every acked record exactly once,
+  /// mid-stream. Segments are listed BEFORE the manifest is read, so a
+  /// segment consumed between the two steps is both skipped (the newer
+  /// manifest marks it consumed) and covered (the same manifest lists its
+  /// part). A missing manifest is an empty part list when `<dir>/wal`
+  /// exists — "nothing compacted yet" is an answer — and NotFound otherwise.
   StatusOr<Dataset<RecordT>> Select(const std::string& dir,
                                     const std::string& meta_path) {
-    auto meta = ReadStpqMeta(meta_path);
-    if (!meta.ok()) return meta.status();
-    std::vector<std::string> paths;
-    for (const StpqPartMeta& part : *meta) {
-      // Empty partitions have inverted envelopes and never match.
-      if (part.box.Intersects(query_.box)) {
-        paths.push_back(dir + "/" + part.file);
-      }
-    }
-    internal::Counters(*ctx_).Add(Counter::kPartitionsPruned,
-                                  meta->size() - paths.size());
-    return LoadAndFilter(paths);
-  }
-
-  /// Merged selection over a streaming-ingest directory (DESIGN.md §13):
-  /// ONE SelectQuery is answered from the compacted partitions the
-  /// `ingest.manifest` lists PLUS the staged WAL tail — every acked record
-  /// exactly once, mid-stream. Segments are listed BEFORE the manifest is
-  /// read, so a segment consumed between the two steps is both skipped (the
-  /// newer manifest marks it consumed) and covered (the same manifest lists
-  /// its partition). A directory with no manifest and no segments selects
-  /// an empty dataset, not NotFound — "nothing ingested yet" is an answer.
-  StatusOr<Dataset<RecordT>> SelectIngest(const std::string& dir) {
-    std::vector<std::string> segments = ListWalSegments(dir + "/wal");
-    IngestManifest manifest;
-    auto read = ReadIngestManifest(IngestManifestPath(dir));
+    const std::string wal_dir = dir + "/wal";
+    std::vector<std::string> segments = ListWalSegments(wal_dir);
+    StpqManifest manifest;
+    auto read = ReadStpqMeta(meta_path);
     if (read.ok()) {
       manifest = std::move(*read);
-    } else if (read.status().code() != Status::Code::kNotFound) {
-      return read.status();
+    } else {
+      std::error_code ec;
+      if (read.status().code() != Status::Code::kNotFound ||
+          !std::filesystem::is_directory(wal_dir, ec)) {
+        return read.status();
+      }
     }
     std::vector<std::string> paths;
     for (const StpqPartMeta& part : manifest.parts) {
+      // Empty partitions have inverted envelopes and never match.
       if (part.box.Intersects(query_.box)) {
         paths.push_back(dir + "/" + part.file);
       }
@@ -211,6 +197,11 @@ class Selector {
       }
     }
     return LoadAndFilter(paths);
+  }
+
+  /// The merged read of `dir` through its own `index.meta`.
+  StatusOr<Dataset<RecordT>> SelectIngest(const std::string& dir) {
+    return Select(dir, dir + "/index.meta");
   }
 
   const SelectorStats& stats() const { return stats_; }

@@ -26,7 +26,6 @@
 #include "selection/select_query.h"
 #include "selection/selector.h"
 #include "server/frame.h"
-#include "storage/ingest_manifest.h"
 #include "storage/json.h"
 
 namespace st4ml {
@@ -140,23 +139,16 @@ Status ParseQuery(const JsonValue& request, bool require_box,
   return Status::Ok();
 }
 
-/// The one way select, lookup_id and extract read `dir`. An ingest
-/// directory — one with a live Ingestor, or streaming state on disk — is
-/// served from the MERGED view: compacted partitions + staged WAL tail. The
-/// ingestor's snapshot lock (shared) spans the whole selection so the
-/// compactor cannot delete a listed segment mid-read. Any other directory
-/// is a batch-built one, pruned through its `index.meta`.
+/// The one way select, lookup_id and extract read `dir`: the merged read
+/// of its `index.meta` parts plus the staged WAL tail. With a live Ingestor
+/// its snapshot lock (shared) spans the whole selection, so the compactor
+/// cannot delete a listed segment mid-read.
 StatusOr<Dataset<EventRecord>> SelectDir(Selector<EventRecord>* selector,
                                          const std::string& dir,
                                          Ingestor* live) {
+  std::shared_lock<std::shared_mutex> snapshot;
   if (live != nullptr) {
-    std::shared_lock<std::shared_mutex> snapshot(live->snapshot_mu());
-    return selector->SelectIngest(dir);
-  }
-  std::error_code ec;
-  if (std::filesystem::exists(IngestManifestPath(dir), ec) ||
-      std::filesystem::exists(dir + "/wal", ec)) {
-    return selector->SelectIngest(dir);
+    snapshot = std::shared_lock<std::shared_mutex>(live->snapshot_mu());
   }
   return selector->Select(dir, dir + "/index.meta");
 }

@@ -56,14 +56,14 @@
 // Storage: records, the STPQ on-disk format, text import/export.
 #include "storage/atomic_publish.h"
 #include "storage/csv.h"
-#include "storage/ingest_manifest.h"
 #include "storage/json.h"
 #include "storage/records.h"
 #include "storage/stpq.h"
 #include "storage/text_import.h"
 
 // Streaming ingestion: crash-safe WAL staging + background compaction
-// (DESIGN.md §13); SelectIngest serves the merged staged+compacted view.
+// (DESIGN.md §13); Selector::Select(dir, meta) serves the merged
+// staged+compacted view.
 #include "ingest/ingestor.h"
 #include "ingest/wal.h"
 

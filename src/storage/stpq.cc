@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -69,7 +71,8 @@ class Cursor {
   const char* end_;
 };
 
-// FNV-1a, the header fingerprint of StpqIdentity.
+// FNV-1a: the header fingerprint of StpqIdentity and the checksum of an
+// index.meta body.
 uint64_t Fnv1a(const char* data, size_t len) {
   uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
   for (size_t i = 0; i < len; ++i) {
@@ -486,67 +489,155 @@ uint64_t FileSizeBytes(const std::string& path) {
   return ec ? 0 : size;
 }
 
-Status WriteStpqMeta(const std::string& path,
-                     const std::vector<StpqPartMeta>& parts) {
+namespace {
+
+constexpr std::string_view kMetaHeader = "stpq-meta v2";
+
+// Names the manifest may list: plain file names inside the directory, free
+// of the space and newline the line format splits on.
+bool IsPlainFileName(std::string_view name) {
+  if (name.empty() || name == "." || name == "..") return false;
+  return std::none_of(name.begin(), name.end(), [](char c) {
+    return c == '/' || static_cast<unsigned char>(c) <= ' ';
+  });
+}
+
+// The last line of a manifest whose preceding bytes are `body`.
+std::string MetaChecksumLine(std::string_view body) {
+  char line[32];
+  std::snprintf(line, sizeof(line), "fnv1a %016" PRIx64 "\n",
+                Fnv1a(body.data(), body.size()));
+  return line;
+}
+
+std::vector<std::string_view> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  size_t begin = 0;
+  while (begin <= line.size()) {
+    size_t end = line.find(' ', begin);
+    if (end == std::string_view::npos) end = line.size();
+    fields.push_back(line.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return fields;
+}
+
+// Whole-field parses: from_chars reads back every value %.17g / PRId64 /
+// PRIu64 print, including inf and nan, and a field with trailing bytes fails.
+template <typename T>
+bool ParseField(std::string_view field, T* value) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParsePartLine(const std::vector<std::string_view>& f, StpqPartMeta* p) {
+  double x_min, y_min, x_max, y_max;
+  int64_t t_start, t_end;
+  if (f.size() != 9 || !IsPlainFileName(f[1]) ||
+      !ParseField(f[2], &x_min) || !ParseField(f[3], &y_min) ||
+      !ParseField(f[4], &x_max) || !ParseField(f[5], &y_max) ||
+      !ParseField(f[6], &t_start) || !ParseField(f[7], &t_end) ||
+      !ParseField(f[8], &p->count)) {
+    return false;
+  }
+  p->file = std::string(f[1]);
+  p->box = STBox(Mbr(x_min, y_min, x_max, y_max), Duration(t_start, t_end));
+  return true;
+}
+
+}  // namespace
+
+Status WriteStpqMeta(const std::string& path, const StpqManifest& manifest) {
+  std::string text(kMetaHeader);
+  text += "\ngen " + std::to_string(manifest.generation) + "\n";
+  char line[512];
+  for (const StpqPartMeta& p : manifest.parts) {
+    if (!IsPlainFileName(p.file)) {
+      return Status::InvalidArgument("not a plain file name: " + p.file);
+    }
+    std::snprintf(line, sizeof(line),
+                  " %.17g %.17g %.17g %.17g %" PRId64 " %" PRId64 " %" PRIu64
+                  "\n",
+                  p.box.mbr.x_min, p.box.mbr.y_min, p.box.mbr.x_max,
+                  p.box.mbr.y_max, p.box.time.start(), p.box.time.end(),
+                  p.count);
+    text += "part " + p.file + line;
+  }
+  for (const std::string& name : manifest.consumed) {
+    if (!IsPlainFileName(name)) {
+      return Status::InvalidArgument("not a plain file name: " + name);
+    }
+    text += "consumed " + name + "\n";
+  }
+  text += MetaChecksumLine(text);
+
   std::error_code ec;
   fs::path parent = fs::path(path).parent_path();
   if (!parent.empty()) fs::create_directories(parent, ec);
-  // Staged like the record writers: live index.meta files are re-published
-  // under readers by the compactor, which must never expose a torn list.
-  std::string tmp = TmpPathFor(path);
-  std::ofstream out(tmp, std::ios::trunc);
+  // Staged like the record writers: the compactor re-publishes a live
+  // index.meta under readers, which must never see a torn list.
+  std::ofstream out(TmpPathFor(path), std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return Status::IOError("cannot open for writing: " + path);
-  out << "stpq-meta v1\n";
-  char line[512];
-  for (const StpqPartMeta& p : parts) {
-    std::snprintf(line, sizeof(line),
-                  "%s %.17g %.17g %.17g %.17g %" PRId64 " %" PRId64
-                  " %" PRIu64 "\n",
-                  p.file.c_str(), p.box.mbr.x_min, p.box.mbr.y_min,
-                  p.box.mbr.x_max, p.box.mbr.y_max, p.box.time.start(),
-                  p.box.time.end(), p.count);
-    out << line;
-  }
-  // Same explicit flush/close as FinishWrite: the destructor's flush is too
-  // late to report an error from.
-  out.flush();
-  if (!out.good()) {
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + path);
-  }
-  out.close();
-  if (out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed to close " + path);
-  }
-  return PublishFileAtomic(tmp, path);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return FinishWrite(out, path, nullptr);
 }
 
-StatusOr<std::vector<StpqPartMeta>> ReadStpqMeta(const std::string& path) {
-  std::ifstream in(path);
+StatusOr<StpqManifest> ReadStpqMeta(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return Status::NotFound("no such meta file: " + path);
-  std::string header;
-  std::getline(in, header);
-  if (header != "stpq-meta v1") {
-    return Status::Corruption("bad meta header in " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string bytes = std::move(buffer).str();
+  auto corrupt = [&](const std::string& what) {
+    return Status::Corruption(what + " in " + path);
+  };
+
+  const std::string_view text(bytes);
+  const size_t header_end = text.find('\n');
+  const std::string_view header = text.substr(0, header_end);
+  if (header == "stpq-meta v1" || header == "st4ml-ingest v1") {
+    return corrupt("meta format " + std::string(header) +
+                   " is no longer read; rebuild the directory");
   }
-  std::vector<StpqPartMeta> parts;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    StpqPartMeta p;
-    double x_min, y_min, x_max, y_max;
-    int64_t t_start, t_end;
-    if (!(fields >> p.file >> x_min >> y_min >> x_max >> y_max >> t_start >>
-          t_end >> p.count)) {
-      return Status::Corruption("bad meta line in " + path + ": " + line);
+  if (header != kMetaHeader) return corrupt("bad meta header");
+  // The checksum line covers every byte before it, so any change to the
+  // part list — even one that leaves each line well-formed — fails closed.
+  const size_t last = text.rfind('\n', text.size() - 2);
+  if (text.back() != '\n' || last == std::string_view::npos) {
+    return corrupt("missing meta checksum line");
+  }
+  const size_t body_end = last + 1;
+  if (text.substr(body_end) != MetaChecksumLine(text.substr(0, body_end))) {
+    return corrupt("meta checksum mismatch");
+  }
+
+  StpqManifest manifest;
+  bool has_gen = false;
+  size_t pos = header_end + 1;
+  while (pos < body_end) {
+    const size_t end = text.find('\n', pos);
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    const std::vector<std::string_view> f = SplitFields(line);
+    if (f[0] == "gen" && !has_gen && f.size() == 2 &&
+        ParseField(f[1], &manifest.generation)) {
+      has_gen = true;
+    } else if (f[0] == "part" && has_gen) {
+      StpqPartMeta part;
+      if (!ParsePartLine(f, &part)) {
+        return corrupt("bad meta part line '" + std::string(line) + "'");
+      }
+      manifest.parts.push_back(std::move(part));
+    } else if (f[0] == "consumed" && has_gen && f.size() == 2 &&
+               IsPlainFileName(f[1])) {
+      manifest.consumed.emplace_back(f[1]);
+    } else {
+      return corrupt("bad meta line '" + std::string(line) + "'");
     }
-    p.box = STBox(Mbr(x_min, y_min, x_max, y_max), Duration(t_start, t_end));
-    parts.push_back(std::move(p));
   }
-  return parts;
+  if (!has_gen) return corrupt("meta has no gen line");
+  return manifest;
 }
 
 }  // namespace st4ml

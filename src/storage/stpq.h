@@ -203,17 +203,39 @@ std::vector<std::string> ListStpqFiles(const std::string& dir);
 /// Size in bytes of one file, for load accounting; 0 if unreadable.
 uint64_t FileSizeBytes(const std::string& path);
 
-/// One line of an STPQ directory's metadata sidecar: which file, the tight
-/// ST envelope of its content, and how many records it holds.
+/// One part of a dataset directory: which file, the ST envelope of its
+/// content (the union of its records' valid envelopes), and how many records
+/// it holds.
 struct StpqPartMeta {
   std::string file;  // name relative to the data directory
   STBox box;
   uint64_t count = 0;
 };
 
-Status WriteStpqMeta(const std::string& path,
-                     const std::vector<StpqPartMeta>& parts);
-StatusOr<std::vector<StpqPartMeta>> ReadStpqMeta(const std::string& path);
+/// The part list of a dataset directory (`<dir>/index.meta`), whether it was
+/// batch-built or streamed — the metadata file selection prunes against, and
+/// the commit point of streaming ingestion (DESIGN.md §12-13). Batch writers
+/// publish generation 0 with no consumed names; each compaction publishes the
+/// next generation, listing every live part plus the WAL segment names
+/// (not paths) already folded into them, which readers and replay skip.
+struct StpqManifest {
+  uint64_t generation = 0;
+  std::vector<StpqPartMeta> parts;
+  std::vector<std::string> consumed;
+};
+
+/// `stpq-meta v2` text: the header, one `gen` line, one `part` line per part
+/// and one `consumed` line per segment name, then `fnv1a <16 hex>` over every
+/// byte before it. Published atomically (temp + fsync + rename + dir fsync),
+/// so returning Ok IS the commit. InvalidArgument for a name that is not a
+/// plain file name.
+Status WriteStpqMeta(const std::string& path, const StpqManifest& manifest);
+
+/// NotFound when no file exists at `path`. Corruption — failing closed, never
+/// a shorter or longer part list — on a checksum mismatch, a missing checksum
+/// line, an older format version, a malformed line, or a part or consumed
+/// name that is not a plain file name (no `/`, not `.` or `..`).
+StatusOr<StpqManifest> ReadStpqMeta(const std::string& path);
 
 }  // namespace st4ml
 

@@ -290,17 +290,14 @@ inline const std::vector<Counter>& CacheInvariantCounters() {
 }
 
 /// The counters a correct EXECUTOR must not change: record flow, shuffle
-/// volume, selection and pruning decisions, task failures. This is
-/// CacheInvariantCounters minus the two executor-shape counters:
-/// kChunkClaims (the pool sizes chunks from its worker count, so the
-/// number of claims tracks the pool, not the data) and kParallelJobs
-/// (whether a stage opens a parallel job is a scheduling choice, not a
-/// record-flow difference).
+/// volume, selection and pruning decisions, parallel jobs opened, task
+/// failures. This is CacheInvariantCounters minus the one executor-shape
+/// counter, kChunkClaims: the pool sizes chunks from its worker count, so
+/// the number of claims tracks the pool, not the data.
 inline std::vector<Counter> ExecutorInvariantCounters() {
   std::vector<Counter> counters = CacheInvariantCounters();
-  for (Counter shape : {Counter::kChunkClaims, Counter::kParallelJobs}) {
-    counters.erase(std::find(counters.begin(), counters.end(), shape));
-  }
+  counters.erase(
+      std::find(counters.begin(), counters.end(), Counter::kChunkClaims));
   return counters;
 }
 

@@ -152,13 +152,14 @@ TEST(StatusPipelineTest, MetaPrunedSelectSkipsCorruptFileOutsideQuery) {
   ASSERT_TRUE(WriteStpqFile(dir + "/part-00000.stpq", SomeEvents(4)).ok());
   std::ofstream(dir + "/part-00001.stpq", std::ios::binary) << "garbage";
 
-  std::vector<StpqPartMeta> meta(2);
-  meta[0].file = "part-00000.stpq";
-  meta[0].box = STBox(Mbr(0, 0, 2, 2), Duration(100, 110));
-  meta[0].count = 4;
-  meta[1].file = "part-00001.stpq";
-  meta[1].box = STBox(Mbr(50, 50, 60, 60), Duration(5000, 6000));
-  meta[1].count = 1;
+  StpqManifest meta;
+  meta.parts.resize(2);
+  meta.parts[0].file = "part-00000.stpq";
+  meta.parts[0].box = STBox(Mbr(0, 0, 2, 2), Duration(100, 110));
+  meta.parts[0].count = 4;
+  meta.parts[1].file = "part-00001.stpq";
+  meta.parts[1].box = STBox(Mbr(50, 50, 60, 60), Duration(5000, 6000));
+  meta.parts[1].count = 1;
   ASSERT_TRUE(WriteStpqMeta(dir + "/index.meta", meta).ok());
 
   auto ctx = ExecutionContext::Create(2);

@@ -1,14 +1,17 @@
 // Crash-safe streaming ingestion (DESIGN.md §13): WAL framing round trips,
 // torn tails, injected faults at wal/append, wal/seal and ingest/compact,
 // reopen-and-replay exactly the acked records, exactly-once across the
-// compaction boundary, and the merged SelectIngest view mid-stream.
+// compaction boundary, the merged view mid-stream, and index.meta as the
+// one part list of batch-built and streamed directories alike.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,6 +23,8 @@
 #include "engine/execution_context.h"
 #include "ingest/ingestor.h"
 #include "ingest/wal.h"
+#include "partition/str_partitioner.h"
+#include "selection/on_disk_index.h"
 #include "selection/selector.h"
 #include "storage/records.h"
 
@@ -618,6 +623,100 @@ TEST_F(IngestTest, RecoveryTruncatesTornTailAndReseals) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->records.size(), 2u);
   EXPECT_EQ(Ids(SelectAll(dir_)).size(), 2u);
+}
+
+// ------------------------------------------- index.meta, the one part list
+
+// Every record a merged read of `dir` through its own index.meta returns.
+std::vector<EventRecord> SelectThroughIndexMeta(const std::string& dir,
+                                                const STBox& box) {
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box));
+  auto selected = selector.Select(dir, dir + "/index.meta");
+  ST4ML_CHECK(selected.ok()) << selected.status().ToString();
+  return selected->Collect();
+}
+
+const STBox kEverywhere(Mbr(-1e9, -1e9, 1e9, 1e9),
+                        Duration(-1000000000, 1000000000));
+
+TEST_F(IngestTest, IndexMetaSelectServesFlushedPartsAndStagedTail) {
+  auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 31)).ok());
+  }
+  ASSERT_TRUE((*ingestor)->Flush().ok());
+  std::multiset<int64_t> expected;
+  for (int i = 0; i < 14; ++i) expected.insert(i);
+  for (int i = 9; i < 14; ++i) {
+    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 31)).ok());
+  }
+  // The tool's read (st4ml_select) and the daemon's are one read.
+  EXPECT_EQ(Ids(SelectThroughIndexMeta(dir_, kEverywhere)), expected);
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+}
+
+TEST_F(IngestTest, OpenAdoptsTheBatchBuiltPartList) {
+  auto ctx = ExecutionContext::Create(2);
+  std::vector<EventRecord> batch;
+  for (int i = 0; i < 200; ++i) batch.push_back(MakeEvent(i, i % 700));
+  TSTRPartitioner partitioner(2, 2);
+  ASSERT_TRUE(BuildOnDiskIndex(Dataset<EventRecord>::Parallelize(ctx, batch, 2),
+                               &partitioner, dir_, dir_ + "/index.meta")
+                  .ok());
+  std::vector<std::string> batch_parts;
+  for (const std::string& path : ListStpqFiles(dir_)) {
+    batch_parts.push_back(fs::path(path).filename().string());
+  }
+  ASSERT_FALSE(batch_parts.empty());
+  {
+    auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    EXPECT_EQ((*ingestor)->Stats().compacted, 200u);
+    for (int i = 200; i < 210; ++i) {
+      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+    }
+    ASSERT_TRUE((*ingestor)->Flush().ok());
+  }
+  std::multiset<int64_t> expected;
+  for (int i = 0; i < 210; ++i) expected.insert(i);
+  EXPECT_EQ(Ids(SelectThroughIndexMeta(dir_, kEverywhere)), expected);
+  auto manifest = ReadStpqMeta(dir_ + "/index.meta");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::set<std::string> listed;
+  for (const StpqPartMeta& part : manifest->parts) listed.insert(part.file);
+  for (const std::string& name : batch_parts) {
+    EXPECT_TRUE(listed.count(name)) << name << " dropped from index.meta";
+  }
+  auto reopened = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Stats().compacted, 210u);
+}
+
+TEST_F(IngestTest, CompactionOfNanAndInfiniteEventsStaysReadable) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<EventRecord> events;
+  for (int i = 0; i < 6; ++i) events.push_back(MakeEvent(i, i * 10));
+  events[0].x = std::nan("");  // first of its part: the union starts there
+  events[4].x = inf;
+  {
+    auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE((*ingestor)->AppendBatch(events).ok());
+    ASSERT_TRUE((*ingestor)->Flush().ok());
+  }
+  const STBox unbounded(Mbr(-inf, -inf, inf, inf),
+                        Duration(-1000000000, 1000000000));
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> plain(ctx, SelectQuery::FromBox(unbounded));
+  auto scanned = plain.Select(dir_);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  const std::multiset<int64_t> expected = Ids(scanned->Collect());
+  EXPECT_EQ(expected, (std::multiset<int64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Ids(SelectThroughIndexMeta(dir_, unbounded)), expected);
+  auto reopened = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
 }
 
 }  // namespace

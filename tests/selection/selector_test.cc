@@ -1,11 +1,13 @@
 #include "selection/selector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "common/sidecar_free_copy.h"
 #include "engine/execution_context.h"
+#include "ingest/ingestor.h"
 #include "selection/on_disk_index.h"
 #include "storage/records.h"
 
@@ -428,6 +431,39 @@ TEST(SelectorCorruptionTest, LoweredHeaderCountFailsEveryPlan) {
     EXPECT_EQ(selected.status().code(), Status::Code::kCorruption)
         << selected.status().ToString();
   }
+}
+
+// One NaN-coordinate record and one at +inf: the part box skips the NaN
+// envelope and keeps the infinite one, index.meta round-trips both, and the
+// pruned select returns exactly what the full scan returns.
+TEST(SelectorPartListTest, NanAndInfiniteRecordsKeepThePartListReadable) {
+  const std::string dir = TempDir("nan_inf");
+  const std::string meta = dir + "/index.meta";
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<EventRecord> events = RandomEvents(300, 17);
+  events[0].x = std::nan("");  // first of its part: the union starts there
+  events[47].y = inf;
+  auto ctx = ExecutionContext::Create(2);
+  TSTRPartitioner partitioner(2, 2);
+  ASSERT_TRUE(BuildOnDiskIndex(Dataset<EventRecord>::Parallelize(ctx, events, 3),
+                               &partitioner, dir, meta)
+                  .ok());
+  for (const STBox& box :
+       {STBox(Mbr(-inf, -inf, inf, inf), Duration(0, 100000)),
+        STBox(Mbr(10, 10, 60, 60), Duration(0, 50000))}) {
+    Selector<EventRecord> pruned(ctx, SelectQuery::FromBox(box));
+    auto got = pruned.Select(dir, meta);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Selector<EventRecord> scanned(ctx, SelectQuery::FromBox(box));
+    auto want = scanned.Select(dir);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(SortedIds(*got), SortedIds(*want));
+    EXPECT_EQ(SortedIds(*got), ReferenceIds(events, box));
+  }
+  IngestorOptions options;
+  options.start_compactor = false;
+  auto ingestor = Ingestor::Open(dir, options);
+  EXPECT_TRUE(ingestor.ok()) << ingestor.status().ToString();
 }
 
 }  // namespace

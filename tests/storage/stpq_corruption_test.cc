@@ -1,11 +1,16 @@
 // Corrupt-input matrix for the STPQ readers: every malformed file must come
 // back as a Corruption/NotFound Status — never a throw, a crash, or a
 // header-driven giant allocation — from both decode paths: the whole-file
-// readers and StpqReader's ranged reads.
+// readers and StpqReader's ranged reads. The directory's part list,
+// index.meta, fails closed the same way.
 
 #include "storage/stpq.h"
 
+#include <algorithm>
+#include <cinttypes>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +21,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/execution_context.h"
 #include "index/stix.h"
+#include "ingest/ingestor.h"
+#include "partition/str_partitioner.h"
+#include "selection/on_disk_index.h"
+#include "selection/selector.h"
 
 namespace st4ml {
 namespace {
@@ -296,22 +306,182 @@ TEST(StpqCorruptionTest, TrailingBytesAfterLastRecordIsCorruption) {
                                    "record range mismatch");
 }
 
+// ---- index.meta, the one part list of a dataset directory: checksummed,
+// strictly parsed, failing closed — never a shorter or longer part list.
+
+// Seals a hand-written manifest body the way WriteStpqMeta does: a last
+// line `fnv1a <16 hex>` over every byte before it.
+std::string SealMeta(const std::string& body) {
+  uint64_t hash = 14695981039346656037ull;
+  for (char c : body) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  char line[32];
+  std::snprintf(line, sizeof(line), "fnv1a %016" PRIx64 "\n", hash);
+  return body + line;
+}
+
+void ExpectMetaCorruption(const std::string& path, const std::string& what) {
+  auto loaded = ReadStpqMeta(path);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption)
+      << what << ": " << loaded.status().ToString();
+}
+
 TEST(StpqCorruptionTest, BadMetaHeaderIsCorruption) {
   std::string dir = TempDir("meta");
   std::string path = dir + "/idx.meta";
   Dump(path, "stpq-meta v999\n");
-  auto loaded = ReadStpqMeta(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  ExpectMetaCorruption(path, "unknown version");
 }
 
 TEST(StpqCorruptionTest, BadMetaLineIsCorruption) {
   std::string dir = TempDir("metaline");
   std::string path = dir + "/idx.meta";
-  Dump(path, "stpq-meta v1\npart-00000.stpq not-a-number\n");
-  auto loaded = ReadStpqMeta(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  // Checksummed, so the parser itself must reject the line.
+  Dump(path, SealMeta("stpq-meta v2\ngen 0\n"
+                      "part part-00000.stpq not-a-number\n"));
+  ExpectMetaCorruption(path, "short part line");
+  Dump(path, SealMeta("stpq-meta v2\ngen 0\n"
+                      "part part-00000.stpq 0 0 1 1 0 1 3 extra\n"));
+  ExpectMetaCorruption(path, "long part line");
+  Dump(path, SealMeta("stpq-meta v2\npart part-00000.stpq 0 0 1 1 0 1 3\n"));
+  ExpectMetaCorruption(path, "no gen line");
+}
+
+TEST(StpqCorruptionTest, OlderMetaVersionsAreCorruptionAskingForRebuild) {
+  std::string dir = TempDir("metav1");
+  std::string path = dir + "/index.meta";
+  for (const std::string header : {"stpq-meta v1", "st4ml-ingest v1"}) {
+    Dump(path, header + "\npart-00000.stpq 0 0 1 1 0 1 3\n");
+    auto loaded = ReadStpqMeta(path);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(StpqCorruptionTest, MissingMetaChecksumLineIsCorruption) {
+  std::string dir = TempDir("metasum");
+  std::string path = dir + "/index.meta";
+  StpqManifest meta;
+  meta.parts.resize(1);
+  meta.parts[0].file = "part-00000.stpq";
+  ASSERT_TRUE(WriteStpqMeta(path, meta).ok());
+  const std::string sealed = Slurp(path);
+  const size_t last = sealed.rfind('\n', sealed.size() - 2) + 1;
+  Dump(path, sealed.substr(0, last));
+  ExpectMetaCorruption(path, "checksum line dropped");
+  Dump(path, sealed.substr(0, sealed.size() - 1));
+  ExpectMetaCorruption(path, "final newline dropped");
+  Dump(path, sealed + "part part-00001.stpq 0 0 1 1 0 1 3\n");
+  ExpectMetaCorruption(path, "line appended after the checksum");
+}
+
+TEST(StpqCorruptionTest, MetaNamesOutsideTheDirectoryAreCorruption) {
+  std::string dir = TempDir("metaname");
+  std::string path = dir + "/index.meta";
+  for (const std::string name : {"../x.stpq", "sub/x.stpq", "/x.stpq", ".",
+                                 ".."}) {
+    Dump(path, SealMeta("stpq-meta v2\ngen 0\npart " + name +
+                        " 0 0 1 1 0 1 3\n"));
+    ExpectMetaCorruption(path, "part " + name);
+    Dump(path, SealMeta("stpq-meta v2\ngen 1\nconsumed " + name + "\n"));
+    ExpectMetaCorruption(path, "consumed " + name);
+    // The writer refuses to publish what its reader would reject.
+    StpqManifest meta;
+    meta.parts.resize(1);
+    meta.parts[0].file = name;
+    EXPECT_EQ(WriteStpqMeta(dir + "/written.meta", meta).code(),
+              Status::Code::kInvalidArgument)
+        << name;
+  }
+}
+
+TEST(StpqCorruptionTest, EverySingleByteChangeToMetaIsCorruption) {
+  std::string dir = TempDir("metaflip");
+  std::string path = dir + "/index.meta";
+  StpqManifest meta;
+  meta.generation = 3;
+  for (int p = 0; p < 3; ++p) {
+    StpqPartMeta part;
+    part.file = "ingest-g00000" + std::to_string(p + 1) + "-b7.stpq";
+    part.box = STBox(Mbr(p - 0.25, -1.5, p + 2.75, 1e-3), Duration(p, 3600));
+    part.count = 100 + p;
+    meta.parts.push_back(part);
+  }
+  meta.consumed = {"s00000001-b7.stwal", "s00000002-b7.stwal"};
+  ASSERT_TRUE(WriteStpqMeta(path, meta).ok());
+  const std::string sealed = Slurp(path);
+  ASSERT_TRUE(ReadStpqMeta(path).ok());
+  for (size_t pos = 0; pos < sealed.size(); ++pos) {
+    for (int delta : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF}) {
+      std::string mutated = sealed;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ delta);
+      Dump(path, mutated);
+      auto loaded = ReadStpqMeta(path);
+      ASSERT_FALSE(loaded.ok()) << "byte " << pos << " ^ " << delta;
+      ASSERT_EQ(loaded.status().code(), Status::Code::kCorruption)
+          << "byte " << pos << " ^ " << delta << ": "
+          << loaded.status().ToString();
+    }
+  }
+}
+
+TEST(StpqCorruptionTest, ShrunkPartBoxIsCorruptionNotFewerRecords) {
+  std::string dir = TempDir("metashrunk");
+  const std::string meta = dir + "/index.meta";
+  const std::vector<EventRecord> events = SomeEvents(269);
+  auto ctx = ExecutionContext::Create(2);
+  TSTRPartitioner partitioner(2, 2);
+  ASSERT_TRUE(BuildOnDiskIndex(Dataset<EventRecord>::Parallelize(ctx, events, 2),
+                               &partitioner, dir, meta)
+                  .ok());
+
+  // Shrink the first part's box to its lower-left corner: the line stays
+  // well-formed, only the checksum can tell. A query just right of that
+  // corner would prune the part and silently drop its records.
+  std::string text = Slurp(meta);
+  const size_t line = text.find("\npart ") + 1;
+  const size_t end = text.find('\n', line);
+  std::vector<std::string> f;
+  for (size_t b = line; b <= end;) {
+    const size_t e = std::min(text.find(' ', b), end);
+    f.push_back(text.substr(b, e - b));
+    b = e + 1;
+  }
+  ASSERT_EQ(f.size(), 9u);
+  const double x_min = std::stod(f[2]);
+  const SelectQuery query = SelectQuery::FromBox(
+      STBox(Mbr(std::nextafter(x_min, 11.0), -1, 11, 11), Duration(-1, 1001)));
+  const auto expected = static_cast<size_t>(std::count_if(
+      events.begin(), events.end(),
+      [&](const EventRecord& r) { return r.x > x_min; }));
+  {
+    Selector<EventRecord> selector(ctx, query);
+    auto selected = selector.Select(dir, meta);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    ASSERT_EQ(selected->Count(), expected);
+  }
+  f[4] = f[2];  // x_max = x_min
+  f[5] = f[3];  // y_max = y_min
+  std::string shrunk = f[0];
+  for (size_t i = 1; i < f.size(); ++i) shrunk += " " + f[i];
+  text.replace(line, end - line, shrunk);
+  Dump(meta, text);
+
+  Selector<EventRecord> selector(ctx, query);
+  auto selected = selector.Select(dir, meta);
+  ASSERT_FALSE(selected.ok()) << "selected " << selected->Count() << " of "
+                              << expected;
+  EXPECT_EQ(selected.status().code(), Status::Code::kCorruption);
+  IngestorOptions options;
+  options.start_compactor = false;
+  auto ingestor = Ingestor::Open(dir, options);
+  ASSERT_FALSE(ingestor.ok());
+  EXPECT_EQ(ingestor.status().code(), Status::Code::kCorruption);
 }
 
 // ---- atomic publish: writers stage into `<path>.tmp` and rename into

@@ -1,9 +1,11 @@
 #include "storage/stpq.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -121,25 +123,51 @@ TEST(StpqTest, ListStpqFilesIsSortedAndFiltered) {
 
 TEST(StpqTest, MetaRoundTrip) {
   std::string dir = TempDir("meta");
-  std::vector<StpqPartMeta> meta(2);
-  meta[0].file = "part-00000.stpq";
-  meta[0].box = STBox(Mbr(-1.5, 2.25, 3.75, 8.0), Duration(100, 900));
-  meta[0].count = 42;
-  meta[1].file = "part-00001.stpq";
-  meta[1].box = STBox();  // empty partition: inverted envelope
-  meta[1].count = 0;
+  StpqManifest meta;
+  meta.generation = 7;
+  meta.parts.resize(2);
+  meta.parts[0].file = "part-00000.stpq";
+  meta.parts[0].box = STBox(Mbr(-1.5, 2.25, 3.75, 8.0), Duration(100, 900));
+  meta.parts[0].count = 42;
+  meta.parts[1].file = "part-00001.stpq";
+  meta.parts[1].box = STBox();  // empty partition: inverted envelope
+  meta.parts[1].count = 0;
+  meta.consumed = {"s00000001-b0.stwal", "s00000002-b1.stwal"};
   ASSERT_TRUE(WriteStpqMeta(dir + "/idx.meta", meta).ok());
   auto loaded = ReadStpqMeta(dir + "/idx.meta");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].file, "part-00000.stpq");
-  EXPECT_DOUBLE_EQ((*loaded)[0].box.mbr.x_min, -1.5);
-  EXPECT_EQ((*loaded)[0].box.time.end(), 900);
-  EXPECT_EQ((*loaded)[0].count, 42u);
+  EXPECT_EQ(loaded->generation, 7u);
+  EXPECT_EQ(loaded->consumed, meta.consumed);
+  ASSERT_EQ(loaded->parts.size(), 2u);
+  EXPECT_EQ(loaded->parts[0].file, "part-00000.stpq");
+  EXPECT_DOUBLE_EQ(loaded->parts[0].box.mbr.x_min, -1.5);
+  EXPECT_EQ(loaded->parts[0].box.time.end(), 900);
+  EXPECT_EQ(loaded->parts[0].count, 42u);
   // The empty partition's envelope must still never match anything.
   STBox everything(Mbr(-1e9, -1e9, 1e9, 1e9),
                    Duration(-(int64_t{1} << 40), int64_t{1} << 40));
-  EXPECT_FALSE((*loaded)[1].box.Intersects(everything));
+  EXPECT_FALSE(loaded->parts[1].box.Intersects(everything));
+}
+
+TEST(StpqTest, MetaRoundTripsInfiniteAndNanBounds) {
+  std::string dir = TempDir("metainf");
+  const double inf = std::numeric_limits<double>::infinity();
+  StpqManifest meta;
+  meta.parts.resize(1);
+  meta.parts[0].file = "part-00000.stpq";
+  meta.parts[0].box = STBox(Mbr(-inf, std::nan(""), inf, 1.0),
+                            Duration(INT64_MIN, INT64_MAX));
+  meta.parts[0].count = UINT64_MAX;
+  ASSERT_TRUE(WriteStpqMeta(dir + "/idx.meta", meta).ok());
+  auto loaded = ReadStpqMeta(dir + "/idx.meta");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const STBox& box = loaded->parts[0].box;
+  EXPECT_EQ(box.mbr.x_min, -inf);
+  EXPECT_TRUE(std::isnan(box.mbr.y_min));
+  EXPECT_EQ(box.mbr.x_max, inf);
+  EXPECT_EQ(box.time.start(), INT64_MIN);
+  EXPECT_EQ(box.time.end(), INT64_MAX);
+  EXPECT_EQ(loaded->parts[0].count, UINT64_MAX);
 }
 
 TEST(StpqTest, ReaderIdentityEqualsThePathBasedStamps) {

@@ -1,6 +1,10 @@
-// st4ml_select: metadata-pruned selection over an st4ml_ingest directory.
-// Prints matching events as CSV on stdout. The predicate is the unified
-// SelectQuery: an ST box, an id list, or both (AND).
+// st4ml_select: metadata-pruned selection over a dataset directory, batch-
+// built or streamed (st4ml_ingest, st4ml_ingest --follow, or st4mld's
+// ingest verbs). It serves the merged view: the parts `<dir>/index.meta`
+// lists plus the staged WAL tail, so a directory still being written is read
+// with every acked record exactly once. Prints matching events as CSV on
+// stdout. The predicate is the unified SelectQuery: an ST box, an id list,
+// or both (AND).
 //
 //   st4ml_select --dir=stpq_store --mbr=-74.05,40.60,-73.75,40.90
 //       --time=1577836800,1585612800 [--ids=1,2,3] [--limit=N]
