@@ -1,5 +1,5 @@
 // Shuffle microbenchmark: the bucketed map-side shuffle (src/engine) vs the
-// seed's target-side-rescan shuffle, preserved verbatim below as `legacy::`.
+// seed's target-side-rescan shuffle, preserved below as `legacy::`.
 // Sweeps record count x partition count for ReduceByKey, GroupByKey and
 // Repartition, checks the two implementations agree byte-for-byte (collected
 // output AND EngineMetrics shuffle accounting), and emits one JSON object
@@ -36,7 +36,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
   const auto& ctx = ds.context();
 
   std::vector<std::vector<std::pair<K, V>>> combined(n);
-  ctx->RunParallel(n, [&](size_t p) {
+  Status combine = ctx->TryRunParallel(n, [&](size_t p) {
     std::unordered_map<K, V, Hash> acc;
     for (const auto& [key, value] : ds.partition(p)) {
       auto it = acc.find(key);
@@ -48,7 +48,9 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
     }
     combined[p].assign(acc.begin(), acc.end());
     internal::SortByKey<K, V>(&combined[p]);
+    return Status::Ok();
   });
+  ST4ML_CHECK(combine.ok()) << combine.ToString();
 
   uint64_t records = 0;
   uint64_t bytes = 0;
@@ -60,7 +62,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
                                       bytes);
 
   typename Dataset<std::pair<K, V>>::Partitions out(n);
-  ctx->RunParallel(n, [&](size_t target) {
+  Status merge = ctx->TryRunParallel(n, [&](size_t target) {
     std::unordered_map<K, V, Hash> acc;
     for (const auto& part : combined) {
       for (const auto& [key, value] : part) {
@@ -75,7 +77,9 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
     }
     out[target].assign(acc.begin(), acc.end());
     internal::SortByKey<K, V>(&out[target]);
+    return Status::Ok();
   });
+  ST4ML_CHECK(merge.ok()) << merge.ToString();
   return Dataset<std::pair<K, V>>::FromPartitions(ctx, std::move(out));
 }
 
@@ -96,7 +100,7 @@ Dataset<std::pair<K, std::vector<V>>> GroupByKey(
                                       bytes);
 
   typename Dataset<std::pair<K, std::vector<V>>>::Partitions out(n);
-  ctx->RunParallel(n, [&](size_t target) {
+  Status grouped = ctx->TryRunParallel(n, [&](size_t target) {
     std::unordered_map<K, std::vector<V>, Hash> groups;
     for (size_t p = 0; p < n; ++p) {
       for (const auto& [key, value] : ds.partition(p)) {
@@ -106,7 +110,9 @@ Dataset<std::pair<K, std::vector<V>>> GroupByKey(
     }
     out[target].assign(groups.begin(), groups.end());
     internal::SortByKey<K, std::vector<V>>(&out[target]);
+    return Status::Ok();
   });
+  ST4ML_CHECK(grouped.ok()) << grouped.ToString();
   return Dataset<std::pair<K, std::vector<V>>>::FromPartitions(ctx,
                                                                std::move(out));
 }

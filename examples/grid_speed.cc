@@ -19,20 +19,21 @@ int main() {
   auto grid = std::make_shared<SpatialStructure>(
       SpatialStructure::Grid(gen.extent, 8, 8));
   SpatialMapConverter<STTrajectory> converter(grid);
-  Pipeline pipeline(ctx, "grid_speed");
-  auto cells = pipeline.Run(
+  Session session(ctx);
+  Job job = session.StartJob("grid_speed");
+  auto cells = job.Run(
       "conversion",
       [&](const Dataset<STTrajectory>& parsed) {
         return converter.Convert(parsed);
       },
       trajs);
-  SpatialMap<double> speed = pipeline.Run(
+  SpatialMap<double> speed = job.Run(
       "extraction",
       [](const Dataset<SpatialMap<Bucket<STTrajectory>>>& converted) {
         return ExtractSmSpeed(converted, SpeedUnit::kKilometersPerHour);
       },
       cells);
-  pipeline.Finish();
+  job.Finish();
 
   for (size_t row = 0; row < 8; ++row) {
     for (size_t col = 0; col < 8; ++col) {

@@ -27,16 +27,17 @@ int main() {
     return 1;
   }
 
-  // The three paper stages, each under a Pipeline stage span — with a
-  // tracer attached (none here) the trace nests pipeline → stage →
-  // operation → task automatically.
+  // The three paper stages, each under a Job stage span — with a tracer
+  // attached (none here) the trace nests job → stage → operation → task
+  // automatically.
   STBox query(gen.extent,
               Duration(gen.range.start(), gen.range.start() + 86400));
   Selector<EventRecord> selector(ctx, SelectQuery::FromBox(query));
-  Pipeline pipeline(ctx, "hourly_flow");
+  Session session(ctx);
+  Job job = session.StartJob("hourly_flow");
 
   // Selection: one city-scale day.
-  auto selected = pipeline.Run(
+  auto selected = job.Run(
       "selection", [&] { return selector.Select(dir, dir + "/index.meta"); });
   if (!selected.ok()) {
     std::fprintf(stderr, "%s\n", selected.status().ToString().c_str());
@@ -47,17 +48,17 @@ int main() {
   auto structure = std::make_shared<TemporalStructure>(
       TemporalStructure::RegularByInterval(query.time, 3600));
   TimeSeriesConverter<STEvent> converter(structure);
-  auto series = pipeline.Run(
+  auto series = job.Run(
       "conversion",
       [&](const Dataset<STEvent>& events) { return converter.Convert(events); },
       ParseEvents(*selected));
-  TimeSeries<int64_t> flow = pipeline.Run(
+  TimeSeries<int64_t> flow = job.Run(
       "extraction",
       [](const Dataset<TimeSeries<Bucket<STEvent>>>& binned) {
         return ExtractTsFlow(binned);
       },
       series);
-  pipeline.Finish();
+  job.Finish();
 
   for (size_t i = 0; i < flow.size(); ++i) {
     std::printf("hour %02zu: %lld events\n", i,

@@ -70,11 +70,12 @@ class Status {
   std::string message_;
 };
 
-/// The exception form of a Status, for the value-returning legacy APIs
-/// (Dataset transforms, ReduceByKey, ...) whose signatures cannot carry a
-/// Status. The engine converts a worker-task failure into exactly one
-/// StatusError thrown on the DRIVER thread — user exceptions never unwind a
-/// worker, and the Status-returning Try* paths never throw at all.
+/// The exception form of a Status, for the value-returning Dataset
+/// transforms (Map, Filter, Aggregate, Repartition, ...) whose signatures
+/// cannot carry a Status. The executor turns every task failure, a throw
+/// included, into the job's Status; such a transform then throws exactly
+/// one StatusError on the DRIVER thread. Exceptions never unwind a worker,
+/// and the Status-returning Try* paths never throw at all.
 class StatusError : public std::exception {
  public:
   explicit StatusError(Status status)

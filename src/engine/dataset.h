@@ -32,6 +32,13 @@ struct IsStdPair : std::false_type {};
 template <typename A, typename B>
 struct IsStdPair<std::pair<A, B>> : std::true_type {};
 
+/// The value-returning Dataset transforms have no Status to return, so a
+/// failed parallel job (a task's throw, an injected fault) surfaces on the
+/// driver as one StatusError.
+inline void ThrowIfError(Status status) {
+  if (!status.ok()) throw StatusError(std::move(status));
+}
+
 }  // namespace internal
 
 template <typename T>
@@ -170,8 +177,11 @@ class Dataset {
     ST4ML_CHECK(parts_ != nullptr) << "transform on an empty Dataset";
     typename Dataset<U>::Partitions out(parts_->size());
     const Partitions& in = *parts_;
-    ctx_->RunParallel(name, in.size(),
-                      [&](size_t p) { out[p] = fn(in[p]); });
+    internal::ThrowIfError(
+        ctx_->TryRunParallel(name, in.size(), [&](size_t p) {
+          out[p] = fn(in[p]);
+          return Status::Ok();
+        }));
     return Dataset<U>::FromPartitions(ctx_, std::move(out));
   }
 
@@ -216,11 +226,13 @@ class Dataset {
     if (!parts_) return zero;
     std::vector<Acc> partials(parts_->size(), zero);
     const Partitions& in = *parts_;
-    ctx_->RunParallel("aggregate", in.size(), [&](size_t p) {
-      Acc acc = std::move(partials[p]);
-      for (const T& value : in[p]) acc = seq_op(std::move(acc), value);
-      partials[p] = std::move(acc);
-    });
+    internal::ThrowIfError(
+        ctx_->TryRunParallel("aggregate", in.size(), [&](size_t p) {
+          Acc acc = std::move(partials[p]);
+          for (const T& value : in[p]) acc = seq_op(std::move(acc), value);
+          partials[p] = std::move(acc);
+          return Status::Ok();
+        }));
     Acc result = std::move(zero);
     for (Acc& partial : partials) {
       result = comb_op(std::move(result), std::move(partial));
@@ -279,7 +291,7 @@ class Dataset {
     // lands in partition g % num_partitions. A one-worker pool runs the
     // scatter inline.
     std::vector<uint64_t> partial_bytes(num_partitions, 0);
-    ctx_->RunParallel("repartition/scatter", num_partitions, [&](size_t target) {
+    auto scatter = [&](size_t target) {
       size_t count =
           total > target ? (total - target - 1) / num_partitions + 1 : 0;
       out[target].reserve(count);
@@ -298,7 +310,10 @@ class Dataset {
         }
       }
       partial_bytes[target] = bytes;
-    });
+      return Status::Ok();
+    };
+    internal::ThrowIfError(
+        ctx_->TryRunParallel("repartition/scatter", num_partitions, scatter));
     uint64_t bytes = 0;
     for (uint64_t partial : partial_bytes) bytes += partial;
     internal::Counters(*ctx_).AddShuffle(ShuffleOp::kRepartition, total,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/fault_injector.h"
 
 namespace st4ml {
@@ -19,7 +18,7 @@ std::shared_ptr<ExecutionContext> ExecutionContext::Create(int num_workers) {
 
 ExecutionContext::ExecutionContext(int num_workers)
     : num_workers_(num_workers) {
-  // A one-worker pool never uses pool threads (RunParallelImpl runs count
+  // A one-worker pool never uses pool threads (TryRunParallel runs count
   // == 1 jobs inline and a one-worker claim loop IS the caller), so spawn
   // none rather than park an idle thread for the context's lifetime.
   if (num_workers_ == 1) return;
@@ -30,7 +29,7 @@ ExecutionContext::ExecutionContext(int num_workers)
 }
 
 ExecutionContext::~ExecutionContext() {
-  // RunParallel blocks its caller until the job drains (even a failed job
+  // TryRunParallel blocks its caller until the job drains (even a failed job
   // drains — skipped chunks are accounted into done), so no job can still
   // be in flight when the owner destroys the context.
   {
@@ -49,11 +48,8 @@ void ExecutionContext::set_tracer(std::shared_ptr<Tracer> tracer) {
 DatasetCache& ExecutionContext::cache() {
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (cache_ == nullptr) {
-    DatasetCache::Options options;
-    int64_t budget = GetEnvInt("ST4ML_CACHE_BUDGET_BYTES", 0);
-    options.budget_bytes = budget < 0 ? DatasetCache::kUnbounded
-                                      : static_cast<uint64_t>(budget);
-    cache_ = std::make_unique<DatasetCache>(options, &counters_);
+    cache_ = std::make_unique<DatasetCache>(DatasetCache::Options{},
+                                            &counters_);
   }
   return *cache_;
 }
@@ -63,13 +59,11 @@ void ExecutionContext::ConfigureCache(DatasetCache::Options options) {
   cache_ = std::make_unique<DatasetCache>(options, &counters_);
 }
 
-void ExecutionContext::FailJob(ParallelJob* job, Status status,
-                               std::exception_ptr exception) {
+void ExecutionContext::FailJob(ParallelJob* job, Status status) {
   job->counters->Add(Counter::kTasksFailed, 1);
   std::lock_guard<std::mutex> lock(job->error_mu);
   if (job->failed.load(std::memory_order_relaxed)) return;
   job->error = std::move(status);
-  job->exception = std::move(exception);
   job->failed.store(true, std::memory_order_release);
 }
 
@@ -80,21 +74,17 @@ void ExecutionContext::RunChunkBody(ParallelJob* job, size_t start,
     // whole chunk was already accounted by the caller.
     if (job->failed.load(std::memory_order_acquire)) return;
     Status status;
-    std::exception_ptr exception;
     try {
       status = (*job->fn)(i);
     } catch (const StatusError& e) {
       status = e.status();
-      exception = std::current_exception();
     } catch (const std::exception& e) {
       status = Status::Internal(std::string("task threw: ") + e.what());
-      exception = std::current_exception();
     } catch (...) {
       status = Status::Internal("task threw a non-std exception");
-      exception = std::current_exception();
     }
     if (!status.ok()) {
-      FailJob(job, std::move(status), std::move(exception));
+      FailJob(job, std::move(status));
       return;
     }
   }
@@ -123,7 +113,7 @@ size_t ExecutionContext::RunChunks(ParallelJob* job) {
         GlobalFaultInjector().MaybeFail(fault_site::kTaskRun);
     if (!injected.ok()) {
       job->counters->Add(Counter::kFaultsInjected, 1);
-      FailJob(job, std::move(injected), nullptr);
+      FailJob(job, std::move(injected));
       processed += end - start;
       continue;
     }
@@ -159,7 +149,7 @@ void ExecutionContext::WorkerLoop() {
         job = FindClaimableLocked();
         return job != nullptr;
       });
-      // Shutdown requires every driver to have drained first (RunParallel
+      // Shutdown requires every driver to have drained first (TryRunParallel
       // blocks its caller), so a null job here can only mean "exit".
       if (job == nullptr) return;
     }
@@ -176,9 +166,8 @@ void ExecutionContext::WorkerLoop() {
   }
 }
 
-Status ExecutionContext::RunParallelImpl(
-    const char* name, size_t count, const std::function<Status(size_t)>& fn,
-    std::exception_ptr* exception_out) {
+Status ExecutionContext::TryRunParallel(
+    const char* name, size_t count, const std::function<Status(size_t)>& fn) {
   if (count == 0) return Status::Ok();
   counters_.Add(Counter::kParallelJobs, 1);
   Tracer* tracer = this->tracer();
@@ -229,23 +218,7 @@ Status ExecutionContext::RunParallelImpl(
   // lock anyway: a straggler losing the first-error race may still be
   // writing nothing — the mutex makes the read unconditionally clean.
   std::lock_guard<std::mutex> lock(job->error_mu);
-  if (exception_out != nullptr) *exception_out = job->exception;
   return job->error;
-}
-
-void ExecutionContext::RunParallel(const char* name, size_t count,
-                                   const std::function<void(size_t)>& fn) {
-  std::function<Status(size_t)> wrapped = [&fn](size_t i) {
-    fn(i);
-    return Status::Ok();
-  };
-  std::exception_ptr exception;
-  Status status = RunParallelImpl(name, count, wrapped, &exception);
-  if (status.ok()) return;
-  // Surface the worker's failure on the driver: the original exception when
-  // there was one, its Status form otherwise (e.g. an injected task fault).
-  if (exception != nullptr) std::rethrow_exception(exception);
-  throw StatusError(std::move(status));
 }
 
 }  // namespace st4ml

@@ -32,30 +32,29 @@ CounterRegistry& Counters(ExecutionContext& ctx);
 /// Dataset operation fans out on, the engine counters, and (optionally) the
 /// tracer.
 ///
-/// Dispatch is chunked, not queued: a RunParallel call publishes ONE job
+/// Dispatch is chunked, not queued: a TryRunParallel call publishes ONE job
 /// (fn, count, chunk size) and workers claim index ranges off an atomic
 /// counter. Thousands of one-partition tasks therefore cost a handful of
 /// fetch_adds instead of thousands of mutex-protected queue operations, and
 /// a worker that finishes its range immediately steals the next unclaimed
 /// one — skewed partitions rebalance without any per-task allocation.
 ///
-/// Observability: with a tracer attached (set_tracer), every RunParallel
+/// Observability: with a tracer attached (set_tracer), every TryRunParallel
 /// call records an operation span and each claimed chunk a task span, both
-/// parented under the driver's current span — so a Pipeline stage nests
+/// parented under the driver's current span — so a Job stage nests
 /// stage → operation → task. With no tracer (the default) the only cost is
 /// a null-pointer check per operation plus the chunk-claim counter, which
 /// is bumped either way so traced and untraced runs snapshot identically.
 ///
 /// Fault tolerance (DESIGN.md §8): a task that returns a non-OK Status or
-/// throws FAILS THE JOB, never the process. The first error is captured,
-/// the job's remaining chunks are claimed-and-dropped so every participant
-/// (including the blocked driver) always drains, and the error surfaces to
-/// the caller — as the returned Status on the TryRunParallel path, or as
-/// one exception rethrown on the DRIVER thread on the void RunParallel
-/// path. Worker threads survive to run the next job; nothing unwinds
-/// through WorkerLoop.
+/// throws FAILS THE JOB, never the process. The first error is captured as
+/// a Status (a task's throw is converted where it is caught), the job's
+/// remaining chunks are claimed-and-dropped so every participant (including
+/// the blocked driver) always drains, and TryRunParallel returns the
+/// error. Worker threads survive to run the next job; nothing
+/// unwinds through WorkerLoop.
 ///
-/// Concurrency (DESIGN.md §10): RunParallel may be called from SEVERAL
+/// Concurrency (DESIGN.md §10): TryRunParallel may be called from SEVERAL
 /// driver threads at once — one warm daemon context serves every in-flight
 /// request. Each call publishes its job into an active list; idle workers
 /// claim chunks from the first job that still has unclaimed indices, so
@@ -90,49 +89,37 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
   void set_tracer(std::shared_ptr<Tracer> tracer);
   Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
 
-  /// The context's dataset cache (DESIGN.md §9). Created on first access
-  /// with a budget from ST4ML_CACHE_BUDGET_BYTES (0 and unset mean
-  /// disabled; negative means unbounded), so library layers can consult
-  /// the cache unconditionally and pay nothing when it is off.
+  /// The context's dataset cache (DESIGN.md §9). Disabled until
+  /// ConfigureCache gives it a budget, so library layers can consult the
+  /// cache unconditionally and pay nothing when it is off.
   DatasetCache& cache();
 
-  /// Replaces the cache with one built from `options` — the programmatic
-  /// spelling of the env knob (tools' --cache-budget, tests, benches).
-  /// Call between pipelines: entries of the previous cache are dropped.
+  /// Replaces the cache with one built from `options` (tools'
+  /// --cache-budget, tests, benches). Call between jobs: entries of the
+  /// previous cache are dropped.
   void ConfigureCache(DatasetCache::Options options);
 
-  /// Runs `fn(0) .. fn(count - 1)` across the pool and blocks until all
-  /// finish. The calling thread participates in the claim loop, so even a
-  /// one-worker pool overlaps nothing but loses nothing. `fn` must not
-  /// itself call RunParallel on the same context. `name` labels the
-  /// operation span when tracing is enabled.
+  /// The executor's one entry point: runs `fn(0) .. fn(count - 1)` across
+  /// the pool and blocks until all finish. The calling thread participates
+  /// in the claim loop, so even a one-worker pool overlaps nothing but
+  /// loses nothing. `fn` must not itself call TryRunParallel on the same
+  /// context. `name` labels the operation span when tracing is enabled.
   ///
-  /// If any task throws, the job stops early and the FIRST exception is
-  /// rethrown here, on the calling thread — the process never terminates
-  /// and the pool never deadlocks on a failed job. Fallible tasks should
-  /// prefer TryRunParallel, which carries the error as a Status instead.
-  void RunParallel(size_t count, const std::function<void(size_t)>& fn) {
-    RunParallel("parallel_for", count, fn);
-  }
-  void RunParallel(const char* name, size_t count,
-                   const std::function<void(size_t)>& fn);
-
-  /// The Status-returning task path: runs `fn(0) .. fn(count - 1)` like
-  /// RunParallel, but tasks report failure by returning a non-OK Status
-  /// (exceptions are caught and converted, StatusError keeping its code).
-  /// The first failure stops further chunk claims and is returned;
-  /// remaining indices are skipped. Never throws engine-side.
+  /// Tasks report failure by returning a non-OK Status. A task that throws
+  /// fails the same way: a StatusError keeps its code, a std::exception
+  /// becomes Internal("task threw: <what>"), anything else Internal. The
+  /// first failure stops further chunk claims and is returned; remaining
+  /// indices are skipped. Never throws, and the pool never deadlocks on a
+  /// failed job.
   Status TryRunParallel(size_t count,
                         const std::function<Status(size_t)>& fn) {
     return TryRunParallel("parallel_for", count, fn);
   }
   Status TryRunParallel(const char* name, size_t count,
-                        const std::function<Status(size_t)>& fn) {
-    return RunParallelImpl(name, count, fn, nullptr);
-  }
+                        const std::function<Status(size_t)>& fn);
 
  private:
-  /// One published parallel-for. Heap-allocated per RunParallel call and
+  /// One published parallel-for. Heap-allocated per TryRunParallel call and
   /// kept alive by the shared_ptr each participating thread copies, so a
   /// worker that wakes late for a finished job claims nothing and never
   /// touches a successor job's counters.
@@ -157,17 +144,9 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
     std::atomic<bool> failed{false};
     std::mutex error_mu;
     Status error;
-    std::exception_ptr exception;  // set when the failure was a throw
   };
 
   explicit ExecutionContext(int num_workers);
-
-  /// Shared engine of both public paths. Returns the job's first error (OK
-  /// when every index ran); when `exception_out` is non-null it receives
-  /// the original exception_ptr of a throwing task, for rethrow.
-  Status RunParallelImpl(const char* name, size_t count,
-                         const std::function<Status(size_t)>& fn,
-                         std::exception_ptr* exception_out);
 
   void WorkerLoop();
   /// Claims chunks of `job` until none remain; returns indices accounted
@@ -176,9 +155,8 @@ class ExecutionContext : public std::enable_shared_from_this<ExecutionContext> {
   /// Runs one claimed chunk, converting throws to Status; on the first
   /// failure marks the job failed.
   static void RunChunkBody(ParallelJob* job, size_t start, size_t end);
-  /// Records `status`/`exception` as the job's error iff it is the first.
-  static void FailJob(ParallelJob* job, Status status,
-                      std::exception_ptr exception);
+  /// Records `status` as the job's error iff it is the first.
+  static void FailJob(ParallelJob* job, Status status);
 
   friend CounterRegistry& internal::Counters(ExecutionContext& ctx);
 

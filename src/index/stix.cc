@@ -273,8 +273,7 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
   if (!parent.empty()) fs::create_directories(parent, ec);
   // Staged write + atomic publish, like every persistent writer: a reader
   // racing a rebuild sees the old sidecar or the new one, never a torn one.
-  std::string tmp = TmpPathFor(stix_path);
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  std::ofstream out(TmpPathFor(stix_path), std::ios::binary | std::ios::trunc);
   if (!out.is_open()) {
     return Status::IOError("cannot open for writing: " + stix_path);
   }
@@ -308,22 +307,7 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
   section(kStixIdDir, id_dir.data(), id_dir.size() * sizeof(StixIdEntry));
   section(kStixPostings, postings.data(), postings.size() * sizeof(uint32_t));
 
-  // Same explicit flush/close epilogue as the STPQ writers: the
-  // destructor's flush is too late to report an error from.
-  out.flush();
-  if (!out.good()) {
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + stix_path);
-  }
-  out.close();
-  if (out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed to close " + stix_path);
-  }
-  ST4ML_RETURN_IF_ERROR(PublishFileAtomic(tmp, stix_path));
-  if (io_bytes != nullptr) *io_bytes += pos;
-  return Status::Ok();
+  return FinishWrite(out, stix_path, io_bytes);
 }
 
 StixIndex::~StixIndex() { Unmap(); }

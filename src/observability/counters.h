@@ -26,8 +26,8 @@ namespace st4ml {
 ///  - kPartitions{Pruned,Scanned} count whole files the on-disk index
 ///    skipped vs opened during selection.
 ///  - k{Selection,Conversion,Extraction}RecordsOut are the per-stage record
-///    flow the Pipeline facade maintains for its canonical stage names.
-///  - kParallelJobs / kChunkClaims count RunParallel calls and successful
+///    flow Job::Run maintains for its canonical stage names.
+///  - kParallelJobs / kChunkClaims count TryRunParallel calls and successful
 ///    chunk claims; both are bumped whether or not tracing is enabled, so a
 ///    traced run and an untraced run produce identical snapshots.
 ///  - kTasksFailed counts worker tasks that returned a non-OK Status or

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "accel/kernels.h"
+#include "storage/atomic_publish.h"
 #include "storage/json.h"
 
 namespace st4ml {
@@ -56,8 +57,7 @@ Status WriteChromeTrace(const Tracer& tracer, const std::string& path) {
     out << "\n" << event.Str();
   }
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";
-  if (!out.good()) return Status::IOError("short write to " + path);
-  return Status::Ok();
+  return FlushAndClose(out, path);
 }
 
 Status WriteMetricsJson(const MetricsSnapshot& snapshot,
@@ -69,8 +69,7 @@ Status WriteMetricsJson(const MetricsSnapshot& snapshot,
     object.Add(CounterName(static_cast<Counter>(i)), snapshot.values[i]);
   }
   out << object.Str() << "\n";
-  if (!out.good()) return Status::IOError("short write to " + path);
-  return Status::Ok();
+  return FlushAndClose(out, path);
 }
 
 void PrintStageSummary(const Tracer& tracer, const MetricsSnapshot& snapshot,
@@ -82,7 +81,7 @@ void PrintStageSummary(const Tracer& tracer, const MetricsSnapshot& snapshot,
     if (span.category != span_category::kStage) continue;
     int64_t end = span.end_us < 0 ? now : span.end_us;
     double wall_ms = static_cast<double>(end - span.start_us) / 1000.0;
-    // The Pipeline facade annotates stage spans with records_out.
+    // Job::Run annotates stage spans with records_out.
     uint64_t records = 0;
     bool have_records = false;
     for (const auto& [key, value] : span.args) {

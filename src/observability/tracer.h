@@ -17,7 +17,6 @@ namespace st4ml {
 /// field of the Chrome trace export, so Perfetto can filter by level.
 namespace span_category {
 inline constexpr const char* kJob = "job";
-inline constexpr const char* kPipeline = "pipeline";
 inline constexpr const char* kStage = "stage";
 inline constexpr const char* kOperation = "operation";
 inline constexpr const char* kTask = "task";
@@ -39,7 +38,7 @@ struct SpanRecord {
   std::vector<std::pair<std::string, uint64_t>> args;
 };
 
-/// Collects nested spans (pipeline → stage → operation → per-worker task)
+/// Collects nested spans (job → stage → operation → per-worker task)
 /// with wall-clock timestamps. Thread-safe: Begin/End/AddArg may be called
 /// from any thread (worker task spans are), guarded by one mutex — spans
 /// are rare next to the per-record work they bracket.

@@ -75,15 +75,42 @@ Job::Job(std::shared_ptr<ExecutionContext> ctx, std::string name, uint64_t id)
       counters_(std::make_unique<CounterRegistry>()),
       scope_(std::make_unique<ScopedJobCounters>(counters_.get())),
       root_(std::make_unique<ScopedSpan>(ctx_->tracer(), span_category::kJob,
-                                         name_)),
-      pipeline_(std::make_unique<Pipeline>(ctx_, name_)) {
+                                         name_)) {
   root_->AddArg("job_id", id_);
 }
 
 void Job::Finish() {
-  if (pipeline_ != nullptr) pipeline_->Finish();
   if (root_ != nullptr) root_->End();
   scope_.reset();
 }
+
+void Job::AccountStage(const std::string& stage_name, bool have_in,
+                       uint64_t records_in, bool have_out,
+                       uint64_t records_out) {
+  CounterRegistry& counters = internal::Counters(*ctx_);
+  if (stage_name == "conversion") {
+    if (have_in) counters.Add(Counter::kConversionRecordsIn, records_in);
+    if (have_out) counters.Add(Counter::kConversionRecordsOut, records_out);
+  } else if (stage_name == "extraction") {
+    if (have_in) counters.Add(Counter::kExtractionRecordsIn, records_in);
+    if (have_out) counters.Add(Counter::kExtractionRecordsOut, records_out);
+  }
+}
+
+namespace job_internal {
+
+Status PrefixStage(const std::string& stage, const Status& s) {
+  std::string msg = "stage " + stage + ": " + s.message();
+  switch (s.code()) {
+    case Status::Code::kNotFound: return Status::NotFound(std::move(msg));
+    case Status::Code::kCorruption: return Status::Corruption(std::move(msg));
+    case Status::Code::kIOError: return Status::IOError(std::move(msg));
+    case Status::Code::kInvalidArgument:
+      return Status::InvalidArgument(std::move(msg));
+    default: return Status::Internal(std::move(msg));
+  }
+}
+
+}  // namespace job_internal
 
 }  // namespace st4ml

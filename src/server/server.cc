@@ -359,8 +359,8 @@ std::string Server::HandleRequest(const std::string& payload,
     }
     AdmissionTicket ticket(&admission_);
     if (!ticket.admitted()) return ErrorResponse(ticket.status());
-    // A job that throws (an engine task failing under a void-returning
-    // operator) answers this request with its error; it must not unwind
+    // A job that throws (a task failing under a value-returning Dataset
+    // transform) answers this request with its error; it must not unwind
     // the connection thread and terminate the daemon.
     try {
       if (verb == "extract") return HandleExtract(*parsed);
@@ -589,7 +589,7 @@ std::string Server::HandleSelect(const JsonValue& request, bool lookup_by_id) {
   Job job = session_->StartJob(lookup_by_id ? "serve/lookup_id"
                                             : "serve/select");
   Selector<EventRecord> selector(session_->context(), query);
-  auto selected = job.pipeline().Run(
+  auto selected = job.Run(
       "selection",
       [&] { return SelectDir(&selector, dir, FindIngestor(dir)); });
   job.Finish();
@@ -653,7 +653,7 @@ std::string Server::HandleExtract(const JsonValue& request) {
 
   Job job = session_->StartJob("serve/extract");
   Selector<EventRecord> selector(session_->context(), query);
-  auto selected = job.pipeline().Run(
+  auto selected = job.Run(
       "selection",
       [&] { return SelectDir(&selector, dir, FindIngestor(dir)); });
   if (selected.ok()) {
@@ -663,15 +663,15 @@ std::string Server::HandleExtract(const JsonValue& request) {
     auto structure = std::make_shared<TemporalStructure>(
         TemporalStructure::RegularByInterval(query.box.time, interval_s));
     auto events =
-        job.pipeline().Run("parse", ParseEvents, std::move(*selected));
+        job.Run("parse", ParseEvents, std::move(*selected));
     TimeSeriesConverter<STEvent> converter(structure);
-    auto series = job.pipeline().Run(
+    auto series = job.Run(
         "conversion",
         [&](const Dataset<STEvent>& parsed) {
           return converter.Convert(parsed);
         },
         events);
-    TimeSeries<int64_t> flow = job.pipeline().Run(
+    TimeSeries<int64_t> flow = job.Run(
         "extraction",
         [&](const decltype(series)& converted) {
           return ExtractTsFlow(converted);

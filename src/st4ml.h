@@ -47,10 +47,9 @@
 #include "engine/execution_context.h"
 #include "engine/pair_ops.h"
 
-// The pipeline facade: one object per Selection → Conversion → Extraction
-// run, auto-attaching stage spans and per-stage record counters — plus the
-// Session/Job layer every entry point (CLIs, the st4mld daemon) drives.
-#include "pipeline/pipeline.h"
+// The Session/Job layer every entry point (CLIs, the st4mld daemon) drives:
+// one Job per Selection → Conversion → Extraction run, auto-attaching stage
+// spans and per-stage record counters.
 #include "pipeline/session.h"
 
 // Storage: records, the STPQ on-disk format, text import/export.

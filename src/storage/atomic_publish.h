@@ -13,8 +13,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "common/status.h"
@@ -67,6 +69,45 @@ inline Status PublishFileAtomic(const std::string& tmp_path,
     return Status::IOError("cannot publish " + final_path);
   }
   return FsyncParentDir(final_path);
+}
+
+/// Flushes and closes `out`, checking after each step. An ofstream's final
+/// flush otherwise happens in its DESTRUCTOR, after any good() check a
+/// function-body return could make, so a disk-full error on the last
+/// buffer would be reported as Ok. Every ofstream writer in src/ ends
+/// through this (staged ones via FinishWrite).
+inline Status FlushAndClose(std::ofstream& out, const std::string& path) {
+  out.flush();
+  if (!out.good()) {
+    out.close();
+    return Status::IOError("short write to " + path);
+  }
+  out.close();
+  if (out.fail()) return Status::IOError("failed to close " + path);
+  return Status::Ok();
+}
+
+/// The epilogue of every staged writer (STPQ files, `.stix` sidecars):
+/// `out` was opened on TmpPathFor(path). FlushAndClose it, then publish it
+/// onto `path`; the temp file is removed on any failure. Adds the bytes
+/// written to *io_bytes when non-null.
+inline Status FinishWrite(std::ofstream& out, const std::string& path,
+                          uint64_t* io_bytes) {
+  std::string tmp = TmpPathFor(path);
+  out.flush();
+  // tellp() is -1 on a failed stream, which must not wrap *io_bytes; the
+  // failure itself is reported by FlushAndClose.
+  std::streamoff pos = static_cast<std::streamoff>(out.tellp());
+  Status closed = FlushAndClose(out, path);
+  if (!closed.ok()) {
+    std::remove(tmp.c_str());
+    return closed;
+  }
+  ST4ML_RETURN_IF_ERROR(PublishFileAtomic(tmp, path));
+  if (io_bytes != nullptr && pos >= 0) {
+    *io_bytes += static_cast<uint64_t>(pos);
+  }
+  return Status::Ok();
 }
 
 }  // namespace st4ml

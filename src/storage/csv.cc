@@ -3,6 +3,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "storage/atomic_publish.h"
+
 namespace st4ml {
 namespace {
 
@@ -46,8 +48,7 @@ Status WriteCsv(const std::string& path, const std::vector<std::string>& header,
     }
     WriteRow(out, row);
   }
-  if (!out.good()) return Status::IOError("short write to " + path);
-  return Status::Ok();
+  return FlushAndClose(out, path);
 }
 
 std::vector<std::string> SplitCsvLine(const std::string& raw) {
@@ -78,18 +79,6 @@ std::vector<std::string> SplitCsvLine(const std::string& raw) {
   }
   row.push_back(std::move(field));
   return row;
-}
-
-StatusOr<std::vector<std::vector<std::string>>> ReadCsv(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("no such CSV file: " + path);
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    rows.push_back(SplitCsvLine(line));
-  }
-  return rows;
 }
 
 }  // namespace st4ml

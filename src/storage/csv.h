@@ -13,14 +13,9 @@ namespace st4ml {
 Status WriteCsv(const std::string& path, const std::vector<std::string>& header,
                 const std::vector<std::vector<std::string>>& rows);
 
-/// Reads a CSV file written by WriteCsv (or any simple comma-separated file
-/// with double-quote quoting). Returns all rows including the header.
-StatusOr<std::vector<std::vector<std::string>>> ReadCsv(
-    const std::string& path);
-
 /// Splits ONE CSV line (no trailing newline; a trailing '\r' is tolerated)
-/// into fields with the same double-quote handling as ReadCsv — the
-/// line-at-a-time entry point streaming tools use on live stdin.
+/// into fields, undoing WriteCsv's double-quote quoting — the line-at-a-time
+/// parse ReadEventsCsv runs on every input line.
 std::vector<std::string> SplitCsvLine(const std::string& line);
 
 }  // namespace st4ml

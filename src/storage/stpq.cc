@@ -114,35 +114,6 @@ Status OpenForWrite(const std::string& path, uint8_t kind, uint64_t count,
   return Status::Ok();
 }
 
-/// The write-side epilogue every STPQ writer shares. An ofstream's final
-/// flush happens in its DESTRUCTOR, after any good() check a function-body
-/// return could make — so a disk-full error on the last buffer used to be
-/// reported as Ok. Flush and close explicitly, re-checking after each, and
-/// only trust tellp() when it is non-negative (it returns -1 on a failed
-/// stream, which would wrap an unsigned io_bytes accumulator). Then fsync
-/// the staged bytes and rename them onto `path`.
-Status FinishWrite(std::ofstream& out, const std::string& path,
-                   uint64_t* io_bytes) {
-  std::string tmp = TmpPathFor(path);
-  out.flush();
-  if (!out.good()) {
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + path);
-  }
-  std::streamoff pos = static_cast<std::streamoff>(out.tellp());
-  out.close();
-  if (out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed to close " + path);
-  }
-  ST4ML_RETURN_IF_ERROR(PublishFileAtomic(tmp, path));
-  if (io_bytes != nullptr && pos >= 0) {
-    *io_bytes += static_cast<uint64_t>(pos);
-  }
-  return Status::Ok();
-}
-
 Status CheckHeader(Cursor& in, const std::string& path,
                    uint8_t expected_kind, uint64_t* count) {
   char magic[sizeof(kStpqMagic)];

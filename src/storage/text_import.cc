@@ -1,8 +1,8 @@
 #include "storage/text_import.h"
 
-#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "storage/csv.h"
@@ -10,27 +10,34 @@
 namespace st4ml {
 namespace {
 
-Status ParseNumericFields(const std::vector<std::string>& row,
-                          const std::string& path, int64_t* id, double* x,
-                          double* y, int64_t* time) {
+// Whole-field parses: a trailing suffix ("12abc") or an out-of-range value
+// fails instead of yielding a prefix or a clamped number.
+bool ParseInt64(const std::string& field, int64_t* out) {
   char* end = nullptr;
-  *id = std::strtoll(row[0].c_str(), &end, 10);
-  if (end == row[0].c_str()) {
-    return Status::Corruption("bad id field in " + path + ": " + row[0]);
+  errno = 0;
+  long long value = std::strtoll(field.c_str(), &end, 10);
+  if (field.empty() || end != field.c_str() + field.size() || errno == ERANGE) {
+    return false;
   }
-  *x = std::strtod(row[1].c_str(), &end);
-  if (end == row[1].c_str()) {
-    return Status::Corruption("bad x field in " + path + ": " + row[1]);
+  *out = value;
+  return true;
+}
+
+bool ParseFiniteDouble(const std::string& field, double* out) {
+  char* end = nullptr;
+  double value = std::strtod(field.c_str(), &end);
+  if (field.empty() || end != field.c_str() + field.size() ||
+      !std::isfinite(value)) {
+    return false;
   }
-  *y = std::strtod(row[2].c_str(), &end);
-  if (end == row[2].c_str()) {
-    return Status::Corruption("bad y field in " + path + ": " + row[2]);
-  }
-  *time = std::strtoll(row[3].c_str(), &end, 10);
-  if (end == row[3].c_str()) {
-    return Status::Corruption("bad time field in " + path + ": " + row[3]);
-  }
-  return Status::Ok();
+  *out = value;
+  return true;
+}
+
+Status BadField(const char* name, const std::string& context,
+                const std::string& field) {
+  return Status::Corruption(std::string("bad ") + name + " field in " +
+                            context + ": " + field);
 }
 
 }  // namespace
@@ -41,61 +48,31 @@ StatusOr<EventRecord> ParseEventCsvRow(const std::vector<std::string>& row,
     return Status::Corruption("event row needs id,x,y,time in " + context);
   }
   EventRecord r;
-  ST4ML_RETURN_IF_ERROR(
-      ParseNumericFields(row, context, &r.id, &r.x, &r.y, &r.time));
+  if (!ParseInt64(row[0], &r.id)) return BadField("id", context, row[0]);
+  if (!ParseFiniteDouble(row[1], &r.x)) return BadField("x", context, row[1]);
+  if (!ParseFiniteDouble(row[2], &r.y)) return BadField("y", context, row[2]);
+  if (!ParseInt64(row[3], &r.time)) return BadField("time", context, row[3]);
   if (row.size() > 4) r.attr = row[4];
   return r;
 }
 
-StatusOr<std::vector<EventRecord>> ImportEventsCsv(const std::string& path) {
-  auto rows = ReadCsv(path);
-  if (!rows.ok()) return rows.status();
-  std::vector<EventRecord> records;
+Status ReadEventsCsv(std::istream& in, const std::string& context,
+                     const std::function<Status(EventRecord)>& sink) {
+  std::string line;
   bool first = true;
-  for (const auto& row : *rows) {
-    if (first) {  // header
+  while (std::getline(in, line)) {
+    if (line.empty() || line == "\r") continue;
+    if (first && line.rfind("id,", 0) == 0) {
       first = false;
       continue;
     }
-    auto record = ParseEventCsvRow(row, path);
+    first = false;
+    auto record = ParseEventCsvRow(SplitCsvLine(line), context);
     if (!record.ok()) return record.status();
-    records.push_back(std::move(*record));
+    ST4ML_RETURN_IF_ERROR(sink(std::move(*record)));
   }
-  return records;
-}
-
-StatusOr<std::vector<TrajRecord>> ImportTrajsCsv(const std::string& path) {
-  auto rows = ReadCsv(path);
-  if (!rows.ok()) return rows.status();
-  std::map<int64_t, std::vector<TrajPointRecord>> by_id;
-  bool first = true;
-  for (const auto& row : *rows) {
-    if (first) {
-      first = false;
-      continue;
-    }
-    if (row.size() < 4) {
-      return Status::Corruption("trajectory row needs id,x,y,time in " + path);
-    }
-    int64_t id;
-    double x, y;
-    int64_t time;
-    ST4ML_RETURN_IF_ERROR(ParseNumericFields(row, path, &id, &x, &y, &time));
-    by_id[id].push_back(TrajPointRecord{x, y, time});
-  }
-  std::vector<TrajRecord> records;
-  records.reserve(by_id.size());
-  for (auto& [id, points] : by_id) {
-    std::stable_sort(points.begin(), points.end(),
-                     [](const TrajPointRecord& a, const TrajPointRecord& b) {
-                       return a.time < b.time;
-                     });
-    TrajRecord r;
-    r.id = id;
-    r.points = std::move(points);
-    records.push_back(std::move(r));
-  }
-  return records;
+  if (in.bad()) return Status::IOError("read error on " + context);
+  return Status::Ok();
 }
 
 }  // namespace st4ml

@@ -1,6 +1,8 @@
 #ifndef ST4ML_STORAGE_TEXT_IMPORT_H_
 #define ST4ML_STORAGE_TEXT_IMPORT_H_
 
+#include <functional>
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -11,18 +13,22 @@ namespace st4ml {
 
 /// CSV ingestion for the CLI tools — the path raw datasets take into STPQ.
 
-/// Expects header `id,x,y,time,attr` (attr optional), one event per row.
-StatusOr<std::vector<EventRecord>> ImportEventsCsv(const std::string& path);
-
-/// Parses ONE already-split event row (SplitCsvLine output) — the
-/// line-at-a-time form streaming ingestion uses on live stdin. `context`
-/// names the source in error messages the way a path would.
+/// Parses ONE already-split event row (SplitCsvLine output): `id,x,y,time`
+/// plus an optional `attr`. Each numeric field must be consumed whole, `id`
+/// and `time` must fit int64, and `x`/`y` must be finite; anything else is
+/// Corruption, so no record that no query could select is ever stored.
+/// `context` names the source in error messages the way a path would.
 StatusOr<EventRecord> ParseEventCsvRow(const std::vector<std::string>& row,
                                        const std::string& context);
 
-/// Expects header `id,x,y,time`, one trajectory POINT per row; rows are
-/// grouped by id and time-sorted into one TrajRecord per id.
-StatusOr<std::vector<TrajRecord>> ImportTrajsCsv(const std::string& path);
+/// The one reader of event CSV: streams `in` a line at a time and hands each
+/// parsed record to `sink` in input order. A first non-blank line starting
+/// with `id,` is a header and is skipped, so the same input works with or
+/// without one; blank lines are skipped. Stops at the first malformed row
+/// (its Corruption) or the first non-OK status `sink` returns, and returns
+/// that status; Ok at end of input.
+Status ReadEventsCsv(std::istream& in, const std::string& context,
+                     const std::function<Status(EventRecord)>& sink);
 
 }  // namespace st4ml
 

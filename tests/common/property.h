@@ -33,7 +33,7 @@
 #include "common/rng.h"
 #include "common/sidecar_free_copy.h"
 #include "engine/execution_context.h"
-#include "pipeline/pipeline.h"
+#include "pipeline/session.h"
 #include "selection/on_disk_index.h"
 #include "selection/selector.h"
 #include "storage/records.h"
@@ -195,11 +195,11 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
   selector_options.retry.max_attempts = 8;
   selector_options.retry.initial_backoff = std::chrono::milliseconds(0);
 
-  Pipeline pipeline(ctx, "cache_property");
+  Job job = Session(ctx).StartJob("cache_property");
   Dataset<EventRecord> last;
   for (int r = 0; r < w.repeats; ++r) {
     Selector<EventRecord> selector(ctx, SelectQuery::FromBox(w.query), selector_options);
-    auto selected = pipeline.Run("selection", [&] {
+    auto selected = job.Run("selection", [&] {
       return selector.Select(dir, dir + "/index.meta");
     });
     if (!selected.ok()) {
@@ -215,14 +215,14 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
 
   // "Conversion": a real shuffle, so the shuffle counters have something to
   // disagree about if the cache ever perturbed record flow.
-  auto converted = pipeline.Run(
+  auto converted = job.Run(
       "conversion",
       [&](const Dataset<EventRecord>& ds) { return ds.Repartition(3); },
       last);
 
   // Convert once, extract twice — the paper's many-extractors pattern.
   for (int extractor = 0; extractor < 2; ++extractor) {
-    auto sums = pipeline.Run("extraction", [&] {
+    auto sums = job.Run("extraction", [&] {
       struct Acc {
         uint64_t count = 0;
         int64_t id_sum = 0;
@@ -250,8 +250,8 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
   }
 
   GlobalFaultInjector().Reset();
-  pipeline.Finish();
-  run.status = pipeline.status();
+  job.Finish();
+  run.status = job.status();
   run.metrics = ctx->MetricsSnapshot();
   return run;
 }

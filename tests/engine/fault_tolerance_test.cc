@@ -73,25 +73,23 @@ TEST_F(FaultToleranceTest, ThrownStatusErrorKeepsItsCode) {
   EXPECT_EQ(status.code(), Status::Code::kCorruption);
 }
 
-TEST_F(FaultToleranceTest, RunParallelRethrowsOriginalExceptionOnDriver) {
-  auto ctx = ExecutionContext::Create(4);
-  EXPECT_THROW(ctx->RunParallel(16,
-                                [](size_t i) {
-                                  if (i == 9) {
-                                    throw std::out_of_range("nine");
-                                  }
-                                }),
-               std::out_of_range);
-}
-
 TEST_F(FaultToleranceTest, ThrowingDatasetMapSurfacesWithoutTerminate) {
+  // A value-returning transform has no Status to return: the task's throw
+  // becomes the job's Internal status, surfaced on the driver as one
+  // StatusError.
   auto ctx = ExecutionContext::Create(4);
   auto data = Dataset<int>::Parallelize(ctx, {1, 2, 3, 4, 5, 6, 7, 8}, 4);
-  EXPECT_THROW(data.Map([](const int& v) -> int {
-                 if (v == 6) throw std::runtime_error("map blew up");
-                 return v * 2;
-               }),
-               std::runtime_error);
+  try {
+    data.Map([](const int& v) -> int {
+      if (v == 6) throw std::runtime_error("map blew up");
+      return v * 2;
+    });
+    FAIL() << "Map over a throwing task returned normally";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), Status::Code::kInternal);
+    EXPECT_NE(e.status().message().find("map blew up"), std::string::npos)
+        << e.status().ToString();
+  }
 }
 
 TEST_F(FaultToleranceTest, ContextSurvivesFailedJobs) {

@@ -1,13 +1,14 @@
-// Session/Job API tests (ISSUE 6): one warm Session shared by many Jobs,
-// each Job keeping an EXACT private copy of every counter delta it causes —
-// even when jobs run concurrently from different threads on the shared
-// worker pool — plus the Pipeline::Reset fail-then-succeed contract and a
-// TSan-friendly stress over the whole stack (jobs + cache + tracer).
+// Session/Job API tests: one warm Session shared by many Jobs, each Job
+// keeping an EXACT private copy of every counter delta it causes — even when
+// jobs run concurrently from different threads on the shared worker pool —
+// plus the failed-job-then-fresh-job contract and a TSan-friendly stress
+// over the whole stack (jobs + cache + tracer).
 
 #include <array>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +50,7 @@ TEST(SessionTest, ConcurrentJobsKeepExactPerJobCounters) {
       std::vector<int> values(expected[i], i);
       auto ds = Dataset<int>::Parallelize(session.context(),
                                           std::move(values), 8);
-      auto mapped = job.pipeline().Run(
+      auto mapped = job.Run(
           "conversion",
           [](const Dataset<int>& in) {
             return in.Map([](const int& v) { return v + 1; });
@@ -80,11 +81,11 @@ TEST(SessionTest, ConcurrentJobsKeepExactPerJobCounters) {
   EXPECT_EQ(session.jobs_started(), static_cast<uint64_t>(kJobs));
 }
 
-// The satellite bugfix pin: a Pipeline whose stage failed latches the error
-// (ok() stays false), and Reset() makes the SAME pipeline usable again — on
-// the same Session, with the same staged data, producing the same records a
-// healthy job sees.
-TEST(SessionTest, PipelineResetRecoversAfterFailedStage) {
+// A Job whose stage failed latches the error (ok() stays false, the status
+// names the stage), and the failure stays with that Job: the next Job on the
+// SAME Session, over the same staged data, produces the records a healthy
+// job sees — the daemon's one-Job-per-request contract.
+TEST(SessionTest, FailedJobDoesNotPoisonTheNextJob) {
   testing::CacheWorkload w = FullDomainWorkload(91, 300);
   testing::StagedWorkload staged(w);
   Session session(ExecutionContext::Create(2));
@@ -94,32 +95,35 @@ TEST(SessionTest, PipelineResetRecoversAfterFailedStage) {
   {
     Job job = session.StartJob("reference");
     Selector<EventRecord> selector(session.context(), SelectQuery::FromBox(w.query));
-    auto selected = job.pipeline().Run(
+    auto selected = job.Run(
         "selection", [&] { return selector.Select(staged.dir(), staged.meta()); });
     ASSERT_TRUE(selected.ok()) << selected.status().ToString();
     reference_count = selected->Count();
     ASSERT_GT(reference_count, 0u);
   }
 
-  Job job = session.StartJob("fail-then-succeed");
   {
+    Job failed = session.StartJob("fail");
     Selector<EventRecord> selector(session.context(), SelectQuery::FromBox(w.query));
-    auto missing = job.pipeline().Run("selection", [&] {
+    auto missing = failed.Run("selection", [&] {
       return selector.Select(staged.dir() + "/missing",
                              staged.meta() + ".missing");
     });
     ASSERT_FALSE(missing.ok());
+    // A later stage that succeeds does not clear the latch.
+    failed.Run("extraction", [] { return Status::Ok(); });
+    failed.Finish();
+    EXPECT_FALSE(failed.ok());
+    // The latched status names the failing stage.
+    EXPECT_NE(failed.status().message().find("stage selection"),
+              std::string::npos)
+        << failed.status().ToString();
   }
-  EXPECT_FALSE(job.ok());
-  // The latched status names the failing stage.
-  EXPECT_NE(job.status().message().find("stage selection"), std::string::npos)
-      << job.status().ToString();
 
-  job.pipeline().Reset();
-  EXPECT_TRUE(job.ok()) << "Reset must clear the latched failure";
-
+  Job job = session.StartJob("after-failure");
+  EXPECT_TRUE(job.ok()) << "a fresh Job must not inherit a failure";
   Selector<EventRecord> selector(session.context(), SelectQuery::FromBox(w.query));
-  auto selected = job.pipeline().Run(
+  auto selected = job.Run(
       "selection", [&] { return selector.Select(staged.dir(), staged.meta()); });
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
   EXPECT_EQ(selected->Count(), reference_count);
@@ -128,47 +132,57 @@ TEST(SessionTest, PipelineResetRecoversAfterFailedStage) {
 }
 
 // With a tracer attached, every span a job produces nests under that job's
-// kJob root: job → pipeline → stage. Concurrent daemon jobs rely on this to
-// keep their span trees disjoint.
+// kJob root: job → stage → operation → task. Concurrent daemon jobs rely on
+// this to keep their span trees disjoint.
 TEST(SessionTest, JobSpansNestUnderJobRoot) {
   ToolOptions options;
   options.trace_path =
       (std::filesystem::temp_directory_path() / "st4ml_session_span.json")
           .string();
+  options.num_workers = 2;
   Session session(options);
   ASSERT_NE(session.tracer(), nullptr);
   {
     Job job = session.StartJob("traced-job");
-    job.pipeline().Run("stage_a", [] { return 1; });
+    job.Run("stage_a", [&] {
+      return Dataset<int>::Parallelize(session.context(),
+                                       std::vector<int>(64, 1), 8)
+          .Map([](const int& v) { return v + 1; });
+    });
     job.Finish();
   }
 
-  uint64_t job_span = 0, pipeline_span = 0;
-  bool found_stage = false;
+  // Depth of each span via parent links; categories must layer
+  // job(0) → stage(1) → operation(2) → task(3).
   auto spans = session.tracer()->Spans();
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& s : spans) by_id[s.id] = &s;
+  std::function<int(uint64_t)> depth_of = [&](uint64_t id) -> int {
+    uint64_t parent = by_id.at(id)->parent;
+    return parent == 0 ? 0 : depth_of(parent) + 1;
+  };
+  std::map<std::string, int> count_by_cat;
   for (const SpanRecord& s : spans) {
-    if (std::strcmp(s.category, span_category::kJob) == 0 &&
-        s.name == "traced-job") {
-      EXPECT_EQ(s.parent, 0u) << "job spans are roots";
-      job_span = s.id;
+    std::string cat = s.category;
+    ++count_by_cat[cat];
+    int depth = depth_of(s.id);
+    if (cat == span_category::kJob) {
+      EXPECT_EQ(s.name, "traced-job");
+      EXPECT_EQ(depth, 0) << "job spans are roots";
+    } else if (cat == span_category::kStage) {
+      EXPECT_EQ(s.name, "stage_a");
+      EXPECT_EQ(depth, 1) << "stage not parented under the job";
+    } else if (cat == span_category::kOperation) {
+      EXPECT_EQ(depth, 2) << s.name;
+    } else if (cat == span_category::kTask) {
+      EXPECT_EQ(depth, 3) << s.name;
     }
   }
-  ASSERT_NE(job_span, 0u) << "no job-category span recorded";
-  for (const SpanRecord& s : spans) {
-    if (std::strcmp(s.category, span_category::kPipeline) == 0 &&
-        s.parent == job_span) {
-      pipeline_span = s.id;
-    }
-  }
-  ASSERT_NE(pipeline_span, 0u) << "pipeline span not parented under the job";
-  for (const SpanRecord& s : spans) {
-    if (std::strcmp(s.category, span_category::kStage) == 0 &&
-        s.name == "stage_a") {
-      EXPECT_EQ(s.parent, pipeline_span);
-      found_stage = true;
-    }
-  }
-  EXPECT_TRUE(found_stage);
+  EXPECT_EQ(count_by_cat[span_category::kJob], 1);
+  EXPECT_EQ(count_by_cat[span_category::kStage], 1);
+  EXPECT_GE(count_by_cat[span_category::kOperation], 1);
+  EXPECT_GE(count_by_cat[span_category::kTask], 1);
+  EXPECT_EQ(count_by_cat.size(), 4u) << "no span outside job/stage/op/task";
   std::filesystem::remove(options.trace_path);
 }
 
@@ -195,7 +209,7 @@ TEST(SessionTest, ConcurrentJobStressWithSharedCache) {
   {
     Job job = session.StartJob("warmup");
     Selector<EventRecord> selector(session.context(), SelectQuery::FromBox(w.query));
-    auto selected = job.pipeline().Run(
+    auto selected = job.Run(
         "selection", [&] { return selector.Select(staged.dir(), staged.meta()); });
     ASSERT_TRUE(selected.ok()) << selected.status().ToString();
     job.Finish();
@@ -214,14 +228,14 @@ TEST(SessionTest, ConcurrentJobStressWithSharedCache) {
         Job job = session.StartJob("stress/" + std::to_string(t) + "/" +
                                    std::to_string(j));
         Selector<EventRecord> selector(session.context(), SelectQuery::FromBox(w.query));
-        auto selected = job.pipeline().Run("selection", [&] {
+        auto selected = job.Run("selection", [&] {
           return selector.Select(staged.dir(), staged.meta());
         });
         if (!selected.ok()) {
           ++failures;
           continue;
         }
-        auto repartitioned = job.pipeline().Run(
+        auto repartitioned = job.Run(
             "conversion",
             [](const Dataset<EventRecord>& ds) { return ds.Repartition(3); },
             *selected);

@@ -1,4 +1,4 @@
-// Integration test for cache-backed reuse: one pipeline runs the same
+// Integration test for cache-backed reuse: one Job runs the same
 // Selection twice. The second Select must be served from the DatasetCache:
 // stpq/read io bytes and cache misses must NOT grow on the second pass,
 // while cache hits must.
@@ -24,11 +24,11 @@ TEST(CacheReuseTest, SecondPassIsServedFromCache) {
   DatasetCache::Options cache_options;
   cache_options.budget_bytes = DatasetCache::kUnbounded;
   ctx->ConfigureCache(std::move(cache_options));
-  Pipeline pipeline(ctx, "cache_reuse");
+  Job job = Session(ctx).StartJob("cache_reuse");
 
   // ---- Selection, cold pass: every surviving file is read from disk.
   Selector<EventRecord> selector_a(ctx, SelectQuery::FromBox(w.query));
-  auto first = pipeline.Run("selection", [&] {
+  auto first = job.Run("selection", [&] {
     return selector_a.Select(staged.dir(), staged.meta());
   });
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -41,7 +41,7 @@ TEST(CacheReuseTest, SecondPassIsServedFromCache) {
   // ---- Selection, warm pass: an INDEPENDENT selector over the same data
   // (interned file keys are shared) must not touch the files again.
   Selector<EventRecord> selector_b(ctx, SelectQuery::FromBox(w.query));
-  auto second = pipeline.Run("selection", [&] {
+  auto second = job.Run("selection", [&] {
     return selector_b.Select(staged.dir(), staged.meta());
   });
   ASSERT_TRUE(second.ok()) << second.status().ToString();
@@ -65,8 +65,8 @@ TEST(CacheReuseTest, SecondPassIsServedFromCache) {
   }
   EXPECT_EQ(bytes_a, bytes_b);
 
-  pipeline.Finish();
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  job.Finish();
+  EXPECT_TRUE(job.ok()) << job.status().ToString();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Pins the observability subsystem's contracts: the Chrome trace export is
-// valid JSON whose spans nest pipeline → stage → operation → task in stage
+// valid JSON whose spans nest job → stage → operation → task in stage
 // order, the typed counters reproduce the legacy EngineMetrics shuffle
 // accounting (totals == per-operator sums) on the shuffle-invariance
 // scenarios, tracing changes NO counter (traced and untraced runs snapshot
@@ -28,7 +28,7 @@
 #include "observability/counters.h"
 #include "observability/trace_export.h"
 #include "observability/tracer.h"
-#include "pipeline/pipeline.h"
+#include "pipeline/session.h"
 #include "selection/on_disk_index.h"
 #include "selection/selector.h"
 
@@ -206,21 +206,21 @@ std::vector<std::pair<int64_t, int64_t>> RandomPairs(int n, uint64_t seed) {
   return pairs;
 }
 
-/// The reference workload: one traced "pipeline" with a shuffle per stage.
+/// The reference workload: one traced Job with a shuffle per stage.
 void RunStagedWorkload(const std::shared_ptr<ExecutionContext>& ctx) {
   auto pairs = RandomPairs(5000, 17);
-  Pipeline pipeline(ctx, "test_pipeline");
-  auto data = pipeline.Run("selection", [&] {
+  Job job = Session(ctx).StartJob("test_pipeline");
+  auto data = job.Run("selection", [&] {
     return Dataset<std::pair<int64_t, int64_t>>::Parallelize(ctx, pairs, 6);
   });
-  auto reduced = pipeline.Run(
+  auto reduced = job.Run(
       "conversion",
       [](const Dataset<std::pair<int64_t, int64_t>>& in) {
         return TryReduceByKey<int64_t, int64_t>(in, std::plus<int64_t>());
       },
       data);
   ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
-  pipeline.Run(
+  job.Run(
       "extraction",
       [](const Dataset<std::pair<int64_t, int64_t>>& in) {
         return in.Collect().size();
@@ -282,24 +282,24 @@ TEST(TraceExportTest, ChromeTraceIsValidJsonWithNestedSpans) {
   }
 
   // Depth of each span via parent links; categories must layer
-  // pipeline(0) → stage(1) → operation(2) → task(3).
+  // job(0) → stage(1) → operation(2) → task(3).
   std::function<int(uint64_t)> depth_of = [&](uint64_t id) -> int {
     const Node& node = nodes.at(id);
     return node.parent == 0 ? 0 : depth_of(node.parent) + 1;
   };
   std::map<std::string, int> max_depth_by_cat;
-  int pipelines = 0;
+  int jobs = 0;
   std::vector<std::string> stage_names;  // in span-id (creation) order
   for (const auto& [id, node] : nodes) {
     int depth = depth_of(id);
     max_depth_by_cat[node.cat] = std::max(max_depth_by_cat[node.cat], depth);
-    if (node.cat == "pipeline") {
-      ++pipelines;
+    if (node.cat == "job") {
+      ++jobs;
       EXPECT_EQ(depth, 0);
     }
     if (node.cat == "stage") {
       EXPECT_EQ(depth, 1);
-      EXPECT_EQ(nodes.at(node.parent).cat, "pipeline");
+      EXPECT_EQ(nodes.at(node.parent).cat, "job");
       stage_names.push_back(node.name);
     }
     if (node.cat == "operation" && nodes.at(node.parent).cat == "stage") {
@@ -309,8 +309,9 @@ TEST(TraceExportTest, ChromeTraceIsValidJsonWithNestedSpans) {
       EXPECT_EQ(nodes.at(node.parent).cat, "operation");
     }
   }
-  EXPECT_EQ(pipelines, 1);
-  // Stage spans appear in pipeline order.
+  EXPECT_EQ(jobs, 1);
+  EXPECT_EQ(max_depth_by_cat.count("pipeline"), 0u);
+  // Stage spans appear in run order.
   ASSERT_EQ(stage_names.size(), 3u);
   EXPECT_EQ(stage_names[0], "selection");
   EXPECT_EQ(stage_names[1], "conversion");
@@ -391,6 +392,20 @@ TEST(TraceExportTest, MetricsJsonMatchesSnapshotExactly) {
     EXPECT_EQ(static_cast<uint64_t>(value->number), snap[c])
         << CounterName(c);
   }
+}
+
+// A full disk surfaces on the final flush, which an ofstream otherwise
+// runs in its destructor after the writer already returned Ok.
+TEST(TraceExportTest, FailedFinalFlushIsAnError) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto ctx = ExecutionContext::Create(2);
+  auto tracer = std::make_shared<Tracer>();
+  ctx->set_tracer(tracer);
+  RunStagedWorkload(ctx);
+  EXPECT_EQ(WriteChromeTrace(*tracer, "/dev/full").code(),
+            Status::Code::kIOError);
+  EXPECT_EQ(WriteMetricsJson(ctx->MetricsSnapshot(), "/dev/full").code(),
+            Status::Code::kIOError);
 }
 
 TEST(CounterRegistryTest, StpqReadCallsCountCoveringReadsNotRuns) {

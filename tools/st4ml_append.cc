@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "server/client.h"
-#include "storage/csv.h"
 #include "storage/json.h"
 #include "storage/text_import.h"
 #include "tool_flags.h"
@@ -40,29 +39,23 @@ std::string RecordJson(const st4ml::EventRecord& record) {
   return row.Str();
 }
 
-// One framed round trip; exits non-zero unless the daemon answered ok. The
-// daemon only acks an append after the records hit the WAL, so a true
-// return here IS the durability ack for the whole batch.
-bool CallOk(st4ml::server::Client& client, const std::string& request,
-            std::string* response_out) {
+// One framed round trip; OK only if the daemon answered ok. The daemon only
+// acks an append after the records hit the WAL, so an OK return here IS
+// the durability ack for the whole batch.
+st4ml::Status CallOk(st4ml::server::Client& client, const std::string& request,
+                     std::string* response_out) {
   auto response = client.Call(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "st4ml_append: %s\n",
-                 response.status().ToString().c_str());
-    return false;
-  }
+  if (!response.ok()) return response.status();
   if (response->rfind("{\"ok\":true", 0) != 0) {
-    std::fprintf(stderr, "st4ml_append: daemon refused: %s\n",
-                 response->c_str());
-    return false;
+    return st4ml::Status::IOError("daemon refused: " + *response);
   }
   if (response_out != nullptr) *response_out = *response;
-  return true;
+  return st4ml::Status::Ok();
 }
 
-bool SendBatch(st4ml::server::Client& client, const std::string& dir,
-               std::vector<std::string>& rows) {
-  if (rows.empty()) return true;
+st4ml::Status SendBatch(st4ml::server::Client& client, const std::string& dir,
+                        std::vector<std::string>& rows) {
+  if (rows.empty()) return st4ml::Status::Ok();
   std::string array = "[";
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) array += ",";
@@ -72,9 +65,9 @@ bool SendBatch(st4ml::server::Client& client, const std::string& dir,
   st4ml::JsonObject request;
   request.Add("verb", "append").Add("dir", dir);
   request.AddRaw("records", array);
-  if (!CallOk(client, request.Str(), nullptr)) return false;
+  ST4ML_RETURN_IF_ERROR(CallOk(client, request.Str(), nullptr));
   rows.clear();
-  return true;
+  return st4ml::Status::Ok();
 }
 
 int Run(int argc, char** argv) {
@@ -95,37 +88,33 @@ int Run(int argc, char** argv) {
   std::vector<std::string> rows;
   rows.reserve(static_cast<size_t>(batch));
   uint64_t appended = 0;
-  std::string line;
-  bool first = true;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (first && line.rfind("id,", 0) == 0) {
-      first = false;
-      continue;
-    }
-    first = false;
-    auto record = st4ml::ParseEventCsvRow(st4ml::SplitCsvLine(line), "stdin");
-    if (!record.ok()) {
-      std::fprintf(stderr, "st4ml_append: %s\n",
-                   record.status().ToString().c_str());
-      return 1;
-    }
-    rows.push_back(RecordJson(*record));
-    if (rows.size() >= static_cast<size_t>(batch)) {
-      if (!SendBatch(*client, dir, rows)) return 1;
-      appended += static_cast<uint64_t>(batch);
-    }
-  }
-  uint64_t tail = rows.size();
-  if (!SendBatch(*client, dir, rows)) return 1;
-  appended += tail;
-
-  if (flags.Has("flush")) {
+  auto send = [&] {
+    uint64_t sent = rows.size();
+    ST4ML_RETURN_IF_ERROR(SendBatch(*client, dir, rows));
+    appended += sent;
+    return st4ml::Status::Ok();
+  };
+  st4ml::Status status = st4ml::ReadEventsCsv(
+      std::cin, "stdin", [&](st4ml::EventRecord record) {
+        rows.push_back(RecordJson(record));
+        if (rows.size() < static_cast<size_t>(batch)) {
+          return st4ml::Status::Ok();
+        }
+        return send();
+      });
+  if (status.ok()) status = send();
+  std::string flushed;
+  if (status.ok() && flags.Has("flush")) {
     st4ml::JsonObject request;
     request.Add("verb", "flush").Add("dir", dir);
-    std::string response;
-    if (!CallOk(*client, request.Str(), &response)) return 1;
-    std::fprintf(stderr, "st4ml_append: flushed: %s\n", response.c_str());
+    status = CallOk(*client, request.Str(), &flushed);
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "st4ml_append: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  if (!flushed.empty()) {
+    std::fprintf(stderr, "st4ml_append: flushed: %s\n", flushed.c_str());
   }
   std::fprintf(stderr, "st4ml_append: appended %llu events to %s\n",
                static_cast<unsigned long long>(appended), dir.c_str());

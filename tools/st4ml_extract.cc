@@ -8,12 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "conversion/singular_to_collective.h"
 #include "conversion/parse.h"
@@ -24,8 +23,6 @@
 #include "tool_flags.h"
 #include "tool_main.h"
 
-namespace fs = std::filesystem;
-
 namespace {
 
 int Run(int argc, char** argv) {
@@ -34,20 +31,17 @@ int Run(int argc, char** argv) {
   st4ml::ToolOptions options = st4ml::tools::ToolOptionsFromFlags(flags);
   if (!st4ml::tools::CheckIntFlags(flags, "st4ml_extract")) return 2;
 
-  std::string spool =
-      (fs::temp_directory_path() / "st4ml_extract_input.csv").string();
-  {
-    std::ofstream out(spool, std::ios::binary);
-    out << std::cin.rdbuf();
-  }
-  auto records = st4ml::ImportEventsCsv(spool);
-  fs::remove(spool);
-  if (!records.ok()) {
-    std::fprintf(stderr, "st4ml_extract: %s\n",
-                 records.status().ToString().c_str());
+  std::vector<st4ml::EventRecord> records;
+  st4ml::Status read = st4ml::ReadEventsCsv(
+      std::cin, "stdin", [&](st4ml::EventRecord record) {
+        records.push_back(std::move(record));
+        return st4ml::Status::Ok();
+      });
+  if (!read.ok()) {
+    std::fprintf(stderr, "st4ml_extract: %s\n", read.ToString().c_str());
     return 1;
   }
-  if (records->empty()) {
+  if (records.empty()) {
     std::fprintf(stderr, "st4ml_extract: no input events\n");
     return 1;
   }
@@ -55,11 +49,11 @@ int Run(int argc, char** argv) {
   st4ml::Session session(options);
   if (!st4ml::tools::CheckSessionConfig(session, "st4ml_extract")) return 2;
   auto data = st4ml::Dataset<st4ml::EventRecord>::Parallelize(
-      session.context(), *records, 4);
+      session.context(), records, 4);
 
-  int64_t t_min = records->front().time;
+  int64_t t_min = records.front().time;
   int64_t t_max = t_min;
-  for (const st4ml::EventRecord& r : *records) {
+  for (const st4ml::EventRecord& r : records) {
     t_min = std::min(t_min, r.time);
     t_max = std::max(t_max, r.time);
   }
@@ -68,16 +62,15 @@ int Run(int argc, char** argv) {
           st4ml::Duration(t_min, t_max), interval_s));
 
   st4ml::Job job = session.StartJob("st4ml_extract");
-  st4ml::Pipeline& pipeline = job.pipeline();
-  auto events = pipeline.Run("parse", st4ml::ParseEvents, std::move(data));
+  auto events = job.Run("parse", st4ml::ParseEvents, std::move(data));
   st4ml::TimeSeriesConverter<st4ml::STEvent> converter(structure);
-  auto series = pipeline.Run(
+  auto series = job.Run(
       "conversion",
       [&](const st4ml::Dataset<st4ml::STEvent>& parsed) {
         return converter.Convert(parsed);
       },
       events);
-  st4ml::TimeSeries<int64_t> flow = pipeline.Run(
+  st4ml::TimeSeries<int64_t> flow = job.Run(
       "extraction",
       [&](const decltype(series)& converted) {
         return st4ml::ExtractTsFlow(converted);
@@ -99,7 +92,7 @@ int Run(int argc, char** argv) {
     std::printf("%s\n", line.Str().c_str());
   }
   std::fprintf(stderr, "st4ml_extract: %zu bins over %zu events\n",
-               flow.size(), records->size());
+               flow.size(), records.size());
   if (!session.ExportArtifacts("st4ml_extract")) return 1;
   return 0;
 }

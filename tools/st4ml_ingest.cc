@@ -1,8 +1,11 @@
 // st4ml_ingest: reads an event CSV (id,x,y,time,attr) from stdin and builds
 // the on-disk store under --dir.
 //
-// Batch mode (default): spool all of stdin, T-STR partition, write the
+// Batch mode (default): read all of stdin, T-STR partition, write the
 // indexed partitions and the metadata sidecar selection prunes with.
+//
+// Both modes read stdin through ReadEventsCsv: a leading `id,...` header
+// row is optional.
 //
 //   st4ml_datagen | st4ml_ingest --dir=stpq_store [--trace=trace.json]
 //       [--metrics-json=metrics.json]
@@ -19,15 +22,15 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ingest/ingestor.h"
 #include "partition/str_partitioner.h"
 #include "pipeline/session.h"
 #include "selection/on_disk_index.h"
-#include "storage/csv.h"
 #include "storage/text_import.h"
 #include "tool_flags.h"
 #include "tool_main.h"
@@ -56,37 +59,17 @@ int RunFollow(const std::string& dir, st4ml::Session& session,
                  static_cast<unsigned long long>((*ingestor)->Stats().replayed));
   }
 
-  std::string line;
   uint64_t appended = 0;
-  bool first = true;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    // Tolerate a leading header row, so the same datagen pipe works in
-    // both modes.
-    if (first && line.rfind("id,", 0) == 0) {
-      first = false;
-      continue;
-    }
-    first = false;
-    auto record =
-        st4ml::ParseEventCsvRow(st4ml::SplitCsvLine(line), "stdin");
-    if (!record.ok()) {
-      std::fprintf(stderr, "st4ml_ingest: %s\n",
-                   record.status().ToString().c_str());
-      return 1;
-    }
-    // Ok here IS the ack: the record is in the WAL and survives a crash.
-    st4ml::Status acked = (*ingestor)->Append(*record);
-    if (!acked.ok()) {
-      std::fprintf(stderr, "st4ml_ingest: %s\n", acked.ToString().c_str());
-      return 1;
-    }
-    ++appended;
-  }
-
-  st4ml::Status flushed = (*ingestor)->Flush();
-  if (!flushed.ok()) {
-    std::fprintf(stderr, "st4ml_ingest: %s\n", flushed.ToString().c_str());
+  st4ml::Status status = st4ml::ReadEventsCsv(
+      std::cin, "stdin", [&](st4ml::EventRecord record) {
+        // Ok here IS the ack: the record is in the WAL and survives a crash.
+        ST4ML_RETURN_IF_ERROR((*ingestor)->Append(record));
+        ++appended;
+        return st4ml::Status::Ok();
+      });
+  if (status.ok()) status = (*ingestor)->Flush();
+  if (!status.ok()) {
+    std::fprintf(stderr, "st4ml_ingest: %s\n", status.ToString().c_str());
     return 1;
   }
   st4ml::IngestorStats stats = (*ingestor)->Stats();
@@ -117,28 +100,26 @@ int Run(int argc, char** argv) {
 
   if (flags.Has("follow")) return RunFollow(dir, session, flags);
 
-  // The importer works on files; spool stdin so piped input works too.
-  std::string spool = dir + "/.ingest_input.csv";
-  {
-    std::ofstream out(spool, std::ios::binary);
-    out << std::cin.rdbuf();
-  }
-  auto events = st4ml::ImportEventsCsv(spool);
-  fs::remove(spool);
-  if (!events.ok()) {
-    std::fprintf(stderr, "st4ml_ingest: %s\n",
-                 events.status().ToString().c_str());
+  std::vector<st4ml::EventRecord> events;
+  st4ml::Status read = st4ml::ReadEventsCsv(
+      std::cin, "stdin", [&](st4ml::EventRecord record) {
+        events.push_back(std::move(record));
+        return st4ml::Status::Ok();
+      });
+  if (!read.ok()) {
+    std::fprintf(stderr, "st4ml_ingest: %s\n", read.ToString().c_str());
     return 1;
   }
+  const size_t num_events = events.size();
 
   auto data = st4ml::Dataset<st4ml::EventRecord>::Parallelize(
-      session.context(), *events, 4);
+      session.context(), std::move(events), 4);
   st4ml::TSTRPartitioner partitioner(
       static_cast<int>(flags.GetInt("slices", 4)),
       static_cast<int>(flags.GetInt("tiles", 4)));
   if (!st4ml::tools::CheckIntFlags(flags, "st4ml_ingest")) return 2;
   st4ml::Job job = session.StartJob("st4ml_ingest");
-  job.pipeline().Run(
+  job.Run(
       "ingest",
       [&](const st4ml::Dataset<st4ml::EventRecord>& records) {
         return st4ml::BuildOnDiskIndex(records, &partitioner, dir,
@@ -152,7 +133,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "st4ml_ingest: %zu events -> %d partitions under %s\n",
-               events->size(), partitioner.num_partitions(), dir.c_str());
+               num_events, partitioner.num_partitions(), dir.c_str());
   if (!session.ExportArtifacts("st4ml_ingest")) return 1;
   return 0;
 }

@@ -45,7 +45,7 @@ int Run(int argc, char** argv) {
   if (!st4ml::tools::CheckSessionConfig(session, "st4ml_select")) return 2;
   st4ml::Selector<st4ml::EventRecord> selector(session.context(), query);
   st4ml::Job job = session.StartJob("st4ml_select");
-  auto selected = job.pipeline().Run("selection", [&] {
+  auto selected = job.Run("selection", [&] {
     return selector.Select(dir, dir + "/index.meta");
   });
   job.Finish();

@@ -119,8 +119,8 @@ inline bool CheckIntFlags(const Flags& flags, const char* tool) {
 
 /// The engine flag set every Session-backed entry point shares, parsed ONCE:
 ///   --cache-budget=BYTES   explicit dataset-cache budget (negative means
-///                          unbounded, 0 disables; absent keeps the
-///                          ST4ML_CACHE_BUDGET_BYTES env default)
+///                          unbounded, 0 disables; absent leaves the
+///                          cache off, except in st4mld)
 ///   --trace=FILE           attach a Tracer; Chrome trace written on export
 ///   --metrics-json=FILE    flat metrics JSON written on export
 ///   --workers=N            worker pool size (0 sizes to the hardware)

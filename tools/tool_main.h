@@ -13,9 +13,9 @@ namespace tools {
 
 /// Shared tool entrypoint: runs `body` and converts any escaping exception
 /// into a one-line stderr message and exit code 1 instead of
-/// std::terminate. Status-returning stages latch their failure on the
-/// Pipeline (checked inside each tool); the legacy value-returning APIs
-/// throw StatusError, which lands here.
+/// std::terminate. Status-returning stages latch their failure on the Job
+/// (checked inside each tool); the value-returning Dataset transforms throw
+/// StatusError, which lands here.
 inline int ToolMain(const std::string& name, const std::function<int()>& body) {
   try {
     return body();
