@@ -74,5 +74,32 @@ Status BackendRegistry::ForceBackend(const std::string& name) {
   return Status::Ok();
 }
 
+void FilterPositions(const BoxFilterQuery& q, const EnvelopeView& cols,
+                     std::vector<uint32_t>* positions) {
+  const size_t len = positions->size();
+  if (len == 0) return;
+  std::vector<double> x_min(len), y_min(len), x_max(len), y_max(len);
+  std::vector<int64_t> t_min(len), t_max(len);
+  for (size_t j = 0; j < len; ++j) {
+    const uint32_t pos = (*positions)[j];
+    x_min[j] = cols.x_min[pos];
+    y_min[j] = cols.y_min[pos];
+    x_max[j] = cols.x_max[pos];
+    y_max[j] = cols.y_max[pos];
+    t_min[j] = cols.t_min[pos];
+    t_max[j] = cols.t_max[pos];
+  }
+  const EnvelopeView batch{x_min.data(), y_min.data(), x_max.data(),
+                           y_max.data(), t_min.data(), t_max.data(), len};
+  std::vector<uint8_t> bitmap(len, 0);
+  Active().FilterBoxes(q, batch, bitmap.data());
+  BackendRegistry::Instance().CountBatch(len);
+  size_t kept = 0;
+  for (size_t j = 0; j < len; ++j) {
+    if (bitmap[j] != 0) (*positions)[kept++] = (*positions)[j];
+  }
+  positions->resize(kept);
+}
+
 }  // namespace accel
 }  // namespace st4ml

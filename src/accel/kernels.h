@@ -173,6 +173,15 @@ inline const KernelBackend& Active() {
   return BackendRegistry::Instance().backend();
 }
 
+/// Refines `positions` (indices into `cols`, e.g. an id lookup's
+/// candidates) in place to those whose envelope passes `q`, keeping their
+/// order: gathers the candidates' envelopes into a small SoA batch and runs
+/// ONE pass of the active kernel over it, counted as one batch of
+/// `positions->size()` records. The query-side emptiness test stays with
+/// the caller, as for FilterBoxes.
+void FilterPositions(const BoxFilterQuery& q, const EnvelopeView& cols,
+                     std::vector<uint32_t>* positions);
+
 /// Backend factories (one .cc each, so only backend_avx2.cc is compiled
 /// with -mavx2). Avx2Backend returns null when AVX2 is not compiled in.
 const KernelBackend* ScalarBackend();

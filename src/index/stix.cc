@@ -628,35 +628,18 @@ void StixIndex::LookupIds(const std::vector<int64_t>& ids,
   }
 
   if (apply_box && !candidates.empty()) {
-    // Gather the candidates' envelopes into a small SoA batch and refine
-    // through ONE kernel pass — the exact predicate every other path uses.
-    const size_t len = candidates.size();
-    std::vector<double> gx_min(len), gy_min(len), gx_max(len), gy_max(len);
-    std::vector<int64_t> gt_min(len), gt_max(len);
-    for (size_t j = 0; j < len; ++j) {
-      const uint32_t pos = candidates[j];
-      gx_min[j] = col_x_min_[pos];
-      gy_min[j] = col_y_min_[pos];
-      gx_max[j] = col_x_max_[pos];
-      gy_max[j] = col_y_max_[pos];
-      gt_min[j] = col_t_min_[pos];
-      gt_max[j] = col_t_max_[pos];
+    // Refine the candidates' envelopes through ONE kernel pass — the exact
+    // predicate every other path uses.
+    for (uint32_t pos : candidates) {
       for (uint32_t s = kStixColXMin; s <= kStixColTMax; ++s) {
         pages.Touch(header_.section_off[s] + static_cast<uint64_t>(pos) * 8,
                     8);
       }
     }
-    accel::EnvelopeView view{gx_min.data(), gy_min.data(), gx_max.data(),
-                             gy_max.data(), gt_min.data(), gt_max.data(),
-                             len};
-    std::vector<uint8_t> bitmap(len, 0);
-    accel::Active().FilterBoxes(query, view, bitmap.data());
-    accel::BackendRegistry::Instance().CountBatch(len);
-    size_t kept = 0;
-    for (size_t j = 0; j < len; ++j) {
-      if (bitmap[j] != 0) candidates[kept++] = candidates[j];
-    }
-    candidates.resize(kept);
+    const accel::EnvelopeView cols{col_x_min_, col_y_min_, col_x_max_,
+                                   col_y_max_, col_t_min_, col_t_max_,
+                                   header_.record_count};
+    accel::FilterPositions(query, cols, &candidates);
   }
 
   for (uint32_t pos : candidates) {

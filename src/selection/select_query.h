@@ -27,10 +27,13 @@ namespace st4ml {
 ///    in the set (sorted + deduplicated by SetIds, so MatchesId is a binary
 ///    search). Id and box predicates compose with AND.
 ///  - `limit` / `count_only` are RESPONSE shaping, not selection predicates:
-///    the Selector returns the full deterministic match set (keeping the
-///    parallel per-file fill byte-identical across plans and backends) and
-///    the entry point truncates or counts when rendering. Negative limit
-///    means unlimited.
+///    they never change which records match. The Selector applies them per
+///    file, on every plan: `count_only` keeps no record, and `limit` >= 0
+///    keeps each file's `limit` lowest matches by (id, position), in
+///    position order, so the per-file fill stays byte-identical across
+///    plans and backends. The match count is in SelectorStats; the entry
+///    point orders the kept rows by id and takes the first `limit`.
+///    Negative limit means unlimited.
 struct SelectQuery {
   STBox box;
   std::vector<int64_t> ids;  // sorted, deduplicated; consulted iff has_ids

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -49,18 +50,32 @@ inline bool IsWalSegmentPath(const std::string& path) {
   return ends_with(".stwal") || ends_with(".stwal.open");
 }
 
+/// Orders positions into `records` by (id, position): the id directory's
+/// order, and the order a `limit` keeps the lowest of.
+template <typename RecordT>
+auto ByIdThenPosition(const std::vector<RecordT>& records) {
+  return [&records](uint32_t a, uint32_t b) {
+    return records[a].id != records[b].id ? records[a].id < records[b].id
+                                          : a < b;
+  };
+}
+
 /// What the selector caches per STPQ file: the raw records PLUS their
 /// per-record envelopes as SoA columns, so a warm hit skips the file read,
 /// the parse AND every per-record ComputeSTBox — only one vectorized
-/// FilterBoxes kernel pass and the copy of matching records remain
-/// (DESIGN.md §11). `envelope` is the union of all non-degenerate record
-/// envelopes: a warm query that misses it skips the kernel pass entirely.
-/// The cache budget accounts the serialized record bytes; the columns are
-/// index overhead on top, as for the on-disk index itself.
+/// FilterBoxes kernel pass remains, and only the records the query keeps
+/// are copied out (DESIGN.md §11). `envelope` is the union of all
+/// non-degenerate record envelopes: a warm query that misses it skips the
+/// kernel pass entirely. `by_id` is the id directory: every record position
+/// sorted by (id, position), 4 B per record, so an id predicate
+/// binary-searches its candidates instead of scanning the file. The cache
+/// budget accounts the serialized record bytes; the columns and the
+/// directory are index overhead on top, as for the on-disk index itself.
 template <typename RecordT>
 struct IndexedStpqFile {
   std::vector<RecordT> records;
   accel::EnvelopeColumns cols;  // per-record envelopes, SoA
+  std::vector<uint32_t> by_id;  // positions sorted by (id, position)
   STBox envelope;               // union of valid record envelopes
 };
 
@@ -75,6 +90,13 @@ std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
     file->cols.Append(box);
     if (IsValidEnvelope(box)) file->envelope.Extend(box);
   }
+  file->by_id.resize(file->records.size());
+  std::iota(file->by_id.begin(), file->by_id.end(), 0u);
+  const auto order = ByIdThenPosition(file->records);
+  // Files written in id order (the common case) need no sort.
+  if (!std::is_sorted(file->by_id.begin(), file->by_id.end(), order)) {
+    std::sort(file->by_id.begin(), file->by_id.end(), order);
+  }
   return file;
 }
 
@@ -83,7 +105,8 @@ std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
 /// own slot, so the fold reads every file's stats in index order.
 template <typename RecordT>
 struct FileLoadResult {
-  std::vector<RecordT> records;
+  std::vector<RecordT> records;  // the matches the query's shaping keeps
+  uint64_t matched = 0;          // every match, kept or not
   uint64_t read_bytes = 0;
   uint64_t read_calls = 0;
   uint64_t selected_bytes = 0;
@@ -113,6 +136,10 @@ struct SelectorOptions {
 struct SelectorStats {
   uint64_t bytes_loaded = 0;
   uint64_t bytes_selected = 0;
+  /// Records matching the query, whether or not its count_only / limit
+  /// shaping kept them: the answer to a count, and the total behind a
+  /// limited answer.
+  uint64_t records_matched = 0;
 };
 
 /// The selection stage (paper §3.1): load persisted records matching a
@@ -122,7 +149,10 @@ struct SelectorStats {
 /// the staged WAL tail of a streamed directory. Per file,
 /// the input picks the plan — a WAL segment, an enabled cache, a valid
 /// `.stix` sidecar, or none of these — and every plan returns
-/// byte-identical records.
+/// byte-identical records. The query's count_only / limit shaping is
+/// applied per file on every plan: partition i holds none of file i's
+/// matches, or its `limit` lowest by (id, position), and stats() carries
+/// the full match count.
 template <typename RecordT>
 class Selector {
  public:
@@ -208,6 +238,8 @@ class Selector {
   const SelectQuery& query() const { return query_; }
 
  private:
+  using FileLoad = selection_internal::FileLoadResult<RecordT>;
+
   /// Loads and filters `paths` IN PARALLEL, one Status-returning task
   /// per file, so a per-file IOError propagates to the caller instead of
   /// failing the process (and a transient one is retried per
@@ -219,19 +251,21 @@ class Selector {
   ///   - kWalScan: a `.stwal` / `.stwal.open` staging segment is
   ///     frame-parsed and filtered.
   ///   - kCachedIndex: with the cache enabled, one DatasetCache::GetOrLoad;
-  ///     a hit refines the warm in-memory index, a miss or an evicted file
-  ///     is read whole (under options_.retry) and admitted. The cache key
-  ///     folds in size|mtime, so a rewritten file gets a fresh entry
-  ///     instead of stale bytes.
+  ///     a hit refines the warm in-memory index (an id predicate through
+  ///     its id directory) and copies only the records shaping keeps; a
+  ///     miss or an evicted file is read whole (under options_.retry) and
+  ///     admitted. The cache key folds in size|mtime, so a rewritten file
+  ///     gets a fresh entry instead of stale bytes.
   ///   - otherwise the `.stpq` is opened once and its `.stix` sidecar is
   ///     validated against that open file. kMmapIndex if it validates:
   ///     walk index pages, refine leaf hits through the kernel over mapped
   ///     columns, and read only covering spans of the matching records'
   ///     bytes. kLinearScan if it is missing, stale or fails its audit:
   ///     read the whole file through the same descriptor and filter it.
-  /// Every plan evaluates the same envelopes against the same query, so
-  /// the selected output is byte-identical across plans; only the I/O and
-  /// planner counters differ.
+  /// Every plan evaluates the same envelopes against the same query and
+  /// shapes its matches through the one ShapeHits step, so the selected
+  /// output is byte-identical across plans; only the I/O and planner
+  /// counters differ.
   StatusOr<Dataset<RecordT>> LoadAndFilter(
       const std::vector<std::string>& paths) {
     ScopedSpan op(ctx_->tracer(), span_category::kOperation,
@@ -242,7 +276,6 @@ class Selector {
     DatasetCache* cache = ctx_->cache().enabled() ? &ctx_->cache() : nullptr;
     // One slot per file, filled only by that file's task and folded into
     // stats_/counters on the driver after the join.
-    using FileLoad = selection_internal::FileLoadResult<RecordT>;
     std::vector<FileLoad> loads(paths.size());
     auto load_task = [&](size_t i) -> Status {
       FileLoad& out = loads[i];
@@ -259,8 +292,7 @@ class Selector {
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
           out.file_read = true;
-          out.records =
-              FilterRecords(std::move(result->records), &out.selected_bytes);
+          out.records = FilterRecords(std::move(result->records), &out);
           return Status::Ok();
         } else {
           return Status::InvalidArgument("WAL staging holds event records: " +
@@ -288,11 +320,12 @@ class Selector {
                   read->read_bytes};
             });
         if (!got.ok()) return got.status();
-        // Filter the cached columns and copy only the matching records; a
-        // resident hit pays no file I/O, parse or envelope recomputation.
+        // Filter the cached columns and copy only the records the query
+        // keeps; a resident hit pays no file I/O, parse or envelope
+        // recomputation.
         auto file = std::static_pointer_cast<
             const selection_internal::IndexedStpqFile<RecordT>>(*got);
-        out.records = FilterIndexed(*file, &out.selected_bytes);
+        out.records = FilterIndexed(*file, &out);
         return Status::Ok();
       }
       auto reader = OpenStpq(path, counters);
@@ -310,7 +343,7 @@ class Selector {
       out.plan_run = FilePlan::kLinearScan;
       io.AddArg("plan_scan", 1);
       ST4ML_RETURN_IF_ERROR(ReadAll(*reader, &out, &io, counters));
-      out.records = FilterRecords(std::move(out.records), &out.selected_bytes);
+      out.records = FilterRecords(std::move(out.records), &out);
       return Status::Ok();
     };
     ST4ML_RETURN_IF_ERROR(
@@ -326,7 +359,7 @@ class Selector {
     uint64_t postings_total = 0;
     for (size_t i = 0; i < paths.size(); ++i) {
       FileLoad& load = loads[i];
-      records_out += load.records.size();
+      records_out += load.matched;
       loaded_bytes += load.read_bytes;
       read_calls += load.read_calls;
       kept_bytes += load.selected_bytes;
@@ -338,6 +371,7 @@ class Selector {
     }
     stats_.bytes_loaded += loaded_bytes;
     stats_.bytes_selected += kept_bytes;
+    stats_.records_matched += records_out;
     counters.Add(Counter::kStpqBytesRead, loaded_bytes);
     counters.Add(Counter::kStpqReadCalls, read_calls);
     counters.Add(Counter::kStpqFilesRead, files_read);
@@ -390,8 +424,7 @@ class Selector {
   /// retry policy (the linear scan and the cached-index load); a retry
   /// re-reads through the same descriptor. A whole-file read is one read
   /// call of the file's bytes.
-  Status ReadAll(StpqReader& reader,
-                 selection_internal::FileLoadResult<RecordT>* load,
+  Status ReadAll(StpqReader& reader, FileLoad* load,
                  ScopedSpan* io, CounterRegistry& counters) {
     uint64_t attempts = 0;
     Status read = options_.retry.Run(
@@ -415,8 +448,7 @@ class Selector {
   /// failures: a ranged read that misses its promised byte run
   /// (Corruption) or an I/O error the retry policy could not absorb.
   Status ServeViaStix(const std::string& path, StpqReader& reader,
-                      const StixIndex& index,
-                      selection_internal::FileLoadResult<RecordT>* load,
+                      const StixIndex& index, FileLoad* load,
                       CounterRegistry& counters) {
     StixQueryStats qstats;
     std::vector<uint32_t> hits;
@@ -462,7 +494,10 @@ class Selector {
     load->read_bytes = reader.bytes_read();
     load->read_calls = reader.read_calls();
     load->file_read = true;
-    for (const RecordT& r : *out) load->selected_bytes += StpqRecordBytes(r);
+    // Every record read matched; shaping drops what the query does not keep.
+    std::vector<uint32_t> matches(out->size());
+    std::iota(matches.begin(), matches.end(), 0u);
+    *out = TakeShaped(std::move(*out), std::move(matches), load);
     return Status::Ok();
   }
 
@@ -487,9 +522,9 @@ class Selector {
   /// The kernel folds in record-side degeneracy but leaves the query-side
   /// emptiness test to the host: an inverted query matches nothing, exactly
   /// as Intersects would report. The id predicate composes afterwards (AND).
-  std::vector<size_t> MatchIndices(const accel::EnvelopeColumns& cols,
-                                   const std::vector<RecordT>& records) {
-    std::vector<size_t> hits;
+  std::vector<uint32_t> MatchIndices(const accel::EnvelopeColumns& cols,
+                                     const std::vector<RecordT>& records) {
+    std::vector<uint32_t> hits;
     if (query_.box.mbr.IsEmpty() || cols.empty()) return hits;
     const accel::EnvelopeView view = cols.View();
     std::vector<uint8_t> bitmap(view.size);
@@ -497,46 +532,107 @@ class Selector {
                                 view, bitmap.data());
     accel::BackendRegistry::Instance().CountBatch(view.size);
     for (size_t i = 0; i < view.size; ++i) {
-      if (bitmap[i] != 0 && query_.MatchesId(records[i].id)) hits.push_back(i);
+      if (bitmap[i] != 0 && query_.MatchesId(records[i].id)) {
+        hits.push_back(static_cast<uint32_t>(i));
+      }
     }
     return hits;
   }
 
+  /// The id predicate over a cached file: each requested id is
+  /// binary-searched in the file's id directory, and only those candidates'
+  /// envelopes go through the kernel, in one FilterPositions pass — as
+  /// StixIndex::LookupIds does on disk. Matches come back in record order.
+  std::vector<uint32_t> LookupIds(
+      const selection_internal::IndexedStpqFile<RecordT>& file) {
+    std::vector<uint32_t> hits;
+    if (query_.box.mbr.IsEmpty()) return hits;
+    const std::vector<RecordT>& recs = file.records;
+    for (int64_t id : query_.ids) {
+      auto it = std::lower_bound(
+          file.by_id.begin(), file.by_id.end(), id,
+          [&](uint32_t pos, int64_t want) { return recs[pos].id < want; });
+      for (; it != file.by_id.end() && recs[*it].id == id; ++it) {
+        hits.push_back(*it);
+      }
+    }
+    accel::FilterPositions(accel::BoxFilterQuery::FromBox(query_.box),
+                           file.cols.View(), &hits);
+    std::sort(hits.begin(), hits.end());
+    return hits;
+  }
+
+  /// The one shaping step every plan runs on a file's matches, given as
+  /// ascending positions into `records`. It counts them and sums their
+  /// serialized bytes into `load`, so the selection counters count matches
+  /// on every plan. Then count_only keeps none, and limit >= 0 keeps the
+  /// `limit` lowest by (id, position), back in position order. The default
+  /// query keeps every hit. A caller that orders all files' kept rows by
+  /// id and takes `limit` gets the global lowest: each is among its own
+  /// file's lowest.
+  void ShapeHits(const std::vector<RecordT>& records,
+                 std::vector<uint32_t>* hits, FileLoad* load) const {
+    load->matched += hits->size();
+    for (uint32_t i : *hits) {
+      load->selected_bytes += StpqRecordBytes(records[i]);
+    }
+    if (query_.count_only) {
+      hits->clear();
+      return;
+    }
+    if (query_.limit < 0 ||
+        hits->size() <= static_cast<uint64_t>(query_.limit)) {
+      return;
+    }
+    const auto keep_end = hits->begin() + query_.limit;
+    std::nth_element(hits->begin(), keep_end, hits->end(),
+                     selection_internal::ByIdThenPosition(records));
+    hits->erase(keep_end, hits->end());
+    std::sort(hits->begin(), hits->end());
+  }
+
   /// Filter over a cached indexed file (borrowed, shared with the cache):
   /// the warm path. A query outside the file's envelope union returns
-  /// without touching a record; otherwise the cached columns feed
-  /// MatchIndices and only MATCHING records are copied out — a warm hit
-  /// never pays for the records the query rejects, and never recomputes an
-  /// envelope.
+  /// without touching a record; otherwise the matches come from the cached
+  /// columns (or the id directory), are shaped, and only the records the
+  /// query keeps are copied out — a warm hit never copies a record it
+  /// rejects, counts or trims, and never recomputes an envelope.
   std::vector<RecordT> FilterIndexed(
       const selection_internal::IndexedStpqFile<RecordT>& file,
-      uint64_t* bytes_selected) {
+      FileLoad* load) {
     if (!query_.box.Intersects(file.envelope)) return {};
-    const std::vector<size_t> hits = MatchIndices(file.cols, file.records);
+    std::vector<uint32_t> hits = query_.has_ids
+                                     ? LookupIds(file)
+                                     : MatchIndices(file.cols, file.records);
+    ShapeHits(file.records, &hits, load);
     std::vector<RecordT> kept;
     kept.reserve(hits.size());
-    for (size_t i : hits) {
-      kept.push_back(file.records[i]);
-      *bytes_selected += StpqRecordBytes(kept.back());
-    }
+    for (uint32_t i : hits) kept.push_back(file.records[i]);
+    return kept;
+  }
+
+  /// Shapes the matches `hits` of owned `records` and moves out the ones
+  /// kept: the scan, mmap and WAL plans read records, then drop the rest.
+  std::vector<RecordT> TakeShaped(std::vector<RecordT>&& records,
+                                  std::vector<uint32_t> hits,
+                                  FileLoad* load) const {
+    ShapeHits(records, &hits, load);
+    if (hits.size() == records.size()) return std::move(records);  // all kept
+    std::vector<RecordT> kept;
+    kept.reserve(hits.size());
+    for (uint32_t i : hits) kept.push_back(std::move(records[i]));
     return kept;
   }
 
   /// Filter over owned records (the linear-scan and WAL plans): computes
-  /// each envelope once into columns, then matches are moved out.
+  /// each envelope once into columns, then the kept matches are moved out.
   std::vector<RecordT> FilterRecords(std::vector<RecordT>&& records,
-                                     uint64_t* bytes_selected) {
+                                     FileLoad* load) {
     accel::EnvelopeColumns cols;
     cols.Reserve(records.size());
     for (const RecordT& r : records) cols.Append(r.ComputeSTBox());
-    const std::vector<size_t> hits = MatchIndices(cols, records);
-    std::vector<RecordT> kept;
-    kept.reserve(hits.size());
-    for (size_t i : hits) {
-      kept.push_back(std::move(records[i]));
-      *bytes_selected += StpqRecordBytes(kept.back());
-    }
-    return kept;
+    std::vector<uint32_t> hits = MatchIndices(cols, records);
+    return TakeShaped(std::move(records), std::move(hits), load);
   }
 
   std::shared_ptr<ExecutionContext> ctx_;
@@ -544,6 +640,23 @@ class Selector {
   SelectorOptions options_;
   SelectorStats stats_;
 };
+
+/// The rows a shaped Select answers with: every file's kept records ordered
+/// by id, ties in file then record order, cut to `limit` (all of them for
+/// limit < 0). Each file kept its own lowest, so these are the lowest of
+/// all matches.
+template <typename RecordT>
+std::vector<RecordT> RowsInIdOrder(Dataset<RecordT>&& selected,
+                                   int64_t limit) {
+  std::vector<RecordT> rows = std::move(selected).Collect();
+  std::stable_sort(
+      rows.begin(), rows.end(),
+      [](const RecordT& a, const RecordT& b) { return a.id < b.id; });
+  if (limit >= 0 && rows.size() > static_cast<uint64_t>(limit)) {
+    rows.resize(static_cast<size_t>(limit));
+  }
+  return rows;
+}
 
 }  // namespace st4ml
 

@@ -595,32 +595,23 @@ std::string Server::HandleSelect(const JsonValue& request, bool lookup_by_id) {
   job.Finish();
   if (!job.ok()) return ErrorResponse(job.status());
 
-  // limit == 0 is the count-only fast path: no materialization, no sort,
-  // no row serialization — what a dashboard poll or a latency bench wants.
-  uint64_t count;
+  // The selector shaped each file's matches (none for limit == 0, else at
+  // most `limit` per file, copied out of the cache only when kept), so only
+  // those few rows are ordered here.
+  const uint64_t count = selector.stats().records_matched;
+  const std::vector<EventRecord> records =
+      RowsInIdOrder(std::move(*selected), limit);
   std::string rows = "[";
-  if (limit == 0) {
-    count = static_cast<uint64_t>(selected->Count());
-  } else {
-    std::vector<EventRecord> records = selected->Collect();
-    count = static_cast<uint64_t>(records.size());
-    // Only the `limit` lowest ids are shown, so only they are ordered.
-    size_t shown = std::min(records.size(), static_cast<size_t>(limit));
-    std::partial_sort(records.begin(), records.begin() + shown, records.end(),
-                      [](const EventRecord& a, const EventRecord& b) {
-                        return a.id < b.id;
-                      });
-    for (size_t i = 0; i < shown; ++i) {
-      const EventRecord& r = records[i];
-      JsonObject row;
-      row.Add("id", r.id)
-          .Add("x", r.x)
-          .Add("y", r.y)
-          .Add("time", r.time)
-          .Add("attr", r.attr);
-      if (i > 0) rows += ",";
-      rows += row.Str();
-    }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const EventRecord& r = records[i];
+    JsonObject row;
+    row.Add("id", r.id)
+        .Add("x", r.x)
+        .Add("y", r.y)
+        .Add("time", r.time)
+        .Add("attr", r.attr);
+    if (i > 0) rows += ",";
+    rows += row.Str();
   }
   rows += "]";
 

@@ -8,6 +8,9 @@
 // Selection → conversion → extraction pipeline cached and uncached, asserting
 // byte-identical collected output and identical non-cache counters. Any
 // divergence means the cache changed WHAT was computed, not just how fast.
+// ExpectShapingIdentical does the same for response shaping: count_only,
+// limits and id predicates over a duplicate-id staging must give the same
+// rows, match counts and record-flow counters on every plan.
 //
 // The harness is deliberately reusable: dataset_cache_test builds targeted
 // regressions on the generators, cache_property_test sweeps 50 seeds
@@ -57,19 +60,32 @@ struct CacheWorkload {
   /// is a scalar-vs-SIMD differential on top of the cache differential.
   std::string backend;
   STBox query;
+  /// Ids repeat: about three records per id, and every 4th record copies
+  /// the previous one's id, position and time, so some duplicates share a
+  /// file (same envelope, same T-STR part). Staged for the shaping leg.
+  bool duplicate_ids = false;
 };
 
-inline std::vector<EventRecord> RandomWorkloadEvents(int n, uint64_t seed) {
+inline std::vector<EventRecord> RandomWorkloadEvents(
+    int n, uint64_t seed, bool duplicate_ids = false) {
   Rng rng(seed);
   std::vector<EventRecord> events;
   events.reserve(static_cast<size_t>(n));
+  const int distinct_ids = std::max(1, n / 3);
   for (int i = 0; i < n; ++i) {
     EventRecord r;
-    r.id = i;
+    r.id = duplicate_ids ? i % distinct_ids : i;
     r.x = rng.Uniform(0, 100);
     r.y = rng.Uniform(0, 100);
     r.time = rng.UniformInt(0, 100000);
     r.attr = std::string(static_cast<size_t>(rng.UniformInt(0, 20)), 'a');
+    if (duplicate_ids && i % 4 == 3) {
+      const EventRecord& prev = events.back();
+      r.id = prev.id;
+      r.x = prev.x;
+      r.y = prev.y;
+      r.time = prev.time;
+    }
     events.push_back(std::move(r));
   }
   return events;
@@ -116,8 +132,8 @@ class StagedWorkload {
   explicit StagedWorkload(const CacheWorkload& w) {
     namespace fs = std::filesystem;
     dir_ = (fs::temp_directory_path() /
-            ("st4ml_prop_" + std::to_string(w.seed) + "_" +
-             std::to_string(::getpid())))
+            ("st4ml_prop_" + std::to_string(w.seed) +
+             (w.duplicate_ids ? "_dup_" : "_") + std::to_string(::getpid())))
                .string();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
@@ -125,7 +141,7 @@ class StagedWorkload {
     auto ctx = ExecutionContext::Create(2);
     ctx->ConfigureCache({});  // staging never caches
     auto data = Dataset<EventRecord>::Parallelize(
-        ctx, RandomWorkloadEvents(w.num_records, w.seed), 4);
+        ctx, RandomWorkloadEvents(w.num_records, w.seed, w.duplicate_ids), 4);
     TSTRPartitioner partitioner(w.grid_t, w.grid_s);
     Status built = BuildOnDiskIndex(data, &partitioner, dir_, meta_);
     ST4ML_CHECK(built.ok()) << built.ToString();
@@ -163,18 +179,22 @@ struct PipelineRun {
   Status status;          // first failure, or OK
   std::string output;     // serialized Collect() of every stage output
   MetricsSnapshot metrics;
+  std::vector<EventRecord> selected;  // the last Select's Collect()
+  uint64_t matched = 0;  // the last Select's SelectorStats::records_matched
 };
 
 /// Runs the differential pipeline once: `repeats` metadata-pruned Selects
-/// of the built directory `dir` over the same query (the selector-cache
-/// reuse), then a shuffle and two extractors over its one in-memory result.
+/// of the built directory `dir` over the same query — `query`, or the
+/// workload's box when null — (the selector-cache reuse), then a shuffle
+/// and two extractors over its one in-memory result.
 /// Every collected record and extracted value is appended to `output` in
 /// order, so two runs agree iff their outputs match bytewise. Cache-less
 /// runs over a directory with sidecars take the mmap'd `.stix` plan; over a
 /// SidecarFreeCopy they take the linear scan.
 inline PipelineRun RunCachePipeline(const CacheWorkload& w,
                                     const std::string& dir, uint64_t budget,
-                                    int workers) {
+                                    int workers,
+                                    const SelectQuery* query = nullptr) {
   PipelineRun run;
   std::shared_ptr<ExecutionContext> ctx = ExecutionContext::Create(workers);
   DatasetCache::Options cache_options;
@@ -198,7 +218,9 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
   Job job = Session(ctx).StartJob("cache_property");
   Dataset<EventRecord> last;
   for (int r = 0; r < w.repeats; ++r) {
-    Selector<EventRecord> selector(ctx, SelectQuery::FromBox(w.query), selector_options);
+    Selector<EventRecord> selector(
+        ctx, query != nullptr ? *query : SelectQuery::FromBox(w.query),
+        selector_options);
     auto selected = job.Run("selection", [&] {
       return selector.Select(dir, dir + "/index.meta");
     });
@@ -207,7 +229,9 @@ inline PipelineRun RunCachePipeline(const CacheWorkload& w,
       GlobalFaultInjector().Reset();
       return run;
     }
-    for (const EventRecord& rec : selected->Collect()) {
+    run.selected = selected->Collect();
+    run.matched = selector.stats().records_matched;
+    for (const EventRecord& rec : run.selected) {
       AppendRecordBytes(&run.output, rec);
     }
     last = *selected;
@@ -315,6 +339,18 @@ class ScopedBackend {
   ScopedBackend& operator=(const ScopedBackend&) = delete;
 };
 
+/// The backends a workload runs under: scalar, then the workload's own
+/// backend (the widest available when unset) if that is not scalar.
+inline std::vector<std::string> BackendsFor(const CacheWorkload& w) {
+  std::vector<std::string> backends = {"scalar"};
+  std::string alt =
+      w.backend.empty()
+          ? accel::BackendRegistry::Instance().Available().back()->name()
+          : w.backend;
+  if (alt != "scalar") backends.push_back(alt);
+  return backends;
+}
+
 /// Runs `w` uncached (budget 0) and cached (budgets {0, tiny, unbounded})
 /// at worker counts {1, 8}, under the scalar backend and then under the
 /// workload's backend (when different), asserting:
@@ -331,12 +367,7 @@ inline void ExpectIdentical(const CacheWorkload& w) {
   StagedWorkload staged(w);
   const SidecarFreeCopy scan(staged.dir());
   const uint64_t budgets[] = {0, w.tiny_budget, DatasetCache::kUnbounded};
-  std::vector<std::string> backends = {"scalar"};
-  std::string alt =
-      w.backend.empty()
-          ? accel::BackendRegistry::Instance().Available().back()->name()
-          : w.backend;
-  if (alt != "scalar") backends.push_back(alt);
+  const std::vector<std::string> backends = BackendsFor(w);
   std::string reference;
   bool have_reference = false;
   for (const std::string& backend : backends) {
@@ -398,6 +429,137 @@ inline void ExpectIdentical(const CacheWorkload& w) {
               << "seed " << w.seed << ": counter " << CounterName(c)
               << " diverged at budget " << budget << " workers " << workers
               << " backend " << backend;
+        }
+      }
+    }
+  }
+}
+
+/// Orders records by id, ties kept in Collect() order (file, then record):
+/// the order the daemon and st4ml_select render rows in.
+inline std::string IdOrderedBytes(std::vector<EventRecord> records,
+                                  size_t keep) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const EventRecord& a, const EventRecord& b) {
+                     return a.id < b.id;
+                   });
+  std::string out;
+  for (size_t i = 0; i < std::min(keep, records.size()); ++i) {
+    AppendRecordBytes(&out, records[i]);
+  }
+  return out;
+}
+
+/// The response-shaping queries one seed checks over its duplicate-id
+/// staging: count_only, limit 0, 1, 7 and more than any match count, then
+/// id predicates — duplicates (inside one file too) mixed with absent ids,
+/// the empty set, ids AND the workload box, and ids with a limit.
+inline std::vector<SelectQuery> ShapingQueries(const CacheWorkload& w) {
+  const std::vector<EventRecord> events =
+      RandomWorkloadEvents(w.num_records, w.seed, /*duplicate_ids=*/true);
+  std::vector<SelectQuery> queries;
+  SelectQuery counted = SelectQuery::FromBox(w.query);
+  counted.count_only = true;
+  queries.push_back(counted);
+  for (int64_t limit : {int64_t{0}, int64_t{1}, int64_t{7},
+                        int64_t{w.num_records} + 1}) {
+    SelectQuery limited = SelectQuery::FromBox(w.query);
+    limited.limit = limit;
+    queries.push_back(limited);
+  }
+  std::vector<int64_t> present;
+  for (size_t i = 0; i < events.size(); i += 5) present.push_back(events[i].id);
+  if (events.size() > 3) present.push_back(events[3].id);  // a same-file pair
+  std::vector<int64_t> mixed = present;
+  mixed.push_back(-7);                              // absent: below every id
+  mixed.push_back(int64_t{w.num_records} * 10);     // absent: above every id
+  queries.push_back(SelectQuery::FromIds(mixed));
+  queries.push_back(SelectQuery::FromIds({}));
+  SelectQuery boxed = SelectQuery::FromIds(present);
+  boxed.box = w.query;
+  queries.push_back(boxed);
+  SelectQuery id_limited = SelectQuery::FromIds(mixed);
+  id_limited.limit = 3;
+  queries.push_back(id_limited);
+  return queries;
+}
+
+/// The shaping leg: stages `base` with duplicate ids and runs every
+/// ShapingQueries query over the scan, mmap and cached plans (budgets 0,
+/// tiny, unbounded), at 1 and 8 workers, under scalar and the workload's
+/// backend, asserting for each run that:
+///  - its output is byte-identical to the 1-worker scalar linear scan's and
+///    its CacheInvariantCounters equal the linear scan's at the same
+///    workers and backend (shaping on, counters still count matches);
+///  - its match count is the unshaped materialized count, and a count_only
+///    Select keeps no record;
+///  - its kept rows, ordered by id, are exactly the first `limit` rows of
+///    the id-ordered unshaped set (all of them for no limit).
+/// An id query's answer on the cached plan (the id directory) thus equals
+/// the linear scan's (MatchesId after the kernel).
+inline void ExpectShapingIdentical(const CacheWorkload& base) {
+  CacheWorkload w = base;
+  w.duplicate_ids = true;
+  StagedWorkload staged(w);
+  const SidecarFreeCopy scan(staged.dir());
+  const std::vector<std::string> backends = BackendsFor(w);
+  struct Plan {
+    const std::string* dir;
+    uint64_t budget;
+  };
+  const Plan plans[] = {{&scan.dir(), 0},
+                        {&staged.dir(), 0},
+                        {&staged.dir(), w.tiny_budget},
+                        {&staged.dir(), DatasetCache::kUnbounded}};
+  for (const SelectQuery& query : ShapingQueries(w)) {
+    SCOPED_TRACE("limit " + std::to_string(query.limit) + " count_only " +
+                 std::to_string(query.count_only) + " ids " +
+                 (query.has_ids ? std::to_string(query.ids.size()) : "none"));
+    SelectQuery unshaped = query;
+    unshaped.limit = -1;
+    unshaped.count_only = false;
+    const PipelineRun full = RunCachePipeline(w, scan.dir(), 0, 1, &unshaped);
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    ASSERT_EQ(full.matched, full.selected.size());
+    const size_t keep =
+        query.count_only
+            ? 0
+            : (query.limit < 0 ? full.selected.size()
+                               : static_cast<size_t>(query.limit));
+    const std::string want_rows = IdOrderedBytes(full.selected, keep);
+    std::string reference;
+    bool have_reference = false;
+    for (const std::string& backend : backends) {
+      ScopedBackend forced(backend);
+      for (int workers : {1, 8}) {
+        MetricsSnapshot scan_metrics;
+        for (const Plan& plan : plans) {
+          const PipelineRun run =
+              RunCachePipeline(w, *plan.dir, plan.budget, workers, &query);
+          const std::string where =
+              "seed " + std::to_string(w.seed) + " dir " + *plan.dir +
+              " budget " + std::to_string(plan.budget) + " workers " +
+              std::to_string(workers) + " backend " + backend;
+          ASSERT_TRUE(run.status.ok()) << where << ": "
+                                       << run.status.ToString();
+          if (!have_reference) {
+            reference = run.output;  // the 1-worker scalar linear scan
+            have_reference = true;
+          }
+          EXPECT_EQ(run.output, reference) << where;
+          EXPECT_EQ(run.matched, full.matched) << where;
+          if (query.count_only) {
+            EXPECT_TRUE(run.selected.empty()) << where;
+          }
+          EXPECT_EQ(IdOrderedBytes(run.selected, keep), want_rows) << where;
+          if (plan.dir == &scan.dir()) {
+            scan_metrics = run.metrics;
+            continue;
+          }
+          for (Counter c : CacheInvariantCounters()) {
+            EXPECT_EQ(run.metrics[c], scan_metrics[c])
+                << where << ": counter " << CounterName(c);
+          }
         }
       }
     }

@@ -13,6 +13,11 @@
 // shuffle volume, pruning, failures), which makes it the executor
 // differential too.
 //
+// Every seed also runs the shaping leg (ExpectShapingIdentical): over a
+// duplicate-id staging of the same workload, count_only, limits and id
+// predicates must give the same rows, match counts and record-flow
+// counters on the scan, mmap and cached plans.
+//
 // The sweep is sharded into ranges of 10 so a regression names a small
 // seed set instead of one 50-seed monolith.
 
@@ -30,6 +35,8 @@ void SweepSeeds(uint64_t begin, uint64_t end) {
   for (uint64_t seed = begin; seed < end; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectIdentical(RandomCacheWorkload(seed));
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectShapingIdentical(RandomCacheWorkload(seed));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -62,6 +69,39 @@ TEST(CachePropertyTest, GeneratorCoversTheInterestingRegimes) {
   if (accel::BackendRegistry::Instance().Available().size() > 1) {
     EXPECT_GE(non_scalar_backends, 10);
   }
+}
+
+// The shaping leg must see what it claims to: limits that trim, ids that
+// repeat inside one file, and requested ids that are absent.
+TEST(CachePropertyTest, ShapingLegCoversItsRegimes) {
+  int trimmed = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    const CacheWorkload w = RandomCacheWorkload(seed);
+    const std::vector<EventRecord> events =
+        RandomWorkloadEvents(w.num_records, w.seed, /*duplicate_ids=*/true);
+    size_t matches = 0;
+    for (const EventRecord& r : events) {
+      matches += r.ComputeSTBox().Intersects(w.query) ? 1 : 0;
+    }
+    if (matches > 7) ++trimmed;
+    // Records 2 and 3 share id, position and time, so one T-STR part
+    // holds both, and the mixed id query asks for that id.
+    ASSERT_GT(events.size(), 3u);
+    EXPECT_EQ(events[3].id, events[2].id);
+    EXPECT_EQ(events[3].x, events[2].x);
+    EXPECT_EQ(events[3].y, events[2].y);
+    EXPECT_EQ(events[3].time, events[2].time);
+    const std::vector<SelectQuery> queries = ShapingQueries(w);
+    ASSERT_EQ(queries.size(), 9u);
+    const SelectQuery& mixed = queries[5];
+    EXPECT_TRUE(mixed.MatchesId(events[3].id));
+    const bool absent_asked = std::none_of(
+        events.begin(), events.end(),
+        [&](const EventRecord& r) { return r.id == mixed.ids.front(); });
+    EXPECT_TRUE(absent_asked);
+    EXPECT_TRUE(queries[6].has_ids && queries[6].ids.empty());
+  }
+  EXPECT_GE(trimmed, 25);
 }
 
 // The invariant list must be CacheInvariantCounters minus exactly the one

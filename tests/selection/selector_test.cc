@@ -261,6 +261,95 @@ TEST_F(SelectorTest, CachedMissHitAndReloadMatchLinearScan) {
   EXPECT_GE(m[Counter::kCacheEvictions], 1u);
 }
 
+// On a cached file a count_only Select copies nothing out and a limit
+// Select at most `limit` records per file — each file's lowest ids — while
+// the match count and the record-flow counters stay those of the full set.
+TEST_F(SelectorTest, CachedShapingCopiesOnlyWhatItKeeps) {
+  const STBox box(Mbr(10, 10, 80, 80), Duration(0, 90000));
+  const std::vector<int64_t> all = ReferenceIds(events_, box);
+  ASSERT_GT(all.size(), 100u);
+  auto ctx = ExecutionContext::Create(2);
+  DatasetCache::Options cache_options;
+  cache_options.budget_bytes = DatasetCache::kUnbounded;
+  ctx->ConfigureCache(cache_options);
+  Selector<EventRecord> unshaped(ctx, SelectQuery::FromBox(box));
+  auto full = unshaped.Select(dir_, meta_);  // also loads the cache
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(unshaped.stats().records_matched, all.size());
+
+  for (int pass = 0; pass < 2; ++pass) {  // a load, then resident hits
+    SelectQuery counted = SelectQuery::FromBox(box);
+    counted.count_only = true;
+    const MetricsSnapshot before = ctx->MetricsSnapshot();
+    Selector<EventRecord> counter(ctx, counted);
+    auto none = counter.Select(dir_, meta_);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    const MetricsSnapshot after = ctx->MetricsSnapshot();
+    EXPECT_EQ(none->Count(), 0u);
+    EXPECT_EQ(counter.stats().records_matched, all.size());
+    EXPECT_EQ(counter.stats().bytes_selected, unshaped.stats().bytes_selected);
+    EXPECT_EQ(after[Counter::kSelectionRecordsOut] -
+                  before[Counter::kSelectionRecordsOut],
+              all.size());
+    EXPECT_GT(after[Counter::kPlannerCachedIndex],
+              before[Counter::kPlannerCachedIndex]);
+
+    SelectQuery limited = SelectQuery::FromBox(box);
+    limited.limit = 4;
+    Selector<EventRecord> limiter(ctx, limited);
+    auto some = limiter.Select(dir_, meta_);
+    ASSERT_TRUE(some.ok()) << some.status().ToString();
+    EXPECT_EQ(limiter.stats().records_matched, all.size());
+    ASSERT_EQ(some->num_partitions(), full->num_partitions());
+    for (size_t p = 0; p < full->num_partitions(); ++p) {
+      // The file's 4 lowest ids, in the order the file holds them.
+      std::vector<int64_t> file_ids;
+      for (const EventRecord& r : full->partition(p)) file_ids.push_back(r.id);
+      std::vector<int64_t> lowest(file_ids);
+      std::sort(lowest.begin(), lowest.end());
+      lowest.resize(std::min<size_t>(lowest.size(), 4));
+      std::vector<int64_t> want;
+      for (int64_t id : file_ids) {
+        if (std::binary_search(lowest.begin(), lowest.end(), id)) {
+          want.push_back(id);
+        }
+      }
+      std::vector<int64_t> kept;
+      for (const EventRecord& r : some->partition(p)) kept.push_back(r.id);
+      EXPECT_EQ(kept, want) << "file " << p;
+    }
+  }
+}
+
+// A 3-id lookup on a cached 10k-record file binary-searches the file's id
+// directory: only the 3 candidates go through the kernel, not 10k.
+TEST(SelectorIdDirectoryTest, CachedIdLookupRefinesOnlyItsCandidates) {
+  const std::string dir = TempDir("id_directory");
+  auto ctx = ExecutionContext::Create(2);
+  std::vector<EventRecord> events = RandomEvents(10000, 23);
+  std::reverse(events.begin(), events.end());  // ids arrive unsorted
+  ASSERT_TRUE(
+      PersistDataset(Dataset<EventRecord>::Parallelize(ctx, events, 1), dir)
+          .ok());
+  ASSERT_EQ(ListStpqFiles(dir).size(), 1u);
+  DatasetCache::Options cache_options;
+  cache_options.budget_bytes = DatasetCache::kUnbounded;
+  ctx->ConfigureCache(cache_options);
+  const std::vector<int64_t> wanted = {3, 4321, 9999};
+  for (int pass = 0; pass < 2; ++pass) {  // the load, then a resident hit
+    const uint64_t before = accel::BackendRegistry::Instance().batch_records();
+    Selector<EventRecord> selector(ctx, SelectQuery::FromIds(wanted));
+    auto got = selector.Select(dir);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(accel::BackendRegistry::Instance().batch_records() - before,
+              wanted.size())
+        << "pass " << pass;
+    EXPECT_EQ(SortedIds(*got), wanted) << "pass " << pass;
+    EXPECT_EQ(ctx->MetricsSnapshot()[Counter::kPlannerCachedIndex],
+              static_cast<uint64_t>(pass + 1));
+  }
+}
+
 TEST_F(SelectorTest, PartitionAfterSelectRedistributes) {
   STBox query(Mbr(0, 0, 100, 100), Duration(0, 100000));
   SelectorOptions options;

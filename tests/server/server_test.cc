@@ -50,8 +50,9 @@ ToolOptions DaemonOptions() {
 
 /// One in-process daemon: Session + Server, started on an ephemeral port.
 struct Daemon {
-  explicit Daemon(ServerOptions server_options = {})
-      : session(DaemonOptions()), server(&session, server_options) {
+  explicit Daemon(ServerOptions server_options = {},
+                  ToolOptions tool_options = DaemonOptions())
+      : session(tool_options), server(&session, server_options) {
     Status started = server.Start();
     ST4ML_CHECK(started.ok()) << started.ToString();
   }
@@ -387,6 +388,165 @@ TEST(ServerTest, SelectServesRowsAndWarmCacheHits) {
   EXPECT_FALSE(Ok(missing));
   EXPECT_NE(ErrorCode(missing), "");
   EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
+}
+
+/// The answer part of a select/lookup_id reply, `"count":N,"rows":[...]`,
+/// cut from the raw frame: everything but job_id, metrics and elapsed_us.
+std::string Answer(Client& client, const std::string& request) {
+  auto response = client.Call(request);
+  if (!response.ok()) {
+    ADD_FAILURE() << "Call failed: " << response.status().ToString();
+    return "";
+  }
+  const size_t begin = response->find("\"count\":");
+  const size_t end = response->find(",\"metrics\":");
+  if (begin == std::string::npos || end == std::string::npos || end < begin) {
+    ADD_FAILURE() << "no answer in " << *response;
+    return "";
+  }
+  return response->substr(begin, end - begin);
+}
+
+/// (id, time, attr) of each reply row, in reply order.
+std::vector<std::string> RowKeys(const JsonValue& response) {
+  std::vector<std::string> keys;
+  const JsonValue* rows = response.Find("rows");
+  if (rows == nullptr) return keys;
+  for (const JsonValue& row : rows->array) {
+    keys.push_back(std::to_string(row.GetInt("id", -1)) + "@" +
+                   std::to_string(row.GetInt("time", -1)) + ":" +
+                   row.GetString("attr", "?"));
+  }
+  return keys;
+}
+
+std::string RowKey(const EventRecord& r) {
+  return std::to_string(r.id) + "@" + std::to_string(r.time) + ":" + r.attr;
+}
+
+// select with a limit returns exactly the global lowest matching ids when
+// they are spread over several files: each file keeps its own lowest, and
+// the daemon orders the union — on the load and on resident hits alike.
+TEST(ServerTest, LimitReturnsTheGlobalLowestIdsAcrossFiles) {
+  testing::CacheWorkload w = ServeWorkload();
+  testing::StagedWorkload staged(w);
+  std::map<int64_t, size_t> file_of;
+  const std::vector<std::string> files = ListStpqFiles(staged.dir());
+  for (size_t f = 0; f < files.size(); ++f) {
+    auto records = ReadStpqFile<EventRecord>(files[f]);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    for (const EventRecord& r : *records) file_of[r.id] = f;
+  }
+  const std::vector<EventRecord> events =
+      testing::RandomWorkloadEvents(w.num_records, w.seed);
+  Daemon daemon;
+  Client client = daemon.Connect();
+  for (const auto& [t_lo, t_hi] :
+       {std::pair<int64_t, int64_t>{0, 100000}, {20000, 80000}}) {
+    const STBox box(Mbr(0, 0, 100, 100), Duration(t_lo, t_hi));
+    std::vector<int64_t> lowest;
+    for (const EventRecord& r : events) {
+      if (r.ComputeSTBox().Intersects(box)) lowest.push_back(r.id);
+    }
+    const int64_t count = static_cast<int64_t>(lowest.size());
+    std::sort(lowest.begin(), lowest.end());
+    lowest.resize(12);
+    std::vector<size_t> holders;
+    for (int64_t id : lowest) holders.push_back(file_of.at(id));
+    std::sort(holders.begin(), holders.end());
+    holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+    ASSERT_GE(holders.size(), 3u) << "the lowest ids must span 3+ files";
+    for (int pass = 0; pass < 2; ++pass) {
+      JsonValue reply =
+          Call(client, SelectRequest(staged.dir(), t_lo, t_hi, 12));
+      ASSERT_TRUE(Ok(reply)) << ErrorCode(reply);
+      EXPECT_EQ(reply.GetInt("count", -1), count);
+      std::vector<int64_t> ids;
+      for (const JsonValue& row : reply.Find("rows")->array) {
+        ids.push_back(row.GetInt("id", -1));
+      }
+      EXPECT_EQ(ids, lowest) << "window " << t_lo << ".." << t_hi << " pass "
+                             << pass;
+    }
+  }
+}
+
+// Over ids that repeat (inside one file too), rows come back ordered by id
+// with ties in file then record order, and a limit above the count returns
+// every match in that order — the same on the load and on resident hits.
+TEST(ServerTest, LimitOrderIsDeterministicAcrossTiesAndOverlongLimits) {
+  testing::CacheWorkload w = ServeWorkload();
+  w.duplicate_ids = true;
+  testing::StagedWorkload staged(w);
+  // The reference: an uncached Select's Collect() (file order, then record
+  // order), stably ordered by id.
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(w.query));
+  auto selected = selector.Select(staged.dir(), staged.meta());
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  std::vector<EventRecord> all = selected->Collect();
+  std::stable_sort(all.begin(), all.end(),
+                   [](const EventRecord& a, const EventRecord& b) {
+                     return a.id < b.id;
+                   });
+  ASSERT_GT(all.size(), 9u);
+  ASSERT_EQ(all[0].id, all[1].id) << "the reference must hold a tie";
+  std::vector<std::string> want;
+  for (const EventRecord& r : all) want.push_back(RowKey(r));
+
+  Daemon daemon;
+  Client client = daemon.Connect();
+  for (int pass = 0; pass < 2; ++pass) {
+    JsonValue everything = Call(
+        client, SelectRequest(staged.dir(), 0, 100000,
+                              static_cast<int64_t>(all.size()) + 50));
+    ASSERT_TRUE(Ok(everything)) << ErrorCode(everything);
+    EXPECT_EQ(everything.GetInt("count", -1),
+              static_cast<int64_t>(all.size()));
+    EXPECT_EQ(RowKeys(everything), want) << "pass " << pass;
+    JsonValue nine = Call(client, SelectRequest(staged.dir(), 0, 100000, 9));
+    ASSERT_TRUE(Ok(nine)) << ErrorCode(nine);
+    EXPECT_EQ(RowKeys(nine),
+              std::vector<std::string>(want.begin(), want.begin() + 9))
+        << "pass " << pass;
+  }
+}
+
+// lookup_id answers the same whether the daemon serves the files cold
+// through their `.stix` sidecars (cache disabled) or from its cache
+// through the id directory — on the cache's load and on resident hits.
+TEST(ServerTest, LookupIdRepliesMatchColdAndWarm) {
+  testing::CacheWorkload w = ServeWorkload();
+  w.duplicate_ids = true;
+  testing::StagedWorkload staged(w);
+  const std::vector<EventRecord> events =
+      testing::RandomWorkloadEvents(w.num_records, w.seed, true);
+  ToolOptions cold_options = DaemonOptions();
+  cold_options.cache_budget_bytes = 0;
+  Daemon cold(ServerOptions{}, cold_options);
+  Daemon warm;
+  Client cold_client = cold.Connect();
+  Client warm_client = warm.Connect();
+  const std::string prefix =
+      R"({"verb":"lookup_id","dir":")" + staged.dir() + R"(","ids":[0,1,)" +
+      std::to_string(events[3].id) + ",-5,99999]";
+  const std::vector<std::string> requests = {
+      prefix + R"(,"limit":100000})",
+      prefix + R"(,"limit":2})",
+      prefix + R"(,"mbr":[0,0,60,100],"time":[0,70000],"limit":100000})"};
+  for (const std::string& request : requests) {
+    JsonValue cold_reply = Call(cold_client, request);
+    ASSERT_TRUE(Ok(cold_reply)) << ErrorCode(cold_reply);
+    EXPECT_GT(Metric(cold_reply, "planner_mmap_index"), 0);
+    EXPECT_EQ(Metric(cold_reply, "planner_cached_index"), 0);
+    const std::string want = Answer(cold_client, request);
+    EXPECT_NE(want.find("\"rows\":[{"), std::string::npos) << want;
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(Answer(warm_client, request), want)
+          << request << " pass " << pass;
+    }
+    EXPECT_GT(Metric(Call(warm_client, request), "planner_cached_index"), 0);
+  }
 }
 
 // lookup_id pinned against the select reference: the ids the daemon served

@@ -11,9 +11,9 @@
 //       [--count-only] [--cache-budget=67108864]
 //       [--trace=trace.json] [--metrics-json=metrics.json] > selected.csv
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pipeline/session.h"
@@ -55,33 +55,23 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  size_t count;
+  // The selector shaped each file's matches (none for --count-only, at
+  // most --limit per file otherwise), so only those rows are ordered here.
+  // Its stats carry the count.
+  const uint64_t count = selector.stats().records_matched;
   if (query.count_only) {
-    // No materialization, no sort, no row formatting — the fast path a
-    // cardinality probe wants.
-    count = selected->Count();
-    std::printf("count\n%zu\n", count);
+    std::printf("count\n%llu\n", static_cast<unsigned long long>(count));
   } else {
-    std::vector<st4ml::EventRecord> records = selected->Collect();
-    std::sort(records.begin(), records.end(),
-              [](const st4ml::EventRecord& a, const st4ml::EventRecord& b) {
-                return a.id < b.id;
-              });
-    count = records.size();
-    size_t shown = query.limit < 0
-                       ? records.size()
-                       : std::min(records.size(),
-                                  static_cast<size_t>(query.limit));
     std::printf("id,x,y,time,attr\n");
-    for (size_t i = 0; i < shown; ++i) {
-      const st4ml::EventRecord& r = records[i];
+    for (const st4ml::EventRecord& r :
+         st4ml::RowsInIdOrder(std::move(*selected), query.limit)) {
       std::printf("%lld,%.6f,%.6f,%lld,%s\n", static_cast<long long>(r.id),
                   r.x, r.y, static_cast<long long>(r.time), r.attr.c_str());
     }
   }
   std::fprintf(stderr,
-               "st4ml_select: %zu records (loaded %llu bytes, kept %llu)\n",
-               count,
+               "st4ml_select: %llu records (loaded %llu bytes, kept %llu)\n",
+               static_cast<unsigned long long>(count),
                static_cast<unsigned long long>(selector.stats().bytes_loaded),
                static_cast<unsigned long long>(
                    selector.stats().bytes_selected));
