@@ -6,7 +6,7 @@
 //               SelectIngest queries the whole time. Gates:
 //               >= 100k records/sec sustained append, reader counts
 //               monotonically non-decreasing, final count exact.
-//   recovery    a forked child appends records one by one and reports
+//   recovery    a forked child appends one-record batches and reports
 //               every ack over a pipe; the parent SIGKILLs it mid-stream,
 //               reopens the directory, and requires the replayed count to
 //               equal the acked count (the one in-flight record whose ack
@@ -183,7 +183,7 @@ RecoveryResult RunRecovery(size_t records) {
     std::exit(1);
   }
   if (child == 0) {
-    // Child: append one record at a time, report EVERY ack. The report
+    // Child: append one-record batches, report EVERY ack. The report
     // follows the ack, so any count the parent reads is a floor on what
     // the WAL must replay.
     close(pipefd[0]);
@@ -195,7 +195,7 @@ RecoveryResult RunRecovery(size_t records) {
     std::vector<EventRecord> events = MakeEvents(records, 7);
     uint64_t acked = 0;
     for (const EventRecord& r : events) {
-      if (!(*ingestor)->Append(r).ok()) _exit(4);
+      if (!(*ingestor)->AppendBatch({r}).ok()) _exit(4);
       ++acked;
       if (write(pipefd[1], &acked, sizeof(acked)) !=
           static_cast<ssize_t>(sizeof(acked))) {

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -26,11 +25,6 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   int64_t q = a / b;
   int64_t r = a % b;
   return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 /// Parses "s<seq>-b<bucket>.stwal[.open]" back into its sequence number.
@@ -64,11 +58,7 @@ bool RemoveFileChecked(const std::string& path) {
 /// always the SEALED name. A parked `.open` straggler drops its suffix so
 /// Recover and the merged Select (which both compare sealed names) find it.
 std::string ConsumedName(const std::string& path) {
-  std::string name = fs::path(path).filename().string();
-  if (EndsWith(name, kWalOpenSuffix)) {
-    name.resize(name.size() - std::strlen(kWalOpenSuffix));
-  }
-  return name;
+  return fs::path(WalSealedName(path)).filename().string();
 }
 
 }  // namespace
@@ -147,14 +137,14 @@ Status Ingestor::Recover() {
     for (const auto& entry : fs::directory_iterator(d, ec)) {
       if (!entry.is_regular_file()) continue;
       const std::string name = entry.path().filename().string();
-      if (EndsWith(name, ".tmp")) {
+      if (name.ends_with(".tmp")) {
         RemoveFile(entry.path().string());
         continue;
       }
       if (d == dir_ && name.rfind("ingest-", 0) == 0) {
-        bool orphan_stpq = EndsWith(name, ".stpq") && !live_parts.count(name);
+        bool orphan_stpq = name.ends_with(".stpq") && !live_parts.count(name);
         bool orphan_stix =
-            EndsWith(name, ".stix") &&
+            name.ends_with(".stix") &&
             !live_parts.count(name.substr(0, name.size() - 5) + ".stpq");
         if (orphan_stpq || orphan_stix) RemoveFile(entry.path().string());
       }
@@ -166,11 +156,9 @@ Status Ingestor::Recover() {
   // read tolerantly, truncated past its last complete frame, and re-sealed.
   uint64_t replayed = 0;
   for (const std::string& path : ListWalSegments(wal_dir_)) {
-    std::string name = fs::path(path).filename().string();
-    bool is_open = EndsWith(name, kWalOpenSuffix);
-    std::string sealed_name =
-        is_open ? name.substr(0, name.size() - std::strlen(kWalOpenSuffix))
-                : name;
+    const bool is_open = IsOpenWalSegment(path);
+    const std::string sealed_path(WalSealedName(path));
+    const std::string sealed_name = ConsumedName(path);
     // Reserve the sequence number BEFORE any skip: even a consumed or
     // headerless segment's name must never be minted again.
     uint64_t seq = 0;
@@ -181,9 +169,8 @@ Status Ingestor::Recover() {
       RemoveFile(path);
       continue;
     }
-    StatusOr<WalReadResult> result = ReadWalSegment(path, /*strict=*/!is_open);
+    StatusOr<WalReadResult> result = ReadWalSegment(path);
     if (!result.ok()) return result.status();
-    std::string sealed_path = wal_dir_ + "/" + sealed_name;
     if (is_open && result->good_bytes < kWalHeaderBytes) {
       // Torn before the header completed: no append against this segment
       // was ever acked, and truncate-and-re-seal would publish a sealed
@@ -248,48 +235,27 @@ void Ingestor::SealLocked(int64_t bucket) {
 // arrival the oldest bucket is the one least likely to see more appends. A
 // seal that fails without closing its fd leaves the writer active for
 // retry; skip past it rather than spin.
-void Ingestor::ReserveWriterSlotLocked(const std::set<int64_t>* protect) {
+void Ingestor::ReserveWriterSlotLocked(const BatchFrames& protect) {
   size_t attempts = writers_.size();
   auto it = writers_.begin();
   while (writers_.size() >= options_.max_open_buckets && attempts-- > 0 &&
          it != writers_.end()) {
     int64_t bucket = it->first;
     ++it;  // advance first: SealLocked erases on success
-    if (protect != nullptr && protect->count(bucket)) continue;
+    if (protect.count(bucket)) continue;
     SealLocked(bucket);
   }
-}
-
-Status Ingestor::Append(const EventRecord& r) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t bucket = FloorDiv(r.time, options_.bucket_seconds);
-  auto it = writers_.find(bucket);
-  if (it == writers_.end()) {
-    ReserveWriterSlotLocked();
-    StatusOr<WalWriter> writer =
-        WalWriter::Create(SegmentPath(next_seq_, bucket));
-    if (!writer.ok()) return writer.status();
-    ++next_seq_;
-    it = writers_.emplace(bucket, std::move(*writer)).first;
-  }
-  ST4ML_RETURN_IF_ERROR(it->second.Append(r));
-  appended_.fetch_add(1, std::memory_order_relaxed);
-  ++staged_records_;
-  if (it->second.record_count() >= options_.seal_records) SealLocked(bucket);
-  return Status::Ok();
 }
 
 Status Ingestor::AppendBatch(const std::vector<EventRecord>& records) {
   if (records.empty()) return Status::Ok();
   // Frame per bucket up front so each touched bucket costs ONE write(2).
-  std::map<int64_t, std::pair<std::string, uint64_t>> frames;
+  BatchFrames frames;
   for (const EventRecord& r : records) {
     auto& entry = frames[FloorDiv(r.time, options_.bucket_seconds)];
     AppendWalFrame(&entry.first, r);
     ++entry.second;
   }
-  std::set<int64_t> touched;
-  for (const auto& [bucket, batch] : frames) touched.insert(bucket);
   std::lock_guard<std::mutex> lock(mu_);
   // All-or-nothing: stage every bucket's frames first, recording each
   // writer's pre-batch watermark, and only ack + seal once all succeeded.
@@ -310,7 +276,7 @@ Status Ingestor::AppendBatch(const std::vector<EventRecord>& records) {
   for (auto& [bucket, batch] : frames) {
     auto it = writers_.find(bucket);
     if (it == writers_.end()) {
-      ReserveWriterSlotLocked(&touched);
+      ReserveWriterSlotLocked(frames);
       StatusOr<WalWriter> writer =
           WalWriter::Create(SegmentPath(next_seq_, bucket));
       if (!writer.ok()) {
@@ -378,8 +344,7 @@ Status Ingestor::CompactNow() {
   std::map<int64_t, std::vector<EventRecord>> buckets;
   uint64_t absorbed = 0;
   for (const std::string& path : segments) {
-    bool is_open = EndsWith(path, kWalOpenSuffix);
-    StatusOr<WalReadResult> result = ReadWalSegment(path, /*strict=*/!is_open);
+    StatusOr<WalReadResult> result = ReadWalSegment(path);
     if (!result.ok()) return result.status();
     absorbed += result->records.size();
     for (EventRecord& r : result->records) {

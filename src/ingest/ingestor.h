@@ -12,9 +12,9 @@
 // batch-built directory adopts the parts its index.meta lists.
 //
 // Crash semantics:
-//  - Append returning Ok is the ack; the destructor does NOT seal or flush,
-//    so dropping an Ingestor mid-stream leaves exactly what a SIGKILL
-//    would — Open() replays it.
+//  - AppendBatch returning Ok is the ack; the destructor does NOT seal or
+//    flush, so dropping an Ingestor mid-stream leaves exactly what a
+//    SIGKILL would — Open() replays it.
 //  - A crash before a manifest publish leaves orphan `ingest-*` partitions
 //    (deleted at the next Open) and the segments they absorbed (replayed):
 //    no record is lost or duplicated.
@@ -31,10 +31,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -90,14 +90,12 @@ class Ingestor {
   Ingestor(const Ingestor&) = delete;
   Ingestor& operator=(const Ingestor&) = delete;
 
-  /// Appends one record to its time bucket's active segment. Returning Ok
-  /// IS the ack (see wal.h for the durability ladder).
-  Status Append(const EventRecord& r);
-
-  /// Batched append: one write(2) per touched bucket. All-or-nothing: an
-  /// error means NO record of the batch was staged or acked (frames written
-  /// to earlier buckets are rolled back), so a client may retry the whole
-  /// batch without duplicating records.
+  /// The one append: one write(2) per touched bucket. Returning Ok IS the
+  /// ack (see wal.h for the durability ladder); callers that ack per record
+  /// pass a one-record batch. All-or-nothing: an error means NO record of
+  /// the batch was staged or acked (frames written before the failure,
+  /// a partial write(2) included, are rolled back), so a client may retry
+  /// the whole batch without duplicating records.
   Status AppendBatch(const std::vector<EventRecord>& records);
 
   /// Graceful drain: seals every active segment, then compacts everything
@@ -128,12 +126,15 @@ class Ingestor {
   /// writer whose descriptor is already closed is parked as an `.open`
   /// segment the compactor reads tolerantly.
   void SealLocked(int64_t bucket);
+  /// One batch's frames per bucket, and how many records each holds.
+  using BatchFrames = std::map<int64_t, std::pair<std::string, uint64_t>>;
   /// Seals oldest open buckets until a new writer fits under
-  /// `max_open_buckets` (fd budget). Buckets in `protect` are never sealed:
-  /// a mid-batch seal would make an earlier bucket's frames irrevocable and
-  /// break AppendBatch's rollback, so a batch spanning more buckets than
-  /// the cap may briefly exceed the fd budget by its own bucket count.
-  void ReserveWriterSlotLocked(const std::set<int64_t>* protect = nullptr);
+  /// `max_open_buckets` (fd budget). The batch's own buckets are never
+  /// sealed: a mid-batch seal would make an earlier bucket's frames
+  /// irrevocable and break AppendBatch's rollback, so a batch spanning more
+  /// buckets than the cap may briefly exceed the fd budget by its own
+  /// bucket count.
+  void ReserveWriterSlotLocked(const BatchFrames& protect);
   std::string SegmentPath(uint64_t seq, int64_t bucket) const;
 
   const std::string dir_;

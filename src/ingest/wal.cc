@@ -19,9 +19,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Minimum payload: id + x + y + time + attr_len with an empty attr.
-constexpr uint32_t kMinPayloadBytes = 8 + 8 + 8 + 8 + 4;
-
 const uint32_t* Crc32Table() {
   static const auto table = [] {
     static uint32_t t[256];
@@ -35,11 +32,6 @@ const uint32_t* Crc32Table() {
     return t;
   }();
   return table;
-}
-
-template <typename T>
-void AppendRaw(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
 Status WriteAll(int fd, const char* data, size_t len,
@@ -68,26 +60,15 @@ uint32_t WalCrc32(const void* data, size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void AppendEventWire(std::string* out, const EventRecord& r) {
-  AppendRaw(out, r.id);
-  AppendRaw(out, r.x);
-  AppendRaw(out, r.y);
-  AppendRaw(out, r.time);
-  uint32_t len = static_cast<uint32_t>(r.attr.size());
-  AppendRaw(out, len);
-  out->append(r.attr.data(), r.attr.size());
-}
-
 void AppendWalFrame(std::string* out, const EventRecord& r) {
-  size_t payload_at = out->size() + kWalFrameOverhead;
-  uint32_t payload_len =
-      static_cast<uint32_t>(kMinPayloadBytes + r.attr.size());
-  AppendRaw(out, payload_len);
-  uint32_t crc_placeholder = 0;
-  AppendRaw(out, crc_placeholder);
-  AppendEventWire(out, r);
-  uint32_t crc = WalCrc32(out->data() + payload_at, payload_len);
-  std::memcpy(out->data() + payload_at - sizeof(crc), &crc, sizeof(crc));
+  const size_t frame_at = out->size();
+  out->append(kWalFrameOverhead, '\0');  // filled once the payload is in
+  EncodeStpqRecord(r, out);
+  const size_t payload_at = frame_at + kWalFrameOverhead;
+  const size_t payload_len = out->size() - payload_at;
+  const uint32_t frame[2] = {static_cast<uint32_t>(payload_len),
+                             WalCrc32(out->data() + payload_at, payload_len)};
+  std::memcpy(out->data() + frame_at, frame, sizeof(frame));
 }
 
 WalWriter::~WalWriter() { Abandon(); }
@@ -118,7 +99,7 @@ void WalWriter::Abandon() {
 StatusOr<WalWriter> WalWriter::Create(const std::string& sealed_path) {
   WalWriter writer;
   writer.sealed_path_ = sealed_path;
-  writer.open_path_ = sealed_path + kWalOpenSuffix;
+  writer.open_path_ = sealed_path + std::string(kWalOpenSuffix);
   std::error_code ec;
   fs::path parent = fs::path(sealed_path).parent_path();
   if (!parent.empty()) fs::create_directories(parent, ec);
@@ -135,19 +116,6 @@ StatusOr<WalWriter> WalWriter::Create(const std::string& sealed_path) {
   if (!wrote.ok()) return wrote;
   writer.byte_count_ = kWalHeaderBytes;
   return writer;
-}
-
-Status WalWriter::Append(const EventRecord& r) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kWalAppend, open_path_));
-  if (fd_ < 0) return Status::Internal("wal segment closed: " + open_path_);
-  frame_buf_.clear();
-  AppendWalFrame(&frame_buf_, r);
-  ST4ML_RETURN_IF_ERROR(
-      WriteAll(fd_, frame_buf_.data(), frame_buf_.size(), open_path_));
-  record_count_ += 1;
-  byte_count_ += frame_buf_.size();
-  return Status::Ok();
 }
 
 Status WalWriter::AppendFrames(const std::string& frames, uint64_t n) {
@@ -190,9 +158,15 @@ Status WalWriter::Seal() {
   return FsyncParentDir(sealed_path_);
 }
 
-StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
+StatusOr<WalReadResult> ReadWalSegment(const std::string& path) {
+  const bool strict = !IsOpenWalSegment(path);
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such wal segment: " + path);
+  if (!in.is_open()) {
+    // A Seal renamed the listed active segment away: its sealed name holds
+    // the same, now fully framed, bytes.
+    if (!strict) return ReadWalSegment(std::string(WalSealedName(path)));
+    return Status::NotFound("no such wal segment: " + path);
+  }
   char header[kWalHeaderBytes];
   in.read(header, sizeof(header));
   bool bad_header =
@@ -225,7 +199,7 @@ StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
     bool torn = in.gcount() != static_cast<std::streamsize>(sizeof(frame));
     uint32_t payload_len = torn ? 0 : frame[0];
     if (!torn &&
-        (payload_len < kMinPayloadBytes || payload_len > file_bytes)) {
+        (payload_len < kStpqMinEventBytes || payload_len > file_bytes)) {
       torn = true;  // implausible length: garbage or a torn length word
     }
     if (!torn) {
@@ -241,35 +215,16 @@ StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
       result.torn_tail = true;
       break;
     }
-    // Decode the STPQ event wire payload; the length must agree exactly.
-    EventRecord r;
-    const char* p = payload.data();
-    std::memcpy(&r.id, p, 8);
-    std::memcpy(&r.x, p + 8, 8);
-    std::memcpy(&r.y, p + 16, 8);
-    std::memcpy(&r.time, p + 24, 8);
-    uint32_t attr_len = 0;
-    std::memcpy(&attr_len, p + 32, 4);
-    if (attr_len != payload_len - kMinPayloadBytes) {
+    // A CRC-valid payload must be exactly one record.
+    StpqCursor record(payload.data(), payload_len);
+    ST4ML_RETURN_IF_ERROR(
+        DecodeStpqRecord(record, path, &result.records.emplace_back()));
+    if (record.remaining() != 0) {
       return Status::Corruption("wal frame length disagrees in " + path);
     }
-    r.attr.assign(p + kMinPayloadBytes, attr_len);
-    result.records.push_back(std::move(r));
     result.good_bytes += kWalFrameOverhead + payload_len;
   }
   return result;
-}
-
-StatusOr<WalReadResult> ReadListedWalSegment(const std::string& path) {
-  auto result = ReadWalSegment(path, /*strict=*/false);
-  const size_t suffix = std::strlen(kWalOpenSuffix);
-  if (result.ok() || result.status().code() != Status::Code::kNotFound ||
-      path.size() <= suffix ||
-      path.compare(path.size() - suffix, suffix, kWalOpenSuffix) != 0) {
-    return result;
-  }
-  return ReadWalSegment(path.substr(0, path.size() - suffix),
-                        /*strict=*/false);
 }
 
 std::vector<std::string> ListWalSegments(const std::string& wal_dir) {
@@ -278,17 +233,9 @@ std::vector<std::string> ListWalSegments(const std::string& wal_dir) {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(wal_dir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    auto ends_with = [&](const std::string& suffix) {
-      return name.size() >= suffix.size() &&
-             name.compare(name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0;
-    };
-    if (ends_with(".stwal")) {
-      sealed.push_back(entry.path().string());
-    } else if (ends_with(std::string(".stwal") + kWalOpenSuffix)) {
-      active.push_back(entry.path().string());
-    }
+    const std::string path = entry.path().string();
+    if (!IsWalSegment(path)) continue;
+    (IsOpenWalSegment(path) ? active : sealed).push_back(path);
   }
   std::sort(sealed.begin(), sealed.end());
   std::sort(active.begin(), active.end());

@@ -3,28 +3,32 @@
 
 // The write-ahead staging format behind streaming ingestion (DESIGN.md §13,
 // ROADMAP #4). Appended records land in time-bucketed `.stwal` segments: a
-// tiny header ("STWL1" + record-kind tag) followed by CRC32-framed records
-// in the STPQ event wire encoding. An ACTIVE segment carries the extra
-// `.open` suffix; sealing fsyncs the bytes and renames away the suffix, so
-// the sealed name itself asserts "fully durable, fully framed".
+// tiny header ("STWL1" + record-kind tag) followed by CRC32-framed records.
+// An ACTIVE segment carries the extra `.open` suffix; sealing fsyncs the
+// bytes and renames away the suffix, so the sealed name itself asserts
+// "fully durable, fully framed".
 //
 // Frame layout (native-endian, like STPQ):
 //   u32 payload_len | u32 crc32(payload) | payload
-//   payload = id i64, x f64, y f64, time i64, attr_len u32, attr bytes
+//   payload = one record in the STPQ event codec (EncodeStpqRecord /
+//             DecodeStpqRecord, src/storage/stpq.h)
 //
 // Durability contract:
-//  - Append ACKS once write(2) has accepted the frame: the record survives
-//    a process crash (the kernel owns the bytes) but only a SEAL's fsync
-//    makes it power-loss durable.
+//  - Ingestor::AppendBatch acks once write(2) has accepted every frame of
+//    the batch: the records survive a process crash (the kernel owns the
+//    bytes) but only a SEAL's fsync makes them power-loss durable. A failed
+//    batch is truncated back to its pre-batch watermark.
 //  - A crash mid-append can only tear the LAST frame of an `.open`
 //    segment; the CRC framing finds the torn tail and replay stops exactly
 //    at the last complete frame — every acked-and-completed record before
 //    it is recovered, the unacked torn frame is dropped.
-//  - Sealed segments must parse end to end; a bad frame there is
-//    Corruption, never silently skipped.
+//  - The segment name picks the read mode: a sealed segment must parse end
+//    to end (a bad frame there is Corruption, never silently skipped), for
+//    replay, compaction and the merged Select alike.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -37,16 +41,30 @@ inline constexpr char kWalMagic[5] = {'S', 'T', 'W', 'L', '1'};
 inline constexpr uint64_t kWalHeaderBytes = sizeof(kWalMagic) + 1;
 /// Bytes of framing per record on top of the payload: length + CRC32.
 inline constexpr uint64_t kWalFrameOverhead = 4 + 4;
-/// Suffix an ACTIVE (still appendable) segment carries.
-inline constexpr const char* kWalOpenSuffix = ".open";
+/// Suffixes of a sealed segment and of an ACTIVE (still appendable) one.
+inline constexpr std::string_view kWalSealedSuffix = ".stwal";
+inline constexpr std::string_view kWalOpenSuffix = ".open";
+
+/// True for an active segment's name or path (`<sealed name>.open`).
+inline bool IsOpenWalSegment(std::string_view path) {
+  return path.ends_with(kWalOpenSuffix);
+}
+
+/// The sealed name of a segment name or path: an active segment's `.open`
+/// suffix dropped, anything else unchanged. A view into `path`.
+inline std::string_view WalSealedName(std::string_view path) {
+  if (IsOpenWalSegment(path)) path.remove_suffix(kWalOpenSuffix.size());
+  return path;
+}
+
+/// True for a WAL segment's name or path, sealed or active.
+inline bool IsWalSegment(std::string_view path) {
+  return WalSealedName(path).ends_with(kWalSealedSuffix);
+}
 
 /// CRC32 (reflected, polynomial 0xEDB88320 — the zlib polynomial) over
 /// `len` bytes. Table-based, no dependencies.
 uint32_t WalCrc32(const void* data, size_t len);
-
-/// Serializes one record in the STPQ event wire encoding (the WAL frame
-/// payload — byte-identical to the record's bytes inside a `.stpq`).
-void AppendEventWire(std::string* out, const EventRecord& r);
 
 /// Appends one complete frame (length, CRC, payload) for `r` to `out`.
 void AppendWalFrame(std::string* out, const EventRecord& r);
@@ -64,20 +82,16 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Frames and writes one record. Returning Ok IS the ack: the frame has
-  /// been accepted by the kernel. Fires the wal/append fault site first —
-  /// an injected failure means the record was never written, never acked.
-  Status Append(const EventRecord& r);
-
-  /// Writes pre-built frames (AppendWalFrame output) in ONE write call —
-  /// the batched append path. `n` is how many records `frames` holds.
+  /// Writes pre-built frames (AppendWalFrame output) in ONE write call.
+  /// `n` is how many records `frames` holds. Fires the wal/append fault
+  /// site first. On an error some bytes may have landed: the caller rolls
+  /// back with TruncateTo.
   Status AppendFrames(const std::string& frames, uint64_t n);
 
   /// Rolls the segment back to an earlier watermark: ftruncate to
   /// `byte_count`, rewind the file offset there, and reset the counters.
-  /// The batched append path uses this to un-stage a batch's frames when a
-  /// later bucket of the same batch fails, keeping AppendBatch
-  /// all-or-nothing.
+  /// AppendBatch uses this to un-stage a batch's frames when any bucket of
+  /// the batch fails, keeping every append all-or-nothing.
   Status TruncateTo(uint64_t byte_count, uint64_t record_count);
 
   /// fsync + rename to the sealed name + fsync the directory. Fires the
@@ -103,7 +117,6 @@ class WalWriter {
   std::string open_path_;
   uint64_t record_count_ = 0;
   uint64_t byte_count_ = 0;
-  std::string frame_buf_;  // reused per Append to avoid an alloc per record
 };
 
 /// One segment's replayed content.
@@ -117,22 +130,19 @@ struct WalReadResult {
   uint64_t good_bytes = 0;
 };
 
-/// Reads every complete frame of `path`. `strict` (sealed segments) turns
-/// any torn or CRC-failing frame into Corruption; tolerant mode (active
-/// `.open` tails, and reads racing a live appender) stops at the first bad
-/// frame and reports it via `torn_tail`. A short or invalid HEADER — what a
-/// crash between creating the file and flushing its header leaves — is
-/// Corruption when strict, but in tolerant mode it is one fully-torn empty
-/// segment (`torn_tail=true`, `good_bytes=0`) so recovery can clean it up
-/// instead of refusing to open the directory.
-StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict);
-
-/// Tolerant read of a segment path a reader LISTED earlier. A Seal may
-/// rename a listed active segment between the listing and the read: on
-/// NotFound for a `.open` path, the sealed name — which holds the same
-/// fully-framed bytes — is read once instead. Every other outcome is
-/// ReadWalSegment's own.
-StatusOr<WalReadResult> ReadListedWalSegment(const std::string& path);
+/// Reads every complete frame of the segment at `path`; its name picks the
+/// mode. A sealed `.stwal` is read strictly: any torn or CRC-failing frame
+/// is Corruption. An active `.stwal.open` (a live appender's tail, or a
+/// crash's) is read tolerantly: the read stops at the first bad frame and
+/// reports it via `torn_tail`, and a short or invalid HEADER — what a crash
+/// between creating the file and flushing its header leaves — is one
+/// fully-torn empty segment (`torn_tail=true`, `good_bytes=0`) so recovery
+/// can clean it up instead of refusing to open the directory. A Seal may
+/// rename a listed `.open` segment before the read: a missing `.open` file
+/// is read once more under its sealed name, strictly. In both modes a frame
+/// whose CRC matches must decode to exactly one record filling its
+/// payload, or the read is Corruption.
+StatusOr<WalReadResult> ReadWalSegment(const std::string& path);
 
 /// Paths of every WAL segment directly inside `wal_dir` — sealed `.stwal`
 /// first, then active `.stwal.open`, each group sorted by name (names embed

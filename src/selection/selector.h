@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <utility>
@@ -39,16 +40,6 @@ enum class FilePlan : uint8_t {
 inline constexpr size_t kNumFilePlans = 4;
 
 namespace selection_internal {
-
-/// True for WAL staging segments, sealed (`.stwal`) or active
-/// (`.stwal.open`) — the suffixes src/ingest/wal.h writes.
-inline bool IsWalSegmentPath(const std::string& path) {
-  auto ends_with = [&](const char* suffix) {
-    size_t n = std::char_traits<char>::length(suffix);
-    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
-  };
-  return ends_with(".stwal") || ends_with(".stwal.open");
-}
 
 /// Orders positions into `records` by (id, position): the id directory's
 /// order, and the order a `limit` keeps the lowest of.
@@ -207,21 +198,20 @@ class Selector {
     std::vector<std::string> consumed(manifest.consumed);
     std::sort(consumed.begin(), consumed.end());
     for (const std::string& segment : segments) {
-      std::string name = std::filesystem::path(segment).filename().string();
       // A consumed segment's records already live in a listed partition;
       // its not-yet-deleted file must not be double counted. An active
       // `.open` segment is consulted under its sealed name too, in case a
       // rename committed between the listing and this check. A listing
       // that caught a seal mid-rename may hold both names: the sealed one
       // is read, the `.open` one skipped.
-      if (name.size() > 5 && name.compare(name.size() - 5, 5, ".open") == 0) {
-        name.resize(name.size() - 5);
-        const std::string sealed = segment.substr(0, segment.size() - 5);
-        if (std::find(segments.begin(), segments.end(), sealed) !=
-            segments.end()) {
-          continue;
-        }
+      const std::string_view sealed = WalSealedName(segment);
+      if (IsOpenWalSegment(segment) &&
+          std::find(segments.begin(), segments.end(), sealed) !=
+              segments.end()) {
+        continue;
       }
+      const std::string name =
+          std::filesystem::path(sealed).filename().string();
       if (!std::binary_search(consumed.begin(), consumed.end(), name)) {
         paths.push_back(segment);
       }
@@ -249,7 +239,9 @@ class Selector {
   ///
   /// Each file's plan is a function of the input alone (DESIGN.md §12):
   ///   - kWalScan: a `.stwal` / `.stwal.open` staging segment is
-  ///     frame-parsed and filtered.
+  ///     frame-parsed and filtered, in the mode its name picks
+  ///     (ReadWalSegment): a sealed segment strictly, so a corrupt frame
+  ///     fails the Select.
   ///   - kCachedIndex: with the cache enabled, one DatasetCache::GetOrLoad;
   ///     a hit refines the warm in-memory index (an id predicate through
   ///     its id directory) and copies only the records shaping keeps; a
@@ -281,14 +273,15 @@ class Selector {
       FileLoad& out = loads[i];
       const std::string& path = paths[i];
       ScopedSpan io(tracer, span_category::kIo, "stpq_read", op_span);
-      if (selection_internal::IsWalSegmentPath(path)) {
+      if (IsWalSegment(path)) {
         out.plan_run = FilePlan::kWalScan;
         io.AddArg("plan_wal", 1);
         if constexpr (std::is_same_v<RecordT, EventRecord>) {
-          // Tolerant read: a merged Select may race the live appender, and
-          // the only incomplete frame a segment can legally carry is the
-          // in-flight tail — unacked by definition, so correct to exclude.
-          auto result = ReadListedWalSegment(path);
+          // An `.open` segment is read tolerantly: a merged Select may race
+          // the live appender, and the only incomplete frame it can legally
+          // carry is the in-flight tail — unacked by definition, so correct
+          // to exclude. A sealed one must parse end to end.
+          auto result = ReadWalSegment(path);
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
           out.file_read = true;

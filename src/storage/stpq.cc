@@ -28,10 +28,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Minimum wire size of one record, for clamping an untrusted header count
-// before reserve(): an event is at least id+x+y+time+attr_len bytes, a
-// trajectory at least id+npoints.
-constexpr uint64_t kMinEventRecordBytes = 8 + 8 + 8 + 8 + 4;
+// Minimum wire size of a trajectory, for clamping an untrusted header count
+// before reserve() (kStpqMinEventBytes is an event's): id + npoints.
 constexpr uint64_t kMinTrajRecordBytes = 8 + 8;
 constexpr uint64_t kTrajPointBytes = 8 + 8 + 8;
 
@@ -40,36 +38,10 @@ void WriteRaw(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-// Bounds-checked decoding over bytes already in memory: every read checks
-// the bytes left first, so a short buffer fails a record and never reads
-// past its end.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : pos_(data), end_(data + size) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    return Take(sizeof(*value), value);
-  }
-  bool Take(size_t n, void* out) {
-    const char* bytes = nullptr;
-    if (!Skip(n, &bytes)) return false;
-    std::memcpy(out, bytes, n);
-    return true;
-  }
-  /// Points *bytes at the next `n` bytes and steps past them.
-  bool Skip(size_t n, const char** bytes) {
-    if (remaining() < n) return false;
-    *bytes = pos_;
-    pos_ += n;
-    return true;
-  }
-  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
-
- private:
-  const char* pos_;
-  const char* end_;
-};
+template <typename T>
+void AppendRaw(std::string* out, const T& value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
 
 // FNV-1a: the header fingerprint of StpqIdentity and the checksum of an
 // index.meta body.
@@ -114,7 +86,7 @@ Status OpenForWrite(const std::string& path, uint8_t kind, uint64_t count,
   return Status::Ok();
 }
 
-Status CheckHeader(Cursor& in, const std::string& path,
+Status CheckHeader(StpqCursor& in, const std::string& path,
                    uint8_t expected_kind, uint64_t* count) {
   char magic[sizeof(kStpqMagic)];
   if (!in.Take(sizeof(magic), magic) ||
@@ -134,26 +106,6 @@ Status CheckHeader(Cursor& in, const std::string& path,
   return Status::Ok();
 }
 
-// Per-record parsers behind every StpqReader read. `file_bytes` caps the
-// untrusted length fields (overflow-safe: compared, never multiplied).
-Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
-                     EventRecord* r) {
-  uint32_t len = 0;
-  if (!in.Read(&r->id) || !in.Read(&r->x) || !in.Read(&r->y) ||
-      !in.Read(&r->time) || !in.Read(&len)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  if (static_cast<uint64_t>(len) > file_bytes) {
-    return Status::Corruption("implausible attr length in " + path);
-  }
-  const char* attr = nullptr;
-  if (!in.Skip(len, &attr)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  r->attr.assign(attr, len);
-  return Status::Ok();
-}
-
 // A trajectory's points are decoded with one copy: the in-memory point is
 // exactly the on-disk x, y, time triple.
 static_assert(sizeof(TrajPointRecord) == kTrajPointBytes &&
@@ -162,28 +114,49 @@ static_assert(sizeof(TrajPointRecord) == kTrajPointBytes &&
               offsetof(TrajPointRecord, time) == 16 &&
               std::is_trivially_copyable_v<TrajPointRecord>);
 
-Status ReadOneRecord(Cursor& in, uint64_t file_bytes, const std::string& path,
-                     TrajRecord* r) {
+// The trajectory decoder behind StpqReader, DecodeStpqRecord's twin.
+Status DecodeStpqRecord(StpqCursor& in, const std::string& path,
+                        TrajRecord* r) {
   uint64_t n = 0;
   if (!in.Read(&r->id) || !in.Read(&n)) {
     return Status::Corruption("truncated STPQ record in " + path);
   }
-  // `n * 24 > file_bytes` wraps for n near 2^64 and the following
-  // resize(n) would throw; divide instead of multiply.
-  if (n > file_bytes / kTrajPointBytes) {
+  // Divide, never multiply: `n * 24` wraps for n near 2^64.
+  const char* points = nullptr;
+  if (n > in.remaining() / kTrajPointBytes ||
+      !in.Skip(n * kTrajPointBytes, &points)) {
     return Status::Corruption("implausible point count in " + path);
   }
-  const size_t point_bytes = static_cast<size_t>(n) * kTrajPointBytes;
-  const char* points = nullptr;
-  if (!in.Skip(point_bytes, &points)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  r->points.resize(static_cast<size_t>(n));
-  if (n > 0) std::memcpy(r->points.data(), points, point_bytes);
+  r->points.resize(n);
+  if (n > 0) std::memcpy(r->points.data(), points, n * kTrajPointBytes);
   return Status::Ok();
 }
 
 }  // namespace
+
+void EncodeStpqRecord(const EventRecord& r, std::string* out) {
+  AppendRaw(out, r.id);
+  AppendRaw(out, r.x);
+  AppendRaw(out, r.y);
+  AppendRaw(out, r.time);
+  AppendRaw(out, static_cast<uint32_t>(r.attr.size()));
+  out->append(r.attr);
+}
+
+Status DecodeStpqRecord(StpqCursor& in, const std::string& path,
+                        EventRecord* r) {
+  uint32_t len = 0;
+  if (!in.Read(&r->id) || !in.Read(&r->x) || !in.Read(&r->y) ||
+      !in.Read(&r->time) || !in.Read(&len)) {
+    return Status::Corruption("truncated STPQ record in " + path);
+  }
+  const char* attr = nullptr;
+  if (!in.Skip(len, &attr)) {
+    return Status::Corruption("implausible attr length in " + path);
+  }
+  r->attr.assign(attr, len);
+  return Status::Ok();
+}
 
 Status WriteStpqFile(const std::string& path,
                      const std::vector<EventRecord>& records,
@@ -191,14 +164,12 @@ Status WriteStpqFile(const std::string& path,
   std::ofstream out;
   ST4ML_RETURN_IF_ERROR(
       OpenForWrite(path, kStpqKindEvent, records.size(), &out));
+  // One record's bytes at a time, through one reused buffer.
+  std::string bytes;
   for (const EventRecord& r : records) {
-    WriteRaw(out, r.id);
-    WriteRaw(out, r.x);
-    WriteRaw(out, r.y);
-    WriteRaw(out, r.time);
-    uint32_t len = static_cast<uint32_t>(r.attr.size());
-    WriteRaw(out, len);
-    out.write(r.attr.data(), len);
+    bytes.clear();
+    EncodeStpqRecord(r, &bytes);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   return FinishWrite(out, path, io_bytes);
 }
@@ -225,7 +196,7 @@ StatusOr<uint8_t> ReadStpqKind(const std::string& path) {
   std::string header;
   auto opened = StpqReader::OpenFile(path, &header);
   if (!opened.ok()) return opened.status();
-  Cursor in(header.data(), header.size());
+  StpqCursor in(header.data(), header.size());
   char magic[sizeof(kStpqMagic)];
   if (!in.Take(sizeof(magic), magic) ||
       std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
@@ -318,7 +289,7 @@ StatusOr<StpqReader> StpqReader::Open(const std::string& path,
   std::string header;
   auto reader = OpenFile(path, &header);
   if (!reader.ok()) return reader.status();
-  Cursor in(header.data(), header.size());
+  StpqCursor in(header.data(), header.size());
   ST4ML_RETURN_IF_ERROR(
       CheckHeader(in, path, expected_kind, &reader->record_count_));
   reader->bytes_read_ = kStpqHeaderBytes;
@@ -388,10 +359,10 @@ Status StpqReader::ReadRuns(std::span<const StpqRun> runs,
       // A span cut short (the file shrank after Open) leaves the runs past
       // the cut fewer bytes than they were promised.
       const uint64_t have = at >= got ? 0 : std::min<uint64_t>(got - at, len);
-      Cursor in(buf_.get() + at, static_cast<size_t>(have));
+      StpqCursor in(buf_.get() + at, static_cast<size_t>(have));
       for (uint64_t i = 0; i < run.count; ++i) {
         ST4ML_RETURN_IF_ERROR(
-            ReadOneRecord(in, identity_.size, path_, &out->emplace_back()));
+            DecodeStpqRecord(in, path_, &out->emplace_back()));
       }
       // The records must consume EXACTLY the promised run: a sidecar whose
       // offsets disagree with the file is corruption, not silently wrong
@@ -408,7 +379,7 @@ Status StpqReader::ReadRuns(std::span<const StpqRun> runs,
 template <typename RecordT>
 Status StpqReader::ReadAll(std::vector<RecordT>* out) {
   constexpr uint64_t min_record_bytes =
-      std::is_same_v<RecordT, EventRecord> ? kMinEventRecordBytes
+      std::is_same_v<RecordT, EventRecord> ? kStpqMinEventBytes
                                            : kMinTrajRecordBytes;
   out->reserve(out->size() +
                static_cast<size_t>(std::min(

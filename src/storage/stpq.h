@@ -2,6 +2,7 @@
 #define ST4ML_STORAGE_STPQ_H_
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -40,13 +41,55 @@ inline constexpr uint64_t kStpqHeaderBytes = sizeof(kStpqMagic) + 1 + 8;
 /// without guessing.
 StatusOr<uint8_t> ReadStpqKind(const std::string& path);
 
+/// Wire size of an event with an empty attr: id, x, y, time, attr_len.
+inline constexpr uint64_t kStpqMinEventBytes = 8 + 8 + 8 + 8 + 4;
+
 /// Serialized size of one record — the unit `bytes_selected` counts in.
 inline uint64_t StpqRecordBytes(const EventRecord& r) {
-  return 8 + 8 + 8 + 8 + 4 + r.attr.size();
+  return kStpqMinEventBytes + r.attr.size();
 }
 inline uint64_t StpqRecordBytes(const TrajRecord& r) {
   return 8 + 8 + static_cast<uint64_t>(r.points.size()) * 24;
 }
+
+/// Bounds-checked decoding over bytes already in memory: every read checks
+/// the bytes left first, so a short buffer fails a record and never reads
+/// past its end.
+class StpqCursor {
+ public:
+  StpqCursor(const char* data, size_t size) : pos_(data), end_(data + size) {}
+
+  template <typename T>
+  bool Read(T* value) {
+    return Take(sizeof(*value), value);
+  }
+  bool Take(size_t n, void* out) {
+    const char* bytes = nullptr;
+    if (!Skip(n, &bytes)) return false;
+    std::memcpy(out, bytes, n);
+    return true;
+  }
+  /// Points *bytes at the next `n` bytes and steps past them.
+  bool Skip(size_t n, const char** bytes) {
+    if (remaining() < n) return false;
+    *bytes = pos_;
+    pos_ += n;
+    return true;
+  }
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+
+ private:
+  const char* pos_;
+  const char* end_;
+};
+
+/// The event wire encoding, the one codec behind `.stpq` records and WAL
+/// frame payloads. EncodeStpqRecord appends `r`'s bytes to `out`.
+/// DecodeStpqRecord reads one record at `in` and steps past it; bytes that
+/// end early, or a length that overruns them, are Corruption naming `path`.
+void EncodeStpqRecord(const EventRecord& r, std::string* out);
+Status DecodeStpqRecord(StpqCursor& in, const std::string& path,
+                        EventRecord* r);
 
 /// Writers and readers take an optional `io_bytes` accumulator: when
 /// non-null, the file size written (or read) is ADDED to it, so callers

@@ -87,8 +87,8 @@ TEST(IngestPropertyTest, StreamedSelectMatchesBatchIngestAcrossSeeds) {
     std::string expected =
         CanonicalBytes(SelectAllBatch(batch_dir, batch_dir + "/index.meta"));
 
-    // Streamed: append one by one, compact an arbitrary prefix, leave the
-    // tail staged. The merged view must already match, mid-stream.
+    // Streamed: append one-record batches, compact an arbitrary prefix,
+    // leave the tail staged. The merged view must already match, mid-stream.
     IngestorOptions options;
     options.bucket_seconds = rng.UniformInt(50, 40000);
     options.seal_records = static_cast<uint64_t>(rng.UniformInt(1, 64));
@@ -99,7 +99,8 @@ TEST(IngestPropertyTest, StreamedSelectMatchesBatchIngestAcrossSeeds) {
     size_t compact_at = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(events.size())));
     for (size_t i = 0; i < events.size(); ++i) {
-      ASSERT_TRUE((*ingestor)->Append(events[i]).ok()) << "seed " << seed;
+      ASSERT_TRUE((*ingestor)->AppendBatch({events[i]}).ok())
+          << "seed " << seed;
       if (i + 1 == compact_at) {
         ASSERT_TRUE((*ingestor)->CompactNow().ok()) << "seed " << seed;
       }

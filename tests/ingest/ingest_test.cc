@@ -4,11 +4,15 @@
 // compaction boundary, the merged view mid-stream, and index.meta as the
 // one part list of batch-built and streamed directories alike.
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -27,6 +31,7 @@
 #include "selection/on_disk_index.h"
 #include "selection/selector.h"
 #include "storage/records.h"
+#include "storage/stpq.h"
 
 namespace st4ml {
 namespace {
@@ -75,6 +80,25 @@ std::vector<EventRecord> SelectAll(const std::string& dir) {
   return selected->Collect();
 }
 
+// Frames `records` into `writer` in one write, as AppendBatch does for one
+// bucket.
+Status WriteFrames(WalWriter& writer, const std::vector<EventRecord>& records) {
+  std::string frames;
+  for (const EventRecord& r : records) AppendWalFrame(&frames, r);
+  return writer.AppendFrames(frames, records.size());
+}
+
+// Flips one byte of the file at `path`, `offset` bytes from its start.
+void FlipByte(const std::string& path, int64_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  char c = 0;
+  f.seekg(offset);
+  f.read(&c, 1);
+  c ^= 0x5A;
+  f.seekp(offset);
+  f.write(&c, 1);
+}
+
 std::multiset<int64_t> Ids(const std::vector<EventRecord>& records) {
   std::multiset<int64_t> ids;
   for (const EventRecord& r : records) ids.insert(r.id);
@@ -91,16 +115,14 @@ TEST_F(IngestTest, WalRoundTripSealedStrict) {
       MakeEvent(1, 10, ""), MakeEvent(2, 20, "attr=a"),
       MakeEvent(3, 30, std::string(500, 'x')),
       MakeEvent(-4, -30, "quotes\"and,commas")};
-  for (const EventRecord& r : in) {
-    ASSERT_TRUE(writer->Append(r).ok());
-  }
+  ASSERT_TRUE(WriteFrames(*writer, in).ok());
   ASSERT_TRUE(fs::exists(path + ".open"));
   ASSERT_FALSE(fs::exists(path));
   ASSERT_TRUE(writer->Seal().ok());
   ASSERT_TRUE(fs::exists(path));
   ASSERT_FALSE(fs::exists(path + ".open"));
 
-  auto read = ReadWalSegment(path, /*strict=*/true);
+  auto read = ReadWalSegment(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_FALSE(read->torn_tail);
   EXPECT_EQ(read->good_bytes, fs::file_size(path));
@@ -114,18 +136,22 @@ TEST_F(IngestTest, WalRoundTripSealedStrict) {
   }
 }
 
+// The file name picks the read mode: the same torn bytes are a tolerated
+// tail under the `.open` name and Corruption under the sealed one.
 TEST_F(IngestTest, WalTornTailTolerantVsStrict) {
   std::string path = dir_ + "/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);
   ASSERT_TRUE(writer.ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(WriteFrames(*writer, {MakeEvent(i, i)}).ok());
+  }
   writer->Abandon();  // crash: no fsync, no rename — segment stays .open
 
   std::string open_path = path + ".open";
   uint64_t full = fs::file_size(open_path);
   fs::resize_file(open_path, full - 5);  // tear the last frame
 
-  auto tolerant = ReadWalSegment(open_path, /*strict=*/false);
+  auto tolerant = ReadWalSegment(open_path);
   ASSERT_TRUE(tolerant.ok()) << tolerant.status().ToString();
   EXPECT_TRUE(tolerant->torn_tail);
   ASSERT_EQ(tolerant->records.size(), 2u);
@@ -133,39 +159,47 @@ TEST_F(IngestTest, WalTornTailTolerantVsStrict) {
   EXPECT_EQ(tolerant->records[1].id, 1);
   EXPECT_LT(tolerant->good_bytes, full - 5);
 
-  auto strict = ReadWalSegment(open_path, /*strict=*/true);
+  fs::copy_file(open_path, path);
+  auto strict = ReadWalSegment(path);
   ASSERT_FALSE(strict.ok());
   EXPECT_EQ(strict.status().code(), Status::Code::kCorruption);
 }
 
 // A merged Select lists `.open` segments, then reads them; a Seal in between
-// renames the file away. The read falls back to the sealed name once.
+// renames the file away. The read falls back to the sealed name once, and
+// reads it as sealed: strictly.
 TEST_F(IngestTest, ListedOpenSegmentSealedBeforeReadIsReadUnderSealedName) {
   std::string path = dir_ + "/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);
   ASSERT_TRUE(writer.ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(WriteFrames(*writer, {MakeEvent(i, i)}).ok());
+  }
   const std::string listed = writer->open_path();
   ASSERT_TRUE(writer->Seal().ok());
   ASSERT_FALSE(fs::exists(listed));
 
-  auto plain_miss = ReadWalSegment(listed, /*strict=*/false);
-  ASSERT_FALSE(plain_miss.ok());
-  EXPECT_EQ(plain_miss.status().code(), Status::Code::kNotFound);
-
-  auto read = ReadListedWalSegment(listed);
+  auto read = ReadWalSegment(listed);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_FALSE(read->torn_tail);
   EXPECT_EQ(read->good_bytes, fs::file_size(path));
   ASSERT_EQ(read->records.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(read->records[i].id, i);
 
-  // Only a vanished `.open` name falls back; a missing sealed name is
-  // still NotFound.
+  // The fallback read is strict: a bad frame under the sealed name is
+  // Corruption, not a torn tail.
+  FlipByte(path, static_cast<int64_t>(fs::file_size(path)) - 3);
+  auto corrupt = ReadWalSegment(listed);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), Status::Code::kCorruption);
+
+  // With the sealed name gone too, both names are NotFound.
   fs::remove(path);
-  auto gone = ReadListedWalSegment(path);
-  ASSERT_FALSE(gone.ok());
-  EXPECT_EQ(gone.status().code(), Status::Code::kNotFound);
+  for (const std::string& name : {listed, path}) {
+    auto gone = ReadWalSegment(name);
+    ASSERT_FALSE(gone.ok()) << name;
+    EXPECT_EQ(gone.status().code(), Status::Code::kNotFound) << name;
+  }
 }
 
 // A directory listing that caught a seal mid-rename may report one segment
@@ -175,7 +209,9 @@ TEST_F(IngestTest, SegmentListedUnderBothNamesIsSelectedOnce) {
   std::string path = dir_ + "/wal/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);
   ASSERT_TRUE(writer.ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  ASSERT_TRUE(WriteFrames(*writer, {MakeEvent(0, 0), MakeEvent(1, 1),
+                                    MakeEvent(2, 2), MakeEvent(3, 3)})
+                  .ok());
   writer->Abandon();
   fs::copy_file(path + ".open", path);
   ASSERT_EQ(ListWalSegments(dir_ + "/wal").size(), 2u);
@@ -186,37 +222,59 @@ TEST_F(IngestTest, WalCrcFlipIsCorruptionWhenSealed) {
   std::string path = dir_ + "/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);
   ASSERT_TRUE(writer.ok());
-  for (int i = 0; i < 2; ++i) ASSERT_TRUE(writer->Append(MakeEvent(i, i)).ok());
+  ASSERT_TRUE(WriteFrames(*writer, {MakeEvent(0, 0), MakeEvent(1, 1)}).ok());
   ASSERT_TRUE(writer->Seal().ok());
 
   // Flip one payload byte of the SECOND frame.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(0, std::ios::end);
-    auto size = static_cast<int64_t>(f.tellg());
-    f.seekp(size - 3);
-    char c;
-    f.seekg(size - 3);
-    f.read(&c, 1);
-    c ^= 0x5A;
-    f.seekp(size - 3);
-    f.write(&c, 1);
-  }
-  auto strict = ReadWalSegment(path, /*strict=*/true);
+  FlipByte(path, static_cast<int64_t>(fs::file_size(path)) - 3);
+  auto strict = ReadWalSegment(path);
   ASSERT_FALSE(strict.ok());
   EXPECT_EQ(strict.status().code(), Status::Code::kCorruption);
 
-  auto tolerant = ReadWalSegment(path, /*strict=*/false);
+  // The same bytes as an active tail: the read stops at the bad frame.
+  fs::copy_file(path, path + ".open");
+  auto tolerant = ReadWalSegment(path + ".open");
   ASSERT_TRUE(tolerant.ok());
   EXPECT_TRUE(tolerant->torn_tail);
   EXPECT_EQ(tolerant->records.size(), 1u);
+}
+
+// A frame whose CRC matches must hold exactly one record: a payload with a
+// byte to spare, or one its attr length overruns, is Corruption under
+// either name — never a record with the spare byte dropped.
+TEST_F(IngestTest, WalFrameMustDecodeToExactlyItsPayload) {
+  const EventRecord r = MakeEvent(5, 5, "abc");
+  std::string payload;
+  EncodeStpqRecord(r, &payload);
+  std::string overrun = payload;
+  const uint32_t too_long = 4;  // the attr length word sits just before attr
+  std::memcpy(overrun.data() + overrun.size() - 3 - sizeof(too_long),
+              &too_long, sizeof(too_long));
+  for (const std::string& bad : {payload + "!", overrun}) {
+    std::string frame;
+    const uint32_t words[2] = {static_cast<uint32_t>(bad.size()),
+                               WalCrc32(bad.data(), bad.size())};
+    frame.append(reinterpret_cast<const char*>(words), sizeof(words));
+    frame += bad;
+    const std::string path = dir_ + "/s00000000-b0.stwal";
+    auto writer = WalWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->AppendFrames(frame, 1).ok());
+    writer->Abandon();
+    fs::copy_file(path + ".open", path, fs::copy_options::overwrite_existing);
+    for (const std::string& name : {path, path + ".open"}) {
+      auto read = ReadWalSegment(name);
+      ASSERT_FALSE(read.ok()) << name;
+      EXPECT_EQ(read.status().code(), Status::Code::kCorruption) << name;
+    }
+  }
 }
 
 TEST_F(IngestTest, WalImplausibleLengthWordIsTornNotHugeAlloc) {
   std::string path = dir_ + "/s00000000-b0.stwal";
   auto writer = WalWriter::Create(path);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->Append(MakeEvent(7, 7)).ok());
+  ASSERT_TRUE(WriteFrames(*writer, {MakeEvent(7, 7)}).ok());
   writer->Abandon();
   // Append a garbage frame whose length word claims 4 GB.
   {
@@ -225,7 +283,7 @@ TEST_F(IngestTest, WalImplausibleLengthWordIsTornNotHugeAlloc) {
     f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
     f.write("garbage", 7);
   }
-  auto tolerant = ReadWalSegment(path + ".open", /*strict=*/false);
+  auto tolerant = ReadWalSegment(path + ".open");
   ASSERT_TRUE(tolerant.ok());
   EXPECT_TRUE(tolerant->torn_tail);
   EXPECT_EQ(tolerant->records.size(), 1u);
@@ -246,7 +304,7 @@ TEST_F(IngestTest, CrashBeforeFlushReplaysExactlyAckedRecords) {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 37)).ok());
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 37)}).ok());
     }
     // Destructor drops writers without sealing — the crash.
   }
@@ -267,7 +325,7 @@ TEST_F(IngestTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i)}).ok());
     }
   }
   for (int round = 0; round < 3; ++round) {
@@ -283,11 +341,11 @@ TEST_F(IngestTest, FaultedAppendIsNeverAckedAndNeverReplayed) {
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(1, 10)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(1, 10)}).ok());
     GlobalFaultInjector().FailNext(fault_site::kWalAppend, 1);
-    Status failed = (*ingestor)->Append(MakeEvent(2, 20));
+    Status failed = (*ingestor)->AppendBatch({MakeEvent(2, 20)});
     ASSERT_FALSE(failed.ok());  // never acked
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(3, 30)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(3, 30)}).ok());
   }
   auto reopened = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(reopened.ok());
@@ -300,7 +358,7 @@ TEST_F(IngestTest, SealFaultLeavesSegmentOpenAndFlushRetrySucceeds) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i)}).ok());
   }
   GlobalFaultInjector().FailNext(fault_site::kWalSeal, 1);
   Status flushed = (*ingestor)->Flush();
@@ -320,7 +378,7 @@ TEST_F(IngestTest, CompactFaultRetriesWithoutLossOrDuplication) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions(), ctx.get());
   ASSERT_TRUE(ingestor.ok());
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 50)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 50)}).ok());
   }
   GlobalFaultInjector().FailNext(fault_site::kIngestCompact, 1);
   ASSERT_FALSE((*ingestor)->Flush().ok());
@@ -347,7 +405,7 @@ TEST_F(IngestTest, ExactlyOnceAcrossCompactionBoundary) {
   // keep an open writer — so the compaction below leaves a staged tail.
   std::multiset<int64_t> expected;
   for (int i = 0; i < 18; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, (i % 5) * 100)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, (i % 5) * 100)}).ok());
     expected.insert(i);
   }
   // Compact the sealed prefix; the unsealed tail stays staged.
@@ -360,7 +418,7 @@ TEST_F(IngestTest, ExactlyOnceAcrossCompactionBoundary) {
 
   // More appends after the compaction, then another partial cycle.
   for (int i = 18; i < 30; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, (i % 5) * 100)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, (i % 5) * 100)}).ok());
     expected.insert(i);
   }
   ASSERT_TRUE((*ingestor)->CompactNow().ok());
@@ -375,7 +433,7 @@ TEST_F(IngestTest, WalSegmentsScannedCounterCountsStagedServes) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i)}).ok());
   }
   auto ctx = ExecutionContext::Create(2);
   Selector<EventRecord> selector(
@@ -408,18 +466,18 @@ TEST_F(IngestTest, ConsumedSegmentsAreDeletedOneCycleLater) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, 0)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, 0)}).ok());
   }
   ASSERT_TRUE((*ingestor)->Flush().ok());  // cycle 1: consumed, kept on disk
   size_t after_first = ListWalSegments(dir_ + "/wal").size();
   EXPECT_GE(after_first, 1u);  // grace window for cross-process readers
 
   for (int i = 4; i < 8; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, 0)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, 0)}).ok());
   }
   ASSERT_TRUE((*ingestor)->Flush().ok());  // cycle 2 deletes cycle 1's files
   for (const std::string& segment : ListWalSegments(dir_ + "/wal")) {
-    auto read = ReadWalSegment(segment, /*strict=*/false);
+    auto read = ReadWalSegment(segment);
     ASSERT_TRUE(read.ok());
     for (const EventRecord& r : read->records) {
       EXPECT_GE(r.id, 4) << "cycle-1 segment survived two cycles: " << segment;
@@ -436,7 +494,7 @@ TEST_F(IngestTest, MaxOpenBucketsCapsWriterFds) {
   ASSERT_TRUE(ingestor.ok());
   // 12 distinct buckets, far over the cap of 4 concurrently open writers.
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 1000)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 1000)}).ok());
   }
   size_t sealed = 0;
   for (const std::string& segment : ListWalSegments(dir_ + "/wal")) {
@@ -461,7 +519,7 @@ TEST_F(IngestTest, ReopenAfterFullCompactionDoesNotReuseConsumedNames) {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, 0)).ok());
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, 0)}).ok());
       expected.insert(i);
     }
     ASSERT_TRUE((*ingestor)->Flush().ok());
@@ -472,7 +530,7 @@ TEST_F(IngestTest, ReopenAfterFullCompactionDoesNotReuseConsumedNames) {
     auto reopened = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ((*reopened)->Stats().replayed, 0u);
-    ASSERT_TRUE((*reopened)->Append(MakeEvent(100, 0)).ok());
+    ASSERT_TRUE((*reopened)->AppendBatch({MakeEvent(100, 0)}).ok());
     expected.insert(100);
     // The fresh segment must be visible mid-stream despite the consumed
     // set still naming the same bucket's earlier segments.
@@ -495,7 +553,7 @@ TEST_F(IngestTest, ParkedOpenSegmentIsConsumedExactlyOnce) {
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(1, 0)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(1, 0)}).ok());
     // A directory squatting on the sealed name makes the seal's rename
     // fail AFTER its fsync+close: the segment is parked `.open` and the
     // flush's compaction consumes it tolerantly.
@@ -527,7 +585,7 @@ TEST_F(IngestTest, AppendBatchPartialFailureStagesNothing) {
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(1, 0)).ok());  // bucket 0
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(1, 0)}).ok());  // bucket 0
     // Squat on the name the batch's SECOND bucket (time 500 → bucket 5,
     // seq 1) would create: bucket 0's frames write first, then bucket 5's
     // writer creation fails.
@@ -553,18 +611,98 @@ TEST_F(IngestTest, AppendBatchPartialFailureStagesNothing) {
   EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 }
 
+// A write(2) cut short by the file-size limit leaves part of a frame past
+// the segment's watermark. The append must truncate it away, so the later
+// appends frame cleanly after the last acked record and the directory
+// still opens, replays and compacts every acked record.
+TEST_F(IngestTest, PartialWriteStagesNothing) {
+  IngestorOptions options = ScriptedOptions();
+  options.seal_records = 5;  // the fifth ack seals the rolled-back segment
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Exit codes name the step that failed.
+    std::signal(SIGXFSZ, SIG_IGN);
+    auto ingestor = Ingestor::Open(dir_, options);
+    if (!ingestor.ok()) ::_exit(2);
+    for (int i = 0; i < 3; ++i) {
+      if (!(*ingestor)->AppendBatch({MakeEvent(i, i)}).ok()) ::_exit(3);
+    }
+    const std::vector<std::string> segments = ListWalSegments(dir_ + "/wal");
+    if (segments.size() != 1) ::_exit(4);
+    const uint64_t acked_bytes = fs::file_size(segments[0]);
+    rlimit saved{};
+    if (::getrlimit(RLIMIT_FSIZE, &saved) != 0) ::_exit(5);
+    rlimit capped = saved;
+    capped.rlim_cur = acked_bytes + 10;
+    if (::setrlimit(RLIMIT_FSIZE, &capped) != 0) ::_exit(5);
+    Status cut = (*ingestor)->AppendBatch({MakeEvent(100, 3)});
+    if (cut.code() != Status::Code::kIOError) ::_exit(6);
+    if (fs::file_size(segments[0]) != acked_bytes) ::_exit(7);
+    if (::setrlimit(RLIMIT_FSIZE, &saved) != 0) ::_exit(8);
+    for (int i = 3; i < 5; ++i) {
+      if (!(*ingestor)->AppendBatch({MakeEvent(i, i)}).ok()) ::_exit(9);
+    }
+    ::_exit(0);  // no flush: a crash as far as the WAL is concerned
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  const std::multiset<int64_t> acked = {0, 1, 2, 3, 4};
+  auto reopened = Ingestor::Open(dir_, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Stats().replayed, 5u);
+  EXPECT_EQ(Ids(SelectAll(dir_)), acked);
+  Status flushed = (*reopened)->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_EQ(Ids(SelectAll(dir_)), acked);
+}
+
+// A sealed segment must parse end to end in every reader: the merged
+// Select fails closed on a corrupt frame, as compaction does, instead of
+// answering with the records before it.
+TEST_F(IngestTest, CorruptSealedSegmentFailsTheMergedSelect) {
+  auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  ASSERT_TRUE((*ingestor)
+                  ->AppendBatch({MakeEvent(0, 0), MakeEvent(1, 1),
+                                 MakeEvent(2, 2), MakeEvent(3, 3)})
+                  .ok());
+  const std::vector<std::string> segments = ListWalSegments(dir_ + "/wal");
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_FALSE(IsOpenWalSegment(segments[0]));  // seal_records = 4
+  // The first payload byte: past the header and the first frame's length
+  // and CRC words.
+  FlipByte(segments[0], kWalHeaderBytes + kWalFrameOverhead);
+
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> selector(ctx, SelectQuery::FromBox(STBox(
+                                          Mbr(-1e9, -1e9, 1e9, 1e9),
+                                          Duration(-1000000000, 1000000000))));
+  auto selected = selector.SelectIngest(dir_);
+  ASSERT_FALSE(selected.ok()) << "selected " << selected->Count() << " of 4";
+  EXPECT_EQ(selected.status().code(), Status::Code::kCorruption);
+  Status flushed = (*ingestor)->Flush();
+  EXPECT_EQ(flushed.code(), Status::Code::kCorruption) << flushed.ToString();
+}
+
 // REVIEW regression: a crash between creating a segment and flushing its
 // header leaves a 0-byte or short-headered `.open` file; recovery must
 // clean it up (nothing in it was ever acked) instead of refusing to open
 // the directory — while still reserving its sequence number.
 TEST_F(IngestTest, HeaderlessOpenSegmentIsCleanedUpNotFatal) {
-  // Direct reader contract first, on a scratch file outside the wal dir.
+  // Direct reader contract first, on scratch files outside the wal dir: a
+  // 0-byte file is Corruption under a sealed name, an empty torn segment
+  // under an active one.
   std::string scratch = dir_ + "/zero.stwal";
   { std::ofstream f(scratch, std::ios::binary); }
-  auto strict = ReadWalSegment(scratch, /*strict=*/true);
+  fs::copy_file(scratch, scratch + ".open");
+  auto strict = ReadWalSegment(scratch);
   ASSERT_FALSE(strict.ok());
   EXPECT_EQ(strict.status().code(), Status::Code::kCorruption);
-  auto tolerant = ReadWalSegment(scratch, /*strict=*/false);
+  auto tolerant = ReadWalSegment(scratch + ".open");
   ASSERT_TRUE(tolerant.ok()) << tolerant.status().ToString();
   EXPECT_TRUE(tolerant->torn_tail);
   EXPECT_EQ(tolerant->good_bytes, 0u);
@@ -573,7 +711,7 @@ TEST_F(IngestTest, HeaderlessOpenSegmentIsCleanedUpNotFatal) {
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(1, 0)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(1, 0)}).ok());
   }
   { std::ofstream f(dir_ + "/wal/s00000007-b0.stwal.open"); }  // 0 bytes
   {
@@ -588,7 +726,7 @@ TEST_F(IngestTest, HeaderlessOpenSegmentIsCleanedUpNotFatal) {
   EXPECT_EQ(ListWalSegments(dir_ + "/wal").size(), 1u);
   // ...but its sequence numbers stay reserved: the next new segment mints
   // seq 9, not a recycled 7 or 8.
-  ASSERT_TRUE((*reopened)->Append(MakeEvent(2, 500)).ok());
+  ASSERT_TRUE((*reopened)->AppendBatch({MakeEvent(2, 500)}).ok());
   bool minted_past_debris = false;
   for (const std::string& segment : ListWalSegments(dir_ + "/wal")) {
     if (segment.find("s00000009") != std::string::npos) {
@@ -603,7 +741,7 @@ TEST_F(IngestTest, RecoveryTruncatesTornTailAndReseals) {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, 0)).ok());
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, 0)}).ok());
     }
   }
   // Tear the active segment's last frame, as a crash mid-write would.
@@ -619,7 +757,8 @@ TEST_F(IngestTest, RecoveryTruncatesTornTailAndReseals) {
   segments = ListWalSegments(dir_ + "/wal");
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0].find(".open"), std::string::npos);
-  auto strict = ReadWalSegment(segments[0], /*strict=*/true);
+  ASSERT_FALSE(IsOpenWalSegment(segments[0]));
+  auto strict = ReadWalSegment(segments[0]);
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->records.size(), 2u);
   EXPECT_EQ(Ids(SelectAll(dir_)).size(), 2u);
@@ -644,13 +783,13 @@ TEST_F(IngestTest, IndexMetaSelectServesFlushedPartsAndStagedTail) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
   for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 31)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 31)}).ok());
   }
   ASSERT_TRUE((*ingestor)->Flush().ok());
   std::multiset<int64_t> expected;
   for (int i = 0; i < 14; ++i) expected.insert(i);
   for (int i = 9; i < 14; ++i) {
-    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i * 31)).ok());
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 31)}).ok());
   }
   // The tool's read (st4ml_select) and the daemon's are one read.
   EXPECT_EQ(Ids(SelectThroughIndexMeta(dir_, kEverywhere)), expected);
@@ -675,7 +814,7 @@ TEST_F(IngestTest, OpenAdoptsTheBatchBuiltPartList) {
     ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
     EXPECT_EQ((*ingestor)->Stats().compacted, 200u);
     for (int i = 200; i < 210; ++i) {
-      ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i)}).ok());
     }
     ASSERT_TRUE((*ingestor)->Flush().ok());
   }

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +29,8 @@
 #include "accel/kernels.h"
 #include "common/fault_injector.h"
 #include "common/property.h"
+#include "ingest/ingestor.h"
+#include "ingest/wal.h"
 #include "pipeline/session.h"
 #include "server/client.h"
 #include "server/frame.h"
@@ -748,19 +751,25 @@ TEST(ServerTest, ExtractOverAFullyPrunedSelectionReturnsZeroBins) {
   EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
 }
 
+/// A fresh directory under the temp dir, removed again on destruction.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& prefix)
+      : path((std::filesystem::temp_directory_path() /
+              (prefix + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  const std::string path;
+};
+
 // Extract reads a streaming-ingest directory the way select does: the merged
 // view of compacted partitions and the staged WAL tail. Records appended
 // through the append verb are counted by both verbs alike, before and after
 // a flush compacts them.
 TEST(ServerTest, ExtractOverAnIngestDirectoryMatchesSelect) {
   // Declared before the daemon, so its ingestor is gone before the removal.
-  struct ScratchDir {
-    std::string path = (std::filesystem::temp_directory_path() /
-                        ("st4ml_server_ingest_" + std::to_string(::getpid())))
-                           .string();
-    ScratchDir() { std::filesystem::remove_all(path); }
-    ~ScratchDir() { std::filesystem::remove_all(path); }
-  } scratch;
+  ScratchDir scratch("st4ml_server_ingest_");
   const std::string& dir = scratch.path;
   Daemon daemon;
   Client client = daemon.Connect();
@@ -806,6 +815,47 @@ TEST(ServerTest, ExtractOverAnIngestDirectoryMatchesSelect) {
     for (const JsonValue& bin : bins->array) total += bin.GetInt("count", 0);
     EXPECT_EQ(total, selected.GetInt("count", -1)) << "flushed " << flushed;
   }
+}
+
+// A sealed WAL segment must parse end to end: the daemon's merged select
+// over one with a flipped payload byte answers CORRUPTION, never the
+// records before the bad frame.
+TEST(ServerTest, SelectOverACorruptSealedSegmentIsCorruption) {
+  ScratchDir scratch("st4ml_server_corrupt_wal_");
+  const std::string& dir = scratch.path;
+  {
+    IngestorOptions options;
+    options.bucket_seconds = 1000000;  // one bucket, so one segment
+    options.seal_records = 4;
+    options.start_compactor = false;
+    auto ingestor = Ingestor::Open(dir, options);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE(
+        (*ingestor)->AppendBatch(testing::RandomWorkloadEvents(4, 9)).ok());
+  }
+  const std::vector<std::string> segments = ListWalSegments(dir + "/wal");
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_FALSE(IsOpenWalSegment(segments[0]));
+  {
+    // The first payload byte: past the header and the first frame's length
+    // and CRC words.
+    std::fstream f(segments[0],
+                   std::ios::in | std::ios::out | std::ios::binary);
+    const std::streamoff at = kWalHeaderBytes + kWalFrameOverhead;
+    char c = 0;
+    f.seekg(at);
+    f.read(&c, 1);
+    c ^= 0x5A;
+    f.seekp(at);
+    f.write(&c, 1);
+  }
+
+  Daemon daemon;
+  Client client = daemon.Connect();
+  JsonValue selected = Call(client, SelectRequest(dir, 0, 100000, 0));
+  EXPECT_FALSE(Ok(selected)) << "count " << selected.GetInt("count", -1);
+  EXPECT_EQ(ErrorCode(selected), "CORRUPTION");
+  EXPECT_TRUE(Ok(Call(client, R"({"verb":"ping"})")));
 }
 
 // A time range that would cut into more bins than the per-request limit is

@@ -63,7 +63,7 @@ int RunFollow(const std::string& dir, st4ml::Session& session,
   st4ml::Status status = st4ml::ReadEventsCsv(
       std::cin, "stdin", [&](st4ml::EventRecord record) {
         // Ok here IS the ack: the record is in the WAL and survives a crash.
-        ST4ML_RETURN_IF_ERROR((*ingestor)->Append(record));
+        ST4ML_RETURN_IF_ERROR((*ingestor)->AppendBatch({std::move(record)}));
         ++appended;
         return st4ml::Status::Ok();
       });
