@@ -1,7 +1,5 @@
 #include "common/fault_injector.h"
 
-#include "common/env.h"
-
 namespace st4ml {
 
 Status FaultInjector::MaybeFail(const char* site, const std::string& detail) {
@@ -50,16 +48,7 @@ void FaultInjector::Reset() {
 }
 
 FaultInjector& GlobalFaultInjector() {
-  static FaultInjector* injector = [] {
-    auto* created = new FaultInjector();
-    double probability = GetEnvDouble("ST4ML_FAULT_PROB", 0.0);
-    if (probability > 0.0) {
-      created->ArmProbabilistic(
-          GetEnvString("ST4ML_FAULT_SITE", fault_site::kStpqRead), probability,
-          static_cast<uint64_t>(GetEnvInt("ST4ML_FAULT_SEED", 42)));
-    }
-    return created;
-  }();
+  static FaultInjector* injector = new FaultInjector();
   return *injector;
 }
 

@@ -13,7 +13,7 @@
 namespace st4ml {
 
 /// Instrumented failure points. Each site is one MaybeFail call in library
-/// code; tests and the env knobs arm them by name.
+/// code; tests arm them by name.
 namespace fault_site {
 /// Checked once per claimed chunk in ExecutionContext::RunChunks — a fired
 /// fault fails the running job exactly like a task that returned an error.
@@ -90,9 +90,7 @@ class FaultInjector {
 };
 
 /// The process-wide injector every library hook consults. Starts disarmed;
-/// the first call arms it from the env knobs when ST4ML_FAULT_PROB > 0
-/// (site ST4ML_FAULT_SITE, default stpq/read; stream ST4ML_FAULT_SEED,
-/// default 42) so tools can be chaos-tested without a recompile.
+/// tests arm it in code.
 FaultInjector& GlobalFaultInjector();
 
 }  // namespace st4ml

@@ -27,10 +27,12 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
 }
 
-/// Parses "s<seq>-b<bucket>.stwal[.open]" back into its sequence number.
+/// Parses "s<seq>.stwal[.open]" back into its sequence number; also the
+/// "s<seq>-b<bucket>.stwal[.open]" names of directories written when
+/// appends were routed by time bucket.
 bool ParseSegmentSeq(const std::string& name, uint64_t* seq) {
   unsigned long long parsed = 0;
-  return std::sscanf(name.c_str(), "s%llu-", &parsed) == 1 &&
+  return std::sscanf(name.c_str(), "s%llu", &parsed) == 1 &&
          (*seq = parsed, true);
 }
 
@@ -77,9 +79,6 @@ StatusOr<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
   if (options.seal_records == 0) {
     return Status::InvalidArgument("seal_records must be positive");
   }
-  if (options.max_open_buckets == 0) {
-    return Status::InvalidArgument("max_open_buckets must be positive");
-  }
   std::unique_ptr<Ingestor> ingestor(new Ingestor(dir, options, ctx));
   std::error_code ec;
   fs::create_directories(ingestor->wal_dir_, ec);
@@ -100,7 +99,7 @@ Ingestor::~Ingestor() {
   }
   stop_cv_.notify_all();
   if (compactor_.joinable()) compactor_.join();
-  // Active writers are dropped WITHOUT sealing (WalWriter::Abandon): the
+  // The active writer is dropped WITHOUT sealing (WalWriter::Abandon): the
   // on-disk state is exactly a crash's, which Recover() is built to replay.
 }
 
@@ -201,125 +200,68 @@ Status Ingestor::Recover() {
   return Status::Ok();
 }
 
-std::string Ingestor::SegmentPath(uint64_t seq, int64_t bucket) const {
-  char name[64];
-  // Zero-padded sequence FIRST so lexicographic name order is append order.
-  std::snprintf(name, sizeof(name), "s%08llu-b%lld.stwal",
-                static_cast<unsigned long long>(seq),
-                static_cast<long long>(bucket));
+std::string Ingestor::SegmentPath(uint64_t seq) const {
+  char name[32];
+  // Zero-padded so lexicographic name order is append order.
+  std::snprintf(name, sizeof(name), "s%08llu.stwal",
+                static_cast<unsigned long long>(seq));
   return wal_dir_ + "/" + name;
 }
 
-void Ingestor::SealLocked(int64_t bucket) {
-  auto it = writers_.find(bucket);
-  if (it == writers_.end()) return;
-  Status sealed = it->second.Seal();
+void Ingestor::SealLocked() {
+  if (!active_) return;
+  Status sealed = active_->Seal();
   if (sealed.ok()) {
-    sealed_.push_back(it->second.sealed_path());
-    writers_.erase(it);
+    sealed_.push_back(active_->sealed_path());
+    active_.reset();
     return;
   }
-  if (!it->second.open()) {
+  if (!active_->open()) {
     // fsync succeeded but the rename did not: the bytes are durable under
     // the `.open` name. Park it for the compactor (tolerant read) and let
-    // new appends to this bucket start a fresh segment.
-    sealed_.push_back(it->second.open_path());
-    writers_.erase(it);
+    // the next append start a fresh segment.
+    sealed_.push_back(active_->open_path());
+    active_.reset();
   }
   // Otherwise (injected fault / failed fsync before close) the writer stays
   // active: the records are staged and the next threshold or Flush retries.
 }
 
-// Keeps the open-writer fd budget: before a NEW bucket writer opens, seal
-// the oldest open buckets until under the cap. Under roughly time-ordered
-// arrival the oldest bucket is the one least likely to see more appends. A
-// seal that fails without closing its fd leaves the writer active for
-// retry; skip past it rather than spin.
-void Ingestor::ReserveWriterSlotLocked(const BatchFrames& protect) {
-  size_t attempts = writers_.size();
-  auto it = writers_.begin();
-  while (writers_.size() >= options_.max_open_buckets && attempts-- > 0 &&
-         it != writers_.end()) {
-    int64_t bucket = it->first;
-    ++it;  // advance first: SealLocked erases on success
-    if (protect.count(bucket)) continue;
-    SealLocked(bucket);
-  }
-}
-
 Status Ingestor::AppendBatch(const std::vector<EventRecord>& records) {
   if (records.empty()) return Status::Ok();
-  // Frame per bucket up front so each touched bucket costs ONE write(2).
-  BatchFrames frames;
-  for (const EventRecord& r : records) {
-    auto& entry = frames[FloorDiv(r.time, options_.bucket_seconds)];
-    AppendWalFrame(&entry.first, r);
-    ++entry.second;
-  }
+  // Frame the whole batch up front so it costs ONE write(2).
+  std::string frames;
+  for (const EventRecord& r : records) AppendWalFrame(&frames, r);
   std::lock_guard<std::mutex> lock(mu_);
-  // All-or-nothing: stage every bucket's frames first, recording each
-  // writer's pre-batch watermark, and only ack + seal once all succeeded.
-  // A failure on any bucket truncates the earlier buckets back to their
-  // watermarks, so an errored batch leaves NOTHING staged and the client
-  // can resend the whole batch without duplicating records. The batch's
-  // own buckets are protected from the fd-cap seal (and sealing is
-  // deferred to after the last write) because a sealed segment's frames
-  // could no longer be rolled back.
-  struct Watermark {
-    WalWriter* writer;
-    uint64_t bytes;
-    uint64_t records;
-  };
-  std::vector<Watermark> written;
-  written.reserve(frames.size());
-  Status staged = Status::Ok();
-  for (auto& [bucket, batch] : frames) {
-    auto it = writers_.find(bucket);
-    if (it == writers_.end()) {
-      ReserveWriterSlotLocked(frames);
-      StatusOr<WalWriter> writer =
-          WalWriter::Create(SegmentPath(next_seq_, bucket));
-      if (!writer.ok()) {
-        staged = writer.status();
-        break;
-      }
-      ++next_seq_;
-      it = writers_.emplace(bucket, std::move(*writer)).first;
-    }
-    written.push_back(
-        {&it->second, it->second.byte_count(), it->second.record_count()});
-    staged = it->second.AppendFrames(batch.first, batch.second);
-    if (!staged.ok()) break;
+  if (!active_) {
+    StatusOr<WalWriter> writer = WalWriter::Create(SegmentPath(next_seq_));
+    if (!writer.ok()) return writer.status();
+    ++next_seq_;
+    active_.emplace(std::move(*writer));
   }
+  // All-or-nothing: a failed write — a partial write(2) included — is
+  // truncated back to the pre-batch watermark, which also rewinds the file
+  // offset, so an errored batch stages NOTHING and a retried batch appends
+  // exactly there without duplicating records.
+  const uint64_t bytes_before = active_->byte_count();
+  const uint64_t records_before = active_->record_count();
+  Status staged = active_->AppendFrames(frames, records.size());
   if (!staged.ok()) {
-    // Includes the failing bucket itself: a partial write(2) left bytes
-    // past its watermark too. Rollback also rewinds the file offset, so a
-    // retried batch appends exactly at the watermark.
-    for (const Watermark& w : written) {
-      w.writer->TruncateTo(w.bytes, w.records);
-    }
+    active_->TruncateTo(bytes_before, records_before);
     return staged;
   }
-  for (const auto& [bucket, batch] : frames) {
-    appended_.fetch_add(batch.second, std::memory_order_relaxed);
-    staged_records_ += batch.second;
-    auto it = writers_.find(bucket);
-    if (it != writers_.end() &&
-        it->second.record_count() >= options_.seal_records) {
-      SealLocked(bucket);
-    }
-  }
+  appended_.fetch_add(records.size(), std::memory_order_relaxed);
+  staged_records_ += records.size();
+  if (active_->record_count() >= options_.seal_records) SealLocked();
   return Status::Ok();
 }
 
 Status Ingestor::Flush() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<int64_t> buckets;
-    for (const auto& [bucket, writer] : writers_) buckets.push_back(bucket);
-    for (int64_t bucket : buckets) SealLocked(bucket);
-    if (!writers_.empty()) {
-      return Status::IOError("could not seal every active wal segment");
+    SealLocked();
+    if (active_) {
+      return Status::IOError("could not seal the active wal segment");
     }
   }
   return CompactNow();
@@ -340,7 +282,9 @@ Status Ingestor::CompactNow() {
   if (segments.empty()) return Status::Ok();
 
   // Read every staged record. Sealed segments must parse end to end; a
-  // parked `.open` straggler (rename-failed seal) is read tolerantly.
+  // parked `.open` straggler (rename-failed seal) is read tolerantly. This
+  // is the one place records are bucketed by time: segments seal by count,
+  // so one segment may feed many buckets' parts.
   std::map<int64_t, std::vector<EventRecord>> buckets;
   uint64_t absorbed = 0;
   for (const std::string& path : segments) {
@@ -445,7 +389,7 @@ IngestorStats Ingestor::Stats() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats.staged = staged_records_;
-    stats.wal_segments = sealed_.size() + writers_.size();
+    stats.wal_segments = sealed_.size() + (active_ ? 1 : 0);
   }
   {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);

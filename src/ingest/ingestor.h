@@ -2,9 +2,10 @@
 #define ST4ML_INGEST_INGESTOR_H_
 
 // Crash-safe streaming ingestion (DESIGN.md §13): appended records land in
-// time-bucketed WAL segments (src/ingest/wal.h) under `<dir>/wal/`, and a
-// background compactor rolls sealed segments into indexed
-// `ingest-g<gen>-b<bucket>.stpq` (+`.stix`) partitions published atomically.
+// ONE active WAL segment (src/ingest/wal.h) under `<dir>/wal/`, sealed by
+// record count, and a background compactor buckets the sealed segments'
+// records by time into indexed `ingest-g<gen>-b<bucket>.stpq` (+`.stix`)
+// partitions published atomically.
 // The single commit point is the directory's part list, `<dir>/index.meta`
 // (StpqManifest, src/storage/stpq.h): readers obtain the partition list and
 // the consumed-segment skip set from one atomically-replaced file, so a
@@ -28,13 +29,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -45,18 +45,15 @@
 namespace st4ml {
 
 struct IngestorOptions {
-  /// Width of one time bucket; appends are routed to the bucket of their
-  /// record's timestamp so compacted partitions stay time-partitioned.
+  /// Width of the time buckets compaction groups records into: each cycle
+  /// writes one `ingest-g<gen>-b<bucket>.stpq` part per bucket its records
+  /// touch, so compacted partitions stay time-partitioned.
   int64_t bucket_seconds = 3600;
-  /// A bucket's active segment is sealed once it holds this many records.
+  /// The active segment is sealed once it holds this many records, whatever
+  /// their times.
   uint64_t seal_records = 4096;
   /// Background compactor cadence.
   int64_t compact_interval_ms = 200;
-  /// Hard cap on concurrently open bucket writers (one fd each). Opening a
-  /// writer past the cap first seals the OLDEST open bucket — under roughly
-  /// time-ordered arrival that is the bucket least likely to see more
-  /// appends, and a wide scattered stream cannot exhaust fds.
-  size_t max_open_buckets = 64;
   /// Start the background compactor thread at Open. Tests that script
   /// compaction call CompactNow() themselves and pass false.
   bool start_compactor = true;
@@ -82,23 +79,23 @@ class Ingestor {
       const std::string& dir, const IngestorOptions& options = {},
       ExecutionContext* ctx = nullptr);
 
-  /// NOT a graceful shutdown: stops the compactor thread and drops active
-  /// writers WITHOUT sealing — on-disk state is exactly what a crash leaves.
-  /// Call Flush() first for a clean handoff.
+  /// NOT a graceful shutdown: stops the compactor thread and drops the
+  /// active writer WITHOUT sealing — on-disk state is exactly what a crash
+  /// leaves. Call Flush() first for a clean handoff.
   ~Ingestor();
 
   Ingestor(const Ingestor&) = delete;
   Ingestor& operator=(const Ingestor&) = delete;
 
-  /// The one append: one write(2) per touched bucket. Returning Ok IS the
-  /// ack (see wal.h for the durability ladder); callers that ack per record
-  /// pass a one-record batch. All-or-nothing: an error means NO record of
-  /// the batch was staged or acked (frames written before the failure,
-  /// a partial write(2) included, are rolled back), so a client may retry
-  /// the whole batch without duplicating records.
+  /// The one append: one write(2) into the active segment, which seals once
+  /// it holds `seal_records`. Returning Ok IS the ack (see wal.h for the
+  /// durability ladder); callers that ack per record pass a one-record
+  /// batch. All-or-nothing: an error means NO record of the batch was
+  /// staged or acked (a partial write(2) is rolled back), so a client may
+  /// retry the whole batch without duplicating records.
   Status AppendBatch(const std::vector<EventRecord>& records);
 
-  /// Graceful drain: seals every active segment, then compacts everything
+  /// Graceful drain: seals the active segment, then compacts everything
   /// staged into published partitions.
   Status Flush();
 
@@ -121,31 +118,22 @@ class Ingestor {
 
   Status Recover();
   void CompactorLoop();
-  /// Seals `bucket`'s writer and moves its segment to the sealed list. On
+  /// Seals the active writer and moves its segment to the sealed list. On
   /// failure the writer stays active for a later retry when possible; a
   /// writer whose descriptor is already closed is parked as an `.open`
   /// segment the compactor reads tolerantly.
-  void SealLocked(int64_t bucket);
-  /// One batch's frames per bucket, and how many records each holds.
-  using BatchFrames = std::map<int64_t, std::pair<std::string, uint64_t>>;
-  /// Seals oldest open buckets until a new writer fits under
-  /// `max_open_buckets` (fd budget). The batch's own buckets are never
-  /// sealed: a mid-batch seal would make an earlier bucket's frames
-  /// irrevocable and break AppendBatch's rollback, so a batch spanning more
-  /// buckets than the cap may briefly exceed the fd budget by its own
-  /// bucket count.
-  void ReserveWriterSlotLocked(const BatchFrames& protect);
-  std::string SegmentPath(uint64_t seq, int64_t bucket) const;
+  void SealLocked();
+  std::string SegmentPath(uint64_t seq) const;
 
   const std::string dir_;
   const std::string wal_dir_;
   const IngestorOptions options_;
   ExecutionContext* const ctx_;
 
-  /// Guards the write side: active writers, sealed segment list, sequence.
+  /// Guards the write side: active writer, sealed segment list, sequence.
   mutable std::mutex mu_;
-  std::map<int64_t, WalWriter> writers_;  // bucket -> active segment
-  std::vector<std::string> sealed_;       // segment paths awaiting compaction
+  std::optional<WalWriter> active_;
+  std::vector<std::string> sealed_;  // segment paths awaiting compaction
   uint64_t next_seq_ = 0;
   uint64_t staged_records_ = 0;
 

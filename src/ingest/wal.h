@@ -2,10 +2,11 @@
 #define ST4ML_INGEST_WAL_H_
 
 // The write-ahead staging format behind streaming ingestion (DESIGN.md §13,
-// ROADMAP #4). Appended records land in time-bucketed `.stwal` segments: a
-// tiny header ("STWL1" + record-kind tag) followed by CRC32-framed records.
-// An ACTIVE segment carries the extra `.open` suffix; sealing fsyncs the
-// bytes and renames away the suffix, so the sealed name itself asserts
+// ROADMAP #4). Appended records land in `s<seq>.stwal` segments, one active
+// at a time and sealed by record count: a tiny header ("STWL1" + record-kind
+// tag) followed by CRC32-framed records in arrival order, whatever their
+// times. An ACTIVE segment carries the extra `.open` suffix; sealing fsyncs
+// the bytes and renames away the suffix, so the sealed name itself asserts
 // "fully durable, fully framed".
 //
 // Frame layout (native-endian, like STPQ):
@@ -90,8 +91,8 @@ class WalWriter {
 
   /// Rolls the segment back to an earlier watermark: ftruncate to
   /// `byte_count`, rewind the file offset there, and reset the counters.
-  /// AppendBatch uses this to un-stage a batch's frames when any bucket of
-  /// the batch fails, keeping every append all-or-nothing.
+  /// AppendBatch uses this to un-stage a batch whose write failed, keeping
+  /// every append all-or-nothing.
   Status TruncateTo(uint64_t byte_count, uint64_t record_count);
 
   /// fsync + rename to the sealed name + fsync the directory. Fires the

@@ -509,8 +509,8 @@ std::string Server::HandleAppend(const JsonValue& request) {
   auto ingestor = IngestorFor(dir);
   if (!ingestor.ok()) return ErrorResponse(ingestor.status());
   // AppendBatch is all-or-nothing: an error means NO record of the batch
-  // was staged or acked (earlier buckets' frames are rolled back), so the
-  // client can resend the whole batch without duplicating records.
+  // was staged or acked (a partial write is rolled back), so the client
+  // can resend the whole batch without duplicating records.
   Status appended = (*ingestor)->AppendBatch(batch);
   if (!appended.ok()) return ErrorResponse(appended);
   JsonObject obj;

@@ -401,8 +401,8 @@ TEST_F(IngestTest, CompactFaultRetriesWithoutLossOrDuplication) {
 TEST_F(IngestTest, ExactlyOnceAcrossCompactionBoundary) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok());
-  // 18 records over 5 buckets at seal_records=4: three buckets seal, two
-  // keep an open writer — so the compaction below leaves a staged tail.
+  // 18 records at seal_records=4: four segments seal and two records stay
+  // in the active one — so the compaction below leaves a staged tail.
   std::multiset<int64_t> expected;
   for (int i = 0; i < 18; ++i) {
     ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, (i % 5) * 100)}).ok());
@@ -486,27 +486,34 @@ TEST_F(IngestTest, ConsumedSegmentsAreDeletedOneCycleLater) {
   EXPECT_EQ(SelectAll(dir_).size(), 8u);
 }
 
-TEST_F(IngestTest, MaxOpenBucketsCapsWriterFds) {
+// Appends go to one active segment whatever their times, and compaction
+// alone buckets by time: a feed scattered over 200 hours stays in one
+// segment until seal_records, and still compacts into one-hour parts.
+TEST_F(IngestTest, ScatteredFeedSealsByCountNotByHour) {
+  constexpr int64_t kHour = 3600;
   IngestorOptions options = ScriptedOptions();
-  options.max_open_buckets = 4;
-  options.seal_records = 1000;  // only the cap can seal
+  options.bucket_seconds = kHour;
+  options.seal_records = 1000;
   auto ingestor = Ingestor::Open(dir_, options);
-  ASSERT_TRUE(ingestor.ok());
-  // 12 distinct buckets, far over the cap of 4 concurrently open writers.
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 1000)}).ok());
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  std::multiset<int64_t> expected;
+  for (int i = 0; i < 200; ++i) {
+    const int64_t hour = (i * 37) % 200;  // each of 200 hours once, shuffled
+    ASSERT_TRUE(
+        (*ingestor)->AppendBatch({MakeEvent(i, hour * kHour + 60)}).ok());
+    expected.insert(i);
   }
-  size_t sealed = 0;
-  for (const std::string& segment : ListWalSegments(dir_ + "/wal")) {
-    if (segment.size() > 6 &&
-        segment.compare(segment.size() - 6, 6, ".stwal") == 0) {
-      ++sealed;
-    }
-  }
-  EXPECT_GE(sealed, 8u);  // every writer past the cap was sealed on rotation
-  EXPECT_EQ(SelectAll(dir_).size(), 12u);
+  EXPECT_EQ((*ingestor)->Stats().wal_segments, 1u);
   ASSERT_TRUE((*ingestor)->Flush().ok());
-  EXPECT_EQ(SelectAll(dir_).size(), 12u);
+
+  auto manifest = ReadStpqMeta(dir_ + "/index.meta");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->parts.size(), 200u);
+  for (const StpqPartMeta& part : manifest->parts) {
+    EXPECT_EQ(part.box.time.start() / kHour, part.box.time.end() / kHour)
+        << part.file << " spans more than one bucket";
+  }
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 }
 
 // REVIEW regression: after a flush left EVERY on-disk segment consumed, a
@@ -548,7 +555,7 @@ TEST_F(IngestTest, ReopenAfterFullCompactionDoesNotReuseConsumedNames) {
 // the grace-window read and the next recovery both treat it as consumed —
 // exactly once, not replayed.
 TEST_F(IngestTest, ParkedOpenSegmentIsConsumedExactlyOnce) {
-  std::string sealed_path = dir_ + "/wal/s00000000-b0.stwal";
+  std::string sealed_path = dir_ + "/wal/s00000000.stwal";
   std::multiset<int64_t> expected = {1};
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
@@ -576,37 +583,37 @@ TEST_F(IngestTest, ParkedOpenSegmentIsConsumedExactlyOnce) {
   EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 }
 
-// REVIEW regression: a batch failing on its SECOND bucket must roll the
-// first bucket's frames back — nothing staged, so the advertised
-// retry-the-whole-batch contract cannot duplicate records.
+// REVIEW regression: a batch that fails must stage nothing, so the
+// advertised retry-the-whole-batch contract cannot duplicate records.
 TEST_F(IngestTest, AppendBatchPartialFailureStagesNothing) {
-  std::multiset<int64_t> expected = {1};
-  std::string blocked = dir_ + "/wal/s00000001-b5.stwal.open";
+  std::multiset<int64_t> expected = {0, 1, 2, 3};
+  std::string blocked = dir_ + "/wal/s00000001.stwal.open";
   {
     auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
     ASSERT_TRUE(ingestor.ok());
-    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(1, 0)}).ok());  // bucket 0
-    // Squat on the name the batch's SECOND bucket (time 500 → bucket 5,
-    // seq 1) would create: bucket 0's frames write first, then bucket 5's
-    // writer creation fails.
+    for (int i = 0; i < 4; ++i) {  // seal_records = 4: seals s00000000
+      ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(i, i * 100)}).ok());
+    }
+    // Squat on the name the next segment (seq 1) would be created under:
+    // the next batch fails before any of its frames is written.
     fs::create_directories(blocked);
-    std::vector<EventRecord> batch = {MakeEvent(2, 0), MakeEvent(3, 500)};
+    std::vector<EventRecord> batch = {MakeEvent(4, 0), MakeEvent(5, 500)};
     ASSERT_FALSE((*ingestor)->AppendBatch(batch).ok());
-    EXPECT_EQ((*ingestor)->Stats().staged, 1u);  // only the pre-batch record
+    EXPECT_EQ((*ingestor)->Stats().staged, 4u);  // only the pre-batch records
     EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 
     fs::remove_all(blocked);
     ASSERT_TRUE((*ingestor)->AppendBatch(batch).ok());  // whole-batch retry
-    expected = {1, 2, 3};
-    EXPECT_EQ((*ingestor)->Stats().staged, 3u);
+    expected = {0, 1, 2, 3, 4, 5};
+    EXPECT_EQ((*ingestor)->Stats().staged, 6u);
     EXPECT_EQ(Ids(SelectAll(dir_)), expected);
     // Crash without flushing.
   }
   auto reopened = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->Stats().replayed, 3u);
-  // Flush strict-parses the re-sealed segments: the rolled-back-then-
-  // rewritten bucket must frame cleanly end to end.
+  EXPECT_EQ((*reopened)->Stats().replayed, 6u);
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+  // Flush strict-parses the re-sealed segments.
   ASSERT_TRUE((*reopened)->Flush().ok());
   EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 }
@@ -734,6 +741,53 @@ TEST_F(IngestTest, HeaderlessOpenSegmentIsCleanedUpNotFatal) {
     }
   }
   EXPECT_TRUE(minted_past_debris);
+}
+
+// Directories written when appends were routed by time bucket name their
+// segments `s<seq>-b<bucket>.stwal`: they still reopen and replay, their
+// sequence numbers stay reserved, and their consumed names in index.meta
+// still match their files.
+TEST_F(IngestTest, BucketNamedSegmentsStillRecover) {
+  const std::string wal = dir_ + "/wal";
+  // s1: consumed by an earlier compaction, still in its grace window.
+  auto consumed = WalWriter::Create(wal + "/s00000001-b7.stwal");
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  ASSERT_TRUE(WriteFrames(*consumed, {MakeEvent(100, 700)}).ok());
+  ASSERT_TRUE(consumed->Seal().ok());
+  StpqManifest meta;
+  meta.generation = 1;
+  meta.consumed = {"s00000001-b7.stwal"};
+  ASSERT_TRUE(WriteStpqMeta(dir_ + "/index.meta", meta).ok());
+  // s2: sealed, unconsumed. s3: active, as a crash leaves it.
+  auto sealed = WalWriter::Create(wal + "/s00000002-b7.stwal");
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  ASSERT_TRUE(
+      WriteFrames(*sealed, {MakeEvent(1, 700), MakeEvent(2, 710)}).ok());
+  ASSERT_TRUE(sealed->Seal().ok());
+  auto active = WalWriter::Create(wal + "/s00000003-b7.stwal");
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
+  ASSERT_TRUE(WriteFrames(*active, {MakeEvent(3, 720)}).ok());
+  active->Abandon();
+  ASSERT_TRUE(fs::exists(wal + "/s00000003-b7.stwal.open"));
+
+  std::multiset<int64_t> expected = {1, 2, 3};
+  {
+    auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    EXPECT_EQ((*ingestor)->Stats().replayed, 3u);
+    EXPECT_FALSE(fs::exists(wal + "/s00000001-b7.stwal"));  // consumed
+    EXPECT_TRUE(fs::exists(wal + "/s00000003-b7.stwal"));   // re-sealed
+    EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+    ASSERT_TRUE((*ingestor)->AppendBatch({MakeEvent(4, 0)}).ok());
+    expected.insert(4);
+    EXPECT_TRUE(fs::exists(wal + "/s00000004.stwal.open"));
+    ASSERT_TRUE((*ingestor)->Flush().ok());
+    EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+  }
+  auto reopened = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Stats().replayed, 0u);  // old names consumed too
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
 }
 
 TEST_F(IngestTest, RecoveryTruncatesTornTailAndReseals) {

@@ -825,7 +825,6 @@ TEST(ServerTest, SelectOverACorruptSealedSegmentIsCorruption) {
   const std::string& dir = scratch.path;
   {
     IngestorOptions options;
-    options.bucket_seconds = 1000000;  // one bucket, so one segment
     options.seal_records = 4;
     options.start_compactor = false;
     auto ingestor = Ingestor::Open(dir, options);
