@@ -98,7 +98,7 @@ uint64_t MeanResidentBytesPerFile(const std::string& dir) {
       std::exit(1);
     }
     total += ResidentBytes(*selection_internal::MakeIndexedFile<EventRecord>(
-        std::move(*records)));
+        std::move(*records), {}));
   }
   return paths.empty() ? 0 : total / paths.size();
 }

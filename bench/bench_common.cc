@@ -161,16 +161,20 @@ const BenchEnv& GetBenchEnv() {
     e->air = DirsFor(root, "air");
     e->osm = DirsFor(root, "osm");
 
-    // Re-stage unless the marker matches the requested scale and the staged
-    // part lists still read: data staged in an older index.meta format is
-    // rebuilt, not failed on.
+    // Re-stage unless the marker matches the requested scale, the staged
+    // part lists still read and the sidecars are of the current version:
+    // data staged in an older format is rebuilt, not failed on or served
+    // by the scan plan.
     bool staged = false;
     std::ifstream marker(root + "/" + kStageMarker);
     if (marker) {
       double staged_scale = -1;
       marker >> staged_scale;
+      const std::string first_part =
+          e->nyc[0].st4ml_dir + "/" + selection_internal::PartFileName(0);
       staged = staged_scale == e->scale &&
-               ReadStpqMeta(e->nyc[0].st4ml_meta).ok();
+               ReadStpqMeta(e->nyc[0].st4ml_meta).ok() &&
+               StixIndex::Open(StixPathFor(first_part), first_part).ok();
     }
     if (!staged) {
       StageAll(e);

@@ -43,7 +43,6 @@ StixLayout ComputeStixLayout(uint64_t records, uint64_t nodes, uint64_t ids) {
     pos += bytes;
   };
   place(kStixNodes, nodes * sizeof(StixNode));
-  place(kStixOrder, records * sizeof(uint32_t));
   place(kStixColXMin, records * sizeof(double));
   place(kStixColYMin, records * sizeof(double));
   place(kStixColXMax, records * sizeof(double));
@@ -55,6 +54,53 @@ StixLayout ComputeStixLayout(uint64_t records, uint64_t nodes, uint64_t ids) {
   place(kStixPostings, records * sizeof(uint32_t));
   layout.total = pos;
   return layout;
+}
+
+/// The checks a sidecar's header passes before any section is read: magic
+/// and version, counts, the exact section layout those counts imply
+/// against the file's `actual_bytes`, and the source identity. Open and
+/// ReadStixPostings share them.
+Status CheckStixHeader(const StixHeader& header, uint64_t actual_bytes,
+                       const StpqIdentity& source,
+                       const std::string& stix_path) {
+  if (std::memcmp(header.magic, kStixMagic, sizeof(kStixMagic)) != 0) {
+    return Status::InvalidArgument("bad stix magic in " + stix_path);
+  }
+  if (header.version != kStixVersion) {
+    return Status::InvalidArgument("unsupported stix version in " + stix_path);
+  }
+  // Count-overflow guards BEFORE the layout audit: with every count capped
+  // at 2^32 the layout arithmetic below cannot wrap, so a forged header
+  // cannot alias a bogus section on top of a plausible file size.
+  const uint64_t n = header.record_count;
+  if (n > UINT32_MAX || header.node_count > UINT32_MAX ||
+      header.id_count > n) {
+    return Status::InvalidArgument("stix count overflow in " + stix_path);
+  }
+  if ((n == 0) != (header.node_count == 0)) {
+    return Status::InvalidArgument("stix node/record counts disagree in " +
+                                   stix_path);
+  }
+  StixLayout layout = ComputeStixLayout(n, header.node_count, header.id_count);
+  if (header.file_bytes != layout.total || actual_bytes != layout.total) {
+    return Status::InvalidArgument("truncated stix page table in " +
+                                   stix_path);
+  }
+  for (uint32_t s = 0; s < kStixNumSections; ++s) {
+    if (header.section_off[s] != layout.off[s]) {
+      return Status::InvalidArgument("bad stix section layout in " +
+                                     stix_path);
+    }
+  }
+  // Staleness: the sidecar must describe the CURRENT source file. The
+  // size|mtime pair is the dataset cache's key; the header fingerprint
+  // additionally catches a same-size rewrite within one mtime tick.
+  const StpqIdentity built{header.source_size, header.source_mtime,
+                           header.source_fingerprint};
+  if (built != source) {
+    return Status::InvalidArgument("stale stix sidecar " + stix_path);
+  }
+  return Status::Ok();
 }
 
 StixNode EmptyNode() {
@@ -117,26 +163,36 @@ class PageTouches {
   std::unordered_set<uint64_t> pages_;
 };
 
-/// The 3-d STR ordering (slabs by x, sub-slabs by y, runs by t), mirroring
-/// RTree::Pack but over precomputed sort keys with NaN replaced by 0 — a
-/// NaN coordinate must not break the comparators' strict weak ordering.
+}  // namespace
+
 std::vector<uint32_t> StrOrder(const std::vector<STBox>& boxes) {
   const size_t n = boxes.size();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   if (n == 0) return order;
 
+  // Sort keys mirror RTree::Pack, with NaN replaced by 0: a NaN coordinate
+  // must not break the comparators' strict weak ordering.
   auto key = [](double a, double b) {
     double sum = a + b;
     return std::isnan(sum) ? 0.0 : sum;
   };
-  std::vector<double> kx(n), ky(n), kt(n);
-  for (size_t i = 0; i < n; ++i) {
-    kx[i] = key(boxes[i].mbr.x_min, boxes[i].mbr.x_max);
-    ky[i] = key(boxes[i].mbr.y_min, boxes[i].mbr.y_max);
-    kt[i] = static_cast<double>(boxes[i].time.start()) +
-            static_cast<double>(boxes[i].time.end());
-  }
+  auto x_key = [&](const STBox& b) { return key(b.mbr.x_min, b.mbr.x_max); };
+  auto y_key = [&](const STBox& b) { return key(b.mbr.y_min, b.mbr.y_max); };
+  auto t_key = [](const STBox& b) {
+    return static_cast<double>(b.time.start()) +
+           static_cast<double>(b.time.end());
+  };
+  // Each pass sorts (key, input position) pairs held contiguously, which
+  // is also the tie-break.
+  std::vector<std::pair<double, uint32_t>> keyed(n);
+  auto sort_run = [&](size_t lo, size_t hi, auto run_key) {
+    for (size_t j = lo; j < hi; ++j) {
+      keyed[j] = {run_key(boxes[order[j]]), order[j]};
+    }
+    std::sort(keyed.begin() + lo, keyed.begin() + hi);
+    for (size_t j = lo; j < hi; ++j) order[j] = keyed[j].second;
+  };
 
   const size_t cap = kStixNodeCapacity;
   size_t leaves = (n + cap - 1) / cap;
@@ -145,29 +201,23 @@ std::vector<uint32_t> StrOrder(const std::vector<STBox>& boxes) {
   size_t slab = s * s * cap;
   size_t subslab = s * cap;
 
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t a, uint32_t b) { return kx[a] < kx[b]; });
+  sort_run(0, n, x_key);
   for (size_t lo = 0; lo < n; lo += slab) {
     size_t hi = std::min(lo + slab, n);
-    std::sort(order.begin() + lo, order.begin() + hi,
-              [&](uint32_t a, uint32_t b) { return ky[a] < ky[b]; });
+    sort_run(lo, hi, y_key);
     for (size_t slo = lo; slo < hi; slo += subslab) {
-      size_t shi = std::min(slo + subslab, hi);
-      std::sort(order.begin() + slo, order.begin() + shi,
-                [&](uint32_t a, uint32_t b) { return kt[a] < kt[b]; });
+      sort_run(slo, std::min(slo + subslab, hi), t_key);
     }
   }
   return order;
 }
-
-}  // namespace
 
 std::string StixPathFor(const std::string& stpq_path) {
   return fs::path(stpq_path).replace_extension(".stix").string();
 }
 
 Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
-                     const StpqIdentity& source, uint64_t* io_bytes) {
+                     const StpqIdentity& source) {
   const uint64_t n = input.boxes.size();
   if (input.ids.size() != n || input.offsets.size() != n + 1) {
     return Status::InvalidArgument("stix build input arrays disagree for " +
@@ -178,9 +228,9 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
                                    stix_path);
   }
 
-  // STR bulk load: order the records, pack leaves over consecutive runs,
-  // then internal levels bottom-up until one root (root is the LAST node).
-  std::vector<uint32_t> order = StrOrder(input.boxes);
+  // STR bulk load over records already in leaf order: pack leaves over
+  // consecutive runs, then internal levels bottom-up until one root (root
+  // is the LAST node).
   std::vector<StixNode> nodes;
   size_t level_begin = 0;
   for (uint64_t lo = 0; lo < n; lo += kStixNodeCapacity) {
@@ -190,7 +240,7 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
     node.count = static_cast<uint32_t>(
         std::min<uint64_t>(kStixNodeCapacity, n - lo));
     for (uint32_t i = 0; i < node.count; ++i) {
-      const STBox& box = input.boxes[order[lo + i]];
+      const STBox& box = input.boxes[lo + i];
       if (!IsValidEnvelope(box)) continue;
       ExtendNode(&node, box.mbr.x_min, box.mbr.y_min, box.mbr.x_max,
                  box.mbr.y_max, box.time.start(), box.time.end());
@@ -216,26 +266,12 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
     level_begin = level_end;
   }
 
-  // Envelope columns in LEAF order, so a leaf hit refines over one
-  // contiguous zero-copy column run.
-  std::vector<double> cx_min(n), cy_min(n), cx_max(n), cy_max(n);
-  std::vector<int64_t> ct_min(n), ct_max(n);
-  for (uint64_t j = 0; j < n; ++j) {
-    const STBox& box = input.boxes[order[j]];
-    cx_min[j] = box.mbr.x_min;
-    cy_min[j] = box.mbr.y_min;
-    cx_max[j] = box.mbr.x_max;
-    cy_max[j] = box.mbr.y_max;
-    ct_min[j] = box.time.start();
-    ct_max[j] = box.time.end();
-  }
-
-  // Inverted index: postings are LEAF positions grouped by id (directory
-  // sorted by id), so a lookup refines straight over the stored columns.
+  // Inverted index: postings are record positions sorted by (id,
+  // position), grouped into one run per id by the directory.
   std::vector<std::pair<int64_t, uint32_t>> by_id;
   by_id.reserve(n);
   for (uint64_t j = 0; j < n; ++j) {
-    by_id.emplace_back(input.ids[order[j]], static_cast<uint32_t>(j));
+    by_id.emplace_back(input.ids[j], static_cast<uint32_t>(j));
   }
   std::sort(by_id.begin(), by_id.end());
   std::vector<StixIdEntry> id_dir;
@@ -296,18 +332,27 @@ Status WriteStixFile(const std::string& stix_path, const StixBuildInput& input,
     write_raw(data, bytes);
   };
   section(kStixNodes, nodes.data(), nodes.size() * sizeof(StixNode));
-  section(kStixOrder, order.data(), order.size() * sizeof(uint32_t));
-  section(kStixColXMin, cx_min.data(), n * sizeof(double));
-  section(kStixColYMin, cy_min.data(), n * sizeof(double));
-  section(kStixColXMax, cx_max.data(), n * sizeof(double));
-  section(kStixColYMax, cy_max.data(), n * sizeof(double));
-  section(kStixColTMin, ct_min.data(), n * sizeof(int64_t));
-  section(kStixColTMax, ct_max.data(), n * sizeof(int64_t));
+  // Envelope columns, one at a time through one buffer (every column is 8
+  // bytes wide), so a leaf hit refines over one contiguous zero-copy run.
+  std::vector<uint64_t> column(n);
+  auto write_column = [&](StixSection s, auto field) {
+    for (uint64_t j = 0; j < n; ++j) {
+      const auto value = field(input.boxes[j]);
+      std::memcpy(&column[j], &value, sizeof(uint64_t));
+    }
+    section(s, column.data(), n * sizeof(uint64_t));
+  };
+  write_column(kStixColXMin, [](const STBox& b) { return b.mbr.x_min; });
+  write_column(kStixColYMin, [](const STBox& b) { return b.mbr.y_min; });
+  write_column(kStixColXMax, [](const STBox& b) { return b.mbr.x_max; });
+  write_column(kStixColYMax, [](const STBox& b) { return b.mbr.y_max; });
+  write_column(kStixColTMin, [](const STBox& b) { return b.time.start(); });
+  write_column(kStixColTMax, [](const STBox& b) { return b.time.end(); });
   section(kStixRecOffsets, input.offsets.data(), (n + 1) * sizeof(uint64_t));
   section(kStixIdDir, id_dir.data(), id_dir.size() * sizeof(StixIdEntry));
   section(kStixPostings, postings.data(), postings.size() * sizeof(uint32_t));
 
-  return FinishWrite(out, stix_path, io_bytes);
+  return FinishWrite(out, stix_path, nullptr);
 }
 
 StixIndex::~StixIndex() { Unmap(); }
@@ -329,7 +374,6 @@ StixIndex& StixIndex::operator=(StixIndex&& other) noexcept {
   base_ = other.base_;
   map_len_ = other.map_len_;
   nodes_ = other.nodes_;
-  order_ = other.order_;
   col_x_min_ = other.col_x_min_;
   col_y_min_ = other.col_y_min_;
   col_x_max_ = other.col_x_max_;
@@ -362,6 +406,60 @@ StatusOr<StixIndex> StixIndex::Open(const std::string& stix_path,
   return Open(stix_path, *source);
 }
 
+StatusOr<std::vector<uint32_t>> ReadStixPostings(const std::string& stix_path,
+                                                 const StpqIdentity& source) {
+  const int fd = ::open(stix_path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("no such stix file: " + stix_path);
+    }
+    return Status::IOError("cannot open " + stix_path);
+  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  auto read_exact = [fd](void* data, uint64_t bytes, uint64_t at) {
+    return ::pread(fd, data, bytes, static_cast<off_t>(at)) ==
+           static_cast<ssize_t>(bytes);
+  };
+  struct stat st;
+  StixHeader header;
+  if (::fstat(fd, &st) != 0 ||
+      static_cast<uint64_t>(st.st_size) < sizeof(header) ||
+      !read_exact(&header, sizeof(header), 0)) {
+    return Status::InvalidArgument("truncated stix header in " + stix_path);
+  }
+  ST4ML_RETURN_IF_ERROR(CheckStixHeader(
+      header, static_cast<uint64_t>(st.st_size), source, stix_path));
+  std::vector<uint32_t> postings(header.record_count);
+  if (!read_exact(postings.data(), postings.size() * sizeof(uint32_t),
+                  header.section_off[kStixPostings])) {
+    return Status::IOError("short read of stix postings in " + stix_path);
+  }
+  return postings;
+}
+
+StatusOr<uint64_t> RebuildIndexedPart(const std::string& stpq_path) {
+  auto kind = ReadStpqKind(stpq_path);
+  if (!kind.ok()) return kind.status();
+  const fs::path path(stpq_path);
+  const std::string dir =
+      path.has_parent_path() ? path.parent_path().string() : ".";
+  auto rebuild = [&](auto records) -> StatusOr<uint64_t> {
+    if (!records.ok()) return records.status();
+    auto part = WriteIndexedPart(dir, path.filename().string(),
+                                 std::move(*records), RetryPolicy::None(),
+                                 nullptr);
+    if (!part.ok()) return part.status();
+    return part->count;
+  };
+  if (*kind == kStpqKindEvent) {
+    return rebuild(ReadStpqFile<EventRecord>(stpq_path));
+  }
+  return rebuild(ReadStpqFile<TrajRecord>(stpq_path));
+}
+
 Status StixIndex::Validate(const std::string& stix_path,
                            const StpqIdentity& source) {
   int fd = ::open(stix_path.c_str(), O_RDONLY);
@@ -390,57 +488,22 @@ Status StixIndex::Validate(const std::string& stix_path,
   map_len_ = static_cast<size_t>(actual_bytes);
 
   std::memcpy(&header_, base_, sizeof(header_));
-  if (std::memcmp(header_.magic, kStixMagic, sizeof(kStixMagic)) != 0) {
-    return Status::InvalidArgument("bad stix magic in " + stix_path);
-  }
-  if (header_.version != kStixVersion) {
-    return Status::InvalidArgument("unsupported stix version in " + stix_path);
-  }
-  // Count-overflow guards BEFORE the layout audit: with every count capped
-  // at 2^32 the layout arithmetic below cannot wrap, so a forged header
-  // cannot alias a bogus section on top of a plausible file size.
+  ST4ML_RETURN_IF_ERROR(CheckStixHeader(header_, actual_bytes, source,
+                                        stix_path));
   const uint64_t n = header_.record_count;
-  if (n > UINT32_MAX || header_.node_count > UINT32_MAX ||
-      header_.id_count > n) {
-    return Status::InvalidArgument("stix count overflow in " + stix_path);
-  }
-  if ((n == 0) != (header_.node_count == 0)) {
-    return Status::InvalidArgument("stix node/record counts disagree in " +
-                                   stix_path);
-  }
-  StixLayout layout =
-      ComputeStixLayout(n, header_.node_count, header_.id_count);
-  if (header_.file_bytes != layout.total || actual_bytes != layout.total) {
-    return Status::InvalidArgument("truncated stix page table in " +
-                                   stix_path);
-  }
-  for (uint32_t s = 0; s < kStixNumSections; ++s) {
-    if (header_.section_off[s] != layout.off[s]) {
-      return Status::InvalidArgument("bad stix section layout in " +
-                                     stix_path);
-    }
-  }
+  const uint64_t* off = header_.section_off;
 
-  nodes_ = reinterpret_cast<const StixNode*>(base_ + layout.off[kStixNodes]);
-  order_ = reinterpret_cast<const uint32_t*>(base_ + layout.off[kStixOrder]);
-  col_x_min_ =
-      reinterpret_cast<const double*>(base_ + layout.off[kStixColXMin]);
-  col_y_min_ =
-      reinterpret_cast<const double*>(base_ + layout.off[kStixColYMin]);
-  col_x_max_ =
-      reinterpret_cast<const double*>(base_ + layout.off[kStixColXMax]);
-  col_y_max_ =
-      reinterpret_cast<const double*>(base_ + layout.off[kStixColYMax]);
-  col_t_min_ =
-      reinterpret_cast<const int64_t*>(base_ + layout.off[kStixColTMin]);
-  col_t_max_ =
-      reinterpret_cast<const int64_t*>(base_ + layout.off[kStixColTMax]);
+  nodes_ = reinterpret_cast<const StixNode*>(base_ + off[kStixNodes]);
+  col_x_min_ = reinterpret_cast<const double*>(base_ + off[kStixColXMin]);
+  col_y_min_ = reinterpret_cast<const double*>(base_ + off[kStixColYMin]);
+  col_x_max_ = reinterpret_cast<const double*>(base_ + off[kStixColXMax]);
+  col_y_max_ = reinterpret_cast<const double*>(base_ + off[kStixColYMax]);
+  col_t_min_ = reinterpret_cast<const int64_t*>(base_ + off[kStixColTMin]);
+  col_t_max_ = reinterpret_cast<const int64_t*>(base_ + off[kStixColTMax]);
   rec_offsets_ =
-      reinterpret_cast<const uint64_t*>(base_ + layout.off[kStixRecOffsets]);
-  id_dir_ =
-      reinterpret_cast<const StixIdEntry*>(base_ + layout.off[kStixIdDir]);
-  postings_ =
-      reinterpret_cast<const uint32_t*>(base_ + layout.off[kStixPostings]);
+      reinterpret_cast<const uint64_t*>(base_ + off[kStixRecOffsets]);
+  id_dir_ = reinterpret_cast<const StixIdEntry*>(base_ + off[kStixIdDir]);
+  postings_ = reinterpret_cast<const uint32_t*>(base_ + off[kStixPostings]);
 
   // Node structure: children strictly below their parent (the bottom-up
   // packing invariant), leaf runs inside the record range, no empty nodes.
@@ -461,17 +524,9 @@ Status StixIndex::Validate(const std::string& stix_path,
                                      stix_path);
     }
   }
-  // `order` and `postings` must each be a permutation of the record
-  // positions — duplicates would return duplicated records.
+  // `postings` must be a permutation of the record positions — duplicates
+  // would return duplicated records.
   std::vector<bool> seen(static_cast<size_t>(n), false);
-  for (uint64_t j = 0; j < n; ++j) {
-    if (order_[j] >= n || seen[order_[j]]) {
-      return Status::InvalidArgument("stix order is not a permutation in " +
-                                     stix_path);
-    }
-    seen[order_[j]] = true;
-  }
-  seen.assign(static_cast<size_t>(n), false);
   for (uint64_t j = 0; j < n; ++j) {
     if (postings_[j] >= n || seen[postings_[j]]) {
       return Status::InvalidArgument(
@@ -514,14 +569,6 @@ Status StixIndex::Validate(const std::string& stix_path,
   if (postings_total != n) {
     return Status::InvalidArgument("stix postings do not cover records in " +
                                    stix_path);
-  }
-  // Staleness: the sidecar must describe the CURRENT source file. The
-  // size|mtime pair is the dataset cache's key; the header fingerprint
-  // additionally catches a same-size rewrite within one mtime tick.
-  const StpqIdentity built{header_.source_size, header_.source_mtime,
-                           header_.source_fingerprint};
-  if (built != source) {
-    return Status::InvalidArgument("stale stix sidecar " + stix_path);
   }
   return Status::Ok();
 }
@@ -578,14 +625,10 @@ void StixIndex::QueryBox(const accel::BoxFilterQuery& query,
       pages.Touch(header_.section_off[s] + static_cast<uint64_t>(lo) * 8,
                   len * 8);
     }
-    pages.Touch(header_.section_off[kStixOrder] +
-                    static_cast<uint64_t>(lo) * sizeof(uint32_t),
-                len * sizeof(uint32_t));
     for (size_t j = 0; j < len; ++j) {
-      if (bitmap[j] != 0) hits->push_back(order_[lo + j]);
+      if (bitmap[j] != 0) hits->push_back(static_cast<uint32_t>(lo + j));
     }
   }
-  std::sort(hits->begin(), hits->end());
   if (stats != nullptr) stats->pages_read += pages.count();
 }
 
@@ -599,7 +642,6 @@ void StixIndex::LookupIds(const std::vector<int64_t>& ids,
   const uint64_t dir_off = header_.section_off[kStixIdDir];
   const uint64_t post_off = header_.section_off[kStixPostings];
 
-  std::vector<uint32_t> candidates;
   for (int64_t id : ids) {
     // Manual binary search so every probed directory entry counts as a
     // page touch — that IS the I/O an external-memory lookup pays.
@@ -622,15 +664,14 @@ void StixIndex::LookupIds(const std::vector<int64_t>& ids,
     pages.Touch(post_off + found->first * sizeof(uint32_t),
                 found->count * sizeof(uint32_t));
     if (stats != nullptr) stats->postings_hits += found->count;
-    for (uint64_t p = 0; p < found->count; ++p) {
-      candidates.push_back(postings_[found->first + p]);
-    }
+    hits->insert(hits->end(), postings_ + found->first,
+                 postings_ + found->first + found->count);
   }
 
-  if (apply_box && !candidates.empty()) {
+  if (apply_box && !hits->empty()) {
     // Refine the candidates' envelopes through ONE kernel pass — the exact
     // predicate every other path uses.
-    for (uint32_t pos : candidates) {
+    for (uint32_t pos : *hits) {
       for (uint32_t s = kStixColXMin; s <= kStixColTMax; ++s) {
         pages.Touch(header_.section_off[s] + static_cast<uint64_t>(pos) * 8,
                     8);
@@ -639,15 +680,9 @@ void StixIndex::LookupIds(const std::vector<int64_t>& ids,
     const accel::EnvelopeView cols{col_x_min_, col_y_min_, col_x_max_,
                                    col_y_max_, col_t_min_, col_t_max_,
                                    header_.record_count};
-    accel::FilterPositions(query, cols, &candidates);
+    accel::FilterPositions(query, cols, hits);
   }
-
-  for (uint32_t pos : candidates) {
-    pages.Touch(header_.section_off[kStixOrder] +
-                    static_cast<uint64_t>(pos) * sizeof(uint32_t),
-                sizeof(uint32_t));
-    hits->push_back(order_[pos]);
-  }
+  // Each id's postings ascend; several ids' runs interleave.
   std::sort(hits->begin(), hits->end());
   if (stats != nullptr) stats->pages_read += pages.count();
 }

@@ -308,13 +308,9 @@ Status Ingestor::CompactNow() {
     next.parts = manifest_.parts;
   }
   for (auto& [bucket, records] : buckets) {
-    STBox box;
-    for (const EventRecord& r : records) {
-      const STBox envelope = r.ComputeSTBox();
-      if (IsValidEnvelope(envelope)) box.Extend(envelope);
-    }
     auto part = WriteIndexedPart(dir_, PartitionName(next.generation, bucket),
-                                 records, box, RetryPolicy::None(), nullptr);
+                                 std::move(records), RetryPolicy::None(),
+                                 nullptr);
     if (!part.ok()) return part.status();
     next.parts.push_back(std::move(*part));
   }

@@ -42,12 +42,16 @@ Status PersistDataset(const Dataset<RecordT>& data, const std::string& dir,
 
 /// ST4ML's ingestion (paper §3.1 + ROADMAP #2): train `partitioner` on
 /// every record envelope, place each record in its ONE primary partition,
-/// write one STPQ file per partition, bulk-load each partition's `.stix`
+/// write one STPQ file per partition in its STR leaf order with its `.stix`
 /// sidecar index (STR-packed R-tree + id postings — the persistent
 /// external-memory index cold selection mmaps), and publish the part list
 /// at `meta_path` (generation 0: nothing streamed yet). Selection later
 /// prunes whole files against that list before touching their bytes; a cold
 /// Select then serves each survivor through its sidecar.
+///
+/// Staging holds one part at a time: records are placed by pointer into
+/// `data`, the training envelopes are freed, and each part is copied,
+/// written and freed before the next.
 template <typename RecordT>
 Status BuildOnDiskIndex(const Dataset<RecordT>& data,
                         STPartitioner* partitioner, const std::string& dir,
@@ -56,37 +60,45 @@ Status BuildOnDiskIndex(const Dataset<RecordT>& data,
   if (partitioner == nullptr) {
     return Status::InvalidArgument("BuildOnDiskIndex requires a partitioner");
   }
-  std::vector<RecordT> records = data.Collect();
   std::vector<STBox> boxes;
-  boxes.reserve(records.size());
-  for (const RecordT& r : records) boxes.push_back(r.ComputeSTBox());
+  boxes.reserve(data.Count());
+  for (size_t q = 0; q < data.num_partitions(); ++q) {
+    for (const RecordT& r : data.partition(q)) {
+      boxes.push_back(r.ComputeSTBox());
+    }
+  }
   partitioner->Train(boxes);
 
   int n = partitioner->num_partitions();
   if (n <= 0) return Status::Internal("partitioner produced no partitions");
-  std::vector<std::vector<RecordT>> parts(static_cast<size_t>(n));
-  std::vector<STBox> bounds(static_cast<size_t>(n));
-  for (size_t i = 0; i < records.size(); ++i) {
-    // Single assignment: on disk every record lives exactly once, or
-    // selection would return duplicates.
-    int p = partitioner->Assign(boxes[i], /*duplicate=*/false,
-                                static_cast<uint64_t>(records[i].id))[0];
-    if (p < 0 || p >= n) {
-      return Status::Internal("partition assignment out of range");
-    }
-    parts[static_cast<size_t>(p)].push_back(std::move(records[i]));
-    // The part box skips envelopes that can match nothing (NaN, inverted).
-    if (IsValidEnvelope(boxes[i])) {
-      bounds[static_cast<size_t>(p)].Extend(boxes[i]);
+  std::vector<std::vector<const RecordT*>> members(static_cast<size_t>(n));
+  std::vector<int> assigned;
+  size_t i = 0;
+  for (size_t q = 0; q < data.num_partitions(); ++q) {
+    for (const RecordT& r : data.partition(q)) {
+      // Single assignment: on disk every record lives exactly once, or
+      // selection would return duplicates.
+      assigned.clear();
+      partitioner->AssignTo(boxes[i++], /*duplicate=*/false,
+                            static_cast<uint64_t>(r.id), &assigned);
+      if (assigned.empty() || assigned[0] < 0 || assigned[0] >= n) {
+        return Status::Internal("partition assignment out of range");
+      }
+      members[static_cast<size_t>(assigned[0])].push_back(&r);
     }
   }
+  std::vector<STBox>().swap(boxes);
 
   CounterRegistry& counters = internal::Counters(*data.context());
   StpqManifest manifest;  // generation 0, nothing consumed: a batch build
-  manifest.parts.reserve(parts.size());
-  for (size_t p = 0; p < parts.size(); ++p) {
+  manifest.parts.reserve(members.size());
+  for (size_t p = 0; p < members.size(); ++p) {
+    std::vector<RecordT> records;
+    records.reserve(members[p].size());
+    for (const RecordT* r : members[p]) records.push_back(*r);
+    std::vector<const RecordT*>().swap(members[p]);
     auto part = WriteIndexedPart(dir, selection_internal::PartFileName(p),
-                                 parts[p], bounds[p], retry, &counters);
+                                 std::move(records), retry, &counters);
     if (!part.ok()) return part.status();
     manifest.parts.push_back(std::move(*part));
   }

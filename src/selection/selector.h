@@ -70,9 +70,29 @@ struct IndexedStpqFile {
   STBox envelope;               // union of valid record envelopes
 };
 
+/// Whether `postings` is the id directory of `records`: every position
+/// once, in strictly ascending (id, position) order. One pass; an entry is
+/// bounds-checked before it indexes `records`.
+template <typename RecordT>
+bool IsIdDirectory(const std::vector<uint32_t>& postings,
+                   const std::vector<RecordT>& records) {
+  if (postings.size() != records.size()) return false;
+  const auto order = ByIdThenPosition(records);
+  for (size_t k = 0; k < postings.size(); ++k) {
+    if (postings[k] >= records.size()) return false;
+    if (k > 0 && !order(postings[k - 1], postings[k])) return false;
+  }
+  return true;
+}
+
+/// Indexes a loaded file for the cache. `postings` is its sidecar's
+/// postings section (ReadStixPostings), empty when it has no valid one: a
+/// part stored in leaf order is not in id order, and the sidecar already
+/// holds the directory, so it is taken as `by_id` once it checks out. A file
+/// without one is sorted, unless it is already in id order.
 template <typename RecordT>
 std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
-    std::vector<RecordT> records) {
+    std::vector<RecordT> records, std::vector<uint32_t> postings) {
   auto file = std::make_shared<IndexedStpqFile<RecordT>>();
   file->records = std::move(records);
   file->cols.Reserve(file->records.size());
@@ -81,10 +101,13 @@ std::shared_ptr<const IndexedStpqFile<RecordT>> MakeIndexedFile(
     file->cols.Append(box);
     if (IsValidEnvelope(box)) file->envelope.Extend(box);
   }
+  if (IsIdDirectory(postings, file->records)) {
+    file->by_id = std::move(postings);
+    return file;
+  }
   file->by_id.resize(file->records.size());
   std::iota(file->by_id.begin(), file->by_id.end(), 0u);
   const auto order = ByIdThenPosition(file->records);
-  // Files written in id order (the common case) need no sort.
   if (!std::is_sorted(file->by_id.begin(), file->by_id.end(), order)) {
     std::sort(file->by_id.begin(), file->by_id.end(), order);
   }
@@ -246,8 +269,9 @@ class Selector {
   ///     a hit refines the warm in-memory index (an id predicate through
   ///     its id directory) and copies only the records shaping keeps; a
   ///     miss or an evicted file is read whole (under options_.retry) and
-  ///     admitted. The cache key folds in size|mtime, so a rewritten file
-  ///     gets a fresh entry instead of stale bytes.
+  ///     admitted, its id directory read from a current sidecar. The
+  ///     cache key folds in size|mtime, so a rewritten file gets a fresh
+  ///     entry instead of stale bytes.
   ///   - otherwise the `.stpq` is opened once and its `.stix` sidecar is
   ///     validated against that open file. kMmapIndex if it validates:
   ///     walk index pages, refine leaf hits through the kernel over mapped
@@ -307,9 +331,13 @@ class Selector {
               auto reader = OpenStpq(path, counters);
               if (!reader.ok()) return reader.status();
               ST4ML_RETURN_IF_ERROR(ReadAll(*reader, read, &io, counters));
+              auto postings =
+                  ReadStixPostings(StixPathFor(path), reader->identity());
               return DatasetCache::Loaded{
                   selection_internal::MakeIndexedFile<RecordT>(
-                      std::move(read->records)),
+                      std::move(read->records),
+                      postings.ok() ? std::move(*postings)
+                                    : std::vector<uint32_t>{}),
                   read->read_bytes};
             });
         if (!got.ok()) return got.status();

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,9 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/sidecar_free_copy.h"
 #include "engine/execution_context.h"
+#include "partition/str_partitioner.h"
 #include "selection/on_disk_index.h"
 #include "selection/selector.h"
 #include "storage/records.h"
@@ -58,14 +61,18 @@ void Dump(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Stages one .stpq + .stix pair and returns the .stpq path.
+/// Stages one .stpq + .stix pair through the part writer and returns the
+/// .stpq path. `*events` becomes the records in their stored (leaf) order,
+/// which is what record indices refer to.
 std::string StagePair(const std::string& dir,
-                      const std::vector<EventRecord>& events) {
-  std::string path = dir + "/part-00000.stpq";
-  Status wrote = WriteStpqFile(path, events);
-  ST4ML_CHECK(wrote.ok()) << wrote.ToString();
-  Status built = BuildStixForStpq(path, events);
-  ST4ML_CHECK(built.ok()) << built.ToString();
+                      std::vector<EventRecord>* events) {
+  auto part = WriteIndexedPart(dir, "part-00000.stpq", *events,
+                               RetryPolicy::None(), nullptr);
+  ST4ML_CHECK(part.ok()) << part.status().ToString();
+  std::string path = dir + "/" + part->file;
+  auto stored = ReadStpqFile<EventRecord>(path);
+  ST4ML_CHECK(stored.ok()) << stored.status().ToString();
+  *events = std::move(*stored);
   return path;
 }
 
@@ -83,7 +90,7 @@ std::vector<uint32_t> BruteForceBox(const std::vector<EventRecord>& events,
 TEST(StixTest, QueryBoxMatchesBruteForce) {
   std::string dir = TempDir("roundtrip");
   auto events = RandomEvents(1200, 17);
-  std::string path = StagePair(dir, events);
+  std::string path = StagePair(dir, &events);
   auto index = StixIndex::Open(StixPathFor(path), path);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->record_count(), events.size());
@@ -99,7 +106,11 @@ TEST(StixTest, QueryBoxMatchesBruteForce) {
     StixQueryStats stats;
     index->QueryBox(accel::BoxFilterQuery::FromBox(box), &hits, &stats);
     EXPECT_EQ(hits, BruteForceBox(events, box));
-    EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end()));
+    // Leaf position is record index, so the hits ascend with no sort.
+    EXPECT_TRUE(std::adjacent_find(hits.begin(), hits.end(),
+                                   std::greater_equal<uint32_t>()) ==
+                hits.end())
+        << "hits not strictly ascending";
     EXPECT_GT(stats.pages_read, 0u);  // at least the root's page
   }
 }
@@ -107,7 +118,7 @@ TEST(StixTest, QueryBoxMatchesBruteForce) {
 TEST(StixTest, LookupIdsMatchesBruteForce) {
   std::string dir = TempDir("lookup");
   auto events = RandomEvents(900, 23);
-  std::string path = StagePair(dir, events);
+  std::string path = StagePair(dir, &events);
   auto index = StixIndex::Open(StixPathFor(path), path);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
 
@@ -136,7 +147,7 @@ TEST(StixTest, LookupIdsMatchesBruteForce) {
 TEST(StixTest, EmptyPartitionRoundTrips) {
   std::string dir = TempDir("empty");
   std::vector<EventRecord> none;
-  std::string path = StagePair(dir, none);
+  std::string path = StagePair(dir, &none);
   auto index = StixIndex::Open(StixPathFor(path), path);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->record_count(), 0u);
@@ -162,9 +173,14 @@ TEST(StixTest, TrajSidecarRoundTrips) {
     }
     trajs.push_back(std::move(t));
   }
+  auto part = WriteIndexedPart(dir, "part-00000.stpq", trajs,
+                               RetryPolicy::None(), nullptr);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
   std::string path = dir + "/part-00000.stpq";
-  ASSERT_TRUE(WriteStpqFile(path, trajs).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, trajs).ok());
+  auto stored = ReadStpqFile<TrajRecord>(path);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_EQ(stored->size(), trajs.size());
+  trajs = std::move(*stored);
   auto index = StixIndex::Open(StixPathFor(path), path);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
 
@@ -186,7 +202,7 @@ class StixCorruptionTest : public ::testing::Test {
   void SetUp() override {
     dir_ = TempDir("corrupt");
     events_ = RandomEvents(400, 41);
-    stpq_ = StagePair(dir_, events_);
+    stpq_ = StagePair(dir_, &events_);
     stix_ = StixPathFor(stpq_);
     pristine_ = Slurp(stix_);
     ASSERT_GE(pristine_.size(), sizeof(StixHeader));
@@ -270,16 +286,6 @@ TEST_F(StixCorruptionTest, RejectsRecordOffsetsPastEof) {
   });
 }
 
-TEST_F(StixCorruptionTest, RejectsOrderPermutationBreak) {
-  ExpectRejected("stix order is not a permutation", [&](std::string* b) {
-    StixHeader h = HeaderOf(*b);
-    uint32_t dup = 0;
-    std::memcpy(b->data() + h.section_off[kStixOrder] + sizeof(uint32_t),
-                &dup, sizeof(dup));
-    std::memcpy(b->data() + h.section_off[kStixOrder], &dup, sizeof(dup));
-  });
-}
-
 TEST_F(StixCorruptionTest, RejectsStaleSidecar) {
   // Rewrite the source with different records: size|mtime no longer match.
   auto other = RandomEvents(500, 99);
@@ -303,8 +309,9 @@ TEST_F(StixCorruptionTest, RejectsSameSizeSameMtimeRewriteByFingerprint) {
   two[0].attr = std::string(18, 'a');
   two[1].id = 2;
   two[1].attr = std::string(18, 'b');
-  ASSERT_TRUE(WriteStpqFile(path, two).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, two).ok());
+  ASSERT_TRUE(WriteIndexedPart(dir, "part-00000.stpq", two,
+                               RetryPolicy::None(), nullptr)
+                  .ok());
   uint64_t size_before = fs::file_size(path);
   fs::file_time_type mtime_before = fs::last_write_time(path);
 
@@ -334,10 +341,11 @@ TEST_F(StixCorruptionTest, MtimeStampOfMissingFileIsAnError) {
   ASSERT_FALSE(fingerprint.ok());
 }
 
-TEST_F(StixCorruptionTest, BuildStixPropagatesUnreadableSource) {
-  Status built =
-      BuildStixForStpq(dir_ + "/missing-source.stpq", events_);
-  ASSERT_FALSE(built.ok());
+TEST_F(StixCorruptionTest, WriteIndexedPartPropagatesUnwritableDir) {
+  // The "directory" is the staged part file itself.
+  auto part = WriteIndexedPart(stpq_, "part-00001.stpq", events_,
+                               RetryPolicy::None(), nullptr);
+  ASSERT_FALSE(part.ok());
 }
 
 TEST_F(StixCorruptionTest, MissingSidecarIsNotFound) {
@@ -369,7 +377,7 @@ TEST_F(StixCorruptionTest, SelectorDemotesCorruptSidecarToLinearScan) {
 TEST(StixSelectorTest, MmapSelectCountsIndexTraffic) {
   std::string dir = TempDir("counters");
   auto events = RandomEvents(1500, 7);
-  std::string path = StagePair(dir, events);
+  std::string path = StagePair(dir, &events);
 
   auto ctx = ExecutionContext::Create(2);
   STBox box(Mbr(10, 10, 30, 30), Duration(0, 40000));
@@ -391,7 +399,7 @@ TEST(StixSelectorTest, MmapSelectCountsIndexTraffic) {
 TEST(StixSelectorTest, PostingsHitsCountOnIdLookup) {
   std::string dir = TempDir("postings");
   auto events = RandomEvents(800, 13);
-  StagePair(dir, events);
+  StagePair(dir, &events);
 
   auto ctx = ExecutionContext::Create(2);
   Selector<EventRecord> selector(ctx, SelectQuery::FromIds({1, 2, 3, 4, 5}));
@@ -405,6 +413,213 @@ TEST(StixSelectorTest, PostingsHitsCountOnIdLookup) {
   EXPECT_EQ(selected->Count(), expected);
   auto m = ctx->MetricsSnapshot();
   EXPECT_EQ(m[Counter::kPostingsHits], expected);
+}
+
+/// The records of `selected` as STPQ bytes, in their selected order: equal
+/// strings mean byte-identical answers.
+std::string AnswerBytes(const Dataset<EventRecord>& selected,
+                        const std::string& scratch) {
+  ST4ML_CHECK(WriteStpqFile(scratch, selected.Collect()).ok());
+  return Slurp(scratch);
+}
+
+/// Builds `events` into `dir` through BuildOnDiskIndex with `tiles`^2
+/// T-STR parts over one time slice.
+void BuildDir(const std::vector<EventRecord>& events, int tiles,
+              const std::string& dir) {
+  auto ctx = ExecutionContext::Create(2);
+  TSTRPartitioner partitioner(1, tiles);
+  Status built =
+      BuildOnDiskIndex(Dataset<EventRecord>::Parallelize(ctx, events, 4),
+                       &partitioner, dir, dir + "/index.meta");
+  ST4ML_CHECK(built.ok()) << built.ToString();
+}
+
+TEST(StixLayoutTest, OnePercentBoxReadsUnderAQuarterOfThePart) {
+  // One 100k-event part: records stored in leaf order make a small box's
+  // hits a few contiguous runs, so the mmap plan reads a small share of the
+  // file. Records in input order scatter the hits over the whole file.
+  std::string dir = TempDir("byte_budget");
+  std::vector<EventRecord> events = RandomEvents(100000, 43);
+  for (EventRecord& r : events) r.attr.clear();  // 36 B records
+  BuildDir(events, 1, dir);
+  const std::vector<std::string> parts = ListStpqFiles(dir);
+  ASSERT_EQ(parts.size(), 1u);
+  const STBox box(Mbr(40, 40, 50, 50), Duration(0, 100000));
+
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> indexed(ctx, SelectQuery::FromBox(box));
+  auto selected = indexed.Select(dir);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  auto m = ctx->MetricsSnapshot();
+  ASSERT_EQ(m[Counter::kPlannerMmapIndex], 1u);
+  EXPECT_GT(selected->Count(), 500u);
+  EXPECT_LT(selected->Count(), 1500u);
+  const uint64_t file_bytes = FileSizeBytes(parts[0]);
+  EXPECT_LT(m[Counter::kStpqBytesRead], file_bytes / 4)
+      << "read " << m[Counter::kStpqBytesRead] << " of " << file_bytes;
+
+  const testing::SidecarFreeCopy scan(dir);
+  auto scan_ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> scanned(scan_ctx, SelectQuery::FromBox(box));
+  auto reference = scanned.Select(scan.dir());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(AnswerBytes(*selected, dir + "/indexed.out"),
+            AnswerBytes(*reference, dir + "/scanned.out"));
+}
+
+TEST(StixLayoutTest, VersionTwoSidecarTakesTheScanUntilRebuilt) {
+  std::string dir = TempDir("v2");
+  BuildDir(RandomEvents(3000, 53), 2, dir);
+  const std::string meta = dir + "/index.meta";
+  const STBox box(Mbr(5, 5, 70, 60), Duration(0, 80000));
+  const testing::SidecarFreeCopy scan(dir);
+  auto scan_ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> scanned(scan_ctx, SelectQuery::FromBox(box));
+  auto reference = scanned.Select(scan.dir(), scan.meta());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string expected = AnswerBytes(*reference, dir + "/ref.out");
+
+  const std::vector<std::string> parts = ListStpqFiles(dir);
+  for (const std::string& path : parts) {
+    std::string bytes = Slurp(StixPathFor(path));
+    StixHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    h.version = 2;
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    Dump(StixPathFor(path), bytes);
+  }
+  auto old_ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> old_sidecars(old_ctx, SelectQuery::FromBox(box));
+  auto before = old_sidecars.Select(dir, meta);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto m = old_ctx->MetricsSnapshot();
+  EXPECT_EQ(m[Counter::kPlannerLinearScan], parts.size());
+  EXPECT_EQ(m[Counter::kPlannerMmapIndex], 0u);
+  EXPECT_EQ(AnswerBytes(*before, dir + "/before.out"), expected);
+
+  for (const std::string& path : parts) {
+    const std::string data_before = Slurp(path);
+    auto rebuilt = RebuildIndexedPart(path);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    // Already in leaf order: the rewrite keeps every byte.
+    EXPECT_EQ(Slurp(path), data_before);
+  }
+  auto new_ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> rebuilt(new_ctx, SelectQuery::FromBox(box));
+  auto after = rebuilt.Select(dir, meta);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  m = new_ctx->MetricsSnapshot();
+  EXPECT_EQ(m[Counter::kPlannerMmapIndex], parts.size());
+  EXPECT_EQ(m[Counter::kPlannerLinearScan], 0u);
+  EXPECT_EQ(AnswerBytes(*after, dir + "/after.out"), expected);
+}
+
+TEST(StixLayoutTest, RebuildPutsAnUnorderedPartInLeafOrder) {
+  std::string dir = TempDir("rebuild_order");
+  std::vector<EventRecord> events = RandomEvents(2000, 61);
+  const std::string path = dir + "/part-00000.stpq";
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());  // input order, no sidecar
+  auto rebuilt = RebuildIndexedPart(path);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(*rebuilt, events.size());
+  auto stored = ReadStpqFile<EventRecord>(path);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  std::vector<STBox> boxes;
+  for (const EventRecord& r : *stored) boxes.push_back(r.ComputeSTBox());
+  const std::vector<uint32_t> order = StrOrder(boxes);
+  for (uint32_t j = 0; j < order.size(); ++j) ASSERT_EQ(order[j], j);
+  const STBox box(Mbr(20, 20, 45, 45), Duration(0, 100000));
+  auto index = StixIndex::Open(StixPathFor(path), path);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  std::vector<uint32_t> hits;
+  index->QueryBox(accel::BoxFilterQuery::FromBox(box), &hits, nullptr);
+  EXPECT_EQ(hits, BruteForceBox(*stored, box));
+}
+
+/// A cached load takes the sidecar's postings as its id directory only if
+/// they are one: a forged section falls back to the sort, and id lookups
+/// answer as the scan does.
+class StixForgedPostingsTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StixForgedPostingsTest, CachedLoadFallsBackToTheSort) {
+  const bool duplicate = GetParam();
+  std::string dir = TempDir(duplicate ? "forged_dup" : "forged_swap");
+  std::vector<EventRecord> events = RandomEvents(600, 71);
+  const std::string path = StagePair(dir, &events);
+  const std::string stix = StixPathFor(path);
+  std::string bytes = Slurp(stix);
+  StixHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  char* postings = bytes.data() + h.section_off[kStixPostings];
+  if (duplicate) {
+    std::memcpy(postings + sizeof(uint32_t), postings, sizeof(uint32_t));
+  } else {
+    // The last posting of the lowest id swaps with the first of the next:
+    // each id's run now holds a record of the other id.
+    StixIdEntry first;
+    std::memcpy(&first, bytes.data() + h.section_off[kStixIdDir],
+                sizeof(first));
+    char* last = postings + (first.count - 1) * sizeof(uint32_t);
+    std::swap_ranges(last, last + sizeof(uint32_t), last + sizeof(uint32_t));
+  }
+  Dump(stix, bytes);
+  auto identity = ReadStpqIdentity(path);
+  ASSERT_TRUE(identity.ok()) << identity.status().ToString();
+  auto forged = ReadStixPostings(stix, *identity);
+  ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+  EXPECT_FALSE(selection_internal::IsIdDirectory(*forged, events));
+
+  std::vector<int64_t> ids;
+  for (const EventRecord& r : events) ids.push_back(r.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const testing::SidecarFreeCopy scan(dir);
+  auto scan_ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> scanned(scan_ctx, SelectQuery::FromIds(ids));
+  auto reference = scanned.Select(scan.dir());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->Count(), events.size());
+
+  auto ctx = ExecutionContext::Create(2);
+  DatasetCache::Options cache_options;
+  cache_options.budget_bytes = DatasetCache::kUnbounded;
+  ctx->ConfigureCache(cache_options);
+  for (int pass = 0; pass < 2; ++pass) {  // the load, then a resident hit
+    Selector<EventRecord> cached(ctx, SelectQuery::FromIds(ids));
+    auto selected = cached.Select(dir);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    EXPECT_EQ(AnswerBytes(*selected, dir + "/cached.out"),
+              AnswerBytes(*reference, dir + "/scanned.out"))
+        << "pass " << pass;
+  }
+  EXPECT_EQ(ctx->MetricsSnapshot()[Counter::kPlannerCachedIndex], 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DuplicateOrSwap, StixForgedPostingsTest,
+                         ::testing::Bool());
+
+TEST(StixLayoutTest, CachedLoadTakesCheckedPostingsAsTheIdDirectory) {
+  std::string dir = TempDir("postings_dir");
+  std::vector<EventRecord> events = RandomEvents(800, 73);
+  const std::string path = StagePair(dir, &events);
+  auto identity = ReadStpqIdentity(path);
+  ASSERT_TRUE(identity.ok()) << identity.status().ToString();
+  auto postings = ReadStixPostings(StixPathFor(path), *identity);
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+  ASSERT_TRUE(selection_internal::IsIdDirectory(*postings, events));
+  // Stored in leaf order, the records are not in id order: without the
+  // sidecar the load would sort.
+  auto file = selection_internal::MakeIndexedFile(events, *postings);
+  std::vector<uint32_t> sorted(events.size());
+  std::iota(sorted.begin(), sorted.end(), 0u);
+  EXPECT_FALSE(std::is_sorted(
+      sorted.begin(), sorted.end(),
+      selection_internal::ByIdThenPosition(events)));
+  std::sort(sorted.begin(), sorted.end(),
+            selection_internal::ByIdThenPosition(events));
+  EXPECT_EQ(file->by_id, sorted);
+  EXPECT_EQ(selection_internal::MakeIndexedFile(events, {})->by_id, sorted);
 }
 
 }  // namespace

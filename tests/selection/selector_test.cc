@@ -379,13 +379,14 @@ std::string Slurp(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// A record of exactly `bytes` on disk, far outside the boundary test's box.
-EventRecord Filler(int64_t id, uint64_t bytes) {
+// A record of exactly `bytes` on disk at `time`, far outside the boundary
+// test's box.
+EventRecord Filler(int64_t id, uint64_t bytes, int64_t time) {
   EventRecord r;
   r.id = id;
   r.x = 90;
   r.y = 90;
-  r.time = 90000;
+  r.time = time;
   r.attr.assign(bytes - StpqRecordBytes(EventRecord{}), 'f');
   return r;
 }
@@ -404,12 +405,20 @@ TEST_F(SelectorTest, HoleLimitSplitsCoveringReadsExactlyAtTheLimit) {
     hit.time = 10 * (i + 1);
     hit.attr = "hit";
     records.push_back(hit);
-    if (i == 0) records.push_back(Filler(1, kStpqReadHoleLimit));
-    if (i == 1) records.push_back(Filler(2, kStpqReadHoleLimit + 1));
+    if (i == 0) records.push_back(Filler(1, kStpqReadHoleLimit, 15));
+    if (i == 1) records.push_back(Filler(2, kStpqReadHoleLimit + 1, 25));
   }
+  // Five records make one leaf, whose STR order is time order: the part
+  // writer keeps this layout.
   const std::string path = dir + "/part-00000.stpq";
-  ASSERT_TRUE(WriteStpqFile(path, records).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, records).ok());
+  ASSERT_TRUE(WriteIndexedPart(dir, "part-00000.stpq", records,
+                               RetryPolicy::None(), nullptr)
+                  .ok());
+  auto stored = ReadStpqFile<EventRecord>(path);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ((*stored)[i].id, records[i].id) << "layout moved at " << i;
+  }
   const STBox query(Mbr(0, 0, 20, 20), Duration(0, 100));
 
   ctx_->ResetMetrics();

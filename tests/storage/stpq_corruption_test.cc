@@ -514,7 +514,10 @@ TEST(StpqCorruptionTest, SuccessfulPublishLeavesNoTmpDebris) {
   std::string path = dir + "/part.stpq";
   ASSERT_TRUE(WriteStpqFile(path, SomeEvents(5)).ok());
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-  ASSERT_TRUE(BuildStixForStpq(path, SomeEvents(5)).ok());
+  ASSERT_TRUE(WriteIndexedPart(dir, "part.stpq", SomeEvents(5),
+                               RetryPolicy::None(), nullptr)
+                  .ok());
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
   EXPECT_FALSE(fs::exists(StixPathFor(path) + ".tmp"));
 }
 
@@ -522,16 +525,25 @@ TEST(StpqCorruptionTest, TornStixPublishLeavesOldSidecarIntact) {
   std::string dir = TempDir("tornstix");
   std::string path = dir + "/part.stpq";
   auto events = SomeEvents(50);
-  ASSERT_TRUE(WriteStpqFile(path, events).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, events).ok());
+  ASSERT_TRUE(
+      WriteIndexedPart(dir, "part.stpq", events, RetryPolicy::None(), nullptr)
+          .ok());
   std::string stix = StixPathFor(path);
   std::string before = Slurp(stix);
 
   fs::create_directories(stix + ".tmp");
-  ASSERT_FALSE(BuildStixForStpq(path, events).ok());
+  ASSERT_FALSE(
+      WriteIndexedPart(dir, "part.stpq", events, RetryPolicy::None(), nullptr)
+          .ok());
   EXPECT_EQ(Slurp(stix), before);
-  // The surviving sidecar still validates against its source.
-  EXPECT_TRUE(StixIndex::Open(stix, path).ok());
+  // The surviving sidecar is whole: it passes every structural check and
+  // is refused only as stale, since the part was rewritten before the
+  // sidecar publish failed. A Select takes the scan plan for it.
+  auto reopened = StixIndex::Open(stix, path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().message().find("stale stix sidecar"),
+            std::string::npos)
+      << reopened.status().ToString();
   fs::remove_all(stix + ".tmp");
 }
 
@@ -818,8 +830,9 @@ TEST(StpqCorruptionTest, StixBadMagicIsInvalidArgument) {
   std::string dir = TempDir("stixmagic");
   std::string path = dir + "/part.stpq";
   auto events = SomeEvents(50);
-  ASSERT_TRUE(WriteStpqFile(path, events).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, events).ok());
+  ASSERT_TRUE(
+      WriteIndexedPart(dir, "part.stpq", events, RetryPolicy::None(), nullptr)
+          .ok());
   std::string stix = StixPathFor(path);
   std::string bytes = Slurp(stix);
   bytes[0] = 'Q';
@@ -835,8 +848,9 @@ TEST(StpqCorruptionTest, StixTruncationIsInvalidArgument) {
   std::string dir = TempDir("stixtrunc");
   std::string path = dir + "/part.stpq";
   auto events = SomeEvents(50);
-  ASSERT_TRUE(WriteStpqFile(path, events).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, events).ok());
+  ASSERT_TRUE(
+      WriteIndexedPart(dir, "part.stpq", events, RetryPolicy::None(), nullptr)
+          .ok());
   std::string stix = StixPathFor(path);
   std::string bytes = Slurp(stix);
   Dump(stix, bytes.substr(0, bytes.size() / 3));
@@ -849,8 +863,9 @@ TEST(StpqCorruptionTest, StixStaleAfterSourceRewriteIsInvalidArgument) {
   std::string dir = TempDir("stixstale");
   std::string path = dir + "/part.stpq";
   auto events = SomeEvents(50);
-  ASSERT_TRUE(WriteStpqFile(path, events).ok());
-  ASSERT_TRUE(BuildStixForStpq(path, events).ok());
+  ASSERT_TRUE(
+      WriteIndexedPart(dir, "part.stpq", events, RetryPolicy::None(), nullptr)
+          .ok());
   ASSERT_TRUE(WriteStpqFile(path, SomeEvents(60)).ok());  // invalidates
   auto index = StixIndex::Open(StixPathFor(path), path);
   ASSERT_FALSE(index.ok());

@@ -2,13 +2,15 @@
 // dataset's `.stpq` part files (DESIGN.md §12). Three subcommands:
 //
 //   st4ml_index build    --dir=DIR | --file=PART.stpq
-//       (re)bulk-loads the STR-packed sidecar for each part file — the
-//       manual spelling of what st4ml_ingest now does automatically, for
-//       retrofitting pre-index stores or rebuilding after a corruption.
+//       rewrites each part in its STR leaf order (atomic temp + rename;
+//       the same records, so index.meta stays valid) and writes its
+//       current sidecar — the manual spelling of what st4ml_ingest does
+//       automatically, for retrofitting pre-index stores, upgrading a
+//       sidecar of an older version, or rebuilding after a corruption.
 //   st4ml_index verify   --dir=DIR | --file=PART.stpq
 //       opens every sidecar through the full validation gauntlet (magic,
-//       layout, permutations, offsets, staleness) and reports per file;
-//       exits non-zero if any sidecar is missing or bad.
+//       version, layout, postings, offsets, staleness) and reports per
+//       file; exits non-zero if any sidecar is missing or bad.
 //   st4ml_index describe --dir=DIR | --file=PART.stpq
 //       prints each sidecar's header: records, tree nodes, distinct ids,
 //       index bytes vs data bytes.
@@ -64,24 +66,12 @@ st4ml::StatusOr<std::vector<std::string>> Targets(
 }
 
 st4ml::Status BuildOne(const std::string& path) {
-  auto kind = st4ml::ReadStpqKind(path);
-  if (!kind.ok()) return kind.status();
-  uint64_t io_bytes = 0;
-  if (*kind == st4ml::kStpqKindEvent) {
-    auto records = st4ml::ReadStpqFile<st4ml::EventRecord>(path);
-    if (!records.ok()) return records.status();
-    ST4ML_RETURN_IF_ERROR(st4ml::BuildStixForStpq(path, *records, &io_bytes));
-    std::printf("built %s (%zu records, %llu index bytes)\n",
-                st4ml::StixPathFor(path).c_str(), records->size(),
-                static_cast<unsigned long long>(io_bytes));
-  } else {
-    auto records = st4ml::ReadStpqFile<st4ml::TrajRecord>(path);
-    if (!records.ok()) return records.status();
-    ST4ML_RETURN_IF_ERROR(st4ml::BuildStixForStpq(path, *records, &io_bytes));
-    std::printf("built %s (%zu records, %llu index bytes)\n",
-                st4ml::StixPathFor(path).c_str(), records->size(),
-                static_cast<unsigned long long>(io_bytes));
-  }
+  auto records = st4ml::RebuildIndexedPart(path);
+  if (!records.ok()) return records.status();
+  const std::string stix = st4ml::StixPathFor(path);
+  std::printf("built %s (%llu records, %llu index bytes)\n", stix.c_str(),
+              static_cast<unsigned long long>(*records),
+              static_cast<unsigned long long>(st4ml::FileSizeBytes(stix)));
   return st4ml::Status::Ok();
 }
 
