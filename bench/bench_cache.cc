@@ -73,16 +73,14 @@ uint64_t Checksum(const std::vector<EventRecord>& records) {
 }
 
 /// Heap and inline bytes of one cached selector entry: the record vector,
-/// attr strings too long for the small-string buffer, and the six 8-byte
-/// SoA envelope columns.
+/// the heap blocks of attrs longer than InlineString::kInlineCapacity, and
+/// the six 8-byte SoA envelope columns.
 uint64_t ResidentBytes(
     const selection_internal::IndexedStpqFile<EventRecord>& file) {
   uint64_t bytes = file.records.capacity() * sizeof(EventRecord) +
                    file.cols.size() * 6 * sizeof(double);
   for (const EventRecord& r : file.records) {
-    if (r.attr.capacity() > std::string().capacity()) {
-      bytes += r.attr.capacity() + 1;
-    }
+    if (r.attr.is_heap()) bytes += r.attr.size() + 1;
   }
   return bytes;
 }

@@ -295,9 +295,11 @@ SlotIndex SortIntoSlots(const S& s, const CellIndex* index, bool naive,
 /// option 2 of DESIGN.md §3.2.2; no shuffle.
 ///
 /// Each partition is assigned to slots by one stable counting sort
-/// (conversion_internal::SortIntoSlots). `Convert(data)` stores every
-/// assigned instance once per partition and makes each slot a Bucket<T>
-/// view into that store; `Convert(data, pre, agg)` applies `pre` once per
+/// (conversion_internal::SortIntoSlots). `Convert(data)` copies no
+/// instance: each partition's store references the input partition in
+/// place (Dataset::SharedPartition) through the positions of its assigned
+/// instances, and each slot is a Bucket<T> view into that store;
+/// `Convert(data, pre, agg)` applies `pre` once per
 /// assigned instance and `agg` per slot to a std::vector<P> gathered in
 /// input order (handed over as an rvalue), so heavy payloads never outlive
 /// the partition. A zero-partition input (a selection that pruned
@@ -315,13 +317,11 @@ class Converter {
 
   Dataset<Collective<S, Bucket<T>>> Convert(const Dataset<T>& data) const {
     return ConvertSorted(data, [](const std::shared_ptr<const S>& s,
-                                  const std::vector<T>& part,
+                                  std::shared_ptr<const std::vector<T>> part,
                                   conversion_internal::SlotIndex slots) {
-      std::vector<T> items;
-      items.reserve(slots.kept.size());
-      for (uint32_t i : slots.kept) items.push_back(part[i]);
+      for (uint32_t& k : slots.order) k = slots.kept[k];  // partition positions
       auto store = std::make_shared<const BucketStore<T>>(
-          BucketStore<T>{std::move(items), std::move(slots.order)});
+          BucketStore<T>{std::move(part), std::move(slots.order)});
       const std::vector<uint32_t>& offsets = slots.offsets;
       std::vector<Bucket<T>> values(s->size());
       for (size_t i = 0; i < values.size(); ++i) {
@@ -338,11 +338,11 @@ class Converter {
     using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
     using R = std::decay_t<std::invoke_result_t<AggFn, std::vector<P>>>;
     return ConvertSorted(data, [pre, agg](const std::shared_ptr<const S>& s,
-                                          const std::vector<T>& part,
+                                          std::shared_ptr<const std::vector<T>> part,
                                           conversion_internal::SlotIndex slots) {
       std::vector<P> mapped;
       mapped.reserve(slots.kept.size());
-      for (uint32_t i : slots.kept) mapped.push_back(pre(part[i]));
+      for (uint32_t i : slots.kept) mapped.push_back(pre((*part)[i]));
       const std::vector<uint32_t>& offsets = slots.offsets;
       std::vector<R> values;
       values.reserve(s->size());
@@ -361,7 +361,7 @@ class Converter {
  private:
   /// Broadcasts the structure (and cell index), sorts every partition into
   /// slots and turns each into one collective with
-  /// `build(structure, partition, slots)`.
+  /// `build(structure, partition, slots)`, the partition shared in place.
   template <typename BuildFn>
   auto ConvertSorted(const Dataset<T>& data, BuildFn build) const {
     namespace ci = conversion_internal;
@@ -378,11 +378,15 @@ class Converter {
             : Dataset<T>::FromPartitions(data.context(),
                                          typename Dataset<T>::Partitions(1));
     return input.MapPartitions(
-        [shared, index, naive, build](const std::vector<T>& part) {
+        [input, shared, index, naive, build](const std::vector<T>& part) {
           const std::shared_ptr<const S>& s = shared.value();
-          std::vector<decltype(build(s, part, ci::SlotIndex{}))> out;
-          out.push_back(
-              build(s, part, ci::SortIntoSlots(*s, index.get(), naive, part)));
+          // `part` is one of input's own partitions.
+          const auto p = static_cast<size_t>(&part - &input.partition(0));
+          auto collective =
+              build(s, input.SharedPartition(p),
+                    ci::SortIntoSlots(*s, index.get(), naive, part));
+          std::vector<decltype(collective)> out;
+          out.push_back(std::move(collective));
           return out;
         });
   }

@@ -99,6 +99,13 @@ class Dataset {
   const std::shared_ptr<ExecutionContext>& context() const { return ctx_; }
   size_t num_partitions() const { return parts_ ? parts_->size() : 0; }
   const std::vector<T>& partition(size_t i) const { return (*parts_)[i]; }
+  /// Partition i as a shared pointer that keeps all of this Dataset's
+  /// partitions alive (an aliasing shared_ptr over them): a consumer may
+  /// reference the elements in place instead of copying them, and while it
+  /// does, no handle is their sole owner.
+  std::shared_ptr<const std::vector<T>> SharedPartition(size_t i) const {
+    return std::shared_ptr<const std::vector<T>>(parts_, &(*parts_)[i]);
+  }
 
   /// The partitions, writable, when this handle is their sole owner: no
   /// other Dataset can observe them, so a consumer that took the handle by

@@ -30,8 +30,9 @@ Collective<S, int64_t> CountPerSlot(
 }
 
 /// Merged mean-speed accumulator per slot, speeds scaled to `unit`. Each
-/// stored trajectory's speed is computed once, however many slots it
-/// joined, then folded per slot in bucket order through the bucket indices.
+/// assigned trajectory's speed is computed once, however many slots it
+/// joined, then folded per slot in bucket order through the bucket indices;
+/// the partition's unassigned trajectories are never measured.
 template <typename S>
 Collective<S, MeanAcc> MeanSpeedPerSlot(
     const Dataset<Collective<S, Bucket<STTrajectory>>>& converted,
@@ -41,16 +42,20 @@ Collective<S, MeanAcc> MeanSpeedPerSlot(
       [factor](const Collective<S, Bucket<STTrajectory>>& c) {
         const BucketStore<STTrajectory>* store = nullptr;
         std::vector<double> speeds;
+        std::vector<bool> measured;
         std::vector<MeanAcc> accs(c.size());
         for (size_t i = 0; i < c.size(); ++i) {
           const Bucket<STTrajectory>& bucket = c.value(i);
           if (bucket.empty()) continue;
           if (bucket.store() != store) {
             store = bucket.store();
-            speeds.clear();
-            speeds.reserve(store->items.size());
-            for (const STTrajectory& t : store->items) {
-              speeds.push_back(t.AverageSpeedMps() * factor);
+            const std::vector<STTrajectory>& items = *store->items;
+            speeds.assign(items.size(), 0.0);
+            measured.assign(items.size(), false);
+            for (uint32_t pos : store->order) {
+              if (measured[pos]) continue;
+              measured[pos] = true;
+              speeds[pos] = items[pos].AverageSpeedMps() * factor;
             }
           }
           for (size_t j = 0; j < bucket.size(); ++j) {

@@ -14,6 +14,7 @@
 #include "geometry/point.h"
 #include "index/stbox.h"
 #include "instances/structures.h"
+#include "storage/inline_string.h"
 
 namespace st4ml {
 
@@ -45,7 +46,7 @@ struct STEntry {
 /// Typed data carried by an STEvent.
 struct EventData {
   int64_t id = 0;
-  std::string attr;
+  InlineString attr;
 };
 
 /// The singular "event" instance: one location, one (possibly degenerate)
@@ -102,13 +103,13 @@ struct StayPoint {
 };
 
 /// One partition's converted instances (paper §3.2.2: cells reference
-/// instances, they do not copy them): each instance that joined at least
-/// one slot, stored once in partition order, and `order`, the positions in
-/// `items` grouped slot by slot (CSR) that the partition's buckets read
-/// through.
+/// instances, they do not copy them): `items` is the converted input
+/// partition itself, shared with the dataset it came from, and `order`
+/// holds the positions in `items` of the instances that joined a slot,
+/// grouped slot by slot (CSR), that the partition's buckets read through.
 template <typename T>
 struct BucketStore {
-  std::vector<T> items;
+  std::shared_ptr<const std::vector<T>> items;
   std::vector<uint32_t> order;
 };
 
@@ -155,9 +156,9 @@ class Bucket {
 
   size_t size() const { return end_ - begin_; }
   bool empty() const { return begin_ == end_; }
-  /// Where the j-th instance of the slot sits in `store()->items`.
+  /// Where the j-th instance of the slot sits in `*store()->items`.
   uint32_t index(size_t j) const { return store_->order[begin_ + j]; }
-  const T& operator[](size_t j) const { return store_->items[index(j)]; }
+  const T& operator[](size_t j) const { return (*store_->items)[index(j)]; }
   Iterator begin() const { return At(begin_); }
   Iterator end() const { return At(end_); }
   /// The partition store the bucket reads; null when the bucket is empty.
@@ -166,7 +167,7 @@ class Bucket {
  private:
   Iterator At(uint32_t pos) const {
     if (store_ == nullptr) return Iterator();
-    return Iterator(store_->order.data() + pos, store_->items.data());
+    return Iterator(store_->order.data() + pos, store_->items->data());
   }
 
   std::shared_ptr<const BucketStore<T>> store_;

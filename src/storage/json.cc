@@ -5,7 +5,7 @@
 
 namespace st4ml {
 
-std::string JsonQuote(const std::string& value) {
+std::string JsonQuote(std::string_view value) {
   std::string out = "\"";
   for (char c : value) {
     switch (c) {
@@ -37,7 +37,7 @@ JsonObject& JsonObject::AddField(const std::string& key,
   return *this;
 }
 
-JsonObject& JsonObject::Add(const std::string& key, const std::string& value) {
+JsonObject& JsonObject::Add(const std::string& key, std::string_view value) {
   return AddField(key, JsonQuote(value));
 }
 

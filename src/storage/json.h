@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace st4ml {
 
@@ -10,7 +11,7 @@ namespace st4ml {
 /// insertion order; nesting happens by adding a built object as raw JSON.
 class JsonObject {
  public:
-  JsonObject& Add(const std::string& key, const std::string& value);
+  JsonObject& Add(const std::string& key, std::string_view value);
   JsonObject& Add(const std::string& key, const char* value);
   JsonObject& Add(const std::string& key, int64_t value);
   JsonObject& Add(const std::string& key, uint64_t value);
@@ -30,7 +31,7 @@ class JsonObject {
 };
 
 /// Escapes and double-quotes a string for JSON.
-std::string JsonQuote(const std::string& value);
+std::string JsonQuote(std::string_view value);
 
 }  // namespace st4ml
 

@@ -2,27 +2,29 @@
 #define ST4ML_STORAGE_RECORDS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "index/stbox.h"
+#include "storage/inline_string.h"
 
 namespace st4ml {
 
 /// A point event as stored on disk: one location, one instant, one string
 /// attribute payload (taxi trip attributes, an air-quality reading, a POI
-/// tag — whatever the dataset carries).
+/// tag — whatever the dataset carries). Every generated attribute fits
+/// inline in `attr`, so a record is 64 bytes and owns no heap block.
 struct EventRecord {
   int64_t id = 0;
   double x = 0.0;
   double y = 0.0;
   int64_t time = 0;
-  std::string attr;
+  InlineString attr;
 
   STBox ComputeSTBox() const {
     return STBox(Mbr(Point(x, y)), Duration(time));
   }
 };
+static_assert(sizeof(EventRecord) == 64, "an event record is one cache line");
 
 /// One sampled trajectory point (lon, lat, epoch seconds).
 struct TrajPointRecord {

@@ -140,7 +140,7 @@ void EncodeStpqRecord(const EventRecord& r, std::string* out) {
   AppendRaw(out, r.y);
   AppendRaw(out, r.time);
   AppendRaw(out, static_cast<uint32_t>(r.attr.size()));
-  out->append(r.attr);
+  out->append(r.attr.data(), r.attr.size());
 }
 
 Status DecodeStpqRecord(StpqCursor& in, const std::string& path,

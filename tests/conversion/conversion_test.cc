@@ -385,7 +385,12 @@ TEST_F(ConversionTest, BucketsStoreEachInstanceOncePerPartition) {
   auto grid = std::make_shared<const SpatialStructure>(
       SpatialStructure::Grid(extent_, 6, 6));
   SpatialMapConverter<STTrajectory> converter(grid);
-  for (const auto& piece : converter.Convert(traj_data_).Collect()) {
+  const auto pieces = converter.Convert(traj_data_).Collect();
+  ASSERT_EQ(pieces.size(), traj_data_.num_partitions());
+  for (size_t p = 0; p < pieces.size(); ++p) {
+    const auto& piece = pieces[p];
+    // The one stored copy of each instance is the input partition's own.
+    const std::vector<STTrajectory>& input = traj_data_.partition(p);
     const BucketStore<STTrajectory>* store = nullptr;
     std::vector<int64_t> ids;
     for (size_t i = 0; i < piece.size(); ++i) {
@@ -397,8 +402,9 @@ TEST_F(ConversionTest, BucketsStoreEachInstanceOncePerPartition) {
       }
       if (store == nullptr) store = bucket.store();
       EXPECT_EQ(bucket.store(), store);
+      EXPECT_EQ(store->items.get(), &input);
       for (size_t j = 0; j < bucket.size(); ++j) {
-        EXPECT_EQ(&bucket[j], &store->items[bucket.index(j)]);
+        EXPECT_EQ(&bucket[j], &input[bucket.index(j)]);
         // Parallelize keeps ids ascending within a partition; the sort is
         // stable, so they stay ascending within each slot.
         if (j > 0) {
@@ -410,8 +416,12 @@ TEST_F(ConversionTest, BucketsStoreEachInstanceOncePerPartition) {
     ASSERT_NE(store, nullptr);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    EXPECT_EQ(store->items.size(), ids.size());
-    EXPECT_GT(store->order.size(), store->items.size());  // lines span cells
+    std::vector<uint32_t> positions = store->order;
+    std::sort(positions.begin(), positions.end());
+    positions.erase(std::unique(positions.begin(), positions.end()),
+                    positions.end());
+    EXPECT_EQ(positions.size(), ids.size());
+    EXPECT_GT(store->order.size(), positions.size());  // lines span cells
   }
 }
 

@@ -25,7 +25,7 @@ TEST(GeneratorsTest, NycEventsAreDeterministicAndInBounds) {
     EXPECT_EQ(a[i].attr, b[i].attr);
     EXPECT_TRUE(options.extent.ContainsPoint(Point(a[i].x, a[i].y)));
     EXPECT_TRUE(options.range.Contains(a[i].time));
-    EXPECT_NE(a[i].attr.find("fare="), std::string::npos);
+    EXPECT_NE(a[i].attr.view().find("fare="), std::string::npos);
   }
   options.seed = 999;
   auto c = GenerateNycEvents(options);

@@ -573,8 +573,8 @@ using EventKey =
     std::tuple<int64_t, std::string, double, double, int64_t, int64_t>;
 
 EventKey KeyOf(const STEvent& e) {
-  return {e.data.id,   e.data.attr,        e.spatial.x,
-          e.spatial.y, e.temporal.start(), e.temporal.end()};
+  return {e.data.id,   std::string(e.data.attr), e.spatial.x,
+          e.spatial.y, e.temporal.start(),        e.temporal.end()};
 }
 
 /// Partition contents as full event keys, in order.

@@ -387,7 +387,7 @@ EventRecord Filler(int64_t id, uint64_t bytes, int64_t time) {
   r.x = 90;
   r.y = 90;
   r.time = time;
-  r.attr.assign(bytes - StpqRecordBytes(EventRecord{}), 'f');
+  r.attr = std::string(bytes - StpqRecordBytes(EventRecord{}), 'f');
   return r;
 }
 
