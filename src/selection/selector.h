@@ -353,14 +353,18 @@ class Selector {
       if (!reader.ok()) return reader.status();
       auto index = StixIndex::Open(StixPathFor(path), reader->identity());
       if (index.ok()) {
-        out.plan_run = FilePlan::kMmapIndex;
-        io.AddArg("plan_mmap", 1);
-        ST4ML_RETURN_IF_ERROR(
-            ServeViaStix(path, *reader, *index, &out, counters));
-        io.AddArg("bytes", out.read_bytes);
-        return Status::Ok();
+        auto served = ServeViaStix(path, *reader, *index, &out, counters);
+        if (!served.ok()) return served.status();
+        if (*served) {
+          out.plan_run = FilePlan::kMmapIndex;
+          io.AddArg("plan_mmap", 1);
+          io.AddArg("bytes", out.read_bytes);
+          return Status::Ok();
+        }
+        out = FileLoad{};  // the sidecar named a record the query rejects
       }
-      // No valid sidecar (missing, stale, or failing its audit).
+      // No valid sidecar (missing, stale, failing its audit, or naming a
+      // record that does not match).
       out.plan_run = FilePlan::kLinearScan;
       io.AddArg("plan_scan", 1);
       ST4ML_RETURN_IF_ERROR(ReadAll(*reader, &out, &io, counters));
@@ -465,12 +469,16 @@ class Selector {
   }
 
   /// The kMmapIndex plan for one file, over its opened `.stpq` and the
-  /// sidecar validated against it. Returns a non-OK Status only for hard
-  /// failures: a ranged read that misses its promised byte run
-  /// (Corruption) or an I/O error the retry policy could not absorb.
-  Status ServeViaStix(const std::string& path, StpqReader& reader,
-                      const StixIndex& index, FileLoad* load,
-                      CounterRegistry& counters) {
+  /// sidecar validated against it. Every record read is checked against
+  /// the query through the same kernel the scan filters with; if one fails,
+  /// the sidecar lied about its columns or postings, nothing is kept and
+  /// the result is false, so the caller serves the file by the scan through
+  /// the same descriptor. Returns a non-OK Status only for hard failures: a
+  /// ranged read that misses its promised byte run (Corruption) or an I/O
+  /// error the retry policy could not absorb.
+  StatusOr<bool> ServeViaStix(const std::string& path, StpqReader& reader,
+                              const StixIndex& index, FileLoad* load,
+                              CounterRegistry& counters) {
     StixQueryStats qstats;
     std::vector<uint32_t> hits;
     // Query-side emptiness stays a host check (kernel contract): an
@@ -487,7 +495,7 @@ class Selector {
     load->postings_hits = qstats.postings_hits;
     std::vector<RecordT>* out = &load->records;
     out->clear();
-    if (hits.empty()) return Status::Ok();  // no match: no record byte read
+    if (hits.empty()) return true;  // no match: no record byte read
     if (reader.record_count() != index.record_count()) {
       return Status::Corruption("stix sidecar record count disagrees with " +
                                 path);
@@ -512,14 +520,17 @@ class Selector {
         },
         &counters);
     if (!read.ok()) return read;
+    accel::EnvelopeColumns cols;
+    cols.Reserve(out->size());
+    for (const RecordT& r : *out) cols.Append(r.ComputeSTBox());
+    std::vector<uint32_t> matches = MatchIndices(cols, *out);
+    if (matches.size() != out->size()) return false;
     load->read_bytes = reader.bytes_read();
     load->read_calls = reader.read_calls();
     load->file_read = true;
-    // Every record read matched; shaping drops what the query does not keep.
-    std::vector<uint32_t> matches(out->size());
-    std::iota(matches.begin(), matches.end(), 0u);
+    // Shaping drops what the query does not keep.
     *out = TakeShaped(std::move(*out), std::move(matches), load);
-    return Status::Ok();
+    return true;
   }
 
   /// Cache key for one STPQ file: path plus size and mtime, so a rewritten

@@ -622,5 +622,59 @@ TEST(StixLayoutTest, CachedLoadTakesCheckedPostingsAsTheIdDirectory) {
   EXPECT_EQ(selection_internal::MakeIndexedFile(events, {})->by_id, sorted);
 }
 
+TEST(StixSelectorTest, MmapPlanChecksTheRecordsThePostingsName) {
+  // The lowest id's last posting swapped with the next id's first: the
+  // postings stay a permutation, so the sidecar passes Open's audit, but
+  // they name a record of the next id for the lowest. The mmap plan must
+  // answer exactly what the scan over a sidecar-free copy answers, and say
+  // the file was served by the scan.
+  const std::string dir = TempDir("lying_postings");
+  std::vector<EventRecord> events = RandomEvents(600, 61);
+  const std::string path = StagePair(dir, &events);
+  const std::string stix = StixPathFor(path);
+  std::string bytes = Slurp(stix);
+  StixHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  StixIdEntry lowest;
+  StixIdEntry next;
+  std::memcpy(&lowest, bytes.data() + h.section_off[kStixIdDir],
+              sizeof(lowest));
+  std::memcpy(&next,
+              bytes.data() + h.section_off[kStixIdDir] + sizeof(lowest),
+              sizeof(next));
+  ASSERT_EQ(lowest.id, 0);
+  ASSERT_LT(lowest.id, next.id);
+  const uint64_t postings = h.section_off[kStixPostings];
+  std::swap_ranges(
+      bytes.begin() + static_cast<std::ptrdiff_t>(
+                          postings + (lowest.first + lowest.count - 1) * 4),
+      bytes.begin() + static_cast<std::ptrdiff_t>(
+                          postings + lowest.first * 4 + lowest.count * 4),
+      bytes.begin() + static_cast<std::ptrdiff_t>(postings + next.first * 4));
+  Dump(stix, bytes);
+  ASSERT_TRUE(StixIndex::Open(stix, path).ok());
+
+  const testing::SidecarFreeCopy scan(dir);
+  auto select = [](const std::string& from, MetricsSnapshot* metrics) {
+    auto ctx = ExecutionContext::Create(2);
+    Selector<EventRecord> selector(ctx, SelectQuery::FromIds({0}));
+    auto selected = selector.Select(from);
+    ST4ML_CHECK(selected.ok()) << selected.status().ToString();
+    *metrics = ctx->MetricsSnapshot();
+    return *selected;
+  };
+  MetricsSnapshot lied;
+  MetricsSnapshot scanned;
+  const Dataset<EventRecord> answer = select(dir, &lied);
+  const Dataset<EventRecord> expected = select(scan.dir(), &scanned);
+  EXPECT_EQ(answer.Count(), lowest.count);
+  for (const EventRecord& r : answer.Collect()) EXPECT_EQ(r.id, 0);
+  EXPECT_EQ(AnswerBytes(answer, dir + "/answer.bin"),
+            AnswerBytes(expected, dir + "/expected.bin"));
+  EXPECT_EQ(lied[Counter::kPlannerLinearScan], 1u);
+  EXPECT_EQ(lied[Counter::kPlannerMmapIndex], 0u);
+  EXPECT_EQ(scanned[Counter::kPlannerLinearScan], 1u);
+}
+
 }  // namespace
 }  // namespace st4ml
