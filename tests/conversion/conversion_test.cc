@@ -503,7 +503,11 @@ TEST_F(ConversionTest, BroadcastAndShuffleDesignsAgree) {
 
 // --- Parsing: a by-value sink moves a sole-owned input, copies a shared one.
 
-std::vector<EventRecord> RandomEventRecords(int n, uint64_t seed) {
+/// Records whose attrs are longer than InlineString::kInlineCapacity, so
+/// each lives on the heap and a moved attr keeps its buffer, or (with
+/// `heap_attrs` false) short enough to live inline in the record.
+std::vector<EventRecord> RandomEventRecords(int n, uint64_t seed,
+                                            bool heap_attrs = true) {
   Rng rng(seed);
   std::vector<EventRecord> records(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -512,8 +516,10 @@ std::vector<EventRecord> RandomEventRecords(int n, uint64_t seed) {
     r.x = rng.Uniform(0, 10);
     r.y = rng.Uniform(0, 10);
     r.time = rng.UniformInt(0, 36000);
-    // Long enough to live on the heap, so a moved attr keeps its buffer.
-    r.attr = "attribute payload of record " + std::to_string(i);
+    r.attr = (heap_attrs ? "heap-allocated attribute payload of record "
+                         : "rec ") +
+             std::to_string(i);
+    ST4ML_CHECK(r.attr.is_heap() == heap_attrs) << r.attr;
   }
   return records;
 }
@@ -626,6 +632,32 @@ TEST_F(ConversionTest, ParseEventsMovesASoleInputAndCopiesASharedOne) {
   std::vector<const char*> copied = AttrBuffers(from_shared);
   for (size_t i = 0; i < copied.size(); ++i) {
     EXPECT_NE(copied[i], shared_buffers[i]) << "record " << i;
+  }
+}
+
+TEST_F(ConversionTest, ParseEventsKeepsInlineAttrsByValue) {
+  // Attributes that fit inline travel inside their record: a moved and a
+  // copied event both carry the same bytes, and neither allocates.
+  const std::vector<EventRecord> records =
+      RandomEventRecords(600, 53, /*heap_attrs=*/false);
+
+  auto shared = Dataset<EventRecord>::Parallelize(ctx_, records, 4);
+  Dataset<STEvent> from_shared = ParseEvents(shared);
+  EXPECT_EQ(RecordKeys(shared.Collect()), RecordKeys(records));
+
+  auto sole = Dataset<EventRecord>::Parallelize(ctx_, records, 4);
+  Dataset<STEvent> from_sole = ParseEvents(std::move(sole));
+
+  EXPECT_EQ(EventContents(from_sole), EventContents(from_shared));
+  std::vector<EventKey> flat;
+  for (const auto& part : EventContents(from_sole)) {
+    flat.insert(flat.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(flat, RecordKeys(records));
+  for (size_t p = 0; p < from_sole.num_partitions(); ++p) {
+    for (const STEvent& e : from_sole.partition(p)) {
+      EXPECT_FALSE(e.data.attr.is_heap()) << "event " << e.data.id;
+    }
   }
 }
 

@@ -586,12 +586,17 @@ std::vector<std::vector<EventKey>> ContentsOf(const Dataset<STEvent>& data) {
   return contents;
 }
 
-/// Events whose attrs are long enough to live on the heap, so a moved
-/// record keeps its attr buffer and a copied one does not.
-std::vector<STEvent> EventsWithHeapAttrs(int n, uint64_t seed) {
+/// Events whose attrs are longer than InlineString::kInlineCapacity, so
+/// each lives on the heap: a moved record keeps its attr buffer and a
+/// copied one does not. With `heap_attrs` false the attrs fit inline.
+std::vector<STEvent> EventsWithHeapAttrs(int n, uint64_t seed,
+                                         bool heap_attrs = true) {
   std::vector<STEvent> events = RandomEvents(n, seed);
   for (STEvent& e : events) {
-    e.data.attr = "attribute payload of event " + std::to_string(e.data.id);
+    e.data.attr = (heap_attrs ? "heap-allocated attribute payload of event "
+                              : "ev ") +
+                  std::to_string(e.data.id);
+    ST4ML_CHECK(e.data.attr.is_heap() == heap_attrs) << e.data.attr;
   }
   return events;
 }
@@ -665,6 +670,42 @@ TEST(STPartitionTest, SharedInputIsCopiedAndLeftIntact) {
         EXPECT_EQ(move_snap[c], copy_snap[c]);
       }
       EXPECT_GT(move_snap[Counter::kShuffleRecordsStPartition], 0u);
+    }
+  }
+}
+
+TEST(STPartitionTest, InlineAttrsSurviveMovesAndCopiesByValue) {
+  // Attrs that fit inline travel inside their event: the moving and the
+  // copying partition give the same contents, every attr still inline.
+  const std::vector<STEvent> events = EventsWithHeapAttrs(500, 16, false);
+  std::vector<EventKey> want;
+  for (const STEvent& e : events) want.push_back(KeyOf(e));
+  std::sort(want.begin(), want.end());
+  for (int workers : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    auto ctx = ExecutionContext::Create(workers);
+    auto data = Dataset<STEvent>::Parallelize(ctx, events, 5);
+    Dataset<STEvent> second = data;
+    TSTRPartitioner copy_tstr(3, 4);
+    auto copied = TrySTPartition(std::move(data), &copy_tstr, EventBox,
+                                 EventId);
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    TSTRPartitioner move_tstr(3, 4);
+    auto moved = TrySTPartition(
+        Dataset<STEvent>::Parallelize(ctx, events, 5), &move_tstr, EventBox,
+        EventId);
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_EQ(ContentsOf(*moved), ContentsOf(*copied));
+    std::vector<EventKey> got;
+    for (const auto& part : ContentsOf(*moved)) {
+      got.insert(got.end(), part.begin(), part.end());
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    for (size_t p = 0; p < moved->num_partitions(); ++p) {
+      for (const STEvent& e : moved->partition(p)) {
+        EXPECT_FALSE(e.data.attr.is_heap()) << "event " << e.data.id;
+      }
     }
   }
 }

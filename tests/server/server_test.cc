@@ -424,7 +424,8 @@ std::vector<std::string> RowKeys(const JsonValue& response) {
 }
 
 std::string RowKey(const EventRecord& r) {
-  return std::to_string(r.id) + "@" + std::to_string(r.time) + ":" + std::string(r.attr);
+  return std::to_string(r.id) + "@" + std::to_string(r.time) + ":" +
+         std::string(r.attr);
 }
 
 // select with a limit returns exactly the global lowest matching ids when

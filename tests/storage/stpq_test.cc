@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,6 +13,16 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/execution_context.h"
+#include "ingest/wal.h"
+#include "partition/str_partitioner.h"
+#include "pipeline/session.h"
+#include "selection/on_disk_index.h"
+#include "selection/selector.h"
+#include "server/client.h"
+#include "server/json.h"
+#include "server/server.h"
+#include "storage/inline_string.h"
 
 namespace st4ml {
 namespace {
@@ -57,6 +68,204 @@ std::vector<TrajRecord> RandomTrajs(int n, uint64_t seed) {
     trajs.push_back(t);
   }
   return trajs;
+}
+
+/// `n` bytes that differ from position to position.
+std::string Bytes(size_t n) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) s[i] = static_cast<char>('a' + i % 26);
+  return s;
+}
+
+/// Attributes at the inline capacity's edges, a long one, and one with an
+/// embedded NUL.
+std::vector<std::string> EdgeAttrs() {
+  return {Bytes(0), Bytes(InlineString::kInlineCapacity),
+          Bytes(InlineString::kInlineCapacity + 1), Bytes(1000),
+          std::string("nul\0inside", 10)};
+}
+
+/// One event per EdgeAttrs() value, ids 0.., inside [0,10]^2 x [0,100].
+std::vector<EventRecord> EdgeEvents() {
+  std::vector<EventRecord> events;
+  for (const std::string& attr : EdgeAttrs()) {
+    EventRecord r;
+    r.id = static_cast<int64_t>(events.size());
+    r.x = 1.0 + static_cast<double>(r.id);
+    r.y = 2.0;
+    r.time = 10 * r.id;
+    r.attr = attr;
+    events.push_back(r);
+  }
+  return events;
+}
+
+void ExpectSameEvents(const std::vector<EventRecord>& got,
+                      const std::vector<EventRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].x, want[i].x);
+    EXPECT_EQ(got[i].time, want[i].time);
+    EXPECT_EQ(got[i].attr, want[i].attr) << "record " << i;
+    EXPECT_EQ(got[i].attr.size(), want[i].attr.size()) << "record " << i;
+  }
+}
+
+TEST(InlineStringTest, HoldsEveryLengthAndEmbeddedNuls) {
+  static_assert(sizeof(InlineString) == 32);
+  static_assert(sizeof(EventRecord) == 64);
+  for (const std::string& value : EdgeAttrs()) {
+    SCOPED_TRACE(testing::Message() << "length " << value.size());
+    const InlineString s(value);
+    EXPECT_EQ(s.size(), value.size());
+    EXPECT_EQ(s.empty(), value.empty());
+    EXPECT_EQ(std::string_view(s), value);
+    EXPECT_EQ(std::memcmp(s.data(), value.data(), value.size()), 0);
+    EXPECT_EQ(s.c_str()[value.size()], '\0');
+    EXPECT_EQ(s.is_heap(), value.size() > InlineString::kInlineCapacity);
+  }
+  const InlineString nul(std::string("a\0b", 3));
+  EXPECT_EQ(nul.size(), 3u);
+  EXPECT_EQ(std::strlen(nul.c_str()), 1u);
+  EXPECT_NE(nul, InlineString("a"));
+  EXPECT_LT(InlineString("a"), nul);
+  EXPECT_EQ(InlineString("12.5").c_str(), std::string_view("12.5"));
+  InlineString cleared(Bytes(1000));
+  cleared.clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(cleared.c_str()[0], '\0');
+}
+
+TEST(InlineStringTest, CopiesMovesAndSelfAssignmentKeepTheValue) {
+  for (const std::string& value : EdgeAttrs()) {
+    SCOPED_TRACE(testing::Message() << "length " << value.size());
+    InlineString source(value);
+    InlineString copy(source);
+    EXPECT_EQ(copy, source);
+    if (source.size() > 0) {
+      EXPECT_NE(copy.data(), source.data());
+    }
+
+    const char* block = source.data();
+    InlineString moved(std::move(source));
+    EXPECT_EQ(moved.view(), value);
+    // A long value's block is stolen; a moved-from string is empty.
+    if (moved.is_heap()) {
+      EXPECT_EQ(moved.data(), block);
+    }
+    EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.c_str()[0], '\0');
+    source = "reused";
+    EXPECT_EQ(source.view(), "reused");
+
+    InlineString& alias = moved;
+    moved = alias;
+    EXPECT_EQ(moved.view(), value);
+    moved = std::move(alias);
+    EXPECT_EQ(moved.view(), value);
+    if (!value.empty()) {  // assigning from its own bytes
+      moved = moved.view().substr(1);
+      EXPECT_EQ(moved.view(), value.substr(1));
+    }
+
+    // Assignment across the inline/heap boundary, both ways.
+    for (const std::string& other : EdgeAttrs()) {
+      InlineString target(other);
+      target = copy;
+      EXPECT_EQ(target, copy);
+      InlineString taken(other);
+      taken = InlineString(value);
+      EXPECT_EQ(taken.view(), value);
+    }
+  }
+}
+
+TEST(InlineStringTest, RoundTripsThroughTheStpqCodec) {
+  const std::string dir = TempDir("inline_codec");
+  const std::vector<EventRecord> events = EdgeEvents();
+  ASSERT_TRUE(WriteStpqFile(dir + "/e.stpq", events).ok());
+  uint64_t bytes = 0;
+  for (const EventRecord& r : events) bytes += StpqRecordBytes(r);
+  EXPECT_EQ(FileSizeBytes(dir + "/e.stpq"), bytes + kStpqHeaderBytes);
+  auto loaded = ReadStpqFile<EventRecord>(dir + "/e.stpq");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameEvents(*loaded, events);
+}
+
+TEST(InlineStringTest, RoundTripsThroughAWalSegment) {
+  const std::string dir = TempDir("inline_wal");
+  const std::vector<EventRecord> events = EdgeEvents();
+  auto writer = WalWriter::Create(dir + "/seg-000001.stwal");
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::string frames;
+  for (const EventRecord& r : events) AppendWalFrame(&frames, r);
+  ASSERT_TRUE(writer->AppendFrames(frames, events.size()).ok());
+  ASSERT_TRUE(writer->Seal().ok());
+  auto read = ReadWalSegment(dir + "/seg-000001.stwal");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_FALSE(read->torn_tail);
+  ExpectSameEvents(read->records, events);
+}
+
+TEST(InlineStringTest, RoundTripsThroughACacheEvictionAndReload) {
+  // Two files, a budget that holds one: every Select evicts one and
+  // reloads the other, and each answer is the files' records.
+  const std::string dir = TempDir("inline_cache");
+  const std::vector<EventRecord> events = EdgeEvents();
+  const std::vector<EventRecord> first(events.begin(), events.begin() + 3);
+  const std::vector<EventRecord> second(events.begin() + 3, events.end());
+  ASSERT_TRUE(WriteStpqFile(dir + "/part-00000.stpq", first).ok());
+  ASSERT_TRUE(WriteStpqFile(dir + "/part-00001.stpq", second).ok());
+  auto ctx = ExecutionContext::Create(1);
+  DatasetCache::Options cache;
+  cache.budget_bytes = std::max(FileSizeBytes(dir + "/part-00000.stpq"),
+                                FileSizeBytes(dir + "/part-00001.stpq"));
+  ctx->ConfigureCache(cache);
+  const STBox box(Mbr(0, 0, 10, 10), Duration(0, 100));
+  for (int pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE(testing::Message() << "pass " << pass);
+    Selector<EventRecord> selector(ctx, SelectQuery::FromBox(box));
+    auto selected = selector.Select(dir);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    ExpectSameEvents(selected->Collect(), events);
+  }
+  const MetricsSnapshot m = ctx->MetricsSnapshot();
+  EXPECT_GT(m[Counter::kCacheEvictions], 0u);
+  EXPECT_GT(m[Counter::kCacheReloadBytes], 0u);
+}
+
+TEST(InlineStringTest, RoundTripsThroughAServerSelectRow) {
+  const std::string dir = TempDir("inline_server");
+  const std::vector<EventRecord> events = EdgeEvents();
+  ToolOptions options;
+  options.num_workers = 2;
+  TSTRPartitioner partitioner(1, 1);
+  ASSERT_TRUE(BuildOnDiskIndex(Dataset<EventRecord>::Parallelize(
+                                   ExecutionContext::Create(1), events, 1),
+                               &partitioner, dir, dir + "/index.meta")
+                  .ok());
+  Session session(options);
+  server::Server daemon(&session, server::ServerOptions{});
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = server::Client::Connect(daemon.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto response = client->Call(R"({"verb":"select","dir":")" + dir +
+                               R"(","mbr":[0,0,10,10],"time":[0,100]})");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  auto parsed = server::ParseJson(*response);
+  ASSERT_TRUE(parsed.ok()) << *response;
+  const server::JsonValue* rows = parsed->Find("rows");
+  ASSERT_NE(rows, nullptr) << *response;
+  ASSERT_EQ(rows->array.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(rows->array[i].GetInt("id", -1), events[i].id);
+    EXPECT_EQ(rows->array[i].GetString("attr", "?"),
+              std::string(events[i].attr))
+        << "row " << i;
+  }
+  client->Close();
+  daemon.Shutdown();
 }
 
 TEST(StpqTest, EventRoundTrip) {
