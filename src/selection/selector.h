@@ -470,7 +470,8 @@ class Selector {
 
   /// The kMmapIndex plan for one file, over its opened `.stpq` and the
   /// sidecar validated against it. Every record read is checked against
-  /// the query through the same kernel the scan filters with; if one fails,
+  /// the query (STBox::Intersects, the predicate the scan's kernel is
+  /// pinned to, and the id set); if one fails,
   /// the sidecar lied about its columns or postings, nothing is kept and
   /// the result is false, so the caller serves the file by the scan through
   /// the same descriptor. Returns a non-OK Status only for hard failures: a
@@ -520,15 +521,17 @@ class Selector {
         },
         &counters);
     if (!read.ok()) return read;
-    accel::EnvelopeColumns cols;
-    cols.Reserve(out->size());
-    for (const RecordT& r : *out) cols.Append(r.ComputeSTBox());
-    std::vector<uint32_t> matches = MatchIndices(cols, *out);
-    if (matches.size() != out->size()) return false;
+    for (const RecordT& r : *out) {
+      if (!query_.MatchesId(r.id) || !query_.box.Intersects(r.ComputeSTBox())) {
+        return false;
+      }
+    }
     load->read_bytes = reader.bytes_read();
     load->read_calls = reader.read_calls();
     load->file_read = true;
-    // Shaping drops what the query does not keep.
+    // Every record read matched; shaping drops what the query does not keep.
+    std::vector<uint32_t> matches(out->size());
+    std::iota(matches.begin(), matches.end(), 0u);
     *out = TakeShaped(std::move(*out), std::move(matches), load);
     return true;
   }

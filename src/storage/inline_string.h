@@ -114,7 +114,7 @@ class InlineString {
 
  private:
   char* heap() const {
-    char* block;
+    char* block = nullptr;
     std::memcpy(&block, bytes_, sizeof(block));
     return block;
   }
