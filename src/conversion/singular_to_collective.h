@@ -317,7 +317,7 @@ class Converter {
 
   Dataset<Collective<S, Bucket<T>>> Convert(const Dataset<T>& data) const {
     return ConvertSorted(data, [](const std::shared_ptr<const S>& s,
-                                  std::shared_ptr<const std::vector<T>> part,
+                                  SharedPart part,
                                   conversion_internal::SlotIndex slots) {
       for (uint32_t& k : slots.order) k = slots.kept[k];  // partition positions
       auto store = std::make_shared<const BucketStore<T>>(
@@ -338,7 +338,7 @@ class Converter {
     using P = std::decay_t<std::invoke_result_t<PreFn, const T&>>;
     using R = std::decay_t<std::invoke_result_t<AggFn, std::vector<P>>>;
     return ConvertSorted(data, [pre, agg](const std::shared_ptr<const S>& s,
-                                          std::shared_ptr<const std::vector<T>> part,
+                                          SharedPart part,
                                           conversion_internal::SlotIndex slots) {
       std::vector<P> mapped;
       mapped.reserve(slots.kept.size());
@@ -359,6 +359,9 @@ class Converter {
   }
 
  private:
+  /// One input partition, referenced in place (Dataset::SharedPartition).
+  using SharedPart = std::shared_ptr<const std::vector<T>>;
+
   /// Broadcasts the structure (and cell index), sorts every partition into
   /// slots and turns each into one collective with
   /// `build(structure, partition, slots)`, the partition shared in place.

@@ -471,12 +471,12 @@ class Selector {
   /// The kMmapIndex plan for one file, over its opened `.stpq` and the
   /// sidecar validated against it. Every record read is checked against
   /// the query (STBox::Intersects, the predicate the scan's kernel is
-  /// pinned to, and the id set); if one fails,
-  /// the sidecar lied about its columns or postings, nothing is kept and
-  /// the result is false, so the caller serves the file by the scan through
-  /// the same descriptor. Returns a non-OK Status only for hard failures: a
-  /// ranged read that misses its promised byte run (Corruption) or an I/O
-  /// error the retry policy could not absorb.
+  /// pinned to, and the id set); if one fails, the sidecar lied about its
+  /// columns or postings, nothing is kept and the result is false, so the
+  /// caller serves the file by the scan through the same descriptor.
+  /// Returns a non-OK Status only for hard failures: a ranged read that
+  /// misses its promised byte run (Corruption) or an I/O error the retry
+  /// policy could not absorb.
   StatusOr<bool> ServeViaStix(const std::string& path, StpqReader& reader,
                               const StixIndex& index, FileLoad* load,
                               CounterRegistry& counters) {
@@ -522,7 +522,8 @@ class Selector {
         &counters);
     if (!read.ok()) return read;
     for (const RecordT& r : *out) {
-      if (!query_.MatchesId(r.id) || !query_.box.Intersects(r.ComputeSTBox())) {
+      if (!query_.MatchesId(r.id) ||
+          !query_.box.Intersects(r.ComputeSTBox())) {
         return false;
       }
     }

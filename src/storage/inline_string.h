@@ -56,15 +56,6 @@ class InlineString {
     }
     return *this;
   }
-  InlineString& operator=(std::string_view s) {
-    return assign(s.data(), s.size());
-  }
-  InlineString& operator=(const char* s) {
-    return *this = std::string_view(s);
-  }
-  InlineString& operator=(const std::string& s) {
-    return *this = std::string_view(s);
-  }
 
   /// Replaces the value with the `n` bytes at `s`, which may lie inside
   /// this string's own bytes.
